@@ -2,7 +2,9 @@
 
 Subcommands: recover, denoise, sweep-sr, sweep-iters, params, dict-info.
 Exit codes: 0 success, 2 bad arguments, 3 runtime failure.  A flat
-key=value config file can preset solver options; explicit flags win.
+key=value config file can preset csim-alm options; explicit flags win.
+The work happens in library calls; this module parses arguments, loads
+inputs, writes outputs and the JSON-lines run logs.
 """
 
 from __future__ import annotations
@@ -21,15 +23,17 @@ from .experiments import (
     build_dictionary,
     emit_plot_script,
     image_ssim,
-    run_solver,
+    recover_image,
+    recover_patches,
+    solver_settings,
     sweep_iters,
     sweep_sr,
 )
 from .fileio import load_csv_vector, load_pgm, save_csv_vector, save_pgm
-from .metrics import psnr, relative_error
-from .paramselect import select_ratio
-from .signals import PatchGrid, apply_mask, extract_patches, random_mask, reassemble, substream
-from .solver import SolverConfig, effective_config, solve
+from .metrics import PSNR_CSV_CAP, psnr, relative_error
+from .paramselect import params_for_ratio, select_ratio
+
+_PATCH_SIDE = 8  # recover cuts PGM images into 8x8 patches
 
 _SOLVER_KEYS = {
     "rho1": float,
@@ -67,13 +71,13 @@ def _load_config_file(path) -> dict:
     return out
 
 
-def _solver_config(args) -> SolverConfig:
+def _solver_overrides(args) -> dict:
     options = {}
-    if getattr(args, "config", None):
+    if args.config:
         options.update(_load_config_file(args.config))
-    if getattr(args, "max_iter", None) is not None:
+    if args.max_iter is not None:
         options["max_iter"] = args.max_iter
-    return SolverConfig(**options)
+    return options
 
 
 def _add_dict_args(parser, default_n=64, default_p=None):
@@ -121,91 +125,57 @@ def _cmd_params(args) -> int:
     else:
         print(f"rip bound: infeasible ({rip_b.violated})")
     print(f"selected ratio var_weight/mean_weight: {selection.ratio:.6g} [{selection.source}]")
-    params = CsimParams(
-        mean_weight=(D.n - 1) / selection.ratio, var_weight=float(D.n - 1), n=D.n
-    )
+    params = params_for_ratio(selection.ratio, D.n)
     print(f"sensitivity ratio: {sensitivity_ratio(params):.9g}")
     return 0
 
 
-def _echo_config(log, config: SolverConfig, mask, D) -> None:
-    values = effective_config(config, mask, D)
-    log.write(json.dumps({"event": "config", **values}, sort_keys=True) + "\n")
-
-
-def _recover_one(args, config, y, mask, D):
-    if args.solver == "csim-alm":
-        return solve(y, mask, D, config)
-    return run_solver(args.solver, y, mask, D, max_iter=config.max_iter)
+def _log_event(log, event: str, **fields) -> None:
+    log.write(json.dumps({"event": event, **fields}, sort_keys=True) + "\n")
 
 
 def _cmd_recover(args) -> int:
-    config = _solver_config(args)
+    overrides = _solver_overrides(args)
     out_log = args.out + ".log.jsonl"
-    if args.input.endswith(".pgm"):
+    is_image = args.input.endswith(".pgm")
+    if is_image:
         image = load_pgm(args.input).astype(float)
-        grid = PatchGrid(image.shape[0], image.shape[1], side=8, stride=8)
-        patches = extract_patches(image, grid)
-        n = grid.side * grid.side
-        D = build_dictionary(args.dict, n, args.p if args.p is not None else n)
-        m = max(1, min(n, int(round(args.sr * n))))
-        recovered = np.empty_like(patches)
-        with open(out_log, "w", newline="\n") as log:
-            first_mask = random_mask(n, m, substream(args.seed, 0, 2, m))
-            _echo_config(log, config, first_mask, D)
-            for i, patch in enumerate(patches):
-                mask = random_mask(n, m, substream(args.seed, i, 2, m))
-                y = apply_mask(patch, mask)
-                result = _recover_one(args, config, y, mask, D)
-                recovered[i] = result.x_hat
-                log.write(
-                    json.dumps(
-                        {
-                            "event": "patch",
-                            "index": i,
-                            "iterations": result.iterations,
-                            "final_residual": float(result.primal_residuals[-1]),
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-            restored = reassemble(recovered, grid)
-            scores = {
-                "event": "result",
-                "psnr_db": min(psnr(restored, image), 99.0),
-            }
-            log.write(json.dumps(scores, sort_keys=True) + "\n")
-        save_pgm(args.out, np.clip(np.round(restored), 0, 255))
+        n = _PATCH_SIDE * _PATCH_SIDE
     else:
         x = load_csv_vector(args.input)
         n = x.size
-        D = build_dictionary(args.dict, n, args.p if args.p is not None else n)
-        m = max(1, min(n, int(round(args.sr * n))))
-        mask = random_mask(n, m, substream(args.seed, 0, 2, m))
-        y = apply_mask(x, mask)
-        with open(out_log, "w", newline="\n") as log:
-            _echo_config(log, config, mask, D)
-            result = _recover_one(args, config, y, mask, D)
+    D = build_dictionary(args.dict, n, args.p if args.p is not None else n)
+    with open(out_log, "w", newline="\n") as log:
+        _log_event(log, "config", **solver_settings(args.solver, D, args.sr, args.seed, overrides))
+        if is_image:
+            restored, results = recover_image(image, args.sr, args.seed, args.solver, D, overrides)
+            for i, result in enumerate(results):
+                _log_event(
+                    log,
+                    "patch",
+                    index=i,
+                    iterations=result.iterations,
+                    final_residual=float(result.primal_residuals[-1]),
+                )
+            _log_event(log, "result", psnr_db=min(psnr(restored, image), PSNR_CSV_CAP))
+            save_pgm(args.out, np.clip(np.round(restored), 0, 255))
+        else:
+            (result,) = recover_patches(x[None, :], args.sr, args.seed, args.solver, D, overrides)
             for t in range(result.iterations):
-                entry = {
-                    "event": "iteration",
-                    "t": t + 1,
-                    "coupling_residual": float(result.primal_residuals[t]),
-                }
+                entry = {"t": t + 1, "coupling_residual": float(result.primal_residuals[t])}
                 if result.slack_residuals is not None:
                     entry["slack_residual"] = float(result.slack_residuals[t])
-                log.write(json.dumps(entry, sort_keys=True) + "\n")
-            scores = {
-                "event": "result",
-                "iterations": result.iterations,
-                "psnr_db": min(psnr(result.x_hat, x, peak=max(x.max() - x.min(), 1.0)), 99.0),
-                "rel_data_fidelity": relative_error(result.x_hat, x)
-                if np.linalg.norm(x) > 0
-                else None,
-            }
-            log.write(json.dumps(scores, sort_keys=True) + "\n")
-        save_csv_vector(args.out, result.x_hat)
+                _log_event(log, "iteration", **entry)
+            peak = max(x.max() - x.min(), 1.0)
+            fidelity = relative_error(result.x_hat, x) if np.linalg.norm(x) > 0 else None
+            _log_event(
+                log,
+                "result",
+                iterations=result.iterations,
+                psnr_db=min(psnr(result.x_hat, x, peak=peak), PSNR_CSV_CAP),
+                rel_data_fidelity=fidelity,
+            )
+            save_csv_vector(args.out, result.x_hat)
     print(f"wrote {args.out} and {out_log}")
     return 0
 
@@ -223,25 +193,14 @@ def _cmd_denoise(args) -> int:
     save_pgm(args.out, np.clip(np.round(out), 0, 255))
     log_path = args.out + ".log.jsonl"
     with open(log_path, "w", newline="\n") as log:
-        log.write(
-            json.dumps(
-                {
-                    "event": "config",
-                    "method": args.method,
-                    "m_taps": args.m_taps,
-                    "sigma_n": args.sigma_n,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        entry = {"event": "result"}
+        _log_event(log, "config", method=args.method, m_taps=args.m_taps, sigma_n=args.sigma_n)
+        entry = {}
         if args.reference:
             clean = load_pgm(args.reference).astype(float)
-            entry["psnr_db"] = min(psnr(out, clean), 99.0)
+            entry["psnr_db"] = min(psnr(out, clean), PSNR_CSV_CAP)
             entry["ssim"] = image_ssim(out, clean)
-            entry["input_psnr_db"] = min(psnr(image, clean), 99.0)
-        log.write(json.dumps(entry, sort_keys=True) + "\n")
+            entry["input_psnr_db"] = min(psnr(image, clean), PSNR_CSV_CAP)
+        _log_event(log, "result", **entry)
     print(f"wrote {args.out} and {log_path}")
     return 0
 
@@ -352,6 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "recover" and args.config and args.solver != "csim-alm":
+        parser.error(
+            f"--config keys are csim-alm settings; --solver {args.solver} does not read them"
+        )
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -1,9 +1,9 @@
 """Batch experiment harness: recovery sweeps, CSV output, plot scripts.
 
 Every trial derives its signal and mask from substreams keyed by
-(master seed, trial index, tag), so serial and parallel runs produce
-identical rows.  Trials run on a thread pool capped by the CSIM_THREADS
-environment variable; aggregation is an ordered reduce by trial index.
+(master seed, trial index, tag), so a row does not depend on which other
+jobs share its sweep.  Trials run serially, in row order.  Image
+recovery observes patch i through the mask of job i.
 
 Wall-clock columns are zero unless timing is requested, because the
 default CSV contract is byte-identical output across runs with equal
@@ -12,10 +12,9 @@ seeds, which measured times cannot satisfy.
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,15 +24,28 @@ from .baselines import FistaConfig, IhtConfig, fista_solve, iht_adaptive_solve
 from .dictionaries import Dictionary, dct_dictionary, haar_wp_dictionary
 from .fileio import load_pgm
 from .metrics import PSNR_CSV_CAP, QualityScore, mse, psnr, relative_error, ssim_global
-from .signals import apply_mask, random_mask, substream, synth_sparse_signal
-from .solver import RecoveryResult, SolverConfig, solve
+from .signals import (
+    PatchGrid,
+    SamplingMask,
+    apply_mask,
+    extract_patches,
+    random_mask,
+    reassemble,
+    substream,
+    synth_sparse_signal,
+)
+from .solver import RecoveryResult, SolverConfig, effective_config, solve
 
 __all__ = [
     "ExperimentSpec",
     "SWEEP_SR_HEADER",
     "SWEEP_ITERS_HEADER",
     "build_dictionary",
+    "observation_mask",
     "run_solver",
+    "solver_settings",
+    "recover_patches",
+    "recover_image",
     "sweep_sr",
     "sweep_iters",
     "emit_plot_script",
@@ -101,20 +113,11 @@ def build_dictionary(kind: str, n: int, p: int) -> Dictionary:
     raise ValueError(f"unknown dictionary kind {kind!r}")
 
 
-def _worker_count() -> int:
-    env = os.environ.get("CSIM_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
-def _map_ordered(fn, items):
-    """Apply fn over items on the worker pool, results in input order."""
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def observation_mask(n: int, sr: float, seed: int, index: int) -> SamplingMask:
+    """Mask of job ``index``: round(sr * n) samples, clamped to 1..n,
+    drawn from substream (seed, index, mask tag, sample count)."""
+    m = min(max(int(round(sr * n)), 1), n)
+    return random_mask(n, m, substream(seed, index, _TAG_MASK, m))
 
 
 def run_solver(
@@ -139,6 +142,52 @@ def run_solver(
     if name == "iht":
         return iht_adaptive_solve(y, mask, D, IhtConfig(**kwargs))
     raise ValueError(f"unknown solver {name!r}")
+
+
+def solver_settings(
+    name: str, D: Dictionary, sr: float, seed: int, overrides: dict | None = None
+) -> dict:
+    """Settings ``recover_patches`` hands to solver ``name``, for a run
+    log: every effective csim-alm hyperparameter (as resolved for the
+    first patch), or a baseline's name and iteration budget."""
+    kwargs = {"max_iter": 50, **(overrides or {})}
+    if name == "csim-alm":
+        return effective_config(SolverConfig(**kwargs), observation_mask(D.n, sr, seed, 0), D)
+    return {"solver": name, "max_iter": kwargs["max_iter"]}
+
+
+def recover_patches(
+    patches, sr: float, seed: int, solver: str, D: Dictionary, overrides: dict | None = None
+) -> list[RecoveryResult]:
+    """Recover every row of ``patches`` from the samples its mask keeps.
+
+    Row i is observed through ``observation_mask(D.n, sr, seed, i)``, so
+    a single vector recovered as row 0 sees the mask of an image's first
+    patch.  ``overrides`` holds solver settings, as in ``run_solver``.
+    """
+    results = []
+    for i, patch in enumerate(patches):
+        mask = observation_mask(D.n, sr, seed, i)
+        results.append(run_solver(solver, apply_mask(patch, mask), mask, D, overrides=overrides))
+    return results
+
+
+def recover_image(
+    image, sr: float, seed: int, solver: str, D: Dictionary, overrides: dict | None = None
+) -> tuple[np.ndarray, list[RecoveryResult]]:
+    """Recover an image tile by tile; returns the restored float image
+    and the per-patch results.
+
+    Tiles are square with D.n pixels and do not overlap; the last row
+    and column of tiles are clamped to the border (see ``PatchGrid``).
+    """
+    side = math.isqrt(D.n)
+    if side * side != D.n:
+        raise ValueError("image recovery needs a square patch length")
+    height, width = np.shape(image)
+    grid = PatchGrid(height, width, side=side, stride=side)
+    results = recover_patches(extract_patches(image, grid), sr, seed, solver, D, overrides)
+    return reassemble(np.stack([r.x_hat for r in results]), grid), results
 
 
 def load_corpus(paths) -> list[np.ndarray]:
@@ -168,8 +217,7 @@ def _corpus_patch(images, side: int, rng) -> np.ndarray:
 def _trial_data(spec: ExperimentSpec, D: Dictionary, sr: float, trial: int, images=None):
     """(true sparse code or None, clean signal, mask, observations)."""
     n = D.n
-    m = min(max(int(round(sr * n)), 1), n)
-    mask = random_mask(n, m, substream(spec.seed, trial, _TAG_MASK, m))
+    mask = observation_mask(n, sr, spec.seed, trial)
     if images is None:
         k = max(1, math.ceil(0.1 * D.p))
         signal = synth_sparse_signal(D, k, substream(spec.seed, trial, _TAG_SIGNAL))
@@ -182,10 +230,6 @@ def _trial_data(spec: ExperimentSpec, D: Dictionary, sr: float, trial: int, imag
 
 def _fmt(value: float) -> str:
     return f"{value:.9g}"
-
-
-def _csv_psnr(value: float) -> float:
-    return PSNR_CSV_CAP if math.isinf(value) else value
 
 
 def _score_against_truth(x_hat, x_true, s_hat, s_true) -> QualityScore:
@@ -216,26 +260,19 @@ def sweep_sr(spec: ExperimentSpec) -> str:
     D = build_dictionary(spec.dict_kind, spec.n, spec.p)
     images = load_corpus(spec.corpus) if spec.corpus else None
 
-    def one(job):
-        solver, sr, trial = job
+    rows = []
+    jobs = itertools.product(spec.solvers, spec.srs, range(spec.trials))
+    for solver, sr, trial in jobs:
         s_true, x_true, mask, y = _trial_data(spec, D, sr, trial, images)
         t0 = time.perf_counter()
         result = run_solver(solver, y, mask, D, max_iter=spec.max_iter, overrides=spec.overrides.get(solver))
         runtime_ms = (time.perf_counter() - t0) * 1e3 if spec.timing else 0.0
         score = _score_against_truth(result.x_hat, x_true, result.s_hat, s_true)
-        return (
+        rows.append(
             f"{trial},{spec.seed},{solver},{_fmt(sr)},{D.n},{D.p},{spec.dict_kind},"
-            f"{result.iterations},{_fmt(_csv_psnr(score.psnr_db))},{_fmt(score.ssim)},"
+            f"{result.iterations},{_fmt(min(score.psnr_db, PSNR_CSV_CAP))},{_fmt(score.ssim)},"
             f"{_fmt(score.rel_err)},{runtime_ms:.3f}"
         )
-
-    jobs = [
-        (solver, sr, trial)
-        for solver in spec.solvers
-        for sr in spec.srs
-        for trial in range(spec.trials)
-    ]
-    rows = _map_ordered(one, jobs)
     return SWEEP_SR_HEADER + "\n" + "\n".join(rows) + "\n"
 
 
@@ -250,8 +287,9 @@ def sweep_iters(spec: ExperimentSpec) -> str:
         raise ValueError("iteration traces need ground-truth synthetic signals")
     D = build_dictionary(spec.dict_kind, spec.n, spec.p)
 
-    def one(job):
-        solver, sr, trial = job
+    lines = []
+    jobs = itertools.product(spec.solvers, spec.srs, range(spec.trials))
+    for solver, sr, trial in jobs:
         s_true, _, mask, y = _trial_data(spec, D, sr, trial)
         result = run_solver(
             solver,
@@ -263,23 +301,13 @@ def sweep_iters(spec: ExperimentSpec) -> str:
             overrides=spec.overrides.get(solver),
             feasibility_tol=0.0,
         )
-        lines = []
         for t, s_t in enumerate(result.iterates, start=1):
             rel = relative_error(s_t, s_true)
             ms = result.elapsed_ms[t - 1] if spec.timing else 0.0
             lines.append(
                 f"{solver},{_fmt(sr)},{trial},{spec.seed},{t},{_fmt(rel)},{ms:.6f}"
             )
-        return "\n".join(lines)
-
-    jobs = [
-        (solver, sr, trial)
-        for solver in spec.solvers
-        for sr in spec.srs
-        for trial in range(spec.trials)
-    ]
-    chunks = _map_ordered(one, jobs)
-    return SWEEP_ITERS_HEADER + "\n" + "\n".join(chunks) + "\n"
+    return SWEEP_ITERS_HEADER + "\n" + "\n".join(lines) + "\n"
 
 
 _PLOT_TEMPLATE = '''"""Generated plot script; needs matplotlib."""

@@ -145,6 +145,35 @@ def test_config_file_and_flag_override(tmp_path):
     assert config_line["max_iter"] == 9
 
 
+@pytest.mark.parametrize("source", ["x.csv", "img.pgm"])
+@pytest.mark.parametrize("solver", ["fista", "iht"])
+def test_recover_baseline_log_echoes_only_its_settings(tmp_path, solver, source):
+    src = tmp_path / source
+    if source.endswith(".pgm"):
+        save_pgm(src, synthetic_image(16, 16, seed=3))
+    else:
+        save_csv_vector(src, substream(1, 2).standard_normal(64))
+    dst = tmp_path / ("out" + src.suffix)
+    argv = ["recover", "--input", str(src), "--out", str(dst), "--solver", solver]
+    assert main(argv + ["--max-iter", "12"]) == 0
+    config_line = json.loads((tmp_path / (dst.name + ".log.jsonl")).read_text().splitlines()[0])
+    assert config_line == {"event": "config", "solver": solver, "max_iter": 12}
+
+
+@pytest.mark.parametrize("solver", ["fista", "iht"])
+def test_recover_rejects_config_file_for_baselines(tmp_path, capsys, solver):
+    src = tmp_path / "x.csv"
+    save_csv_vector(src, substream(4, 5).standard_normal(32))
+    cfg = tmp_path / "solver.cfg"
+    cfg.write_text("max_iter = 7\n")
+    argv = ["recover", "--input", str(src), "--out", str(tmp_path / "o.csv"), "--solver", solver]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--config", str(cfg)])
+    assert err.value.code == 2
+    assert "csim-alm settings" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_config_file_rejects_unknown_keys(tmp_path):
     x = substream(6, 7).standard_normal(16)
     src = tmp_path / "x.csv"
