@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -33,7 +34,15 @@ from .fileio import load_csv_vector, load_pgm, save_csv_vector, save_pgm
 from .metrics import PSNR_CSV_CAP, psnr, relative_error
 from .paramselect import params_for_ratio, select_ratio
 
-_PATCH_SIDE = 8  # recover cuts PGM images into 8x8 patches
+
+def _flag(value: str) -> bool:
+    word = value.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected true or false, got {value!r}")
+
 
 _SOLVER_KEYS = {
     "rho1": float,
@@ -49,13 +58,14 @@ _SOLVER_KEYS = {
     "var_weight": float,
     "feasibility_tol": float,
     "l1_weight": float,
-    "continuation": lambda v: v.lower() in ("1", "true", "yes"),
-    "project_observed": lambda v: v.lower() in ("1", "true", "yes"),
+    "continuation": _flag,
+    "project_observed": _flag,
 }
 
 
 def _load_config_file(path) -> dict:
-    """Flat key = value lines; '#' starts a comment."""
+    """Flat key = value lines; '#' starts a comment.  Errors name the
+    file and line."""
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -67,7 +77,10 @@ def _load_config_file(path) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _SOLVER_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _SOLVER_KEYS[key](value)
+            try:
+                out[key] = _SOLVER_KEYS[key](value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return out
 
 
@@ -135,12 +148,12 @@ def _log_event(log, event: str, **fields) -> None:
 
 
 def _cmd_recover(args) -> int:
-    overrides = _solver_overrides(args)
+    overrides = args.overrides
     out_log = args.out + ".log.jsonl"
     is_image = args.input.endswith(".pgm")
     if is_image:
         image = load_pgm(args.input).astype(float)
-        n = _PATCH_SIDE * _PATCH_SIDE
+        n = args.n  # patches of side sqrt(n)
     else:
         x = load_csv_vector(args.input)
         n = x.size
@@ -311,10 +324,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "recover" and args.config and args.solver != "csim-alm":
-        parser.error(
-            f"--config keys are csim-alm settings; --solver {args.solver} does not read them"
-        )
+    if args.command == "recover":
+        if args.config and args.solver != "csim-alm":
+            parser.error(
+                f"--config keys are csim-alm settings; --solver {args.solver} does not read them"
+            )
+        if args.input.endswith(".pgm") and not (args.n >= 4 and math.isqrt(args.n) ** 2 == args.n):
+            parser.error(f"--n {args.n}: PGM input needs a square patch length of at least 4")
+        try:
+            args.overrides = _solver_overrides(args)
+        except (OSError, ValueError) as exc:
+            parser.error(str(exc))
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -110,19 +110,24 @@ def _vector(e, n: int | None = None) -> np.ndarray:
     return e
 
 
-def csim_stats(e, params: CsimParams) -> float:
+def csim_stats(e, params: CsimParams):
     """Index value from the statistical form.
 
     Returns ``mean_weight * mu**2 + var_weight/(n-1) * ||e - mu||**2``
     where mu is the sample mean of the residual.  Nonnegative, zero only
-    for the zero residual.
+    for the zero residual.  A stack of residuals (rows along the last
+    axis) gives an array with one value per row; a single residual, a
+    float.
     """
-    e = _vector(e, params.n)
-    mu = float(e.mean())
-    dev = e - mu
-    return params.mean_weight * mu * mu + params.var_weight / (params.n - 1) * float(
-        dev @ dev
+    e = np.asarray(e, dtype=float)
+    if e.ndim == 0 or e.shape[-1] != params.n:
+        raise ValueError(f"expected residuals of length {params.n}")
+    mu = np.add.reduce(e, axis=-1) / params.n  # e.mean(), bit for bit
+    dev = e - mu[..., None]
+    value = params.mean_weight * mu * mu + params.var_weight / (params.n - 1) * np.vecdot(
+        dev, dev
     )
+    return float(value) if e.ndim == 1 else value
 
 
 def csim_pair(x, y, params: CsimParams) -> float:

@@ -2,8 +2,10 @@
 
 Every trial derives its signal and mask from substreams keyed by
 (master seed, trial index, tag), so a row does not depend on which other
-jobs share its sweep.  Trials run serially, in row order.  Image
-recovery observes patch i through the mask of job i.
+jobs share its sweep.  A sweep solves the trials of each (solver,
+sampling ratio) group in one ``run_solver_batch`` call and writes rows
+in (solver, ratio, trial) order.  Image recovery observes patch i
+through the mask of job i and solves all patches in one call.
 
 Wall-clock columns are zero unless timing is requested, because the
 default CSV contract is byte-identical output across runs with equal
@@ -34,7 +36,7 @@ from .signals import (
     substream,
     synth_sparse_signal,
 )
-from .solver import RecoveryResult, SolverConfig, effective_config, solve
+from .solver import RecoveryResult, SolverConfig, effective_config, solve_batch
 
 __all__ = [
     "ExperimentSpec",
@@ -43,6 +45,7 @@ __all__ = [
     "build_dictionary",
     "observation_mask",
     "run_solver",
+    "run_solver_batch",
     "solver_settings",
     "recover_patches",
     "recover_image",
@@ -120,6 +123,37 @@ def observation_mask(n: int, sr: float, seed: int, index: int) -> SamplingMask:
     return random_mask(n, m, substream(seed, index, _TAG_MASK, m))
 
 
+def run_solver_batch(
+    name: str,
+    Y,
+    masks,
+    D: Dictionary,
+    max_iter: int = 50,
+    record_iterates: bool = False,
+    overrides: dict | None = None,
+    feasibility_tol: float | None = None,
+) -> list[RecoveryResult]:
+    """Run solver ``name`` on every row of ``Y``, row i observed through
+    ``masks[i]``; one result per row.
+
+    csim-alm solves all rows at once (``solve_batch``); fista and iht
+    solve one row at a time.  ``feasibility_tol`` reaches csim-alm only.
+    """
+    kwargs = {"max_iter": max_iter, "record_iterates": record_iterates}
+    if name == "csim-alm" and feasibility_tol is not None:
+        kwargs["feasibility_tol"] = feasibility_tol
+    kwargs.update(overrides or {})
+    if name == "csim-alm":
+        return solve_batch(Y, masks, D, SolverConfig(**kwargs))
+    if name == "fista":
+        config = FistaConfig(**kwargs)
+        return [fista_solve(y, mask, D, config) for y, mask in zip(Y, masks, strict=True)]
+    if name == "iht":
+        config = IhtConfig(**kwargs)
+        return [iht_adaptive_solve(y, mask, D, config) for y, mask in zip(Y, masks, strict=True)]
+    raise ValueError(f"unknown solver {name!r}")
+
+
 def run_solver(
     name: str,
     y,
@@ -130,18 +164,18 @@ def run_solver(
     overrides: dict | None = None,
     feasibility_tol: float | None = None,
 ) -> RecoveryResult:
-    """Dispatch one solver by harness name."""
-    kwargs = {"max_iter": max_iter, "record_iterates": record_iterates}
-    if name == "csim-alm" and feasibility_tol is not None:
-        kwargs["feasibility_tol"] = feasibility_tol
-    kwargs.update(overrides or {})
-    if name == "csim-alm":
-        return solve(y, mask, D, SolverConfig(**kwargs))
-    if name == "fista":
-        return fista_solve(y, mask, D, FistaConfig(**kwargs))
-    if name == "iht":
-        return iht_adaptive_solve(y, mask, D, IhtConfig(**kwargs))
-    raise ValueError(f"unknown solver {name!r}")
+    """Dispatch one solver by harness name: ``run_solver_batch`` on one row."""
+    (result,) = run_solver_batch(
+        name,
+        np.asarray(y, dtype=float)[None],
+        [mask],
+        D,
+        max_iter,
+        record_iterates,
+        overrides,
+        feasibility_tol,
+    )
+    return result
 
 
 def solver_settings(
@@ -165,11 +199,9 @@ def recover_patches(
     a single vector recovered as row 0 sees the mask of an image's first
     patch.  ``overrides`` holds solver settings, as in ``run_solver``.
     """
-    results = []
-    for i, patch in enumerate(patches):
-        mask = observation_mask(D.n, sr, seed, i)
-        results.append(run_solver(solver, apply_mask(patch, mask), mask, D, overrides=overrides))
-    return results
+    masks = [observation_mask(D.n, sr, seed, i) for i in range(len(patches))]
+    Y = np.stack([apply_mask(patch, mask) for patch, mask in zip(patches, masks)])
+    return run_solver_batch(solver, Y, masks, D, overrides=overrides)
 
 
 def recover_image(
@@ -249,6 +281,23 @@ def _score_against_truth(x_hat, x_true, s_hat, s_true) -> QualityScore:
     )
 
 
+def _solve_group(spec: ExperimentSpec, D: Dictionary, solver: str, sr: float, images=None, **kwargs):
+    """Trial data of one (solver, sampling ratio) group, the group's
+    results from one ``run_solver_batch`` call, and its solve time in ms."""
+    trials = [_trial_data(spec, D, sr, trial, images) for trial in range(spec.trials)]
+    t0 = time.perf_counter()
+    results = run_solver_batch(
+        solver,
+        np.stack([y for *_, y in trials]),
+        [mask for _, _, mask, _ in trials],
+        D,
+        max_iter=spec.max_iter,
+        overrides=spec.overrides.get(solver),
+        **kwargs,
+    )
+    return trials, results, (time.perf_counter() - t0) * 1e3
+
+
 def sweep_sr(spec: ExperimentSpec) -> str:
     """Recovery-quality sweep over sampling ratios; returns CSV text.
 
@@ -256,23 +305,23 @@ def sweep_sr(spec: ExperimentSpec) -> str:
     Synthetic exactly-sparse signals give a ground-truth relerr and are
     scored against the clean signal with its dynamic range as peak;
     corpus patches are scored on the 8-bit scale with relerr = nan.
+    With timing, a row's runtime is its group's solve time divided by
+    the group's trial count.
     """
     D = build_dictionary(spec.dict_kind, spec.n, spec.p)
     images = load_corpus(spec.corpus) if spec.corpus else None
 
     rows = []
-    jobs = itertools.product(spec.solvers, spec.srs, range(spec.trials))
-    for solver, sr, trial in jobs:
-        s_true, x_true, mask, y = _trial_data(spec, D, sr, trial, images)
-        t0 = time.perf_counter()
-        result = run_solver(solver, y, mask, D, max_iter=spec.max_iter, overrides=spec.overrides.get(solver))
-        runtime_ms = (time.perf_counter() - t0) * 1e3 if spec.timing else 0.0
-        score = _score_against_truth(result.x_hat, x_true, result.s_hat, s_true)
-        rows.append(
-            f"{trial},{spec.seed},{solver},{_fmt(sr)},{D.n},{D.p},{spec.dict_kind},"
-            f"{result.iterations},{_fmt(min(score.psnr_db, PSNR_CSV_CAP))},{_fmt(score.ssim)},"
-            f"{_fmt(score.rel_err)},{runtime_ms:.3f}"
-        )
+    for solver, sr in itertools.product(spec.solvers, spec.srs):
+        trials, results, group_ms = _solve_group(spec, D, solver, sr, images)
+        runtime_ms = group_ms / spec.trials if spec.timing else 0.0
+        for trial, (s_true, x_true, _, _), result in zip(range(spec.trials), trials, results):
+            score = _score_against_truth(result.x_hat, x_true, result.s_hat, s_true)
+            rows.append(
+                f"{trial},{spec.seed},{solver},{_fmt(sr)},{D.n},{D.p},{spec.dict_kind},"
+                f"{result.iterations},{_fmt(min(score.psnr_db, PSNR_CSV_CAP))},{_fmt(score.ssim)},"
+                f"{_fmt(score.rel_err)},{runtime_ms:.3f}"
+            )
     return SWEEP_SR_HEADER + "\n" + "\n".join(rows) + "\n"
 
 
@@ -281,32 +330,25 @@ def sweep_iters(spec: ExperimentSpec) -> str:
 
     Ground-truth synthetic signals only.  Solvers run their full
     iteration budget (no early stop) so the iteration column spans
-    1..max_iter for every trace.
+    1..max_iter for every trace.  The elapsed column is the solver's
+    clock: for csim-alm, that of the whole (solver, ratio) batch.
     """
     if spec.corpus:
         raise ValueError("iteration traces need ground-truth synthetic signals")
     D = build_dictionary(spec.dict_kind, spec.n, spec.p)
 
     lines = []
-    jobs = itertools.product(spec.solvers, spec.srs, range(spec.trials))
-    for solver, sr, trial in jobs:
-        s_true, _, mask, y = _trial_data(spec, D, sr, trial)
-        result = run_solver(
-            solver,
-            y,
-            mask,
-            D,
-            max_iter=spec.max_iter,
-            record_iterates=True,
-            overrides=spec.overrides.get(solver),
-            feasibility_tol=0.0,
+    for solver, sr in itertools.product(spec.solvers, spec.srs):
+        trials, results, _ = _solve_group(
+            spec, D, solver, sr, record_iterates=True, feasibility_tol=0.0
         )
-        for t, s_t in enumerate(result.iterates, start=1):
-            rel = relative_error(s_t, s_true)
-            ms = result.elapsed_ms[t - 1] if spec.timing else 0.0
-            lines.append(
-                f"{solver},{_fmt(sr)},{trial},{spec.seed},{t},{_fmt(rel)},{ms:.6f}"
-            )
+        for trial, (s_true, *_), result in zip(range(spec.trials), trials, results):
+            for t, s_t in enumerate(result.iterates, start=1):
+                rel = relative_error(s_t, s_true)
+                ms = result.elapsed_ms[t - 1] if spec.timing else 0.0
+                lines.append(
+                    f"{solver},{_fmt(sr)},{trial},{spec.seed},{t},{_fmt(rel)},{ms:.6f}"
+                )
     return SWEEP_ITERS_HEADER + "\n" + "\n".join(lines) + "\n"
 
 

@@ -174,16 +174,51 @@ def test_recover_rejects_config_file_for_baselines(tmp_path, capsys, solver):
     assert not (tmp_path / "o.csv").exists()
 
 
-def test_config_file_rejects_unknown_keys(tmp_path):
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     x = substream(6, 7).standard_normal(16)
     src = tmp_path / "x.csv"
     save_csv_vector(src, x)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("bogus_key = 3\n")
-    code = main(
-        ["recover", "--input", str(src), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)]
-    )
-    assert code == 3
+    with pytest.raises(SystemExit) as err:
+        main(["recover", "--input", str(src), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)])
+    assert err.value.code == 2
+    assert f"{cfg}:1: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, where", [("rho1 = abc\n", 1), ("max_iter = 7\ncontinuation = maybe\n", 2)]
+)
+def test_config_file_bad_value_is_a_bad_argument(tmp_path, capsys, text, where):
+    src = tmp_path / "x.csv"
+    save_csv_vector(src, substream(6, 7).standard_normal(16))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        main(["recover", "--input", str(src), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)])
+    assert err.value.code == 2
+    assert f"{cfg}:{where}: bad value" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_recover_pgm_patch_side_follows_n(tmp_path):
+    src = tmp_path / "img.pgm"
+    dst = tmp_path / "rec.pgm"
+    save_pgm(src, synthetic_image(64, 64, seed=3))
+    assert main(["recover", "--input", str(src), "--out", str(dst), "--n", "16", "--max-iter", "5"]) == 0
+    events = [json.loads(l) for l in (tmp_path / "rec.pgm.log.jsonl").read_text().splitlines()]
+    assert sum(e["event"] == "patch" for e in events) == 256  # 4x4 patches
+    assert load_pgm(dst).shape == (64, 64)
+
+
+def test_recover_pgm_rejects_non_square_n(tmp_path, capsys):
+    src = tmp_path / "img.pgm"
+    save_pgm(src, synthetic_image(64, 64, seed=3))
+    with pytest.raises(SystemExit) as err:
+        main(["recover", "--input", str(src), "--out", str(tmp_path / "rec.pgm"), "--n", "20"])
+    assert err.value.code == 2
+    assert "square patch length" in capsys.readouterr().err
+    assert not (tmp_path / "rec.pgm").exists()
 
 
 def test_denoise_cli_with_reference(tmp_path):

@@ -9,12 +9,17 @@ from csim.experiments import (
     SWEEP_SR_HEADER,
     ExperimentSpec,
     add_noise_snr,
+    build_dictionary,
     emit_plot_script,
+    observation_mask,
+    run_solver,
+    run_solver_batch,
     sweep_iters,
     sweep_sr,
     synthetic_image,
 )
 from csim.metrics import PSNR_CSV_CAP
+from csim.signals import apply_mask, substream
 
 
 def parse(text):
@@ -51,6 +56,31 @@ def test_sweep_sr_rows_do_not_depend_on_how_jobs_are_split():
     assert whole == split
 
 
+def test_sweep_sr_rows_do_not_depend_on_batch_size():
+    # each (solver, ratio) group is one batch of `trials` rows
+    def rows(trials):
+        spec = ExperimentSpec(
+            srs=(0.5, 0.8), trials=trials, solvers=("csim-alm", "fista"), seed=21, max_iter=50
+        )
+        return sweep_sr(spec).splitlines()[1:]
+
+    first_seven = [line for line in rows(40) if int(line.split(",", 1)[0]) < 7]
+    assert rows(7) == first_seven
+
+
+@pytest.mark.parametrize("solver", ["csim-alm", "fista", "iht"])
+def test_run_solver_batch_rows_equal_run_solver(solver):
+    D = build_dictionary("dct", 16, 16)
+    masks = [observation_mask(16, 0.6, 3, i) for i in range(5)]
+    Y = np.array([apply_mask(substream(3, i).standard_normal(16), m) for i, m in enumerate(masks)])
+    batch = run_solver_batch(solver, Y, masks, D, max_iter=20)
+    for y, mask, result in zip(Y, masks, batch):
+        single = run_solver(solver, y, mask, D, max_iter=20)
+        assert result.x_hat.tobytes() == single.x_hat.tobytes()
+        assert result.s_hat.tobytes() == single.s_hat.tobytes()
+        assert result.iterations == single.iterations
+
+
 def test_sweep_sr_caps_finite_psnr_at_csv_cap():
     # near-exact iht recoveries score a finite PSNR far above the cap
     spec = ExperimentSpec(srs=(0.8,), trials=20, solvers=("iht",), seed=0)
@@ -78,6 +108,9 @@ def test_sweep_sr_runtime_column_zero_without_timing():
     assert all(row["runtime_ms"] == "0.000" for row in rows)
     timed = parse(sweep_sr(ExperimentSpec(srs=(0.7,), trials=2, seed=4, max_iter=5, timing=True)))
     assert any(float(row["runtime_ms"]) > 0.0 for row in timed)
+    # a row's runtime is its (solver, ratio) group's solve time over the group's rows
+    for solver in ("csim-alm", "fista"):
+        assert len({row["runtime_ms"] for row in timed if row["solver"] == solver}) == 1
 
 
 def test_sweep_iters_schema_and_iteration_span():

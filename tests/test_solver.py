@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csim.core import CsimKernel, CsimParams
-from csim.dictionaries import dct_dictionary
+from csim.dictionaries import Dictionary, dct_dictionary
 from csim.signals import SamplingMask, apply_mask, random_mask, synth_sparse_signal
 from csim.solver import (
     BacktrackingLimitError,
@@ -16,6 +18,7 @@ from csim.solver import (
     s_update_backtracking,
     soft_threshold,
     solve,
+    solve_batch,
     x_update,
     z_update,
 )
@@ -437,3 +440,140 @@ def test_solve_respects_feasibility_tol_stop():
     assert result.iterations < 5000
     assert result.primal_residuals[-1] < 1e-8
     assert result.slack_residuals[-1] < 1e-8
+
+
+# --- row-batched solve ----------------------------------------------------------
+
+_RESULT_ARRAYS = (
+    "x_hat",
+    "s_hat",
+    "primal_residuals",
+    "slack_residuals",
+    "objectives",
+    "elapsed_ms",
+    "final_slack",
+    "final_dual_x",
+    "final_dual_z",
+)
+
+
+def _problem_rows(D, seed, rows, sparsity=2):
+    """Sparse signals on D seen through masks of varied sample counts."""
+    Y, masks = [], []
+    for i in range(rows):
+        signal = synth_sparse_signal(D, sparsity, (seed, i, 1))
+        m = int(np.random.default_rng([seed, i, 2]).integers(D.n // 4, D.n + 1))
+        mask = random_mask(D.n, m, (seed, i, 3))
+        Y.append(apply_mask(signal.x, mask))
+        masks.append(mask)
+    return np.array(Y), masks
+
+
+def _assert_same_bits(batched, single):
+    for name in _RESULT_ARRAYS:
+        a, b = getattr(batched, name), getattr(single, name)
+        if name == "elapsed_ms":
+            # wall clocks differ; the trace length must not
+            assert a.shape == b.shape
+        else:
+            assert a.tobytes() == b.tobytes(), name
+    assert batched.iterations == single.iterations
+    assert batched.l1_weight_final == single.l1_weight_final
+    assert batched.majorizer_final == single.majorizer_final
+    assert batched.s_retries == single.s_retries
+
+
+_CONFIGS = {
+    "default": SolverConfig(max_iter=30),
+    "analysis": SolverConfig.analysis(l1_weight=1e-3, max_iter=300, feasibility_tol=1e-8),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    rows=st.integers(min_value=1, max_value=9),
+    config=st.sampled_from(sorted(_CONFIGS)),
+    overcomplete=st.booleans(),
+)
+def test_solve_batch_rows_equal_one_row_solves(seed, rows, config, overcomplete):
+    D = dct_dictionary(16, 32 if overcomplete else 16)
+    Y, masks = _problem_rows(D, seed, rows)
+    cfg = _CONFIGS[config]
+    batch = solve_batch(Y, masks, D, cfg)
+    assert len(batch) == rows
+    for y, mask, result in zip(Y, masks, batch):
+        _assert_same_bits(result, solve(y, mask, D, cfg))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31), rows=st.integers(min_value=2, max_value=9))
+def test_solve_batch_does_not_depend_on_row_order(seed, rows):
+    D = dct_dictionary(16, 32)
+    Y, masks = _problem_rows(D, seed, rows)
+    order = np.random.default_rng(seed).permutation(rows)
+    cfg = _CONFIGS["analysis"]
+    straight = solve_batch(Y, masks, D, cfg)
+    permuted = solve_batch(Y[order], [masks[i] for i in order], D, cfg)
+    for position, i in enumerate(order):
+        _assert_same_bits(permuted[position], straight[i])
+
+
+def test_solve_batch_rows_stop_at_their_own_iteration():
+    D = dct_dictionary(16, 32)
+    Y, masks = _problem_rows(D, 31, 8)
+    cfg = _CONFIGS["analysis"]
+    batch = solve_batch(Y, masks, D, cfg)
+    # seed 31: five rows stop early, each at its own iteration; three run out
+    stops = sorted(r.iterations for r in batch if r.iterations < cfg.max_iter)
+    assert len(set(stops)) == len(stops) >= 4
+    assert any(r.iterations == cfg.max_iter for r in batch)
+    for y, mask, result in zip(Y, masks, batch):
+        single = solve(y, mask, D, cfg)
+        _assert_same_bits(result, single)
+        assert len(result.primal_residuals) == len(result.objectives) == result.iterations
+
+
+def test_solve_batch_backtracks_only_rows_that_fail():
+    # A recorded Gram norm below the true one puts the default majorizer0
+    # (1.05 times the recorded value) under ||D||^2, so the majorization
+    # check fails for some rows and not for others.
+    atoms = dct_dictionary(16, 32).atoms
+    D = Dictionary(atoms, spectral_norm_sq=0.9 * np.linalg.norm(atoms, 2) ** 2)
+    Y, masks = _problem_rows(D, 5, 8, sparsity=3)
+    cfg = SolverConfig(max_iter=30)
+    batch = solve_batch(Y, masks, D, cfg)
+    retried = [r.s_retries > 0 for r in batch]
+    assert any(retried) and not all(retried)
+    majorizer0 = effective_config(cfg, masks[0], D)["majorizer0"]
+    for y, mask, result in zip(Y, masks, batch):
+        _assert_same_bits(result, solve(y, mask, D, cfg))
+        grown = majorizer0
+        for _ in range(result.s_retries):
+            grown *= cfg.majorizer_growth
+        assert grown == result.majorizer_final
+
+
+def test_solve_batch_rejects_non_finite_observations():
+    D = dct_dictionary(16, 16)
+    Y, masks = _problem_rows(D, 7, 4)
+    Y[2, masks[2].observed[0]] = np.inf
+    with pytest.raises(NonFiniteError):
+        solve_batch(Y, masks, D)
+    # unobserved entries are never read
+    Y, masks = _problem_rows(D, 7, 4)
+    unobserved = np.setdiff1d(np.arange(16), masks[1].observed)
+    Y[1, unobserved] = np.nan
+    zeroed = np.array([apply_mask(y, mask) for y, mask in zip(Y, masks)])
+    for a, b in zip(solve_batch(Y, masks, D), solve_batch(zeroed, masks, D)):
+        _assert_same_bits(a, b)
+
+
+def test_solve_batch_validates_shapes():
+    D = dct_dictionary(16, 16)
+    Y, masks = _problem_rows(D, 8, 3)
+    assert solve_batch(Y[:0], [], D) == []
+    with pytest.raises(ValueError):
+        solve_batch(Y[:2], masks, D)
+    with pytest.raises(ValueError):
+        solve_batch(np.zeros((1, 8)), [random_mask(8, 4, 1)], D)
