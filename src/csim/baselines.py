@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionaries import spectral_norm_sq
+from .dictionaries import Dictionary, spectral_norm_sq
 from .signals import SamplingMask
 from .solver import NonFiniteError, RecoveryResult, soft_threshold
 
@@ -36,7 +36,6 @@ class FistaConfig:
     l1_weight: float | None = None
     step: float | None = None
     max_iter: int = 50
-    restart: bool = True
     record_iterates: bool = False
 
 
@@ -45,13 +44,12 @@ class IhtConfig:
     """Threshold schedule tau_t = max(tau0 * exp(-decay * t), tau_min).
 
     Defaults seed tau0 at 0.5 * max|A.T y| with decay 0.2 and floor
-    1e-3; step None means 1/||A||^2.
+    1e-3; the gradient step is 1/||A||^2.
     """
 
     tau0: float | None = None
     decay: float = 0.2
     tau_min: float = 1e-3
-    step: float | None = None
     max_iter: int = 50
     record_iterates: bool = False
 
@@ -64,12 +62,11 @@ def hard_threshold(v, tau: float) -> np.ndarray:
     return np.where(np.abs(v) >= tau, v, 0.0)
 
 
-def _masked_operator(mask: SamplingMask, D) -> np.ndarray:
-    atoms = np.asarray(getattr(D, "atoms", D), dtype=float)
-    if mask.n != atoms.shape[0]:
+def _masked_operator(mask: SamplingMask, D: Dictionary) -> np.ndarray:
+    if mask.n != D.n:
         raise ValueError("mask does not match the dictionary dimension")
-    A = np.zeros_like(atoms)
-    A[mask.observed, :] = atoms[mask.observed, :]
+    A = np.zeros_like(D.atoms)
+    A[mask.observed, :] = D.atoms[mask.observed, :]
     return A
 
 
@@ -86,18 +83,19 @@ def _resolve_step(step: float | None, A) -> float:
     return float(step)
 
 
-def fista_solve(y, mask: SamplingMask, D, config: FistaConfig | None = None) -> RecoveryResult:
+def fista_solve(y, mask: SamplingMask, D: Dictionary, config: FistaConfig | None = None) -> RecoveryResult:
     """Accelerated proximal gradient on 0.5||A s - y||^2 + w ||s||_1.
 
-    With ``restart`` on, any momentum step that would raise the
-    objective is replaced by the plain proximal step from the previous
-    iterate (which cannot raise it), and the momentum is reset, so the
-    recorded objectives are non-increasing.
+    Any momentum step that would raise the objective is replaced by the
+    plain proximal step from the previous iterate (which cannot raise
+    it), and the momentum is reset, so the recorded objectives are
+    non-increasing.
     """
     if config is None:
         config = FistaConfig()
+    if config.max_iter < 1:
+        raise ValueError("max_iter must be positive")
     A = _masked_operator(mask, D)
-    atoms = np.asarray(getattr(D, "atoms", D), dtype=float)
     y = np.asarray(y, dtype=float)
     step = _resolve_step(config.step, A)
     w = config.l1_weight
@@ -110,8 +108,7 @@ def fista_solve(y, mask: SamplingMask, D, config: FistaConfig | None = None) -> 
         r = A @ s - y
         return 0.5 * float(r @ r) + w * float(np.abs(s).sum())
 
-    p = A.shape[1]
-    s = np.zeros(p)
+    s = np.zeros(D.p)
     momentum_point = s
     t_k = 1.0
     value = objective(s)
@@ -123,7 +120,7 @@ def fista_solve(y, mask: SamplingMask, D, config: FistaConfig | None = None) -> 
         grad = A.T @ (A @ momentum_point - y)
         candidate = soft_threshold(momentum_point - step * grad, w * step)
         cand_value = objective(candidate)
-        if config.restart and cand_value > value:
+        if cand_value > value:
             grad = A.T @ (A @ s - y)
             candidate = soft_threshold(s - step * grad, w * step)
             cand_value = objective(candidate)
@@ -143,7 +140,7 @@ def fista_solve(y, mask: SamplingMask, D, config: FistaConfig | None = None) -> 
             iterates.append(s.copy())
 
     return RecoveryResult(
-        x_hat=atoms @ s,
+        x_hat=D.atoms @ s,
         s_hat=s,
         iterations=len(objectives),
         primal_residuals=np.asarray(residuals),
@@ -154,22 +151,22 @@ def fista_solve(y, mask: SamplingMask, D, config: FistaConfig | None = None) -> 
     )
 
 
-def iht_adaptive_solve(y, mask: SamplingMask, D, config: IhtConfig | None = None) -> RecoveryResult:
+def iht_adaptive_solve(y, mask: SamplingMask, D: Dictionary, config: IhtConfig | None = None) -> RecoveryResult:
     """Gradient step then hard threshold with a decaying threshold."""
     if config is None:
         config = IhtConfig()
+    if config.max_iter < 1:
+        raise ValueError("max_iter must be positive")
     A = _masked_operator(mask, D)
-    atoms = np.asarray(getattr(D, "atoms", D), dtype=float)
     y = np.asarray(y, dtype=float)
-    step = _resolve_step(config.step, A)
+    step = _resolve_step(None, A)
     tau0 = config.tau0
     if tau0 is None:
         tau0 = 0.5 * float(np.abs(A.T @ y).max())
     if tau0 < 0 or config.tau_min < 0 or config.decay < 0:
         raise ValueError("threshold schedule must be nonnegative")
 
-    p = A.shape[1]
-    s = np.zeros(p)
+    s = np.zeros(D.p)
     residuals, objectives, elapsed = [], [], []
     iterates: list[np.ndarray] | None = [] if config.record_iterates else None
     start = time.perf_counter()
@@ -186,7 +183,7 @@ def iht_adaptive_solve(y, mask: SamplingMask, D, config: IhtConfig | None = None
             iterates.append(s.copy())
 
     return RecoveryResult(
-        x_hat=atoms @ s,
+        x_hat=D.atoms @ s,
         s_hat=s,
         iterations=len(objectives),
         primal_residuals=np.asarray(residuals),

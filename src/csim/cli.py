@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .experiments import (
     ExperimentSpec,
     build_dictionary,
     emit_plot_script,
-    image_ssim,
     recover_image,
     recover_patches,
     solver_settings,
@@ -31,8 +31,12 @@ from .experiments import (
     sweep_sr,
 )
 from .fileio import load_csv_vector, load_pgm, save_csv_vector, save_pgm
-from .metrics import PSNR_CSV_CAP, psnr, relative_error
+from .metrics import PSNR_CSV_CAP, image_ssim, psnr, relative_error
 from .paramselect import params_for_ratio, select_ratio
+from .solver import SolverConfig
+
+# `denoise` filters 8x8 patches; a filter of m taps needs 2m samples.
+_DENOISE_MAX_TAPS = 64 // 2
 
 
 def _flag(value: str) -> bool:
@@ -44,23 +48,32 @@ def _flag(value: str) -> bool:
     raise ValueError(f"expected true or false, got {value!r}")
 
 
+def _parser_for(default):
+    """Parser of a config value, from the type of its field's default."""
+    if isinstance(default, bool):
+        return _flag
+    return int if isinstance(default, int) else float
+
+
+# Every SolverConfig field but record_iterates, which asks for a result
+# rather than setting the solve.
 _SOLVER_KEYS = {
-    "rho1": float,
-    "rho2": float,
-    "slack_ridge": float,
-    "majorizer_growth": float,
-    "majorizer0": float,
-    "l1_decay": float,
-    "l1_init_scale": float,
-    "l1_weight_min": float,
-    "max_iter": int,
-    "mean_weight": float,
-    "var_weight": float,
-    "feasibility_tol": float,
-    "l1_weight": float,
-    "continuation": _flag,
-    "project_observed": _flag,
+    f.name: _parser_for(f.default) for f in fields(SolverConfig) if f.name != "record_iterates"
 }
+
+
+def _positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return number
+
+
+def _ratio(value: str) -> float:
+    number = float(value)
+    if not 0.0 < number <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a ratio in (0, 1], got {value}")
+    return number
 
 
 def _load_config_file(path) -> dict:
@@ -251,12 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = sub.add_parser("recover", help="recover one CSV vector or PGM image")
     p_rec.add_argument("--input", required=True)
     p_rec.add_argument("--out", required=True)
-    p_rec.add_argument("--sr", type=float, default=0.8, help="sampling ratio")
+    p_rec.add_argument("--sr", type=_ratio, default=0.8, help="sampling ratio")
     p_rec.add_argument("--seed", type=int, default=0)
     p_rec.add_argument(
         "--solver", choices=("csim-alm", "fista", "iht"), default="csim-alm"
     )
-    p_rec.add_argument("--max-iter", dest="max_iter", type=int, default=None)
+    p_rec.add_argument("--max-iter", dest="max_iter", type=_positive_int, default=None)
     p_rec.add_argument("--config", default=None, help="key=value config file")
     _add_dict_args(p_rec)
     p_rec.set_defaults(func=_cmd_recover)
@@ -273,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     for mode in ("sweep-sr", "sweep-iters"):
         p_sw = sub.add_parser(mode, help=f"batch experiment: {mode}")
         _add_dict_args(p_sw)
-        p_sw.add_argument("--sr", type=float, action="append", default=None)
-        p_sw.add_argument("--trials", type=int, default=100)
+        p_sw.add_argument("--sr", type=_ratio, action="append", default=None)
+        p_sw.add_argument("--trials", type=_positive_int, default=100)
         p_sw.add_argument("--seed", type=int, default=0)
         p_sw.add_argument(
             "--solver",
@@ -282,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("csim-alm", "fista", "iht"),
             default=None,
         )
-        p_sw.add_argument("--max-iter", dest="max_iter", type=int, default=None)
+        p_sw.add_argument("--max-iter", dest="max_iter", type=_positive_int, default=None)
         p_sw.add_argument("--out", required=True)
         if mode == "sweep-sr":
             p_sw.add_argument(
@@ -335,6 +348,13 @@ def main(argv=None) -> int:
             args.overrides = _solver_overrides(args)
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
+    if args.command == "denoise":
+        if not (math.isfinite(args.sigma_n) and args.sigma_n >= 0):
+            parser.error(f"--sigma-n {args.sigma_n}: expected a nonnegative noise level")
+        if not 1 <= args.m_taps <= _DENOISE_MAX_TAPS:
+            parser.error(
+                f"--m-taps {args.m_taps}: an 8x8 patch allows 1 to {_DENOISE_MAX_TAPS} taps"
+            )
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -7,6 +7,7 @@ orthonormal; overcomplete versions have unit-norm columns.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -60,12 +61,12 @@ class Dictionary:
 
     ``atoms`` is (n, p) with unit-norm columns; ``spectral_norm_sq`` is
     the largest eigenvalue of the Gram matrix and ``coherence`` the
-    largest off-diagonal Gram entry in absolute value.
+    largest off-diagonal Gram entry in absolute value, computed on first
+    read (it forms the p x p Gram matrix, which solving never needs).
     """
 
     atoms: np.ndarray
     spectral_norm_sq: float = field(default=None)  # type: ignore[assignment]
-    coherence: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         atoms = np.array(self.atoms, dtype=float)
@@ -78,8 +79,10 @@ class Dictionary:
         object.__setattr__(self, "atoms", atoms)
         if self.spectral_norm_sq is None:
             object.__setattr__(self, "spectral_norm_sq", spectral_norm_sq(atoms))
-        if self.coherence is None:
-            object.__setattr__(self, "coherence", mutual_coherence(atoms))
+
+    @functools.cached_property
+    def coherence(self) -> float:
+        return mutual_coherence(self.atoms)
 
     @property
     def n(self) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from .baselines import FistaConfig, IhtConfig, fista_solve, iht_adaptive_solve
 from .dictionaries import Dictionary, dct_dictionary, haar_wp_dictionary
 from .fileio import load_pgm
-from .metrics import PSNR_CSV_CAP, QualityScore, mse, psnr, relative_error, ssim_global
+from .metrics import PSNR_CSV_CAP, QualityScore, image_ssim, mse, psnr, relative_error, ssim_global
 from .signals import (
     PatchGrid,
     SamplingMask,
@@ -154,27 +154,10 @@ def run_solver_batch(
     raise ValueError(f"unknown solver {name!r}")
 
 
-def run_solver(
-    name: str,
-    y,
-    mask,
-    D: Dictionary,
-    max_iter: int = 50,
-    record_iterates: bool = False,
-    overrides: dict | None = None,
-    feasibility_tol: float | None = None,
-) -> RecoveryResult:
-    """Dispatch one solver by harness name: ``run_solver_batch`` on one row."""
-    (result,) = run_solver_batch(
-        name,
-        np.asarray(y, dtype=float)[None],
-        [mask],
-        D,
-        max_iter,
-        record_iterates,
-        overrides,
-        feasibility_tol,
-    )
+def run_solver(name: str, y, mask, D: Dictionary, **settings) -> RecoveryResult:
+    """Dispatch one solver by harness name: ``run_solver_batch`` on one
+    row, with the same keyword settings."""
+    (result,) = run_solver_batch(name, np.asarray(y, dtype=float)[None], [mask], D, **settings)
     return result
 
 
@@ -186,7 +169,8 @@ def solver_settings(
     first patch), or a baseline's name and iteration budget."""
     kwargs = {"max_iter": 50, **(overrides or {})}
     if name == "csim-alm":
-        return effective_config(SolverConfig(**kwargs), observation_mask(D.n, sr, seed, 0), D)
+        resolved = effective_config(SolverConfig(**kwargs), observation_mask(D.n, sr, seed, 0), D)
+        return {**asdict(resolved), "gram_norm": D.spectral_norm_sq}
     return {"solver": name, "max_iter": kwargs["max_iter"]}
 
 
@@ -419,23 +403,3 @@ def add_noise_snr(image, snr_db: float, seed) -> np.ndarray:
     keys = seed if isinstance(seed, (tuple, list)) else (seed,)
     rng = substream(*keys, _TAG_NOISE)
     return x + math.sqrt(noise_var) * rng.standard_normal(x.shape)
-
-
-def image_ssim(a, b, side: int = 8, c1: float = (0.01 * 255.0) ** 2, c2: float = (0.03 * 255.0) ** 2) -> float:
-    """Mean single-window SSIM over non-overlapping square tiles."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 2:
-        raise ValueError("need two equal-shape images")
-    scores = []
-    for r in range(0, a.shape[0] - side + 1, side):
-        for c in range(0, a.shape[1] - side + 1, side):
-            scores.append(
-                ssim_global(
-                    a[r : r + side, c : c + side].reshape(-1),
-                    b[r : r + side, c : c + side].reshape(-1),
-                    c1,
-                    c2,
-                )
-            )
-    return float(np.mean(scores))

@@ -1,4 +1,5 @@
-"""Scoring: MSE, PSNR, single-window SSIM, and relative sparse-code error."""
+"""Scoring: MSE, PSNR, single-window and tiled SSIM, and relative
+sparse-code error."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ __all__ = [
     "mse",
     "psnr",
     "ssim_global",
+    "image_ssim",
     "relative_error",
     "PSNR_CSV_CAP",
 ]
@@ -79,6 +81,26 @@ def ssim_global(
     lum = (2.0 * mx * my + c1) / (mx * mx + my * my + c1)
     struct = (2.0 * cov + c2) / (vx + vy + c2)
     return lum * struct
+
+
+def image_ssim(a, b, side: int = 8, c1: float = (0.01 * 255.0) ** 2, c2: float = (0.03 * 255.0) ** 2) -> float:
+    """Mean single-window SSIM over non-overlapping square tiles."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim != 2:
+        raise ValueError("need two equal-shape images")
+    scores = []
+    for r in range(0, a.shape[0] - side + 1, side):
+        for c in range(0, a.shape[1] - side + 1, side):
+            scores.append(
+                ssim_global(
+                    a[r : r + side, c : c + side].reshape(-1),
+                    b[r : r + side, c : c + side].reshape(-1),
+                    c1,
+                    c2,
+                )
+            )
+    return float(np.mean(scores))
 
 
 def relative_error(s_hat, s_true) -> float:

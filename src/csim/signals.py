@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dictionaries import Dictionary
+
 __all__ = [
     "SamplingMask",
     "PatchGrid",
@@ -162,11 +164,10 @@ class SyntheticSparseSignal:
     k: int
 
 
-def synth_sparse_signal(D, k: int, seed) -> SyntheticSparseSignal:
+def synth_sparse_signal(D: Dictionary, k: int, seed) -> SyntheticSparseSignal:
     """k-sparse coefficient vector with uniform support and standard
     normal values, synthesized through the dictionary."""
-    atoms = np.asarray(getattr(D, "atoms", D), dtype=float)
-    p = atoms.shape[1]
+    p = D.p
     k = int(k)
     if not 1 <= k <= p:
         raise ValueError("k must lie in [1, p]")
@@ -175,7 +176,7 @@ def synth_sparse_signal(D, k: int, seed) -> SyntheticSparseSignal:
     values = rng.standard_normal(k)
     s = np.zeros(p)
     s[support] = values
-    x = atoms @ s
+    x = D.atoms @ s
     for arr in (s, x, support):
         arr.flags.writeable = False
     return SyntheticSparseSignal(s=s, x=x, support=support, k=k)

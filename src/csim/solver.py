@@ -22,12 +22,12 @@ it on a stack of signals at once, every step acting on the last axis;
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import CsimKernel, CsimParams, apply_kernel, csim_stats
-from .dictionaries import spectral_norm_sq
+from .dictionaries import Dictionary
 from .signals import SamplingMask
 
 __all__ = [
@@ -102,59 +102,38 @@ class SolverConfig:
         )
 
 
-def effective_config(config: SolverConfig, mask: SamplingMask, D) -> dict:
-    """Concrete value of every hyperparameter for a given problem."""
-    n = mask.n
-    ratio = mask.m / n
-    atoms = np.asarray(getattr(D, "atoms", D), dtype=float)
-    gram_norm = getattr(D, "spectral_norm_sq", None)
-    if gram_norm is None:
-        gram_norm = spectral_norm_sq(atoms)
-    var_weight = config.var_weight if config.var_weight is not None else float(n - 1)
-    mean_weight = (
-        config.mean_weight if config.mean_weight is not None else 0.25 * var_weight
+def effective_config(config: SolverConfig, mask: SamplingMask, D: Dictionary) -> SolverConfig:
+    """``config`` with every ``None`` hyperparameter (but ``l1_weight``,
+    which ``None`` sets per signal) resolved for a given problem."""
+    ratio = mask.m / mask.n
+    var_weight = config.var_weight if config.var_weight is not None else float(mask.n - 1)
+    resolved = replace(
+        config,
+        rho1=config.rho1 if config.rho1 is not None else 0.4 * ratio,
+        rho2=config.rho2 if config.rho2 is not None else 2.0 * ratio,
+        majorizer0=(
+            config.majorizer0 if config.majorizer0 is not None else 1.05 * D.spectral_norm_sq
+        ),
+        mean_weight=config.mean_weight if config.mean_weight is not None else 0.25 * var_weight,
+        var_weight=var_weight,
     )
-    rho1 = config.rho1 if config.rho1 is not None else 0.4 * ratio
-    rho2 = config.rho2 if config.rho2 is not None else 2.0 * ratio
-    majorizer0 = (
-        config.majorizer0 if config.majorizer0 is not None else 1.05 * gram_norm
-    )
-    out = {
-        "rho1": float(rho1),
-        "rho2": float(rho2),
-        "slack_ridge": float(config.slack_ridge),
-        "majorizer_growth": float(config.majorizer_growth),
-        "majorizer0": float(majorizer0),
-        "l1_decay": float(config.l1_decay),
-        "l1_init_scale": float(config.l1_init_scale),
-        "l1_weight_min": float(config.l1_weight_min),
-        "max_iter": int(config.max_iter),
-        "mean_weight": float(mean_weight),
-        "var_weight": float(var_weight),
-        "feasibility_tol": float(config.feasibility_tol),
-        "continuation": bool(config.continuation),
-        "project_observed": bool(config.project_observed),
-        "l1_weight": None if config.l1_weight is None else float(config.l1_weight),
-        "record_iterates": bool(config.record_iterates),
-        "gram_norm": float(gram_norm),
-    }
-    if not out["rho1"] > 0 or not out["rho2"] > 0:
+    if not resolved.rho1 > 0 or not resolved.rho2 > 0:
         raise ValueError("penalty parameters must be positive")
-    if out["slack_ridge"] < 0:
+    if resolved.slack_ridge < 0:
         raise ValueError("slack_ridge must be nonnegative")
-    if not out["majorizer_growth"] > 1:
+    if not resolved.majorizer_growth > 1:
         raise ValueError("majorizer_growth must exceed 1")
-    if not 0 < out["l1_decay"] < 1:
+    if not 0 < resolved.l1_decay < 1:
         raise ValueError("l1_decay must lie in (0, 1)")
-    if not out["l1_weight_min"] > 0:
+    if not resolved.l1_weight_min > 0:
         raise ValueError("l1_weight_min must be positive")
-    if out["l1_weight"] is not None and not out["l1_weight"] >= 0:
+    if resolved.l1_weight is not None and not resolved.l1_weight >= 0:
         raise ValueError("l1_weight must be nonnegative")
-    if out["max_iter"] < 1:
+    if resolved.max_iter < 1:
         raise ValueError("max_iter must be positive")
-    if out["majorizer0"] <= out["gram_norm"]:
+    if resolved.majorizer0 <= D.spectral_norm_sq:
         raise ValueError("majorizer0 must exceed the squared spectral norm of D")
-    return out
+    return resolved
 
 
 @dataclass
@@ -289,7 +268,7 @@ def s_update_backtracking(
     s,
     x,
     dual_x,
-    D,
+    D: Dictionary,
     rho1,
     l1_weight,
     majorizer,
@@ -305,7 +284,7 @@ def s_update_backtracking(
     rounds).  The accepted step never increases a row's subproblem
     objective.
     """
-    atoms = np.asarray(getattr(D, "atoms", D), dtype=float)
+    atoms = D.atoms
     s = np.asarray(s, dtype=float)
     target = _coupling_target(x, dual_x, rho1)
     residual0 = target - _synthesize(atoms, s)
@@ -385,12 +364,12 @@ def alpha_schedule(l1_weight, decay: float, floor: float):
     return np.maximum(decay * l1_weight, floor)
 
 
-def solve(y, mask: SamplingMask, D, config: SolverConfig | None = None) -> RecoveryResult:
+def solve(y, mask: SamplingMask, D: Dictionary, config: SolverConfig | None = None) -> RecoveryResult:
     """Recover one signal: ``solve_batch`` with a single row."""
     return solve_batch(np.asarray(y, dtype=float)[None], [mask], D, config)[0]
 
 
-def solve_batch(Y, masks, D, config: SolverConfig | None = None) -> list[RecoveryResult]:
+def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> list[RecoveryResult]:
     """Run the full iteration on every row of ``Y`` from zero initial iterates.
 
     Row i of the (B, n) array ``Y`` is observed through ``masks[i]`` and
@@ -407,11 +386,10 @@ def solve_batch(Y, masks, D, config: SolverConfig | None = None) -> list[Recover
     masks = list(masks)
     if not masks:
         return []
-    atoms = np.asarray(getattr(D, "atoms", D), dtype=float)
-    n, p = atoms.shape
+    atoms, n, p = D.atoms, D.n, D.p
     if any(mask.n != n for mask in masks):
         raise ValueError("mask does not match the dictionary dimension")
-    configs: dict[int, dict] = {}
+    configs: dict[int, SolverConfig] = {}
     for mask in masks:
         if mask.m not in configs:
             configs[mask.m] = effective_config(config, mask, D)
@@ -432,17 +410,17 @@ def solve_batch(Y, masks, D, config: SolverConfig | None = None) -> list[Recover
         # (1, 1) arrays.  The bits are the same.
         Y, observed = Y[0], observed[0]
 
-    params = CsimParams(cfg["mean_weight"], cfg["var_weight"], n)
+    params = CsimParams(cfg.mean_weight, cfg.var_weight, n)
     kernel = CsimKernel(params)
-    rho1 = _per_row([configs[mask.m]["rho1"] for mask in masks])
-    rho2 = _per_row([configs[mask.m]["rho2"] for mask in masks])
-    ridge, growth = cfg["slack_ridge"], cfg["majorizer_growth"]
-    if cfg["l1_weight"] is not None:
-        l1_weight = cfg["l1_weight"]
+    rho1 = _per_row([configs[mask.m].rho1 for mask in masks])
+    rho2 = _per_row([configs[mask.m].rho2 for mask in masks])
+    ridge, growth = cfg.slack_ridge, cfg.majorizer_growth
+    if cfg.l1_weight is not None:
+        l1_weight = cfg.l1_weight
     else:
         peak = np.abs(_analyze(atoms, Y)).max(axis=-1)
-        l1_weight = _per_row(np.maximum(cfg["l1_init_scale"] * peak, cfg["l1_weight_min"]))
-    majorizer = cfg["majorizer0"]
+        l1_weight = _per_row(np.maximum(cfg.l1_init_scale * peak, cfg.l1_weight_min))
+    majorizer = cfg.majorizer0
     retries = 0
 
     s = np.zeros(Y.shape[:-1] + (p,))
@@ -459,23 +437,23 @@ def solve_batch(Y, masks, D, config: SolverConfig | None = None) -> list[Recover
     segment_s: list[np.ndarray] = []
     pieces: list[list[np.ndarray]] = [[] for _ in range(B)]
     iterates: list[list[np.ndarray]] | None = (
-        [[] for _ in range(B)] if cfg["record_iterates"] else None
+        [[] for _ in range(B)] if cfg.record_iterates else None
     )
     elapsed: list[float] = []
 
     start = time.perf_counter()
-    for iteration in range(1, cfg["max_iter"] + 1):
+    for iteration in range(1, cfg.max_iter + 1):
         b = rho1 * synthesized - dual_x
         # Products with the 0/1 indicator stand in for masked assignments;
         # they can differ from them only in the sign of a zero.
         b = b + observed * (rho2 * (z + Y) + dual_z)
         x = x_update(b, observed, rho1, rho2)
-        if cfg["project_observed"]:
+        if cfg.project_observed:
             x = projection(x, Y, observed)
 
         before = majorizer
         s, majorizer, rounds = s_update_backtracking(
-            s, x, dual_x, atoms, rho1, l1_weight, majorizer, growth
+            s, x, dual_x, D, rho1, l1_weight, majorizer, growth
         )
         if rounds:
             retries = retries + _retry_counts(before, majorizer, growth, rounds)
@@ -502,8 +480,8 @@ def solve_batch(Y, masks, D, config: SolverConfig | None = None) -> list[Recover
                 + ridge * _dot(z, z),
             )
         )
-        if cfg["continuation"]:
-            l1_weight = alpha_schedule(l1_weight, cfg["l1_decay"], cfg["l1_weight_min"])
+        if cfg.continuation:
+            l1_weight = alpha_schedule(l1_weight, cfg.l1_decay, cfg.l1_weight_min)
         elapsed.append((time.perf_counter() - start) * 1e3)
         if iterates is not None:
             segment_s.append(s)
@@ -513,8 +491,8 @@ def solve_batch(Y, masks, D, config: SolverConfig | None = None) -> list[Recover
         worst = np.maximum(r1, r2)
         if not _all(np.isfinite(worst)):
             raise NonFiniteError(f"non-finite iterate at iteration {iteration}")
-        done = worst < cfg["feasibility_tol"]
-        if iteration < cfg["max_iter"] and not np.count_nonzero(done):
+        done = worst < cfg.feasibility_tol
+        if iteration < cfg.max_iter and not np.count_nonzero(done):
             continue
 
         # Hand the segment to the working rows, then retire those that stop.
@@ -527,7 +505,7 @@ def solve_batch(Y, masks, D, config: SolverConfig | None = None) -> list[Recover
             for j, row in enumerate(rows):
                 iterates[row].extend(block_s[:, j])
         segment, segment_s = [], []
-        if iteration < cfg["max_iter"]:
+        if iteration < cfg.max_iter:
             stopping = np.reshape(done, -1)
         else:
             stopping = np.ones(width, dtype=bool)

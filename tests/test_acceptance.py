@@ -249,9 +249,9 @@ def test_criterion_6_solver_convergence_fixed_weight():
             feasible += 1
         values = effective_config(cfg, mask, D)
         kernel = CsimKernel(
-            CsimParams(values["mean_weight"], values["var_weight"], 64)
+            CsimParams(values.mean_weight, values.var_weight, 64)
         )
-        r_z, r_mu = kkt_residuals(result, mask, kernel, values["slack_ridge"])
+        r_z, r_mu = kkt_residuals(result, mask, kernel, values.slack_ridge)
         if r_z <= 1e-6 * (
             1.0 + float(np.linalg.norm(result.final_dual_z))
         ) and r_mu <= 1e-6 * (1.0 + float(np.linalg.norm(result.final_dual_x))):

@@ -119,6 +119,14 @@ def test_fista_step_validation():
         fista_solve(np.zeros(8), mask, D, FistaConfig(step=-0.1))
 
 
+@pytest.mark.parametrize("solve, config", [(fista_solve, FistaConfig), (iht_adaptive_solve, IhtConfig)])
+def test_baselines_reject_an_empty_iteration_budget(solve, config):
+    D = dct_dictionary(8, 8)
+    mask = random_mask(8, 6, 9)
+    with pytest.raises(ValueError, match="max_iter"):
+        solve(np.zeros(8), mask, D, config(max_iter=0))
+
+
 def test_iht_all_above_threshold_schedule_returns_zero():
     D = dct_dictionary(32, 32)
     sig = synth_sparse_signal(D, 3, 10)

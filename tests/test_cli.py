@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from csim.cli import main
 from csim.experiments import add_noise_snr, synthetic_image
 from csim.fileio import load_csv_vector, load_pgm, save_csv_vector, save_pgm
 from csim.signals import substream
+from csim.solver import SolverConfig
 
 
 def test_params_complete_dct(capsys):
@@ -143,6 +145,51 @@ def test_config_file_and_flag_override(tmp_path):
     ) == 0
     config_line = json.loads((tmp_path / "out.csv.log.jsonl").read_text().splitlines()[0])
     assert config_line["max_iter"] == 9
+
+
+def test_config_file_accepts_every_solver_field(tmp_path):
+    values = {
+        "rho1": "0.5",
+        "rho2": "1.5",
+        "slack_ridge": "0.5",
+        "majorizer_growth": "1.2",
+        "majorizer0": "2",
+        "l1_decay": "0.9",
+        "l1_init_scale": "0.2",
+        "l1_weight_min": "0.001",
+        "max_iter": "7",
+        "mean_weight": "10",
+        "var_weight": "30",
+        "feasibility_tol": "1e-7",
+        "continuation": "no",
+        "project_observed": "yes",
+        "l1_weight": "0.01",
+    }
+    assert set(values) == {f.name for f in fields(SolverConfig)} - {"record_iterates"}
+    src = tmp_path / "x.csv"
+    save_csv_vector(src, substream(4, 5).standard_normal(32))
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    dst = tmp_path / "out.csv"
+    assert main(["recover", "--input", str(src), "--out", str(dst), "--config", str(cfg)]) == 0
+    config_line = json.loads((tmp_path / "out.csv.log.jsonl").read_text().splitlines()[0])
+    assert config_line["continuation"] is False
+    assert config_line["project_observed"] is True
+    assert config_line["max_iter"] == 7 and isinstance(config_line["max_iter"], int)
+    for key, value in values.items():
+        if key not in ("continuation", "project_observed", "max_iter"):
+            assert config_line[key] == float(value), key
+
+
+def test_config_file_rejects_record_iterates(tmp_path, capsys):
+    src = tmp_path / "x.csv"
+    save_csv_vector(src, substream(6, 7).standard_normal(16))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("record_iterates = yes\n")
+    with pytest.raises(SystemExit) as err:
+        main(["recover", "--input", str(src), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)])
+    assert err.value.code == 2
+    assert f"{cfg}:1: unknown key 'record_iterates'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", ["x.csv", "img.pgm"])
@@ -339,6 +386,44 @@ def test_bad_arguments_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["recover", "--input", "x.csv", "--out", "y.csv", "--solver", "nope"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["recover", "--solver", "fista", "--max-iter", "0"], "--max-iter"),
+        (["recover", "--solver", "iht", "--max-iter", "-3"], "--max-iter"),
+        (["recover", "--sr", "0"], "--sr"),
+        (["recover", "--sr", "1.7"], "--sr"),
+        (["denoise", "--sigma-n", "-1"], "--sigma-n"),
+        (["denoise", "--sigma-n", "10", "--m-taps", "0"], "--m-taps"),
+        (["denoise", "--sigma-n", "10", "--m-taps", "40"], "--m-taps"),
+        (["sweep-sr", "--trials", "0"], "--trials"),
+        (["sweep-sr", "--sr", "1.5"], "--sr"),
+    ],
+    ids=[
+        "recover-fista-max-iter-0",
+        "recover-iht-max-iter-negative",
+        "recover-sr-0",
+        "recover-sr-above-1",
+        "denoise-sigma-negative",
+        "denoise-m-taps-0",
+        "denoise-m-taps-40",
+        "sweep-trials-0",
+        "sweep-sr-above-1",
+    ],
+)
+def test_bad_numeric_flags_exit_two(tmp_path, capsys, argv, flag):
+    src = tmp_path / "img.pgm"
+    save_pgm(src, synthetic_image(16, 16, seed=3))
+    out = tmp_path / ("out.csv" if argv[0] == "sweep-sr" else "out.pgm")
+    if argv[0] != "sweep-sr":
+        argv = argv + ["--input", str(src)]
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(out)])
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_runtime_failure_exits_three(tmp_path):

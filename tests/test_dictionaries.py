@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import csim.dictionaries
 from csim.dictionaries import (
     Dictionary,
     dct_dictionary,
@@ -8,6 +9,7 @@ from csim.dictionaries import (
     normalize_columns,
     spectral_norm_sq,
 )
+from csim.paramselect import mutual_coherence
 
 
 def test_complete_dct_is_orthonormal():
@@ -27,6 +29,17 @@ def test_overcomplete_dct_has_unit_columns_and_cached_coherence():
             if i != j:
                 best = max(best, abs(float(D.atoms[:, i] @ D.atoms[:, j])))
     assert D.coherence == pytest.approx(best, rel=1e-12)
+
+
+def test_coherence_is_computed_on_first_read(monkeypatch):
+    def fail(atoms):
+        raise AssertionError("building a dictionary computed its coherence")
+
+    monkeypatch.setattr(csim.dictionaries, "mutual_coherence", fail)
+    D = dct_dictionary(64, 64)
+    monkeypatch.undo()
+    assert D.coherence == mutual_coherence(D.atoms)
+    assert D.coherence <= 1e-10
 
 
 def test_dct_rejects_too_few_atoms():

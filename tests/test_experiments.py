@@ -1,5 +1,6 @@
 import csv
 import io
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from csim.experiments import (
     observation_mask,
     run_solver,
     run_solver_batch,
+    solver_settings,
     sweep_iters,
     sweep_sr,
     synthetic_image,
 )
 from csim.metrics import PSNR_CSV_CAP
 from csim.signals import apply_mask, substream
+from csim.solver import SolverConfig
 
 
 def parse(text):
@@ -79,6 +82,34 @@ def test_run_solver_batch_rows_equal_run_solver(solver):
         assert result.x_hat.tobytes() == single.x_hat.tobytes()
         assert result.s_hat.tobytes() == single.s_hat.tobytes()
         assert result.iterations == single.iterations
+
+
+def test_solver_settings_echo_every_config_field_and_the_gram_norm():
+    D = build_dictionary("dct", 64, 64)
+    settings = solver_settings("csim-alm", D, 0.8, 0)
+    assert set(settings) == {f.name for f in fields(SolverConfig)} | {"gram_norm"}
+    gram_norm = settings.pop("gram_norm")
+    majorizer0 = settings.pop("majorizer0")
+    assert gram_norm == pytest.approx(1.0, rel=1e-12)
+    assert majorizer0 == pytest.approx(1.05, rel=1e-12)
+    assert settings == {
+        "rho1": 0.4 * 51 / 64,  # round(0.8 * 64) = 51 samples
+        "rho2": 2.0 * 51 / 64,
+        "slack_ridge": 1.0,
+        "majorizer_growth": 1.1,
+        "l1_decay": 0.95,
+        "l1_init_scale": 0.1,
+        "l1_weight_min": 1e-4,
+        "max_iter": 50,
+        "mean_weight": 15.75,
+        "var_weight": 63.0,
+        "feasibility_tol": 1e-6,
+        "continuation": True,
+        "project_observed": True,
+        "l1_weight": None,
+        "record_iterates": False,
+    }
+    assert type(settings["max_iter"]) is int
 
 
 def test_sweep_sr_caps_finite_psnr_at_csv_cap():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csim.metrics import mse, psnr, relative_error, ssim_global
+import csim.experiments
+from csim.metrics import image_ssim, mse, psnr, relative_error, ssim_global
 
 
 def test_mse_and_psnr_offset_by_one():
@@ -14,6 +15,17 @@ def test_mse_and_psnr_offset_by_one():
     y = x + 1.0
     assert mse(x, y) == pytest.approx(1.0)
     assert psnr(x, y, 255.0) == pytest.approx(10.0 * math.log10(255.0**2), rel=1e-12)
+
+
+def test_image_ssim_is_the_mean_tile_ssim_and_experiments_shares_it():
+    # csim.experiments.image_ssim must stay the same object: the
+    # benchmark's trace (perfbench/spans.py) wraps it under that name.
+    assert csim.experiments.image_ssim is image_ssim
+    rng = np.random.default_rng(1)
+    a = rng.uniform(0, 255, size=(16, 8))
+    b = a + rng.normal(0, 20, size=a.shape)
+    tiles = [ssim_global(a[r : r + 8].reshape(-1), b[r : r + 8].reshape(-1)) for r in (0, 8)]
+    assert image_ssim(a, b) == pytest.approx(np.mean(tiles), rel=1e-12)
 
 
 def test_psnr_identical_is_infinite():

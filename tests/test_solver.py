@@ -352,11 +352,28 @@ def test_effective_config_validation():
     with pytest.raises(ValueError):
         effective_config(SolverConfig(majorizer_growth=1.0), mask, D)
     values = effective_config(SolverConfig(), mask, D)
-    assert values["rho1"] == pytest.approx(0.4 * 6 / 8)
-    assert values["rho2"] == pytest.approx(2.0 * 6 / 8)
-    assert values["var_weight"] == pytest.approx(7.0)
-    assert values["mean_weight"] == pytest.approx(0.25 * 7.0)
-    assert values["majorizer0"] == pytest.approx(1.05 * D.spectral_norm_sq)
+    assert values.rho1 == pytest.approx(0.4 * 6 / 8)
+    assert values.rho2 == pytest.approx(2.0 * 6 / 8)
+    assert values.var_weight == pytest.approx(7.0)
+    assert values.mean_weight == pytest.approx(0.25 * 7.0)
+    assert values.majorizer0 == pytest.approx(1.05 * D.spectral_norm_sq)
+
+
+def test_effective_config_is_the_config_with_its_none_fields_resolved():
+    D = dct_dictionary(8, 8)
+    mask = random_mask(8, 6, 18)
+    cfg = SolverConfig(rho2=3.0, max_iter=9, continuation=False)
+    resolved = effective_config(cfg, mask, D)
+    assert isinstance(resolved, SolverConfig)
+    assert resolved == SolverConfig(
+        rho1=0.4 * 6 / 8,
+        rho2=3.0,
+        majorizer0=1.05 * D.spectral_norm_sq,
+        max_iter=9,
+        mean_weight=0.25 * 7.0,
+        var_weight=7.0,
+        continuation=False,
+    )
 
 
 def test_analysis_mode_reaches_feasibility_and_kkt():
@@ -370,8 +387,8 @@ def test_analysis_mode_reaches_feasibility_and_kkt():
     assert result.primal_residuals[-1] < 1e-6
     assert result.slack_residuals[-1] < 1e-6
     values = effective_config(cfg, mask, D)
-    kernel = CsimKernel(CsimParams(values["mean_weight"], values["var_weight"], 64))
-    r_z, r_mu = kkt_residuals(result, mask, kernel, values["slack_ridge"])
+    kernel = CsimKernel(CsimParams(values.mean_weight, values.var_weight, 64))
+    r_z, r_mu = kkt_residuals(result, mask, kernel, values.slack_ridge)
     assert r_z <= 1e-6 * (1.0 + float(np.linalg.norm(result.final_dual_z)))
     assert r_mu <= 1e-6 * (1.0 + float(np.linalg.norm(result.final_dual_x)))
 
@@ -545,7 +562,7 @@ def test_solve_batch_backtracks_only_rows_that_fail():
     batch = solve_batch(Y, masks, D, cfg)
     retried = [r.s_retries > 0 for r in batch]
     assert any(retried) and not all(retried)
-    majorizer0 = effective_config(cfg, masks[0], D)["majorizer0"]
+    majorizer0 = effective_config(cfg, masks[0], D).majorizer0
     for y, mask, result in zip(Y, masks, batch):
         _assert_same_bits(result, solve(y, mask, D, cfg))
         grown = majorizer0
