@@ -5,6 +5,14 @@ objective 0.5 ||A s - y||^2 plus a sparsity term: FISTA with an l1
 penalty and a restart safeguard that keeps the objective monotone, and
 an iterative hard-thresholding solver with an exponentially decaying
 threshold schedule.
+
+Each iteration is separable per signal, so one loop per method
+(`fista_solve_batch`, `iht_adaptive_solve_batch`) runs it on a stack of
+signals at once, with the solver's row-stack conventions: every step
+acts on the last axis, and a per-row value (step, l1 weight, threshold,
+momentum weight) is a scalar when the rows share it and a (B, 1) column
+otherwise.  `fista_solve` and `iht_adaptive_solve` are the one-signal
+cases.
 """
 
 from __future__ import annotations
@@ -15,16 +23,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionaries import Dictionary, spectral_norm_sq
+from .dictionaries import Dictionary, _analyze, _dot, _synthesize, spectral_norm_sq
 from .signals import SamplingMask
-from .solver import NonFiniteError, RecoveryResult, soft_threshold
+from .solver import (
+    NonFiniteError,
+    RecoveryResult,
+    _all,
+    _keep,
+    _observed_rows,
+    _per_row,
+    _sum,
+    soft_threshold,
+)
 
 __all__ = [
     "FistaConfig",
     "IhtConfig",
     "hard_threshold",
     "fista_solve",
+    "fista_solve_batch",
     "iht_adaptive_solve",
+    "iht_adaptive_solve_batch",
 ]
 
 
@@ -54,141 +73,203 @@ class IhtConfig:
     record_iterates: bool = False
 
 
-def hard_threshold(v, tau: float) -> np.ndarray:
-    """Zero entries with |v_i| < tau, keep the rest exactly."""
-    if tau < 0:
+def hard_threshold(v, tau) -> np.ndarray:
+    """Zero entries with |v_i| < tau, keep the rest exactly; ``tau`` is
+    a scalar or a per-row value."""
+    if tau < 0 if isinstance(tau, float) else np.count_nonzero(np.less(tau, 0)):
         raise ValueError("threshold must be nonnegative")
     v = np.asarray(v, dtype=float)
     return np.where(np.abs(v) >= tau, v, 0.0)
 
 
-def _masked_operator(mask: SamplingMask, D: Dictionary) -> np.ndarray:
-    if mask.n != D.n:
-        raise ValueError("mask does not match the dictionary dimension")
-    A = np.zeros_like(D.atoms)
-    A[mask.observed, :] = D.atoms[mask.observed, :]
-    return A
+def _row_stack(Y, masks: list[SamplingMask], D: Dictionary):
+    """(observations, 0/1 observed rows, per-row ||A_b||^2) of a batch.
 
-
-def _resolve_step(step: float | None, A) -> float:
-    lipschitz = spectral_norm_sq(A)
-    if lipschitz <= 0:
+    A single row comes back on 1-D arrays, as in ``solve_batch``: its
+    per-row values are then scalars, whose arithmetic costs a fraction
+    of that of (1, 1) arrays.  The bits are the same.
+    """
+    Y, observed = _observed_rows(Y, masks, D.n)
+    lipschitz = spectral_norm_sq(D.atoms, observed=observed)
+    if np.count_nonzero(~(lipschitz > 0)):
         raise ValueError("degenerate masked operator")
-    if step is None:
-        return 1.0 / lipschitz
-    if step > 1.0 / lipschitz:
-        raise ValueError("step exceeds 1 / ||A||^2")
-    if step <= 0:
-        raise ValueError("step must be positive")
-    return float(step)
+    if len(masks) == 1:
+        Y, observed = Y[0], observed[0]
+    return Y, observed, lipschitz
+
+
+def _operator(atoms, observed):
+    """(s -> A s, r -> A.T r) for the masked operators A_b = diag(o_b) D
+    of the rows of ``observed``.  One row forms its n x p matrix once; a
+    stack applies D and the 0/1 rows, never one matrix per row."""
+    if observed.ndim == 1:
+        A = np.where(observed[:, None] != 0, atoms, 0.0)
+        return A.__matmul__, A.T.__matmul__
+    return (lambda s: observed * _synthesize(atoms, s)), (lambda r: _analyze(atoms, observed * r))
+
+
+def _results(atoms, s, history, elapsed, iterates) -> list[RecoveryResult]:
+    """One result per row from the final coefficients, the per-iteration
+    (residual norm, objective) pairs of every row and the batch clock."""
+    history = np.reshape(history, (len(history), 2, -1))
+    S = np.reshape(s, (-1, s.shape[-1]))
+    X = _synthesize(atoms, S)
+    clock = np.asarray(elapsed)
+    if iterates is not None:
+        iterates = np.reshape(iterates, (len(iterates),) + S.shape)
+    return [
+        RecoveryResult(
+            x_hat=X[j],
+            s_hat=S[j],
+            iterations=len(history),
+            primal_residuals=history[:, 0, j].copy(),
+            slack_residuals=None,
+            objectives=history[:, 1, j].copy(),
+            elapsed_ms=clock,
+            iterates=None if iterates is None else list(iterates[:, j]),
+        )
+        for j in range(len(S))
+    ]
+
+
+def _proximal_step(point, forward, adjoint, y, step, threshold, w):
+    """Soft-thresholded gradient step from ``point`` on each row, with
+    the row's objective and squared residual norm there."""
+    candidate = soft_threshold(point - step * adjoint(forward(point) - y), threshold)
+    r = forward(candidate) - y
+    rr = _dot(r, r)
+    return candidate, 0.5 * rr + w * _sum(np.abs(candidate)), rr
 
 
 def fista_solve(y, mask: SamplingMask, D: Dictionary, config: FistaConfig | None = None) -> RecoveryResult:
-    """Accelerated proximal gradient on 0.5||A s - y||^2 + w ||s||_1.
+    """Recover one signal: ``fista_solve_batch`` with a single row."""
+    return fista_solve_batch(np.asarray(y, dtype=float)[None], [mask], D, config)[0]
 
-    Any momentum step that would raise the objective is replaced by the
-    plain proximal step from the previous iterate (which cannot raise
-    it), and the momentum is reset, so the recorded objectives are
-    non-increasing.
+
+def fista_solve_batch(Y, masks, D: Dictionary, config: FistaConfig | None = None) -> list[RecoveryResult]:
+    """Accelerated proximal gradient on 0.5||A s - y||^2 + w ||s||_1 for
+    every row of ``Y``, row i observed through ``masks[i]``.
+
+    Each row has its own step 1/||A_b||^2 (a set ``step`` must not
+    exceed any of them) and, unless ``l1_weight`` is set, its own
+    weight.  Any momentum step that would raise a row's objective is
+    replaced by the plain proximal step from its previous iterate (which
+    cannot raise it), and the row's momentum is reset, so its recorded
+    objectives are non-increasing.  A row's result has the bits of its
+    one-row solve, apart from ``elapsed_ms``, the batch's clock.
     """
     if config is None:
         config = FistaConfig()
     if config.max_iter < 1:
         raise ValueError("max_iter must be positive")
-    A = _masked_operator(mask, D)
-    y = np.asarray(y, dtype=float)
-    step = _resolve_step(config.step, A)
+    masks = list(masks)
+    if not masks:
+        return []
+    atoms = D.atoms
+    Y, observed, lipschitz = _row_stack(Y, masks, D)
+    forward, adjoint = _operator(atoms, observed)
+    if config.step is None:
+        step = _per_row(1.0 / lipschitz)
+    elif np.count_nonzero(config.step > 1.0 / lipschitz):
+        raise ValueError("step exceeds 1 / ||A||^2")
+    elif config.step <= 0:
+        raise ValueError("step must be positive")
+    else:
+        step = float(config.step)
     w = config.l1_weight
     if w is None:
-        w = 0.01 * float(np.abs(A.T @ y).max())
-    if w < 0:
+        w = _per_row(0.01 * np.abs(adjoint(Y)).max(axis=-1))
+    elif w < 0:
         raise ValueError("l1 weight must be nonnegative")
+    threshold = w * step
 
-    def objective(s):
-        r = A @ s - y
-        return 0.5 * float(r @ r) + w * float(np.abs(s).sum())
-
-    s = np.zeros(D.p)
+    s = np.zeros(Y.shape[:-1] + (D.p,))
     momentum_point = s
     t_k = 1.0
-    value = objective(s)
+    r = forward(s) - Y
+    value = 0.5 * _dot(r, r) + w * _sum(np.abs(s))
 
-    residuals, objectives, elapsed = [], [], []
+    history, elapsed = [], []
     iterates: list[np.ndarray] | None = [] if config.record_iterates else None
     start = time.perf_counter()
     for _ in range(config.max_iter):
-        grad = A.T @ (A @ momentum_point - y)
-        candidate = soft_threshold(momentum_point - step * grad, w * step)
-        cand_value = objective(candidate)
-        if cand_value > value:
-            grad = A.T @ (A @ s - y)
-            candidate = soft_threshold(s - step * grad, w * step)
-            cand_value = objective(candidate)
-            t_k = 1.0
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
+        candidate, cand_value, rr = _proximal_step(
+            momentum_point, forward, adjoint, Y, step, threshold, w
+        )
+        raised = cand_value > value
+        if s.ndim == 1:
+            if raised:
+                candidate, cand_value, rr = _proximal_step(
+                    s, forward, adjoint, Y, step, threshold, w
+                )
+                t_k = 1.0
+        elif np.count_nonzero(raised):
+            # Restart only the rows whose objective the momentum step raised.
+            rows = np.flatnonzero(raised)
+            candidate[rows], cand_value[rows], rr[rows] = _proximal_step(
+                s[rows],
+                *_operator(atoms, observed[rows]),
+                Y[rows],
+                *(_keep(v, rows) for v in (step, threshold, w)),
+            )
+            t_k = np.where(raised, 1.0, t_k)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
         momentum_point = candidate + ((t_k - 1.0) / t_next) * (candidate - s)
         s = candidate
         value = cand_value
         t_k = t_next
 
-        if not np.all(np.isfinite(s)):
+        if not _all(np.isfinite(s)):
             raise NonFiniteError("non-finite FISTA iterate")
-        residuals.append(float(np.linalg.norm(A @ s - y)))
-        objectives.append(value)
+        history.append((np.sqrt(rr), value))
         elapsed.append((time.perf_counter() - start) * 1e3)
         if iterates is not None:
-            iterates.append(s.copy())
-
-    return RecoveryResult(
-        x_hat=D.atoms @ s,
-        s_hat=s,
-        iterations=len(objectives),
-        primal_residuals=np.asarray(residuals),
-        slack_residuals=None,
-        objectives=np.asarray(objectives),
-        elapsed_ms=np.asarray(elapsed),
-        iterates=iterates,
-    )
+            iterates.append(s)
+    return _results(atoms, s, history, elapsed, iterates)
 
 
 def iht_adaptive_solve(y, mask: SamplingMask, D: Dictionary, config: IhtConfig | None = None) -> RecoveryResult:
-    """Gradient step then hard threshold with a decaying threshold."""
+    """Recover one signal: ``iht_adaptive_solve_batch`` with a single row."""
+    return iht_adaptive_solve_batch(np.asarray(y, dtype=float)[None], [mask], D, config)[0]
+
+
+def iht_adaptive_solve_batch(Y, masks, D: Dictionary, config: IhtConfig | None = None) -> list[RecoveryResult]:
+    """Gradient step then hard threshold with a decaying threshold, on
+    every row of ``Y`` (row i observed through ``masks[i]``), each row
+    with its own step 1/||A_b||^2 and, unless ``tau0`` is set, its own
+    starting threshold.  A row's result has the bits of its one-row
+    solve, apart from ``elapsed_ms``, the batch's clock."""
     if config is None:
         config = IhtConfig()
     if config.max_iter < 1:
         raise ValueError("max_iter must be positive")
-    A = _masked_operator(mask, D)
-    y = np.asarray(y, dtype=float)
-    step = _resolve_step(None, A)
+    masks = list(masks)
+    if not masks:
+        return []
+    Y, observed, lipschitz = _row_stack(Y, masks, D)
+    forward, adjoint = _operator(D.atoms, observed)
+    step = _per_row(1.0 / lipschitz)
     tau0 = config.tau0
     if tau0 is None:
-        tau0 = 0.5 * float(np.abs(A.T @ y).max())
-    if tau0 < 0 or config.tau_min < 0 or config.decay < 0:
+        tau0 = _per_row(0.5 * np.abs(adjoint(Y)).max(axis=-1))
+    if np.count_nonzero(np.less(tau0, 0)) or config.tau_min < 0 or config.decay < 0:
         raise ValueError("threshold schedule must be nonnegative")
 
-    s = np.zeros(D.p)
-    residuals, objectives, elapsed = [], [], []
+    s = np.zeros(Y.shape[:-1] + (D.p,))
+    r = Y - forward(s)
+    history, elapsed = [], []
     iterates: list[np.ndarray] | None = [] if config.record_iterates else None
     start = time.perf_counter()
     for t in range(config.max_iter):
-        tau = max(tau0 * math.exp(-config.decay * t), config.tau_min)
-        s = hard_threshold(s + step * (A.T @ (y - A @ s)), tau)
-        if not np.all(np.isfinite(s)):
+        tau = tau0 * math.exp(-config.decay * t)
+        tau = max(tau, config.tau_min) if isinstance(tau, float) else np.maximum(tau, config.tau_min)
+        s = hard_threshold(s + step * adjoint(r), tau)
+        if not _all(np.isfinite(s)):
             raise NonFiniteError("non-finite IHT iterate")
-        r = A @ s - y
-        residuals.append(float(np.linalg.norm(r)))
-        objectives.append(0.5 * float(r @ r))
+        r = Y - forward(s)
+        rr = _dot(r, r)
+        history.append((np.sqrt(rr), 0.5 * rr))
         elapsed.append((time.perf_counter() - start) * 1e3)
         if iterates is not None:
-            iterates.append(s.copy())
-
-    return RecoveryResult(
-        x_hat=D.atoms @ s,
-        s_hat=s,
-        iterations=len(objectives),
-        primal_residuals=np.asarray(residuals),
-        slack_residuals=None,
-        objectives=np.asarray(objectives),
-        elapsed_ms=np.asarray(elapsed),
-        iterates=iterates,
-    )
+            iterates.append(s)
+    return _results(D.atoms, s, history, elapsed, iterates)

@@ -112,9 +112,21 @@ def _add_dict_args(parser, default_n=64, default_p=None):
     parser.add_argument("--p", type=int, default=default_p)
 
 
-def _dictionary_from_args(args) -> Dictionary:
-    p = args.p if args.p is not None else args.n
-    return build_dictionary(args.dict, args.n, p)
+class _ArgumentError(ValueError):
+    """A bad argument found after parsing; ``main`` exits 2 on it."""
+
+
+def _dictionary_from_args(args, n: int | None = None, size: str | None = None) -> Dictionary:
+    """The --dict dictionary on n samples (default --n); ``size`` says
+    where n came from.  A shape the builders reject is a bad argument."""
+    if n is None:
+        n, size = args.n, f"--n {args.n}"
+    p = args.p if args.p is not None else n
+    try:
+        return build_dictionary(args.dict, n, p)
+    except ValueError as exc:
+        flags = [f"--dict {args.dict}", size] + ([f"--p {args.p}"] if args.p is not None else [])
+        raise _ArgumentError(f"{', '.join(flags)}: {exc}") from None
 
 
 def _cmd_dict_info(args) -> int:
@@ -166,13 +178,17 @@ def _cmd_recover(args) -> int:
     is_image = args.input.endswith(".pgm")
     if is_image:
         image = load_pgm(args.input).astype(float)
-        n = args.n  # patches of side sqrt(n)
+        D = _dictionary_from_args(args)  # patches of side sqrt(--n)
     else:
         x = load_csv_vector(args.input)
-        n = x.size
-    D = build_dictionary(args.dict, n, args.p if args.p is not None else n)
+        D = _dictionary_from_args(args, x.size, f"{x.size} samples in --input")
+    # Resolve the settings before the log exists, so a bad one leaves none.
+    try:
+        settings = solver_settings(args.solver, D, args.sr, args.seed, overrides)
+    except ValueError as exc:
+        raise _ArgumentError(f"--config {args.config}: {exc}") from None
     with open(out_log, "w", newline="\n") as log:
-        _log_event(log, "config", **solver_settings(args.solver, D, args.sr, args.seed, overrides))
+        _log_event(log, "config", **settings)
         if is_image:
             restored, results = recover_image(image, args.sr, args.seed, args.solver, D, overrides)
             for i, result in enumerate(results):
@@ -232,6 +248,7 @@ def _cmd_denoise(args) -> int:
 
 
 def _run_sweep(args, mode: str) -> int:
+    _dictionary_from_args(args)  # a shape the builders reject is a bad argument
     spec = ExperimentSpec(
         dict_kind=args.dict,
         n=args.n,
@@ -357,6 +374,8 @@ def main(argv=None) -> int:
             )
     try:
         return args.func(args)
+    except _ArgumentError as exc:
+        parser.error(str(exc))
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -24,35 +24,81 @@ __all__ = [
 ]
 
 
-def spectral_norm_sq(A, tol: float = 1e-10, max_iter: int = 100_000) -> float:
+def _synthesize(atoms, s) -> np.ndarray:
+    """atoms @ s for each row of s.
+
+    The stacked product gives each row the bits of the one-vector
+    product ``atoms @ s`` whatever the number of rows; a plain GEMM
+    ``s @ atoms.T`` does not.
+    """
+    return (s[..., None, :] @ atoms.T)[..., 0, :]
+
+
+def _analyze(atoms, r) -> np.ndarray:
+    """atoms.T @ r for each row of r (stacked, as in ``_synthesize``)."""
+    return (r[..., None, :] @ atoms)[..., 0, :]
+
+
+def _dot(a, b):
+    """Dot product of each pair of rows (the bits of ``a @ b``), as a
+    per-row value: a scalar for 1-D arrays, else a (B, 1) column."""
+    return np.vecdot(a, b, keepdims=a.ndim > 1)
+
+
+def spectral_norm_sq(A, tol: float = 1e-10, max_iter: int = 100_000, *, observed=None):
     """Largest eigenvalue of A.T @ A by power iteration.
 
     Iterates v <- A.T @ (A @ v) from a fixed pseudorandom start until the
-    Rayleigh quotient is stable to the relative tolerance.
+    Rayleigh quotient is stable to the relative tolerance.  With
+    ``observed``, a (B, n) stack of 0/1 rows, it returns as a length-B
+    array the value of every masked matrix diag(o_b) A, iterating
+    v <- A.T (o_b * (A v)) on all rows at once without forming those
+    matrices; each row stops on its own test and has the bits of a
+    single-matrix call on its masked matrix.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError("expected a matrix")
-    if not np.any(A):
+    rows = np.ones((1, A.shape[0])) if observed is None else np.asarray(observed, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != A.shape[0]:
+        raise ValueError("expected one 0/1 row of observed positions per matrix")
+    if np.count_nonzero(~((rows != 0) @ np.any(A != 0, axis=1))):
         raise ValueError("spectral norm of an all-zero matrix is degenerate")
     p = A.shape[1]
+    values = np.zeros(len(rows))
+    active = np.arange(len(rows))  # input row of each working row
     v = np.random.default_rng(0).standard_normal(p)
     v /= np.linalg.norm(v)
+    if len(rows) == 1:
+        # A single row runs on 1-D arrays, as in the solvers; the bits are the same.
+        V, rows = v, rows[0]
+    else:
+        V = np.tile(v, (len(rows), 1))
     previous = 0.0
     for _ in range(max_iter):
-        w = A.T @ (A @ v)
-        value = float(v @ w)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
+        W = _analyze(A, rows * _synthesize(A, V))
+        value = _dot(V, W)
+        norm = np.sqrt(_dot(W, W))
+        restart = norm == 0.0
+        if np.count_nonzero(restart):
             # v landed in the null space; restart from a shifted vector.
-            v = v + 1.0 / p
-            v /= np.linalg.norm(v)
+            shifted = V + 1.0 / p
+            W = np.where(restart, shifted, W)
+            norm = np.where(restart, np.sqrt(_dot(shifted, shifted)), norm)
+        V = W / norm
+        done = ~restart & (np.abs(value - previous) <= tol * np.maximum(np.abs(value), 1e-300))
+        previous = np.where(restart, previous, value)
+        if not np.count_nonzero(done):
             continue
-        v = w / norm
-        if abs(value - previous) <= tol * max(abs(value), 1e-300):
-            return value
-        previous = value
-    return previous
+        done = np.reshape(done, -1)
+        values[active[done]] = np.reshape(value, -1)[done]
+        keep = ~done
+        if not np.count_nonzero(keep):
+            break
+        active, V, rows, previous = (a[keep] for a in (active, V, rows, previous))
+    else:
+        values[active] = np.reshape(previous, -1)
+    return values if observed is not None else float(values[0])
 
 
 @dataclass(frozen=True)

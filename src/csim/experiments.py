@@ -22,7 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import FistaConfig, IhtConfig, fista_solve, iht_adaptive_solve
+from .baselines import (
+    FistaConfig,
+    IhtConfig,
+    fista_solve,
+    fista_solve_batch,
+    iht_adaptive_solve,
+    iht_adaptive_solve_batch,
+)
 from .dictionaries import Dictionary, dct_dictionary, haar_wp_dictionary
 from .fileio import load_pgm
 from .metrics import PSNR_CSV_CAP, QualityScore, image_ssim, mse, psnr, relative_error, ssim_global
@@ -36,7 +43,7 @@ from .signals import (
     substream,
     synth_sparse_signal,
 )
-from .solver import RecoveryResult, SolverConfig, effective_config, solve_batch
+from .solver import RecoveryResult, SolverConfig, effective_config, solve, solve_batch
 
 __all__ = [
     "ExperimentSpec",
@@ -123,42 +130,45 @@ def observation_mask(n: int, sr: float, seed: int, index: int) -> SamplingMask:
     return random_mask(n, m, substream(seed, index, _TAG_MASK, m))
 
 
-def run_solver_batch(
+def _solver_config(
     name: str,
-    Y,
-    masks,
-    D: Dictionary,
     max_iter: int = 50,
     record_iterates: bool = False,
     overrides: dict | None = None,
     feasibility_tol: float | None = None,
-) -> list[RecoveryResult]:
-    """Run solver ``name`` on every row of ``Y``, row i observed through
-    ``masks[i]``; one result per row.
-
-    csim-alm solves all rows at once (``solve_batch``); fista and iht
-    solve one row at a time.  ``feasibility_tol`` reaches csim-alm only.
-    """
+):
+    """Config of solver ``name``; ``feasibility_tol`` reaches csim-alm only."""
     kwargs = {"max_iter": max_iter, "record_iterates": record_iterates}
     if name == "csim-alm" and feasibility_tol is not None:
         kwargs["feasibility_tol"] = feasibility_tol
     kwargs.update(overrides or {})
     if name == "csim-alm":
-        return solve_batch(Y, masks, D, SolverConfig(**kwargs))
+        return SolverConfig(**kwargs)
     if name == "fista":
-        config = FistaConfig(**kwargs)
-        return [fista_solve(y, mask, D, config) for y, mask in zip(Y, masks, strict=True)]
+        return FistaConfig(**kwargs)
     if name == "iht":
-        config = IhtConfig(**kwargs)
-        return [iht_adaptive_solve(y, mask, D, config) for y, mask in zip(Y, masks, strict=True)]
+        return IhtConfig(**kwargs)
     raise ValueError(f"unknown solver {name!r}")
 
 
+def run_solver_batch(name: str, Y, masks, D: Dictionary, **settings) -> list[RecoveryResult]:
+    """Run solver ``name`` on every row of ``Y``, row i observed through
+    ``masks[i]``, in one batched solve; one result per row.  Settings:
+    ``max_iter`` (50), ``record_iterates``, ``overrides`` (a dict of
+    config fields) and ``feasibility_tol`` (csim-alm only)."""
+    config = _solver_config(name, **settings)
+    batch = {"csim-alm": solve_batch, "fista": fista_solve_batch, "iht": iht_adaptive_solve_batch}
+    return batch[name](Y, masks, D, config)
+
+
 def run_solver(name: str, y, mask, D: Dictionary, **settings) -> RecoveryResult:
-    """Dispatch one solver by harness name: ``run_solver_batch`` on one
-    row, with the same keyword settings."""
-    (result,) = run_solver_batch(name, np.asarray(y, dtype=float)[None], [mask], D, **settings)
-    return result
+    """Run solver ``name`` on one signal through its one-row entry point
+    (``solve``, ``fista_solve``, ``iht_adaptive_solve``), with the
+    settings of ``run_solver_batch``; the result has the bits of that
+    row in a batch."""
+    config = _solver_config(name, **settings)
+    single = {"csim-alm": solve, "fista": fista_solve, "iht": iht_adaptive_solve}
+    return single[name](y, mask, D, config)
 
 
 def solver_settings(
@@ -315,7 +325,7 @@ def sweep_iters(spec: ExperimentSpec) -> str:
     Ground-truth synthetic signals only.  Solvers run their full
     iteration budget (no early stop) so the iteration column spans
     1..max_iter for every trace.  The elapsed column is the solver's
-    clock: for csim-alm, that of the whole (solver, ratio) batch.
+    clock, that of the whole (solver, ratio) batch.
     """
     if spec.corpus:
         raise ValueError("iteration traces need ground-truth synthetic signals")

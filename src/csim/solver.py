@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import CsimKernel, CsimParams, apply_kernel, csim_stats
-from .dictionaries import Dictionary
+from .dictionaries import Dictionary, _analyze, _dot, _synthesize
 from .signals import SamplingMask
 
 __all__ = [
@@ -117,8 +117,10 @@ def effective_config(config: SolverConfig, mask: SamplingMask, D: Dictionary) ->
         mean_weight=config.mean_weight if config.mean_weight is not None else 0.25 * var_weight,
         var_weight=var_weight,
     )
-    if not resolved.rho1 > 0 or not resolved.rho2 > 0:
-        raise ValueError("penalty parameters must be positive")
+    if not resolved.rho1 > 0:
+        raise ValueError("rho1 must be positive")
+    if not resolved.rho2 > 0:
+        raise ValueError("rho2 must be positive")
     if resolved.slack_ridge < 0:
         raise ValueError("slack_ridge must be nonnegative")
     if not resolved.majorizer_growth > 1:
@@ -133,6 +135,7 @@ def effective_config(config: SolverConfig, mask: SamplingMask, D: Dictionary) ->
         raise ValueError("max_iter must be positive")
     if resolved.majorizer0 <= D.spectral_norm_sq:
         raise ValueError("majorizer0 must exceed the squared spectral norm of D")
+    CsimParams(resolved.mean_weight, resolved.var_weight, mask.n)  # checks the index weights
     return resolved
 
 
@@ -171,9 +174,10 @@ def _shrink(v, tau):
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
-def soft_threshold(v, tau: float) -> np.ndarray:
-    """Componentwise sign(v) * max(|v| - tau, 0)."""
-    if tau < 0:
+def soft_threshold(v, tau) -> np.ndarray:
+    """Componentwise sign(v) * max(|v| - tau, 0); ``tau`` is a scalar or
+    a per-row value."""
+    if tau < 0 if isinstance(tau, float) else np.count_nonzero(np.less(tau, 0)):
         raise ValueError("threshold must be nonnegative")
     return _shrink(np.asarray(v, dtype=float), tau)
 
@@ -182,28 +186,9 @@ def soft_threshold(v, tau: float) -> np.ndarray:
 # array, B signals a (B, n) stack.  A per-row value (a penalty, the l1
 # weight, a surrogate constant, a residual norm) is a scalar for one
 # signal or when every row shares it, and a (B, 1) column otherwise, so
-# it broadcasts along the rows either way.
-
-
-def _synthesize(atoms, s) -> np.ndarray:
-    """atoms @ s for each row of s.
-
-    The stacked product gives each row the bits of the one-vector
-    product ``atoms @ s`` whatever the number of rows; a plain GEMM
-    ``s @ atoms.T`` does not.
-    """
-    return (s[..., None, :] @ atoms.T)[..., 0, :]
-
-
-def _analyze(atoms, r) -> np.ndarray:
-    """atoms.T @ r for each row of r (stacked, as in ``_synthesize``)."""
-    return (r[..., None, :] @ atoms)[..., 0, :]
-
-
-def _dot(a, b):
-    """Dot product of each pair of rows (the bits of ``a @ b``), as a
-    per-row value."""
-    return np.vecdot(a, b, keepdims=a.ndim > 1)
+# it broadcasts along the rows either way.  The stacked products
+# (``_synthesize``, ``_analyze``) and ``_dot`` live in ``dictionaries``,
+# whose power iteration runs on row stacks too.
 
 
 def _sum(v):
@@ -218,11 +203,11 @@ def _all(flags) -> bool:
 
 
 def _per_row(values):
-    """Per-row values as one scalar when they are all equal (or there is
+    """Per-row values as one float when they are all equal (or there is
     one row), else as a (B, 1) column."""
     values = np.reshape(np.asarray(values, dtype=float), -1)
     if np.count_nonzero(values != values[0]) == 0:
-        return values[0]
+        return float(values[0])
     return values[:, None]
 
 
@@ -245,6 +230,20 @@ def _indicator(mask):
     if isinstance(mask, SamplingMask):
         return mask.indicator()
     return mask
+
+
+def _observed_rows(Y, masks, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Observations as a float (B, n) array, one row per mask, and the
+    0/1 indicator of each row's observed positions."""
+    if any(mask.n != n for mask in masks):
+        raise ValueError("mask does not match the dictionary dimension")
+    Y = np.asarray(Y, dtype=float)
+    if Y.shape != (len(masks), n):
+        raise ValueError(f"expected one length-{n} row of observations per mask")
+    observed = np.zeros(Y.shape)
+    for row, mask in enumerate(masks):
+        observed[row, mask.observed] = 1.0
+    return Y, observed
 
 
 def x_update(b, mask, rho1, rho2) -> np.ndarray:
@@ -387,27 +386,20 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     if not masks:
         return []
     atoms, n, p = D.atoms, D.n, D.p
-    if any(mask.n != n for mask in masks):
-        raise ValueError("mask does not match the dictionary dimension")
+    Y, observed = _observed_rows(Y, masks, n)
     configs: dict[int, SolverConfig] = {}
     for mask in masks:
         if mask.m not in configs:
             configs[mask.m] = effective_config(config, mask, D)
     cfg = configs[masks[0].m]
-    Y = np.asarray(Y, dtype=float)
     B = len(masks)
-    if Y.shape != (B, n):
-        raise ValueError(f"expected one length-{n} row of observations per mask")
-    observed = np.zeros((B, n))
-    for row, mask in enumerate(masks):
-        observed[row, mask.observed] = 1.0
     Y = np.where(observed, Y, 0.0)
     if not _all(np.isfinite(Y)):
         raise NonFiniteError("observed samples contain non-finite values")
     if B == 1:
         # A single row runs on 1-D arrays: its per-row values are then
-        # numpy scalars, whose arithmetic costs a fraction of that of
-        # (1, 1) arrays.  The bits are the same.
+        # scalars, whose arithmetic costs a fraction of that of (1, 1)
+        # arrays.  The bits are the same.
         Y, observed = Y[0], observed[0]
 
     params = CsimParams(cfg.mean_weight, cfg.var_weight, n)

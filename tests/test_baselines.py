@@ -1,14 +1,21 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import csim.baselines
 from csim.baselines import (
     FistaConfig,
     IhtConfig,
     fista_solve,
+    fista_solve_batch,
     hard_threshold,
     iht_adaptive_solve,
+    iht_adaptive_solve_batch,
 )
-from csim.dictionaries import dct_dictionary
+from csim.dictionaries import Dictionary, dct_dictionary, haar_wp_dictionary, spectral_norm_sq
 from csim.signals import SamplingMask, apply_mask, random_mask, synth_sparse_signal
 
 
@@ -180,3 +187,184 @@ def test_baseline_histories_lengths():
     assert len(result.objectives) == 23
     assert len(result.iterates) == 23
     assert result.slack_residuals is None
+
+
+def test_thresholds_take_per_row_values_and_reject_any_negative_entry():
+    v = np.array([[0.5, -0.2, 1.0], [0.5, -0.2, 1.0]])
+    tau = np.array([[0.3], [0.6]])
+    np.testing.assert_array_equal(hard_threshold(v, tau), [[0.5, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    np.testing.assert_allclose(csim.baselines.soft_threshold(v, tau), [[0.2, 0.0, 0.7], [0.0, 0.0, 0.4]])
+    for threshold in (hard_threshold, csim.baselines.soft_threshold):
+        with pytest.raises(ValueError):
+            threshold(v, np.array([[0.3], [-1e-9]]))
+
+
+# --- row-batched baselines ----------------------------------------------------
+
+_DICTIONARIES = {"dct": dct_dictionary(64, 64), "haar": haar_wp_dictionary(64, 128)}
+_HISTORIES = ("s_hat", "x_hat", "primal_residuals", "objectives")
+_BATCHED = {
+    "fista": (fista_solve_batch, fista_solve, FistaConfig(max_iter=30, record_iterates=True)),
+    "iht": (iht_adaptive_solve_batch, iht_adaptive_solve, IhtConfig(max_iter=30, record_iterates=True)),
+}
+
+
+def _problem_rows(D, seed, rows, sparsity=6):
+    """Sparse signals on D seen through masks of varied sample counts."""
+    Y, masks = [], []
+    for i in range(rows):
+        signal = synth_sparse_signal(D, sparsity, (seed, i, 1))
+        m = int(np.random.default_rng([seed, i, 2]).integers(D.n // 4, D.n + 1))
+        mask = random_mask(D.n, m, (seed, i, 3))
+        Y.append(apply_mask(signal.x, mask))
+        masks.append(mask)
+    return np.array(Y), masks
+
+
+def _assert_same_bits(batched, single):
+    for name in _HISTORIES:
+        assert getattr(batched, name).tobytes() == getattr(single, name).tobytes(), name
+    assert batched.iterations == single.iterations
+    assert batched.elapsed_ms.shape == single.elapsed_ms.shape
+    if single.iterates is None:
+        assert batched.iterates is None
+    else:
+        assert np.array(batched.iterates).tobytes() == np.array(single.iterates).tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    rows=st.integers(min_value=1, max_value=8),
+    dictionary=st.sampled_from(sorted(_DICTIONARIES)),
+    solver=st.sampled_from(sorted(_BATCHED)),
+)
+def test_batched_baseline_rows_equal_one_row_solves(seed, rows, dictionary, solver):
+    D = _DICTIONARIES[dictionary]
+    Y, masks = _problem_rows(D, seed, rows)
+    batch_solve, single_solve, config = _BATCHED[solver]
+    batch = batch_solve(Y, masks, D, config)
+    assert len(batch) == rows
+    for y, mask, result in zip(Y, masks, batch):
+        _assert_same_bits(result, single_solve(y, mask, D, config))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    rows=st.integers(min_value=2, max_value=8),
+    solver=st.sampled_from(sorted(_BATCHED)),
+)
+def test_batched_baselines_do_not_depend_on_row_order(seed, rows, solver):
+    D = _DICTIONARIES["haar"]
+    Y, masks = _problem_rows(D, seed, rows)
+    order = np.random.default_rng(seed).permutation(rows)
+    batch_solve, _, config = _BATCHED[solver]
+    straight = batch_solve(Y, masks, D, config)
+    permuted = batch_solve(Y[order], [masks[i] for i in order], D, config)
+    for position, i in enumerate(order):
+        _assert_same_bits(permuted[position], straight[i])
+
+
+def _serial_fista(A, y, iters):
+    """FISTA with the monotone restart on one masked operator, written
+    out as a plain loop: the arithmetic the batched loop keeps."""
+    step = 1.0 / spectral_norm_sq(A)
+    w = 0.01 * float(np.abs(A.T @ y).max())
+
+    def prox(point):
+        u = point - step * (A.T @ (A @ point - y))
+        return np.sign(u) * np.maximum(np.abs(u) - w * step, 0.0)
+
+    s = momentum = np.zeros(A.shape[1])
+    t_k, value, objectives = 1.0, _objective(A, y, w, s), []
+    for _ in range(iters):
+        candidate = prox(momentum)
+        if _objective(A, y, w, candidate) > value:
+            candidate, t_k = prox(s), 1.0
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
+        momentum = candidate + ((t_k - 1.0) / t_next) * (candidate - s)
+        s, value, t_k = candidate, _objective(A, y, w, candidate), t_next
+        objectives.append(value)
+    return s, objectives
+
+
+def _serial_iht(A, y, iters, decay=0.2, tau_min=1e-3):
+    step = 1.0 / spectral_norm_sq(A)
+    tau0 = 0.5 * float(np.abs(A.T @ y).max())
+    s = np.zeros(A.shape[1])
+    for t in range(iters):
+        u = s + step * (A.T @ (y - A @ s))
+        s = np.where(np.abs(u) >= max(tau0 * math.exp(-decay * t), tau_min), u, 0.0)
+    return s
+
+
+@pytest.mark.parametrize("dictionary", sorted(_DICTIONARIES))
+def test_batched_baselines_keep_the_bits_of_the_plain_serial_loops(dictionary):
+    D = _DICTIONARIES[dictionary]
+    Y, masks = _problem_rows(D, 17, 6, sparsity=13)
+    fista = fista_solve_batch(Y, masks, D, FistaConfig(max_iter=40))
+    iht = iht_adaptive_solve_batch(Y, masks, D, IhtConfig(max_iter=40))
+    for y, mask, f, h in zip(Y, masks, fista, iht):
+        A = _masked(mask, D.atoms)
+        s, objectives = _serial_fista(A, y, 40)
+        assert f.s_hat.tobytes() == s.tobytes()
+        assert f.objectives.tobytes() == np.array(objectives).tobytes()
+        assert h.s_hat.tobytes() == _serial_iht(A, y, 40).tobytes()
+
+
+def test_fista_batch_restarts_only_the_rows_whose_objective_rose(monkeypatch):
+    # Count the rows of every soft-threshold call: a one-row solve makes
+    # one call per iteration plus one per restart, and a batch restarts
+    # a proper subset of its rows when only some momentum steps fail.
+    shapes = []
+    original = csim.baselines.soft_threshold
+
+    def counted(v, tau):
+        shapes.append(np.shape(v))
+        return original(v, tau)
+
+    monkeypatch.setattr(csim.baselines, "soft_threshold", counted)
+    D = _DICTIONARIES["haar"]
+    Y, masks = _problem_rows(D, 11, 8, sparsity=13)
+    config = FistaConfig(max_iter=60)
+    restarted = []
+    singles = []
+    for y, mask in zip(Y, masks):
+        shapes.clear()
+        singles.append(fista_solve(y, mask, D, config))
+        restarted.append(len(shapes) > config.max_iter)
+    assert any(restarted) and not all(restarted)
+    shapes.clear()
+    batch = fista_solve_batch(Y, masks, D, config)
+    partial = [shape[0] for shape in shapes if shape[0] < len(masks)]
+    assert partial and len(shapes) > config.max_iter
+    for result, single in zip(batch, singles):
+        _assert_same_bits(result, single)
+        diffs = np.diff(result.objectives)
+        assert np.all(diffs <= 1e-10 * (1.0 + np.abs(result.objectives[:-1])))
+
+
+def test_fista_batch_checks_a_set_step_against_every_row():
+    D = _DICTIONARIES["dct"]
+    Y, masks = _problem_rows(D, 4, 6)
+    observed = np.array([mask.indicator() for mask in masks])
+    limits = 1.0 / spectral_norm_sq(D.atoms, observed=observed)
+    assert limits.min() < limits.max()
+    fista_solve_batch(Y, masks, D, FistaConfig(step=float(limits.min()), max_iter=3))
+    between = 0.5 * float(limits.min() + limits.max())
+    with pytest.raises(ValueError, match="step exceeds"):
+        fista_solve_batch(Y, masks, D, FistaConfig(step=between, max_iter=3))
+
+
+@pytest.mark.parametrize("solve", [fista_solve_batch, iht_adaptive_solve_batch])
+def test_batched_baselines_reject_a_row_with_an_all_zero_operator(solve):
+    # Atom rows 4..7 of this dictionary are zero, so a row that observes
+    # only those samples sees an all-zero masked operator.
+    atoms = np.zeros((8, 4))
+    atoms[:4] = dct_dictionary(4, 4).atoms
+    D = Dictionary(atoms)
+    masks = [SamplingMask(8, [0, 5]), SamplingMask(8, [4, 6])]
+    with pytest.raises(ValueError, match="all-zero"):
+        solve(np.ones((2, 8)), masks, D)
+    assert solve(np.zeros((0, 8)), [], D) == []

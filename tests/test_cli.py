@@ -248,6 +248,57 @@ def test_config_file_bad_value_is_a_bad_argument(tmp_path, capsys, text, where):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "text, key", [("max_iter = 0\n", "max_iter"), ("rho1 = -1\n", "rho1"), ("mean_weight = -2\n", "mean_weight")]
+)
+def test_config_file_values_the_solver_rejects_exit_two_and_leave_no_log(tmp_path, capsys, text, key):
+    src = tmp_path / "x.csv"
+    save_csv_vector(src, substream(6, 7).standard_normal(16))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        main(["recover", "--input", str(src), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)])
+    assert err.value.code == 2
+    assert f"--config {cfg}: {key} must be positive" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "x.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["recover", "--p", "8"], "--p 8"),
+        (["sweep-sr", "--n", "64", "--p", "32"], "--p 32"),
+        (["recover", "--dict", "haar-wp", "--p", "48"], "--p 48"),
+        (["sweep-sr", "--dict", "haar-wp", "--n", "60", "--p", "60"], "--n 60"),
+        (["sweep-iters", "--dict", "haar-wp", "--n", "60"], "--n 60"),
+        (["params", "--n", "64", "--p", "32"], "--p 32"),
+        (["dict-info", "--dict", "haar-wp", "--n", "8", "--p", "12"], "--p 12"),
+    ],
+    ids=[
+        "recover-p-below-n",
+        "sweep-sr-p-below-n",
+        "recover-haar-p-not-n-or-2n",
+        "sweep-sr-haar-n-not-a-power-of-two",
+        "sweep-iters-haar-n-not-a-power-of-two",
+        "params-p-below-n",
+        "dict-info-haar-p-not-n-or-2n",
+    ],
+)
+def test_dictionary_shape_errors_exit_two(tmp_path, capsys, argv, flag):
+    # recover reads a 16-sample vector, so n = 16 there
+    src = tmp_path / "x.csv"
+    save_csv_vector(src, substream(6, 7).standard_normal(16))
+    if argv[0] == "recover":
+        argv = argv + ["--input", str(src)]
+    if argv[0] in ("recover", "sweep-sr", "sweep-iters"):
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+
 def test_recover_pgm_patch_side_follows_n(tmp_path):
     src = tmp_path / "img.pgm"
     dst = tmp_path / "rec.pgm"

@@ -112,6 +112,34 @@ def test_spectral_norm_rejects_zero_matrix():
         spectral_norm_sq(np.zeros((4, 4)))
 
 
+@pytest.mark.parametrize(
+    "D", [dct_dictionary(64, 64), haar_wp_dictionary(64, 128), dct_dictionary(16, 40)]
+)
+def test_row_stack_spectral_norm_has_the_bits_of_single_matrix_calls(D):
+    rng = np.random.default_rng(9)
+    observed = (rng.random((30, D.n)) < rng.uniform(0.2, 0.9, (30, 1))).astype(float)
+    observed[0] = 1.0
+    stacked = spectral_norm_sq(D.atoms, observed=observed)
+    assert stacked.shape == (30,)
+    for row, value in zip(observed, stacked):
+        masked = np.where(row[:, None] != 0, D.atoms, 0.0)
+        assert value.tobytes() == np.float64(spectral_norm_sq(masked)).tobytes()
+    assert stacked[0] == D.spectral_norm_sq == spectral_norm_sq(D.atoms)
+    # one row alone gives the same bits as inside the stack
+    assert spectral_norm_sq(D.atoms, observed=observed[7:8])[0] == stacked[7]
+
+
+def test_row_stack_spectral_norm_rejects_an_all_zero_row():
+    atoms = np.zeros((6, 3))
+    atoms[:3] = np.eye(3)
+    observed = np.array([[1.0, 0, 0, 1, 0, 0], [0, 0, 0, 1, 1, 1]])
+    with pytest.raises(ValueError, match="all-zero"):
+        spectral_norm_sq(atoms, observed=observed)
+    assert spectral_norm_sq(atoms, observed=observed[:1])[0] == pytest.approx(1.0)
+    with pytest.raises(ValueError):
+        spectral_norm_sq(atoms, observed=np.ones((2, 5)))
+
+
 def test_normalize_columns_behaviour():
     rng = np.random.default_rng(5)
     already = dct_dictionary(8, 8).atoms

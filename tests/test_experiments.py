@@ -63,7 +63,7 @@ def test_sweep_sr_rows_do_not_depend_on_batch_size():
     # each (solver, ratio) group is one batch of `trials` rows
     def rows(trials):
         spec = ExperimentSpec(
-            srs=(0.5, 0.8), trials=trials, solvers=("csim-alm", "fista"), seed=21, max_iter=50
+            srs=(0.5, 0.8), trials=trials, solvers=("csim-alm", "fista", "iht"), seed=21, max_iter=50
         )
         return sweep_sr(spec).splitlines()[1:]
 
@@ -82,6 +82,10 @@ def test_run_solver_batch_rows_equal_run_solver(solver):
         assert result.x_hat.tobytes() == single.x_hat.tobytes()
         assert result.s_hat.tobytes() == single.s_hat.tobytes()
         assert result.iterations == single.iterations
+        assert result.primal_residuals.tobytes() == single.primal_residuals.tobytes()
+        assert result.objectives.tobytes() == single.objectives.tobytes()
+        if single.slack_residuals is not None:
+            assert result.slack_residuals.tobytes() == single.slack_residuals.tobytes()
 
 
 def test_solver_settings_echo_every_config_field_and_the_gram_norm():
