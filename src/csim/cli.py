@@ -18,11 +18,12 @@ from dataclasses import fields
 import numpy as np
 
 from .core import CsimParams, sensitivity_ratio
-from .denoise import denoise_image
+from .denoise import denoise_patches
 from .dictionaries import Dictionary
 from .experiments import (
     ExperimentSpec,
     build_dictionary,
+    corpus_files,
     emit_plot_script,
     recover_image,
     recover_patches,
@@ -33,10 +34,13 @@ from .experiments import (
 from .fileio import load_csv_vector, load_pgm, save_csv_vector, save_pgm
 from .metrics import PSNR_CSV_CAP, image_ssim, psnr, relative_error
 from .paramselect import params_for_ratio, select_ratio
+from .signals import PatchGrid, extract_patches, reassemble
 from .solver import SolverConfig
 
-# `denoise` filters 8x8 patches; a filter of m taps needs 2m samples.
-_DENOISE_MAX_TAPS = 64 // 2
+# `denoise` filters non-overlapping 8x8 patches; a filter of m taps
+# needs 2m samples.
+_DENOISE_SIDE = 8
+_DENOISE_MAX_TAPS = _DENOISE_SIDE**2 // 2
 
 
 def _flag(value: str) -> bool:
@@ -224,19 +228,21 @@ def _cmd_recover(args) -> int:
 
 def _cmd_denoise(args) -> int:
     image = load_pgm(args.input).astype(float)
-    params = CsimParams.defaults(64)  # quarter mean/var ratio on 8x8 patches
-    out = denoise_image(
-        image,
-        m=args.m_taps,
-        sigma_n_sq=args.sigma_n**2,
-        params=params,
-        method=args.method,
+    # quarter mean/var ratio on 8x8 patches
+    params = CsimParams.defaults(_DENOISE_SIDE**2) if args.method == "csim" else None
+    grid = PatchGrid(*image.shape, side=_DENOISE_SIDE, stride=_DENOISE_SIDE)
+    filtered, floored = denoise_patches(
+        extract_patches(image, grid), args.m_taps, args.sigma_n**2, params
     )
+    out = reassemble(filtered, grid)
     save_pgm(args.out, np.clip(np.round(out), 0, 255))
     log_path = args.out + ".log.jsonl"
     with open(log_path, "w", newline="\n") as log:
-        _log_event(log, "config", method=args.method, m_taps=args.m_taps, sigma_n=args.sigma_n)
-        entry = {}
+        config = {"method": args.method, "m_taps": args.m_taps, "sigma_n": args.sigma_n}
+        if params is not None:  # mse reads no index weights
+            config.update(mean_weight=params.mean_weight, var_weight=params.var_weight)
+        _log_event(log, "config", side=_DENOISE_SIDE, **config)
+        entry = {"floored_patches": int(np.count_nonzero(floored))}
         if args.reference:
             clean = load_pgm(args.reference).astype(float)
             entry["psnr_db"] = min(psnr(out, clean), PSNR_CSV_CAP)
@@ -372,6 +378,14 @@ def main(argv=None) -> int:
             parser.error(
                 f"--m-taps {args.m_taps}: an 8x8 patch allows 1 to {_DENOISE_MAX_TAPS} taps"
             )
+    if getattr(args, "corpus", None):
+        corpus = f"--corpus {' '.join(args.corpus)}"
+        if not (args.n >= 1 and math.isqrt(args.n) ** 2 == args.n):
+            parser.error(f"{corpus}: corpus patches need a square --n, got --n {args.n}")
+        try:
+            corpus_files(args.corpus)
+        except ValueError as exc:
+            parser.error(f"{corpus}: {exc}")
     try:
         return args.func(args)
     except _ArgumentError as exc:

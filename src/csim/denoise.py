@@ -6,7 +6,9 @@ cross statistics.  Two closed-form filters follow: the classical
 Wiener-Hopf solution of the least-squares problem, and the similarity-
 index-optimal filter, whose system matrix replaces the full mean outer
 product by a mean_weight/var_weight fraction of it.  At equal weights
-the two coincide exactly.
+the two coincide exactly.  ``denoise_patches`` runs all patches of a
+stack in one row-stacked pass; the one-patch functions are its
+single-row case.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ __all__ = [
     "mse_filter",
     "csim_filter",
     "apply_fir",
+    "denoise_patches",
     "denoise_image",
 ]
 
@@ -81,6 +84,84 @@ class FirFilter:
         return int(self.taps.size)
 
 
+def _stack_stats(Y, m: int, sigma_n_sq: float):
+    """Statistics of every row of a (B, n) patch stack, as the fields of
+    ``PatchStats``: mu_y (B,), autocov (B, m), cov (B, m, m), cross
+    (B, m) and floored (B,)."""
+    m = int(m)
+    if m < 1:
+        raise ValueError("filter order must be positive")
+    n = Y.shape[1]
+    if n < 2 * m:
+        raise ValueError(f"patch too short: need at least {2 * m} samples")
+    sigma_n_sq = float(sigma_n_sq)
+    if sigma_n_sq < 0:
+        raise ValueError("noise variance must be nonnegative")
+
+    mu = Y.mean(axis=1)
+    dev = Y - mu[:, None]
+    autocov = np.empty((Y.shape[0], m))
+    for lag in range(m):
+        autocov[:, lag] = np.vecdot(dev[:, : n - lag], dev[:, lag:]) / (n - lag - 1)
+    idx = np.arange(m)
+    cov = autocov[:, np.abs(idx[:, None] - idx)]
+    cross = autocov.copy()
+    cross[:, 0] = np.maximum(autocov[:, 0] - sigma_n_sq, 0.0)
+    return mu, autocov, cov, cross, sigma_n_sq > autocov[:, 0]
+
+
+def _positive_definite(A) -> np.ndarray:
+    """Which matrices of a (B, m, m) stack have a Cholesky factor: the
+    column-by-column recurrence run on all of them, a matrix failing at
+    its first pivot that is zero or negative.  A nan pivot does not
+    fail: non-finite statistics give non-finite taps, which raise."""
+    L = np.zeros_like(A)
+    ok = np.ones(A.shape[0], dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(A.shape[-1]):
+            column = A[:, j:, j] - np.vecdot(L[:, j:, :j], L[:, j, None, :j])
+            ok &= ~(column[:, 0] <= 0)
+            L[:, j:, j] = column / np.sqrt(np.where(ok, column[:, 0], 1.0))[:, None]
+    return ok
+
+
+def _stack_taps(mu, cov, cross, mean_over_var: float) -> np.ndarray:
+    """Taps of every row, (B, m): the closed form
+    (cov + r mu^2 J)^-1 (cross + r mu^2 ones), J the all-ones matrix and
+    r = mean_over_var, in one solve per row.
+
+    A row whose cov is not positive definite gets a 1e-10 diagonal floor
+    on cov, scaled by the full system trace; a row still not positive
+    definite after it raises ``SingularStatsError``.
+    """
+    m = cross.shape[-1]
+    mu_sq = mu * mu
+    weight = mean_over_var * mu_sq
+    base = cov
+    bad = ~_positive_definite(cov)
+    if bad.any():
+        scale = np.trace(cov[bad], axis1=1, axis2=2) + m * mu_sq[bad]
+        base = cov.copy()
+        base[bad] += (_RIDGE_SCALE * scale)[:, None, None] * np.eye(m)
+        if not _positive_definite(base[bad]).all():
+            raise SingularStatsError("patch statistics singular even after the diagonal floor")
+    rhs = cross + weight[:, None]
+    taps = np.linalg.solve(base + weight[:, None, None], rhs[..., None])[..., 0]
+    if not np.all(np.isfinite(taps)):
+        raise ValueError("taps must be finite")
+    return taps
+
+
+def _stack_fir(Y, taps) -> np.ndarray:
+    """Causal filtering of every row of Y by its own taps, with zero
+    history: m shifted multiply-adds over the whole stack."""
+    n = Y.shape[1]
+    out = taps[:, :1] * Y
+    for k in range(1, min(taps.shape[1], n)):
+        out[:, k:] += taps[:, k : k + 1] * Y[:, : n - k]
+    return out
+
+
 def empirical_stats(y_patch, m: int, sigma_n_sq: float) -> PatchStats:
     """Estimate the statistics of one patch for an order-m filter.
 
@@ -88,76 +169,27 @@ def empirical_stats(y_patch, m: int, sigma_n_sq: float) -> PatchStats:
     exceeds the measured lag-0 covariance the derived clean statistics
     are floored at zero and the outcome flagged.
     """
-    y = np.asarray(y_patch, dtype=float).reshape(-1)
-    m = int(m)
-    if m < 1:
-        raise ValueError("filter order must be positive")
-    if y.size < 2 * m:
-        raise ValueError(f"patch too short: need at least {2 * m} samples")
-    sigma_n_sq = float(sigma_n_sq)
-    if sigma_n_sq < 0:
-        raise ValueError("noise variance must be nonnegative")
-
-    mu = float(y.mean())
-    dev = y - mu
-    n = y.size
-    autocov = np.empty(m)
-    for lag in range(m):
-        autocov[lag] = float(dev[: n - lag] @ dev[lag:]) / (n - lag - 1)
-
-    cov = np.empty((m, m))
-    idx = np.arange(m)
-    cov[:] = autocov[np.abs(idx[:, None] - idx[None, :])]
-
-    cross = autocov.copy()
-    floored = sigma_n_sq > autocov[0]
-    cross[0] = max(autocov[0] - sigma_n_sq, 0.0)
-    sigma_x_sq = cross[0]
+    y = np.asarray(y_patch, dtype=float).reshape(1, -1)
+    mu, autocov, cov, cross, floored = (row[0] for row in _stack_stats(y, m, sigma_n_sq))
     return PatchStats(
-        mu_y=mu,
+        mu_y=float(mu),
         autocov=autocov,
         cov=cov,
         cross=cross,
-        sigma_n_sq=sigma_n_sq,
-        sigma_x_sq=sigma_x_sq,
-        floored=floored,
+        sigma_n_sq=float(sigma_n_sq),
+        sigma_x_sq=float(cross[0]),
+        floored=bool(floored),
     )
 
 
-def _solve_filter(stats: PatchStats, mean_over_var: float) -> FirFilter:
-    """Shared closed form: (cov + r mu^2 J)^-1 (cross + r mu^2 ones)
-    with J the all-ones matrix, via a rank-one update of a cov solve.
-
-    The base covariance gets a 1e-10 diagonal floor (scaled by the full
-    system trace) only when it is not positive definite as given.
-    """
-    m = stats.m
-    mu_sq = stats.mu_y * stats.mu_y
-    weight = mean_over_var * mu_sq
-    base = stats.cov
-    try:
-        np.linalg.cholesky(base)
-    except np.linalg.LinAlgError:
-        scale = float(np.trace(stats.cov)) + m * mu_sq
-        base = stats.cov + _RIDGE_SCALE * scale * np.eye(m)
-        try:
-            np.linalg.cholesky(base)
-        except np.linalg.LinAlgError as exc:
-            raise SingularStatsError(
-                "patch statistics singular even after the diagonal floor"
-            ) from exc
-    rhs = stats.cross + weight
-    ones = np.ones(m)
-    solved_rhs = np.linalg.solve(base, rhs)
-    solved_ones = np.linalg.solve(base, ones)
-    denom = 1.0 + weight * float(ones @ solved_ones)
-    taps = solved_rhs - (weight * float(ones @ solved_rhs) / denom) * solved_ones
-    return FirFilter(taps)
+def _filter(stats: PatchStats, mean_over_var: float) -> FirFilter:
+    mu, cov, cross = np.array([stats.mu_y]), np.asarray(stats.cov), np.asarray(stats.cross)
+    return FirFilter(_stack_taps(mu, cov[None], cross[None], mean_over_var)[0])
 
 
 def mse_filter(stats: PatchStats) -> FirFilter:
     """Wiener-Hopf taps: correlation matrix inverse times cross vector."""
-    return _solve_filter(stats, 1.0)
+    return _filter(stats, 1.0)
 
 
 def csim_filter(stats: PatchStats, params: CsimParams) -> FirFilter:
@@ -166,13 +198,30 @@ def csim_filter(stats: PatchStats, params: CsimParams) -> FirFilter:
     Identical to the Wiener-Hopf solution when mean_weight equals
     var_weight; smaller ratios damp the mean-matching term.
     """
-    return _solve_filter(stats, params.mean_weight / params.var_weight)
+    return _filter(stats, params.mean_weight / params.var_weight)
 
 
 def apply_fir(y, fir: FirFilter) -> np.ndarray:
     """Causal convolution with zero padding before the first sample."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    return np.convolve(y, fir.taps)[: y.size]
+    y = np.asarray(y, dtype=float).reshape(1, -1)
+    return _stack_fir(y, fir.taps[None])[0]
+
+
+def denoise_patches(patches, m: int, sigma_n_sq: float, params: CsimParams | None = None):
+    """Filter every row of a (B, n) patch stack by the taps estimated
+    from its own statistics, in one row-stacked pass: Wiener-Hopf taps
+    without ``params``, similarity-optimal taps with them.
+
+    Returns the filtered stack and the (B,) ``floored`` flags of the
+    rows' statistics.  Row i has the bits of ``apply_fir`` on patch i
+    with the taps of its one-patch filter.
+    """
+    patches = np.asarray(patches, dtype=float)
+    if patches.ndim != 2:
+        raise ValueError("expected a (B, n) stack of patches")
+    mean_over_var = 1.0 if params is None else params.mean_weight / params.var_weight
+    mu, _, cov, cross, floored = _stack_stats(patches, m, sigma_n_sq)
+    return _stack_fir(patches, _stack_taps(mu, cov, cross, mean_over_var)), floored
 
 
 def denoise_image(
@@ -199,13 +248,7 @@ def denoise_image(
     grid = PatchGrid(
         image.shape[0], image.shape[1], side=side, stride=side if stride is None else stride
     )
-    patches = extract_patches(image, grid)
-    filtered = np.empty_like(patches)
-    for i, patch in enumerate(patches):
-        stats = empirical_stats(patch, m, sigma_n_sq)
-        if method == "mse":
-            fir = mse_filter(stats)
-        else:
-            fir = csim_filter(stats, params)
-        filtered[i] = apply_fir(patch, fir)
+    filtered, _ = denoise_patches(
+        extract_patches(image, grid), m, sigma_n_sq, params if method == "csim" else None
+    )
     return reassemble(filtered, grid)

@@ -50,6 +50,7 @@ __all__ = [
     "SWEEP_SR_HEADER",
     "SWEEP_ITERS_HEADER",
     "build_dictionary",
+    "corpus_files",
     "observation_mask",
     "run_solver",
     "run_solver_batch",
@@ -216,8 +217,9 @@ def recover_image(
     return reassemble(np.stack([r.x_hat for r in results]), grid), results
 
 
-def load_corpus(paths) -> list[np.ndarray]:
-    """Float images from PGM files or directories of them."""
+def corpus_files(paths) -> list[Path]:
+    """The PGM files named by ``paths``: files as given, directories as
+    their ``*.pgm`` entries in sorted order."""
     files: list[Path] = []
     for entry in paths:
         path = Path(entry)
@@ -227,7 +229,12 @@ def load_corpus(paths) -> list[np.ndarray]:
             files.append(path)
     if not files:
         raise ValueError("corpus contains no PGM files")
-    return [load_pgm(f).astype(float) for f in files]
+    return files
+
+
+def load_corpus(paths) -> list[np.ndarray]:
+    """Float images from PGM files or directories of them."""
+    return [load_pgm(f).astype(float) for f in corpus_files(paths)]
 
 
 def _corpus_patch(images, side: int, rng) -> np.ndarray:

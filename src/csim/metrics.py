@@ -61,46 +61,48 @@ def ssim_global(
     y,
     c1: float = (0.01 * 255.0) ** 2,
     c2: float = (0.03 * 255.0) ** 2,
-) -> float:
+) -> float | np.ndarray:
     """Structural similarity over a single window spanning the vectors.
 
-    Uses unbiased variance and covariance estimates; the default
+    Acts on the last axis: two (..., n) stacks give one score per row,
+    each with the bits of a call on that row alone; two vectors give a
+    float.  Uses unbiased variance and covariance estimates; the default
     stabilizing constants assume the 8-bit 0..255 scale.
     """
-    x, y = _pair(x, y)
-    n = x.size
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim == 0:
+        raise ValueError("length mismatch")
+    n = x.shape[-1]
     if n < 2:
         raise ValueError("need at least 2 samples")
-    mx = float(x.mean())
-    my = float(y.mean())
-    dx = x - mx
-    dy = y - my
-    vx = float(dx @ dx) / (n - 1)
-    vy = float(dy @ dy) / (n - 1)
-    cov = float(dx @ dy) / (n - 1)
+    mx = x.mean(axis=-1)
+    my = y.mean(axis=-1)
+    dx = x - mx[..., None]
+    dy = y - my[..., None]
+    vx = np.vecdot(dx, dx) / (n - 1)
+    vy = np.vecdot(dy, dy) / (n - 1)
+    cov = np.vecdot(dx, dy) / (n - 1)
     lum = (2.0 * mx * my + c1) / (mx * mx + my * my + c1)
     struct = (2.0 * cov + c2) / (vx + vy + c2)
-    return lum * struct
+    score = lum * struct
+    return float(score) if x.ndim == 1 else score
 
 
 def image_ssim(a, b, side: int = 8, c1: float = (0.01 * 255.0) ** 2, c2: float = (0.03 * 255.0) ** 2) -> float:
-    """Mean single-window SSIM over non-overlapping square tiles."""
+    """Mean single-window SSIM over non-overlapping square tiles; the
+    rows and columns past the last whole tile are left out."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 2:
         raise ValueError("need two equal-shape images")
-    scores = []
-    for r in range(0, a.shape[0] - side + 1, side):
-        for c in range(0, a.shape[1] - side + 1, side):
-            scores.append(
-                ssim_global(
-                    a[r : r + side, c : c + side].reshape(-1),
-                    b[r : r + side, c : c + side].reshape(-1),
-                    c1,
-                    c2,
-                )
-            )
-    return float(np.mean(scores))
+    rows, cols = a.shape[0] // side, a.shape[1] // side
+
+    def tiles(image):
+        cropped = image[: rows * side, : cols * side].reshape(rows, side, cols, side)
+        return cropped.transpose(0, 2, 1, 3).reshape(-1, side * side)
+
+    return float(np.mean(ssim_global(tiles(a), tiles(b), c1, c2)))
 
 
 def relative_error(s_hat, s_true) -> float:

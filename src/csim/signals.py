@@ -128,30 +128,38 @@ class PatchGrid:
         return [(r, c) for r in rows for c in cols]
 
 
+def _patch_indices(grid: PatchGrid) -> np.ndarray:
+    """(patches, side*side) indices into the raster-flattened image: row
+    i holds the pixels of patch i in raster order."""
+    side = grid.side
+    offsets = (np.arange(side)[:, None] * grid.width + np.arange(side)).reshape(-1)
+    rows = np.array(grid._starts(grid.height, side, grid.stride))
+    cols = np.array(grid._starts(grid.width, side, grid.stride))
+    origins = (rows[:, None] * grid.width + cols).reshape(-1)
+    return origins[:, None] + offsets
+
+
 def extract_patches(image, grid: PatchGrid) -> np.ndarray:
     """Stack of raster-vectorized patches, one per grid position."""
     image = np.asarray(image, dtype=float)
     if image.shape != (grid.height, grid.width):
         raise ValueError("image does not match the grid")
-    side = grid.side
-    return np.stack(
-        [image[r : r + side, c : c + side].reshape(-1) for r, c in grid.positions]
-    )
+    return image.reshape(-1)[_patch_indices(grid)]
 
 
 def reassemble(patches, grid: PatchGrid) -> np.ndarray:
-    """Average overlapping patch contributions back into an image."""
+    """Average overlapping patch contributions back into an image.
+
+    Each pixel sums its contributions in patch order, as a loop over
+    the patches would."""
     patches = np.asarray(patches, dtype=float)
-    positions = grid.positions
-    if patches.shape != (len(positions), grid.side * grid.side):
+    index = _patch_indices(grid)
+    if patches.shape != index.shape:
         raise ValueError("patch stack does not match the grid")
-    acc = np.zeros((grid.height, grid.width))
-    count = np.zeros((grid.height, grid.width))
-    side = grid.side
-    for patch, (r, c) in zip(patches, positions):
-        acc[r : r + side, c : c + side] += patch.reshape(side, side)
-        count[r : r + side, c : c + side] += 1.0
-    return acc / count
+    pixels = grid.height * grid.width
+    acc = np.bincount(index.reshape(-1), weights=patches.reshape(-1), minlength=pixels)
+    acc /= np.bincount(index.reshape(-1), minlength=pixels)
+    return acc.reshape(grid.height, grid.width)
 
 
 @dataclass(frozen=True)

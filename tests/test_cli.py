@@ -351,6 +351,23 @@ def test_denoise_cli_with_reference(tmp_path):
     assert result["psnr_db"] > result["input_psnr_db"]
 
 
+@pytest.mark.parametrize("method", ["csim", "mse"])
+def test_denoise_log_echoes_the_settings_the_method_uses(tmp_path, method):
+    noisy = np.full((16, 24), 128.0)
+    noisy[:8, :8] += np.random.default_rng(4).normal(0.0, 30.0, (8, 8)).round()
+    save_pgm(tmp_path / "noisy.pgm", noisy)
+    out = tmp_path / "den.pgm"
+    argv = ["denoise", "--input", str(tmp_path / "noisy.pgm"), "--out", str(out)]
+    assert main(argv + ["--sigma-n", "5", "--method", method, "--m-taps", "4"]) == 0
+    config, result = [json.loads(l) for l in (tmp_path / "den.pgm.log.jsonl").read_text().splitlines()]
+    expected = {"event": "config", "method": method, "m_taps": 4, "sigma_n": 5.0, "side": 8}
+    if method == "csim":
+        expected.update(mean_weight=15.75, var_weight=63.0)
+    assert config == expected
+    # the five constant patches have zero variance, below the noise's
+    assert result == {"event": "result", "floored_patches": 5}
+
+
 def test_sweep_sr_cli_byte_identical_runs(tmp_path):
     args = [
         "sweep-sr",
@@ -404,6 +421,30 @@ def test_sweep_sr_cli_corpus_mode(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3
     assert all(",nan," in line for line in lines[1:])
+
+
+def test_sweep_sr_corpus_needs_a_square_n(tmp_path, capsys):
+    save_pgm(tmp_path / "img.pgm", synthetic_image(24, 24, seed=21))
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep-sr", "--corpus", str(tmp_path / "img.pgm"), "--n", "60", "--out", str(out)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "--corpus" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "img.pgm"]
+
+
+def test_sweep_sr_corpus_without_pgm_files(tmp_path, capsys):
+    empty = tmp_path / "images"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("no images here\n")
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["sweep-sr", "--corpus", str(empty), "--out", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "--corpus" in message and "no PGM files" in message
+    assert sorted(tmp_path.iterdir()) == [empty]
 
 
 def test_sweep_iters_cli_no_timing_deterministic(tmp_path):

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import csim.denoise
 from csim.core import CsimParams
 from csim.denoise import (
     FirFilter,
     PatchStats,
+    SingularStatsError,
     apply_fir,
     csim_filter,
     denoise_image,
+    denoise_patches,
     empirical_stats,
     mse_filter,
 )
@@ -89,6 +94,19 @@ def test_patch_too_short_rejected():
         empirical_stats(np.zeros(16), 6, -1.0)
 
 
+def test_stats_have_the_bits_of_a_per_lag_loop():
+    rng = np.random.default_rng(9)
+    for n, m in ((16, 8), (64, 6), (37, 5)):
+        y = np.round(rng.uniform(0.0, 255.0, n))
+        mu = float(y.mean())
+        dev = y - mu
+        autocov = [float(dev[: n - lag] @ dev[lag:]) / (n - lag - 1) for lag in range(m)]
+        stats = empirical_stats(y, m, 30.0)
+        assert stats.mu_y == mu
+        assert stats.autocov.tolist() == autocov
+        assert stats.cross[0] == max(autocov[0] - 30.0, 0.0)
+
+
 def test_cov_is_toeplitz():
     rng = np.random.default_rng(4)
     stats = empirical_stats(rng.standard_normal(64), 5, 0.0)
@@ -166,6 +184,113 @@ def test_fir_filter_validation():
         FirFilter(np.zeros((2, 2)))
 
 
+def test_singular_stats_still_singular_after_floor_raise():
+    stats = PatchStats(
+        mu_y=0.0,
+        autocov=-np.ones(3),
+        cov=-np.eye(3),
+        cross=np.ones(3),
+        sigma_n_sq=0.0,
+        sigma_x_sq=0.0,
+    )
+    with pytest.raises(SingularStatsError):
+        mse_filter(stats)
+
+
+def test_nan_stats_raise_on_the_taps():
+    cov = np.eye(3)
+    cov[1, 1] = np.nan
+    stats = PatchStats(
+        mu_y=1.0, autocov=np.ones(3), cov=cov, cross=np.ones(3), sigma_n_sq=0.0, sigma_x_sq=1.0
+    )
+    with pytest.raises(ValueError, match="finite"):
+        mse_filter(stats)
+
+
+# --- row-stacked pass ----------------------------------------------------------
+
+
+def _one_patch(patch, m, sigma_n_sq, params):
+    stats = empirical_stats(patch, m, sigma_n_sq)
+    fir = mse_filter(stats) if params is None else csim_filter(stats, params)
+    return apply_fir(patch, fir), stats.floored
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    rows=st.integers(min_value=1, max_value=9),
+    m=st.integers(min_value=1, max_value=8),
+    length=st.integers(min_value=16, max_value=64),
+    sigma_n_sq=st.sampled_from([0.0, 25.0, 400.0, 2500.0]),
+    csim=st.booleans(),
+)
+def test_stacked_rows_have_the_bits_of_one_patch_filters(
+    seed, rows, m, length, sigma_n_sq, csim
+):
+    rng = np.random.default_rng(seed)
+    patches = np.round(rng.uniform(1.0, 255.0, (rows, 1)) + rng.normal(0.0, 30.0, (rows, length)))
+    patches[rng.random(rows) < 0.2] = float(rng.integers(1, 256))  # some constant rows
+    params = CsimParams.defaults(length) if csim else None
+    try:
+        expected = [_one_patch(patch, m, sigma_n_sq, params) for patch in patches]
+    except SingularStatsError:
+        with pytest.raises(SingularStatsError):
+            denoise_patches(patches, m, sigma_n_sq, params)
+        return
+    order = rng.permutation(rows)
+    for stack in (patches, patches[order]):
+        filtered, floored = denoise_patches(stack, m, sigma_n_sq, params)
+        want = expected if stack is patches else [expected[i] for i in order]
+        assert filtered.tobytes() == np.stack([out for out, _ in want]).tobytes()
+        assert floored.tolist() == [flag for _, flag in want]
+
+
+def test_only_rows_that_are_not_positive_definite_get_the_floor():
+    rng = np.random.default_rng(11)
+    patches = np.round(100.0 + 20.0 * rng.standard_normal((6, 64)))
+    patches[[1, 4]] = [[7.0], [200.0]]  # constant rows: zero covariance
+    mu, _, cov, cross, _ = csim.denoise._stack_stats(patches, 6, 25.0)
+    taps = csim.denoise._stack_taps(mu, cov, cross, 0.25)
+    for i in range(6):
+        weight = 0.25 * (mu[i] * mu[i])
+        base = cov[i]
+        if i in (1, 4):
+            scale = np.trace(cov[i]) + 6 * (mu[i] * mu[i])
+            base = cov[i] + 1e-10 * scale * np.eye(6)
+        exact = np.linalg.solve(base + weight, cross[i] + weight)
+        assert taps[i].tobytes() == exact.tobytes()
+
+
+def test_a_row_still_singular_after_the_floor_fails_the_whole_stack():
+    rng = np.random.default_rng(12)
+    patches = np.round(100.0 + 20.0 * rng.standard_normal((5, 64)))
+    patches[2] = 0.0  # zero mean and covariance: the floor is zero too
+    with pytest.raises(SingularStatsError):
+        denoise_patches(patches, 6, 25.0)
+    cov = np.stack([np.eye(4)] * 3)
+    cov[1] = -np.eye(4)  # negative definite; a negative floor keeps it so
+    with pytest.raises(SingularStatsError):
+        csim.denoise._stack_taps(np.zeros(3), cov, np.ones((3, 4)), 1.0)
+
+
+def test_positive_definite_test_agrees_with_lapack_cholesky():
+    rng = np.random.default_rng(13)
+    Q = rng.standard_normal((300, 5, 5))
+    eigs = rng.uniform(-1.0, 3.0, (300, 5))
+    A = np.einsum("bij,bj,bkj->bik", Q, eigs, Q)
+    A = (A + A.transpose(0, 2, 1)) / 2
+    A[:10] = 0.0
+    expected = []
+    for a in A:
+        try:
+            np.linalg.cholesky(a)
+            expected.append(True)
+        except np.linalg.LinAlgError:
+            expected.append(False)
+    assert csim.denoise._positive_definite(A).tolist() == expected
+
+
 # --- convolution and image pipeline --------------------------------------------
 
 
@@ -209,6 +334,11 @@ def test_denoise_validates_arguments():
         denoise_image(image, 2, 0.1, None, "bogus")
     with pytest.raises(ValueError):
         denoise_image(image, 2, 0.1, None, "csim")
+
+
+def test_denoise_patches_needs_a_patch_stack():
+    with pytest.raises(ValueError):
+        denoise_patches(np.zeros(64), 6, 1.0)
 
 
 def test_image_ssim_helper_perfect_match():

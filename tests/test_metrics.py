@@ -28,6 +28,46 @@ def test_image_ssim_is_the_mean_tile_ssim_and_experiments_shares_it():
     assert image_ssim(a, b) == pytest.approx(np.mean(tiles), rel=1e-12)
 
 
+def test_ssim_global_rows_have_the_bits_of_per_row_calls():
+    rng = np.random.default_rng(2)
+    x = rng.uniform(0, 255, size=(3, 7, 64))
+    y = x + rng.normal(0, 15, size=x.shape)
+    rows = ssim_global(x, y, 1.5, 4.0)
+    assert rows.shape == (3, 7)
+    for index in np.ndindex(3, 7):
+        one = ssim_global(x[index], y[index], 1.5, 4.0)
+        assert type(one) is float
+        assert rows[index] == one
+
+
+def test_ssim_global_has_the_bits_of_the_scalar_formula():
+    rng = np.random.default_rng(4)
+    c1, c2 = 6.5025, 58.5225
+    for n in (2, 9, 64):
+        x = rng.uniform(0, 255, n)
+        y = x + rng.normal(0, 25, n)
+        mx, my = float(x.mean()), float(y.mean())
+        dx, dy = x - mx, y - my
+        vx, vy, cov = (float(a @ b) / (n - 1) for a, b in ((dx, dx), (dy, dy), (dx, dy)))
+        expected = (2.0 * mx * my + c1) / (mx * mx + my * my + c1) * (
+            (2.0 * cov + c2) / (vx + vy + c2)
+        )
+        assert ssim_global(x, y, c1, c2) == expected
+
+
+def test_image_ssim_has_the_bits_of_a_per_tile_loop():
+    rng = np.random.default_rng(3)
+    a = rng.uniform(0, 255, size=(37, 29))
+    b = np.clip(a + rng.normal(0, 20, size=a.shape), 0, 255)
+    for side in (8, 5):
+        tiles = [
+            ssim_global(a[r : r + side, c : c + side].reshape(-1), b[r : r + side, c : c + side].reshape(-1))
+            for r in range(0, 37 - side + 1, side)
+            for c in range(0, 29 - side + 1, side)
+        ]
+        assert image_ssim(a, b, side) == float(np.mean(tiles))
+
+
 def test_psnr_identical_is_infinite():
     x = np.arange(8.0)
     assert mse(x, x) == 0.0

@@ -150,3 +150,19 @@ def test_substream_independence():
     b = substream(5, 2).standard_normal(4)
     assert not np.allclose(a, b)
     np.testing.assert_allclose(a, substream(5, 1).standard_normal(4))
+
+
+@pytest.mark.parametrize("stride", [8, 5, 3])
+def test_patch_grid_matches_a_per_patch_loop_bit_for_bit(stride):
+    rng = np.random.default_rng(stride)
+    image = rng.uniform(0.0, 255.0, (37, 29))
+    grid = PatchGrid(37, 29, side=8, stride=stride)
+    looped = np.stack([image[r : r + 8, c : c + 8].reshape(-1) for r, c in grid.positions])
+    assert extract_patches(image, grid).tobytes() == looped.tobytes()
+    patches = 100.0 * rng.standard_normal(looped.shape)
+    acc = np.zeros((37, 29))
+    count = np.zeros((37, 29))
+    for patch, (r, c) in zip(patches, grid.positions):
+        acc[r : r + 8, c : c + 8] += patch.reshape(8, 8)
+        count[r : r + 8, c : c + 8] += 1.0
+    assert reassemble(patches, grid).tobytes() == (acc / count).tobytes()
