@@ -28,7 +28,7 @@ from .dictionaries import (
     spectral_norm_sq,
 )
 from .fileio import load_csv_vector, load_pgm, save_csv_vector, save_pgm
-from .metrics import QualityScore, mse, psnr, relative_error, ssim_global
+from .metrics import mse, psnr, relative_error, ssim_global
 from .paramselect import (
     KappaBound,
     RatioSelection,

@@ -131,8 +131,9 @@ def _stack_taps(mu, cov, cross, mean_over_var: float) -> np.ndarray:
     r = mean_over_var, in one solve per row.
 
     A row whose cov is not positive definite gets a 1e-10 diagonal floor
-    on cov, scaled by the full system trace; a row still not positive
-    definite after it raises ``SingularStatsError``.
+    on cov, scaled by the full system trace (or by 1 where that trace is
+    0, as for an all-zero patch); a row still not positive definite
+    after it raises ``SingularStatsError``.
     """
     m = cross.shape[-1]
     mu_sq = mu * mu
@@ -141,6 +142,7 @@ def _stack_taps(mu, cov, cross, mean_over_var: float) -> np.ndarray:
     bad = ~_positive_definite(cov)
     if bad.any():
         scale = np.trace(cov[bad], axis1=1, axis2=2) + m * mu_sq[bad]
+        scale[scale == 0.0] = 1.0  # an all-zero patch: its taps come out 0
         base = cov.copy()
         base[bad] += (_RIDGE_SCALE * scale)[:, None, None] * np.eye(m)
         if not _positive_definite(base[bad]).all():

@@ -54,7 +54,8 @@ def spectral_norm_sq(A, tol: float = 1e-10, max_iter: int = 100_000, *, observed
     array the value of every masked matrix diag(o_b) A, iterating
     v <- A.T (o_b * (A v)) on all rows at once without forming those
     matrices; each row stops on its own test and has the bits of a
-    single-matrix call on its masked matrix.
+    single-matrix call on its masked matrix.  Raises ``RuntimeError``
+    if any row has not converged after ``max_iter`` iterations.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -97,7 +98,7 @@ def spectral_norm_sq(A, tol: float = 1e-10, max_iter: int = 100_000, *, observed
             break
         active, V, rows, previous = (a[keep] for a in (active, V, rows, previous))
     else:
-        values[active] = np.reshape(previous, -1)
+        raise RuntimeError(f"power iteration did not converge in {max_iter} iterations")
     return values if observed is not None else float(values[0])
 
 

@@ -2,10 +2,11 @@
 
 Every trial derives its signal and mask from substreams keyed by
 (master seed, trial index, tag), so a row does not depend on which other
-jobs share its sweep.  A sweep solves the trials of each (solver,
-sampling ratio) group in one ``run_solver_batch`` call and writes rows
-in (solver, ratio, trial) order.  Image recovery observes patch i
-through the mask of job i and solves all patches in one call.
+jobs share its sweep.  A sweep builds each ratio's trial data once for
+all solvers, solves the trials of each (solver, sampling ratio) group in
+one ``run_solver_batch`` call, scores the group as a row stack and
+writes rows in (solver, ratio, trial) order.  Image recovery observes
+patch i through the mask of job i and solves all patches in one call.
 
 Wall-clock columns are zero unless timing is requested, because the
 default CSV contract is byte-identical output across runs with equal
@@ -32,7 +33,7 @@ from .baselines import (
 )
 from .dictionaries import Dictionary, dct_dictionary, haar_wp_dictionary
 from .fileio import load_pgm
-from .metrics import PSNR_CSV_CAP, QualityScore, image_ssim, mse, psnr, relative_error, ssim_global
+from .metrics import PSNR_CSV_CAP, image_ssim, psnr, relative_error, ssim_global
 from .signals import (
     PatchGrid,
     SamplingMask,
@@ -247,81 +248,89 @@ def _corpus_patch(images, side: int, rng) -> np.ndarray:
     return image[r : r + side, c : c + side].reshape(-1)
 
 
-def _trial_data(spec: ExperimentSpec, D: Dictionary, sr: float, trial: int, images=None):
-    """(true sparse code or None, clean signal, mask, observations)."""
-    n = D.n
-    mask = observation_mask(n, sr, spec.seed, trial)
+def _truth(spec: ExperimentSpec, D: Dictionary, images=None):
+    """(true sparse codes or None, clean signals) of every trial, one row
+    per trial.  Neither depends on the sampling ratio."""
     if images is None:
         k = max(1, math.ceil(0.1 * D.p))
-        signal = synth_sparse_signal(D, k, substream(spec.seed, trial, _TAG_SIGNAL))
-        s_true, x_true = signal.s, signal.x
-    else:
-        rng = substream(spec.seed, trial, _TAG_SIGNAL)
-        s_true, x_true = None, _corpus_patch(images, math.isqrt(n), rng)
-    return s_true, x_true, mask, apply_mask(x_true, mask)
+        signals = [
+            synth_sparse_signal(D, k, substream(spec.seed, trial, _TAG_SIGNAL))
+            for trial in range(spec.trials)
+        ]
+        return np.stack([sig.s for sig in signals]), np.stack([sig.x for sig in signals])
+    side = math.isqrt(D.n)
+    patches = [
+        _corpus_patch(images, side, substream(spec.seed, trial, _TAG_SIGNAL))
+        for trial in range(spec.trials)
+    ]
+    return None, np.stack(patches)
+
+
+def _observe(X_true, sr: float, seed: int):
+    """Masks of every trial at sampling ratio ``sr`` and the observations
+    they keep, one row per trial."""
+    masks = [observation_mask(X_true.shape[1], sr, seed, trial) for trial in range(len(X_true))]
+    return masks, np.stack([apply_mask(x, mask) for x, mask in zip(X_true, masks)])
 
 
 def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _score_against_truth(x_hat, x_true, s_hat, s_true) -> QualityScore:
-    if s_true is None:
-        peak = 255.0
-        rel_err = float("nan")
-    else:
-        peak = float(x_true.max() - x_true.min())
-        if peak <= 0.0:
-            peak = 1.0
-        rel_err = relative_error(s_hat, s_true)
-    return QualityScore(
-        psnr_db=psnr(x_hat, x_true, peak),
-        ssim=ssim_global(x_hat, x_true, (0.01 * peak) ** 2, (0.03 * peak) ** 2),
-        mse=mse(x_hat, x_true),
-        rel_err=rel_err,
-    )
-
-
-def _solve_group(spec: ExperimentSpec, D: Dictionary, solver: str, sr: float, images=None, **kwargs):
-    """Trial data of one (solver, sampling ratio) group, the group's
-    results from one ``run_solver_batch`` call, and its solve time in ms."""
-    trials = [_trial_data(spec, D, sr, trial, images) for trial in range(spec.trials)]
+def _solve_group(spec: ExperimentSpec, D: Dictionary, solver: str, masks, Y, **kwargs):
+    """The results of one (solver, sampling ratio) group from one
+    ``run_solver_batch`` call, and its solve time in ms."""
     t0 = time.perf_counter()
     results = run_solver_batch(
-        solver,
-        np.stack([y for *_, y in trials]),
-        [mask for _, _, mask, _ in trials],
-        D,
-        max_iter=spec.max_iter,
-        overrides=spec.overrides.get(solver),
-        **kwargs,
+        solver, Y, masks, D, max_iter=spec.max_iter, overrides=spec.overrides.get(solver), **kwargs
     )
-    return trials, results, (time.perf_counter() - t0) * 1e3
+    return results, (time.perf_counter() - t0) * 1e3
 
 
 def sweep_sr(spec: ExperimentSpec) -> str:
     """Recovery-quality sweep over sampling ratios; returns CSV text.
 
     One row per (solver, sampling ratio, trial) in that loop order.
+    Every solver sees the same trial data: each trial's signal is drawn
+    once and its mask once per ratio.
     Synthetic exactly-sparse signals give a ground-truth relerr and are
     scored against the clean signal with its dynamic range as peak;
     corpus patches are scored on the 8-bit scale with relerr = nan.
-    With timing, a row's runtime is its group's solve time divided by
-    the group's trial count.
+    Each group is scored as a row stack.  With timing, a row's runtime
+    is its group's solve time divided by the group's trial count.
     """
     D = build_dictionary(spec.dict_kind, spec.n, spec.p)
     images = load_corpus(spec.corpus) if spec.corpus else None
+    S_true, X_true = _truth(spec, D, images)
+    observations = {sr: _observe(X_true, sr, spec.seed) for sr in spec.srs}
+    if S_true is None:
+        peak = 255.0
+        c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
+    else:
+        peak = X_true.max(axis=1) - X_true.min(axis=1)
+        peak[peak <= 0.0] = 1.0
+        # Python's float power, as a one-signal score takes it; numpy's
+        # square differs from it in the last bit on some inputs.
+        c1 = np.array([(0.01 * v) ** 2 for v in peak.tolist()])
+        c2 = np.array([(0.03 * v) ** 2 for v in peak.tolist()])
 
     rows = []
     for solver, sr in itertools.product(spec.solvers, spec.srs):
-        trials, results, group_ms = _solve_group(spec, D, solver, sr, images)
+        results, group_ms = _solve_group(spec, D, solver, *observations[sr])
         runtime_ms = group_ms / spec.trials if spec.timing else 0.0
-        for trial, (s_true, x_true, _, _), result in zip(range(spec.trials), trials, results):
-            score = _score_against_truth(result.x_hat, x_true, result.s_hat, s_true)
+        X_hat = np.stack([r.x_hat for r in results])
+        psnr_db = psnr(X_hat, X_true, peak, axis=-1).tolist()
+        ssim = ssim_global(X_hat, X_true, c1, c2).tolist()
+        if S_true is None:
+            rel_err = [math.nan] * spec.trials
+        else:
+            S_hat = np.stack([r.s_hat for r in results])
+            rel_err = relative_error(S_hat, S_true, axis=-1).tolist()
+        for trial, result in enumerate(results):
             rows.append(
                 f"{trial},{spec.seed},{solver},{_fmt(sr)},{D.n},{D.p},{spec.dict_kind},"
-                f"{result.iterations},{_fmt(min(score.psnr_db, PSNR_CSV_CAP))},{_fmt(score.ssim)},"
-                f"{_fmt(score.rel_err)},{runtime_ms:.3f}"
+                f"{result.iterations},{_fmt(min(psnr_db[trial], PSNR_CSV_CAP))},{_fmt(ssim[trial])},"
+                f"{_fmt(rel_err[trial])},{runtime_ms:.3f}"
             )
     return SWEEP_SR_HEADER + "\n" + "\n".join(rows) + "\n"
 
@@ -337,15 +346,18 @@ def sweep_iters(spec: ExperimentSpec) -> str:
     if spec.corpus:
         raise ValueError("iteration traces need ground-truth synthetic signals")
     D = build_dictionary(spec.dict_kind, spec.n, spec.p)
+    S_true, X_true = _truth(spec, D)
+    observations = {sr: _observe(X_true, sr, spec.seed) for sr in spec.srs}
 
     lines = []
     for solver, sr in itertools.product(spec.solvers, spec.srs):
-        trials, results, _ = _solve_group(
-            spec, D, solver, sr, record_iterates=True, feasibility_tol=0.0
+        results, _ = _solve_group(
+            spec, D, solver, *observations[sr], record_iterates=True, feasibility_tol=0.0
         )
-        for trial, (s_true, *_), result in zip(range(spec.trials), trials, results):
-            for t, s_t in enumerate(result.iterates, start=1):
-                rel = relative_error(s_t, s_true)
+        for trial, (s_true, result) in enumerate(zip(S_true, results)):
+            iterates = np.array(result.iterates)
+            trace = relative_error(iterates, np.broadcast_to(s_true, iterates.shape), axis=-1)
+            for t, rel in enumerate(trace.tolist(), start=1):
                 ms = result.elapsed_ms[t - 1] if spec.timing else 0.0
                 lines.append(
                     f"{solver},{_fmt(sr)},{trial},{spec.seed},{t},{_fmt(rel)},{ms:.6f}"

@@ -46,9 +46,14 @@ class SamplingMask:
     observed: np.ndarray
 
     def __post_init__(self):
-        observed = np.unique(np.asarray(self.observed, dtype=np.int64))
-        if observed.size != np.asarray(self.observed).size:
-            raise ValueError("observed indices must be unique")
+        observed = np.array(self.observed, dtype=np.int64).reshape(-1)
+        if np.count_nonzero(observed[1:] <= observed[:-1]):
+            # Not strictly increasing: sort, and reject repeats.  Sorted
+            # input (every mask ``random_mask`` draws) skips the sort.
+            unique = np.unique(observed)
+            if unique.size != observed.size:
+                raise ValueError("observed indices must be unique")
+            observed = unique
         if observed.size < 1 or observed.size > self.n:
             raise ValueError("need between 1 and n observed indices")
         if observed[0] < 0 or observed[-1] >= self.n:

@@ -16,7 +16,9 @@ point satisfies the stationarity system checked by `kkt_residuals`.
 
 The iteration is separable per signal, so one loop (`solve_batch`) runs
 it on a stack of signals at once, every step acting on the last axis;
-`solve` is its one-signal case.
+`solve` is its one-signal case.  The loop forms one dictionary product
+D s per iteration (plus one per backtracking retry): the s step takes
+the product of the current s and returns that of the accepted one.
 """
 
 from __future__ import annotations
@@ -272,21 +274,25 @@ def s_update_backtracking(
     l1_weight,
     majorizer,
     growth: float,
-) -> tuple[np.ndarray, np.ndarray | float, int]:
+    synthesized=None,
+) -> tuple[np.ndarray, np.ndarray | float, int, np.ndarray]:
     """One majorize-minimize step on the s subproblem of each row.
 
     Proposes a soft-thresholded gradient step with the current surrogate
     constant.  Rows whose true subproblem objective exceeds the
     surrogate value at the proposal grow their constant and retry, until
     every row passes.  rho1, l1_weight (nonnegative) and majorizer are
-    per-row values.  Returns (new s, accepted constants, number of retry
-    rounds).  The accepted step never increases a row's subproblem
-    objective.
+    per-row values; ``synthesized`` is D s when the caller holds it
+    (it is formed here otherwise).  Returns (new s, accepted constants,
+    number of retry rounds, D times the new s).  The accepted step never
+    increases a row's subproblem objective.
     """
     atoms = D.atoms
     s = np.asarray(s, dtype=float)
+    if synthesized is None:
+        synthesized = _synthesize(atoms, s)
     target = _coupling_target(x, dual_x, rho1)
-    residual0 = target - _synthesize(atoms, s)
+    residual0 = target - synthesized
     grad0 = -_analyze(atoms, residual0)
     l1_over_rho = l1_weight / rho1
     half_rr0 = 0.5 * _dot(residual0, residual0)
@@ -294,7 +300,8 @@ def s_update_backtracking(
     retries = 0
     while True:
         candidate = _shrink(s - grad0 / majorizer, l1_over_rho / majorizer)
-        r = target - _synthesize(atoms, candidate)
+        product = _synthesize(atoms, candidate)
+        r = target - product
         l1_term = l1_over_rho * _sum(np.abs(candidate))
         value = 0.5 * _dot(r, r) + l1_term
         d = candidate - s
@@ -303,7 +310,7 @@ def s_update_backtracking(
         # or infinite value fails the comparison and raises below.
         accepted = value <= bound + 1e-12 * (1.0 + value)
         if _all(accepted):
-            return candidate, majorizer, retries
+            return candidate, majorizer, retries, product
         if not (_all(np.isfinite(value)) and _all(np.isfinite(bound))):
             raise NonFiniteError("non-finite value in the coefficient update")
         retries += 1
@@ -419,7 +426,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     z = np.zeros_like(Y)
     dual_x = np.zeros_like(Y)
     dual_z = np.zeros_like(Y)
-    synthesized = _synthesize(atoms, s)
+    synthesized = np.zeros_like(Y)  # D s at s = 0
 
     rows = np.arange(B)  # input row of each working row
     results: list[RecoveryResult | None] = [None] * B
@@ -444,12 +451,11 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
             x = projection(x, Y, observed)
 
         before = majorizer
-        s, majorizer, rounds = s_update_backtracking(
-            s, x, dual_x, D, rho1, l1_weight, majorizer, growth
+        s, majorizer, rounds, synthesized = s_update_backtracking(
+            s, x, dual_x, D, rho1, l1_weight, majorizer, growth, synthesized
         )
         if rounds:
             retries = retries + _retry_counts(before, majorizer, growth, rounds)
-        synthesized = _synthesize(atoms, s)
 
         masked_x = observed * x
         z = z_update(rho2 * (masked_x - Y) - dual_z, kernel, rho2, ridge)

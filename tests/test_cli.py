@@ -368,6 +368,17 @@ def test_denoise_log_echoes_the_settings_the_method_uses(tmp_path, method):
     assert result == {"event": "result", "floored_patches": 5}
 
 
+@pytest.mark.parametrize("method", ["csim", "mse"])
+def test_denoise_an_all_black_image_writes_zeros(tmp_path, method):
+    save_pgm(tmp_path / "black.pgm", np.zeros((16, 16)))
+    out = tmp_path / "den.pgm"
+    argv = ["denoise", "--input", str(tmp_path / "black.pgm"), "--out", str(out)]
+    assert main(argv + ["--sigma-n", "5", "--method", method]) == 0
+    assert not load_pgm(out).any()
+    result = json.loads((tmp_path / "den.pgm.log.jsonl").read_text().splitlines()[-1])
+    assert result == {"event": "result", "floored_patches": 4}
+
+
 def test_sweep_sr_cli_byte_identical_runs(tmp_path):
     args = [
         "sweep-sr",

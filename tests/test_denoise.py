@@ -265,13 +265,29 @@ def test_only_rows_that_are_not_positive_definite_get_the_floor():
 def test_a_row_still_singular_after_the_floor_fails_the_whole_stack():
     rng = np.random.default_rng(12)
     patches = np.round(100.0 + 20.0 * rng.standard_normal((5, 64)))
-    patches[2] = 0.0  # zero mean and covariance: the floor is zero too
+    # at order 32 the unbiased autocovariance of row 4 is indefinite, and
+    # the floor does not make it definite
     with pytest.raises(SingularStatsError):
-        denoise_patches(patches, 6, 25.0)
+        denoise_patches(patches, 32, 25.0)
     cov = np.stack([np.eye(4)] * 3)
     cov[1] = -np.eye(4)  # negative definite; a negative floor keeps it so
     with pytest.raises(SingularStatsError):
         csim.denoise._stack_taps(np.zeros(3), cov, np.ones((3, 4)), 1.0)
+
+
+def test_an_all_zero_row_gets_zero_taps_and_the_others_keep_their_bits():
+    rng = np.random.default_rng(12)
+    patches = np.round(100.0 + 20.0 * rng.standard_normal((5, 64)))
+    for params in (None, CsimParams.defaults(64)):
+        expected, floored = denoise_patches(patches, 6, 25.0, params)
+        mixed = patches.copy()
+        mixed[2] = 0.0  # zero mean and covariance: the floor is scaled by 1
+        filtered, mixed_floored = denoise_patches(mixed, 6, 25.0, params)
+        assert not filtered[2].any()
+        keep = [0, 1, 3, 4]
+        assert filtered[keep].tobytes() == expected[keep].tobytes()
+        assert mixed_floored[keep].tolist() == floored[keep].tolist()
+        assert mixed_floored[2]
 
 
 def test_positive_definite_test_agrees_with_lapack_cholesky():

@@ -1,10 +1,12 @@
 import csv
 import io
+import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import csim.experiments
 from csim.experiments import (
     SWEEP_ITERS_HEADER,
     SWEEP_SR_HEADER,
@@ -20,8 +22,8 @@ from csim.experiments import (
     sweep_sr,
     synthetic_image,
 )
-from csim.metrics import PSNR_CSV_CAP
-from csim.signals import apply_mask, substream
+from csim.metrics import PSNR_CSV_CAP, psnr, relative_error, ssim_global
+from csim.signals import apply_mask, substream, synth_sparse_signal
 from csim.solver import SolverConfig
 
 
@@ -69,6 +71,51 @@ def test_sweep_sr_rows_do_not_depend_on_batch_size():
 
     first_seven = [line for line in rows(40) if int(line.split(",", 1)[0]) < 7]
     assert rows(7) == first_seven
+
+
+def _one_row_sweep(spec):
+    """sweep_sr's CSV built a row at a time: one-row solves and scores."""
+    D = build_dictionary(spec.dict_kind, spec.n, spec.p)
+    k = math.ceil(0.1 * D.p)
+    lines = [SWEEP_SR_HEADER]
+    for solver in spec.solvers:
+        for sr in spec.srs:
+            for trial in range(spec.trials):
+                signal = synth_sparse_signal(D, k, substream(spec.seed, trial, 1))
+                mask = observation_mask(D.n, sr, spec.seed, trial)
+                y = apply_mask(signal.x, mask)
+                result = run_solver(solver, y, mask, D, max_iter=spec.max_iter)
+                peak = float(signal.x.max() - signal.x.min())
+                scores = (
+                    min(psnr(result.x_hat, signal.x, peak), PSNR_CSV_CAP),
+                    ssim_global(result.x_hat, signal.x, (0.01 * peak) ** 2, (0.03 * peak) ** 2),
+                    relative_error(result.s_hat, signal.s),
+                )
+                lines.append(
+                    f"{trial},{spec.seed},{solver},{sr:.9g},{D.n},{D.p},dct,{result.iterations},"
+                    + ",".join(f"{v:.9g}" for v in scores)
+                    + ",0.000"
+                )
+    return "\n".join(lines) + "\n"
+
+
+def test_sweep_sr_builds_trial_data_once_and_keeps_the_one_row_csv(monkeypatch):
+    calls = {"synth_sparse_signal": 0, "observation_mask": 0}
+    for name in calls:
+        real = getattr(csim.experiments, name)
+
+        def counting(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(csim.experiments, name, counting)
+    spec = ExperimentSpec(srs=(0.5, 0.8), trials=6, solvers=("csim-alm", "fista"), seed=17, max_iter=20)
+    text = sweep_sr(spec)
+    # signals do not depend on the ratio; masks are drawn once per
+    # (ratio, trial) and shared by both solvers
+    assert calls == {"synth_sparse_signal": 6, "observation_mask": 2 * 6}
+    monkeypatch.undo()
+    assert text == _one_row_sweep(spec)
 
 
 @pytest.mark.parametrize("solver", ["csim-alm", "fista", "iht"])

@@ -157,3 +157,60 @@ def test_ssim_symmetric_and_bounded(seed):
     b = ssim_global(y, x)
     assert a == pytest.approx(b, rel=1e-12)
     assert abs(a) <= 1.0 + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    rows=st.integers(min_value=1, max_value=40),
+    n=st.integers(min_value=1, max_value=80),
+)
+def test_stacked_scores_have_the_bits_of_per_row_calls(seed, rows, n):
+    # numpy's log10 differs from math.log10 in the last bit on a few
+    # percent of inputs, so enough rows show a stacked PSNR that uses it
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3, (rows, 1))
+    truth = scale * rng.standard_normal((rows, n))
+    estimate = truth + scale * 10.0 ** rng.uniform(-8, 0, (rows, 1)) * rng.standard_normal((rows, n))
+    exact = rng.random(rows) < 0.3
+    exact[0] = rows > 1
+    estimate[exact] = truth[exact]
+    peak = rng.uniform(0.5, 300.0, rows)
+    stacked = {
+        "mse": mse(estimate, truth, axis=-1),
+        "psnr": psnr(estimate, truth, peak, axis=-1),
+        "relerr": relative_error(estimate, truth, axis=-1),
+    }
+    for i in range(rows):
+        single = {
+            "mse": mse(estimate[i], truth[i]),
+            "psnr": psnr(estimate[i], truth[i], float(peak[i])),
+            "relerr": relative_error(estimate[i], truth[i]),
+        }
+        # the one-signal scores, written out
+        d = estimate[i] - truth[i]
+        err = float(d @ d) / n
+        p = float(peak[i])
+        assert single["mse"] == err
+        assert single["psnr"] == (10.0 * math.log10(p * p / err) if err else math.inf)
+        for name, value in single.items():
+            assert type(value) is float
+            assert np.float64(value).tobytes() == stacked[name][i].tobytes(), name
+    assert not stacked["mse"][exact].any()
+    assert np.isposinf(stacked["psnr"][exact]).all()
+    # the rows of a transposed stack score along the axis named
+    assert psnr(estimate.T, truth.T, peak, axis=0).tobytes() == stacked["psnr"].tobytes()
+
+
+def test_scores_take_whole_arrays_without_an_axis():
+    rng = np.random.default_rng(6)
+    image = rng.uniform(0, 255, (8, 12))
+    noisy = image + rng.standard_normal((8, 12))
+    assert mse(noisy, image) == mse(noisy.reshape(-1), image.reshape(-1))
+    assert type(psnr(noisy, image)) is float
+    assert psnr(noisy, image) == psnr(noisy.reshape(-1), image.reshape(-1))
+    assert relative_error(noisy, image) == relative_error(noisy.reshape(-1), image.reshape(-1))
+    with pytest.raises(ValueError):
+        psnr(noisy, image, np.array([1.0] * 7 + [0.0]), axis=-1)
+    with pytest.raises(ValueError):
+        relative_error(noisy, np.vstack([image[:7], np.zeros(12)]), axis=-1)

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csim.solver
 from csim.core import CsimKernel, CsimParams
-from csim.dictionaries import Dictionary, dct_dictionary
+from csim.dictionaries import Dictionary, _synthesize, dct_dictionary
 from csim.signals import SamplingMask, apply_mask, random_mask, synth_sparse_signal
 from csim.solver import (
     BacktrackingLimitError,
@@ -127,7 +128,7 @@ def test_s_update_reduces_to_thresholded_point_at_consistency():
     s = soft_threshold(rng.standard_normal(16), 0.8)
     x = D.atoms @ s
     l1_weight, rho1, majorizer = 0.05, 1.0, 1.2
-    out, _, retries = s_update_backtracking(
+    out, _, retries, _ = s_update_backtracking(
         s, x, np.zeros(16), D, rho1, l1_weight, majorizer, 1.1
     )
     np.testing.assert_allclose(
@@ -135,7 +136,7 @@ def test_s_update_reduces_to_thresholded_point_at_consistency():
     )
     assert retries == 0
     # zero l1 weight makes the consistent point an exact fixed point
-    out0, _, _ = s_update_backtracking(
+    out0, _, _, _ = s_update_backtracking(
         s, x, np.zeros(16), D, rho1, 0.0, majorizer, 1.1
     )
     np.testing.assert_allclose(out0, s, atol=1e-14)
@@ -148,7 +149,7 @@ def test_majorizer_above_gram_norm_never_retries():
         s = rng.standard_normal(32)
         x = rng.standard_normal(16)
         dual = rng.standard_normal(16)
-        _, accepted, retries = s_update_backtracking(
+        _, accepted, retries, _ = s_update_backtracking(
             s, x, dual, D, 0.7, 0.3, 1.0001 * D.spectral_norm_sq, 1.1
         )
         assert retries == 0
@@ -182,7 +183,7 @@ def test_backtracking_recovers_from_small_majorizer():
     x = rng.standard_normal(16)
     dual = rng.standard_normal(16)
     before = _subproblem_value(s, D.atoms, x, dual, 1.0, 0.3)
-    out, accepted, retries = s_update_backtracking(
+    out, accepted, retries, _ = s_update_backtracking(
         s, x, dual, D, 1.0, 0.3, 0.05 * D.spectral_norm_sq, 1.5
     )
     assert retries > 0
@@ -219,7 +220,7 @@ def test_subproblem_objective_monotone_across_run():
         x = rng.standard_normal(32)
         dual = rng.standard_normal(32)
         before = _subproblem_value(s, D.atoms, x, dual, 0.9, 0.2)
-        s, lam, _ = s_update_backtracking(s, x, dual, D, 0.9, 0.2, lam, 1.1)
+        s, lam, _, _ = s_update_backtracking(s, x, dual, D, 0.9, 0.2, lam, 1.1)
         after = _subproblem_value(s, D.atoms, x, dual, 0.9, 0.2)
         assert after <= before + 1e-10 * (1.0 + abs(before))
 
@@ -419,7 +420,7 @@ def test_analysis_mode_successive_differences_trend():
         b = rho1 * synth - dual_x
         b[obs] += rho2 * (z[obs] + y[obs]) + dual_z[obs]
         x = x_update(b, mask, rho1, rho2)
-        new_s, majorizer, _ = s_update_backtracking(
+        new_s, majorizer, _, _ = s_update_backtracking(
             s, x, dual_x, D, rho1, l1_weight, majorizer, 1.1
         )
         masked_x = np.zeros(n)
@@ -569,6 +570,51 @@ def test_solve_batch_backtracks_only_rows_that_fail():
         for _ in range(result.s_retries):
             grown *= cfg.majorizer_growth
         assert grown == result.majorizer_final
+
+
+def test_s_step_returns_the_product_of_the_accepted_coefficients():
+    rng = np.random.default_rng(14)
+    D = dct_dictionary(16, 32)
+    s, x, dual = rng.standard_normal(32), rng.standard_normal(16), rng.standard_normal(16)
+    args = (s, x, dual, D, 1.0, 0.3, 0.05 * D.spectral_norm_sq, 1.5)
+    out, majorizer, retries, product = s_update_backtracking(*args)
+    assert retries > 0
+    assert product.tobytes() == _synthesize(D.atoms, out).tobytes()
+    # handing in the product of s changes no bit
+    given = s_update_backtracking(*args, _synthesize(D.atoms, s))
+    assert given[0].tobytes() == out.tobytes() and given[3].tobytes() == product.tobytes()
+    assert (given[1], given[2]) == (majorizer, retries)
+
+
+@pytest.mark.parametrize("rows", [1, 8])
+def test_solve_batch_forms_one_product_per_iteration_and_retry(monkeypatch, rows):
+    # the recorded Gram norm below the true one makes some rows backtrack
+    atoms = dct_dictionary(16, 32).atoms
+    D = Dictionary(atoms, spectral_norm_sq=0.9 * np.linalg.norm(atoms, 2) ** 2)
+    Y, masks = _problem_rows(D, 5, 8, sparsity=3)
+    if rows == 1:
+        first = next(i for i, r in enumerate(solve_batch(Y, masks, D)) if r.s_retries)
+        Y, masks = Y[first : first + 1], masks[first : first + 1]
+    counts = {"products": 0, "rounds": 0}
+    synthesize, step = csim.solver._synthesize, csim.solver.s_update_backtracking
+
+    def counting_synthesize(*args):
+        counts["products"] += 1
+        return synthesize(*args)
+
+    def counting_step(*args):
+        out = step(*args)
+        counts["rounds"] += out[2]
+        return out
+
+    monkeypatch.setattr(csim.solver, "_synthesize", counting_synthesize)
+    monkeypatch.setattr(csim.solver, "s_update_backtracking", counting_step)
+    batch = solve_batch(Y, masks, D, SolverConfig(max_iter=30))
+    iterations = max(r.iterations for r in batch)
+    assert counts["rounds"] > 0
+    assert counts["products"] == iterations + counts["rounds"]
+    if rows == 1:
+        assert counts["products"] == batch[0].iterations + batch[0].s_retries
 
 
 def test_solve_batch_rejects_non_finite_observations():
