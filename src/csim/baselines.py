@@ -4,7 +4,9 @@ Both baselines work on the masked synthesis operator A = M D and the
 objective 0.5 ||A s - y||^2 plus a sparsity term: FISTA with an l1
 penalty and a restart safeguard that keeps the objective monotone, and
 an iterative hard-thresholding solver with an exponentially decaying
-threshold schedule.
+threshold schedule.  Like the ADMM solver, both read a row only at its
+observed positions (through `solver._observed_rows`), and a non-finite
+observed sample raises `NonFiniteError`.
 
 Each iteration is separable per signal, so one loop per method
 (`fista_solve_batch`, `iht_adaptive_solve_batch`) runs it on a stack of
@@ -83,18 +85,12 @@ def hard_threshold(v, tau) -> np.ndarray:
 
 
 def _row_stack(Y, masks: list[SamplingMask], D: Dictionary):
-    """(observations, 0/1 observed rows, per-row ||A_b||^2) of a batch.
-
-    A single row comes back on 1-D arrays, as in ``solve_batch``: its
-    per-row values are then scalars, whose arithmetic costs a fraction
-    of that of (1, 1) arrays.  The bits are the same.
-    """
+    """The working arrays of ``_observed_rows`` (one row on 1-D arrays)
+    and the per-row ||A_b||^2 of a batch."""
     Y, observed = _observed_rows(Y, masks, D.n)
-    lipschitz = spectral_norm_sq(D.atoms, observed=observed)
+    lipschitz = spectral_norm_sq(D.atoms, observed=np.reshape(observed, (-1, D.n)))
     if np.count_nonzero(~(lipschitz > 0)):
         raise ValueError("degenerate masked operator")
-    if len(masks) == 1:
-        Y, observed = Y[0], observed[0]
     return Y, observed, lipschitz
 
 

@@ -21,6 +21,7 @@ from .core import CsimParams, sensitivity_ratio
 from .denoise import denoise_patches
 from .dictionaries import Dictionary
 from .experiments import (
+    SOLVER_NAMES,
     ExperimentSpec,
     build_dictionary,
     corpus_files,
@@ -262,7 +263,7 @@ def _run_sweep(args, mode: str) -> int:
         srs=tuple(args.sr) if args.sr else (0.4, 0.6, 0.8),
         trials=args.trials,
         seed=args.seed,
-        solvers=tuple(args.solver) if args.solver else ("csim-alm", "fista"),
+        solvers=tuple(args.solver) if args.solver else ExperimentSpec.solvers,
         max_iter=args.max_iter if args.max_iter is not None else 50,
         timing=args.timing,
         corpus=tuple(getattr(args, "corpus", None) or ()),
@@ -289,9 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--out", required=True)
     p_rec.add_argument("--sr", type=_ratio, default=0.8, help="sampling ratio")
     p_rec.add_argument("--seed", type=int, default=0)
-    p_rec.add_argument(
-        "--solver", choices=("csim-alm", "fista", "iht"), default="csim-alm"
-    )
+    p_rec.add_argument("--solver", choices=SOLVER_NAMES, default=SOLVER_NAMES[0])
     p_rec.add_argument("--max-iter", dest="max_iter", type=_positive_int, default=None)
     p_rec.add_argument("--config", default=None, help="key=value config file")
     _add_dict_args(p_rec)
@@ -312,12 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_sw.add_argument("--sr", type=_ratio, action="append", default=None)
         p_sw.add_argument("--trials", type=_positive_int, default=100)
         p_sw.add_argument("--seed", type=int, default=0)
-        p_sw.add_argument(
-            "--solver",
-            action="append",
-            choices=("csim-alm", "fista", "iht"),
-            default=None,
-        )
+        p_sw.add_argument("--solver", action="append", choices=SOLVER_NAMES, default=None)
         p_sw.add_argument("--max-iter", dest="max_iter", type=_positive_int, default=None)
         p_sw.add_argument("--out", required=True)
         if mode == "sweep-sr":
@@ -361,7 +355,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "recover":
-        if args.config and args.solver != "csim-alm":
+        if args.config and args.solver != SOLVER_NAMES[0]:
             parser.error(
                 f"--config keys are csim-alm settings; --solver {args.solver} does not read them"
             )

@@ -5,8 +5,9 @@ Every trial derives its signal and mask from substreams keyed by
 jobs share its sweep.  A sweep builds each ratio's trial data once for
 all solvers, solves the trials of each (solver, sampling ratio) group in
 one ``run_solver_batch`` call, scores the group as a row stack and
-writes rows in (solver, ratio, trial) order.  Image recovery observes
-patch i through the mask of job i and solves all patches in one call.
+writes rows in (solver, ratio, trial) order.  Image recovery solves all
+patches in one call, patch i through the mask of job i.  The solvers
+get clean rows with their masks and read only the observed samples.
 
 Wall-clock columns are zero unless timing is requested, because the
 default CSV contract is byte-identical output across runs with equal
@@ -37,7 +38,6 @@ from .metrics import PSNR_CSV_CAP, image_ssim, psnr, relative_error, ssim_global
 from .signals import (
     PatchGrid,
     SamplingMask,
-    apply_mask,
     extract_patches,
     random_mask,
     reassemble,
@@ -66,7 +66,19 @@ __all__ = [
     "image_ssim",
 ]
 
-SOLVER_NAMES = ("csim-alm", "fista", "iht")
+
+def _solver_table() -> dict:
+    """Solver name -> (config type, batched entry point, one-row entry
+    point), the paper's solver first.  Built on each call, so it holds
+    what the module's names are bound to then (a timing wrapper, say)."""
+    return {
+        "csim-alm": (SolverConfig, solve_batch, solve),
+        "fista": (FistaConfig, fista_solve_batch, fista_solve),
+        "iht": (IhtConfig, iht_adaptive_solve_batch, iht_adaptive_solve),
+    }
+
+
+SOLVER_NAMES = tuple(_solver_table())
 SWEEP_SR_HEADER = "trial,seed,solver,sr,n,p,dict,iters,psnr_db,ssim,relerr,runtime_ms"
 SWEEP_ITERS_HEADER = "solver,sr,trial,seed,iter,relerr,elapsed_ms"
 
@@ -92,7 +104,7 @@ class ExperimentSpec:
     srs: tuple[float, ...] = (0.4, 0.6, 0.8)
     trials: int = 100
     seed: int = 0
-    solvers: tuple[str, ...] = ("csim-alm", "fista")
+    solvers: tuple[str, ...] = SOLVER_NAMES[:2]  # csim-alm and fista
     max_iter: int = 50
     timing: bool = False
     corpus: tuple[str, ...] = ()
@@ -132,25 +144,22 @@ def observation_mask(n: int, sr: float, seed: int, index: int) -> SamplingMask:
     return random_mask(n, m, substream(seed, index, _TAG_MASK, m))
 
 
-def _solver_config(
+def _solver(
     name: str,
     max_iter: int = 50,
     record_iterates: bool = False,
     overrides: dict | None = None,
     feasibility_tol: float | None = None,
 ):
-    """Config of solver ``name``; ``feasibility_tol`` reaches csim-alm only."""
+    """(config, batched entry point, one-row entry point) of solver ``name``."""
+    if name not in SOLVER_NAMES:
+        raise ValueError(f"unknown solver {name!r}")
+    config_type, batch, single = _solver_table()[name]
     kwargs = {"max_iter": max_iter, "record_iterates": record_iterates}
-    if name == "csim-alm" and feasibility_tol is not None:
+    if config_type is SolverConfig and feasibility_tol is not None:
         kwargs["feasibility_tol"] = feasibility_tol
     kwargs.update(overrides or {})
-    if name == "csim-alm":
-        return SolverConfig(**kwargs)
-    if name == "fista":
-        return FistaConfig(**kwargs)
-    if name == "iht":
-        return IhtConfig(**kwargs)
-    raise ValueError(f"unknown solver {name!r}")
+    return config_type(**kwargs), batch, single
 
 
 def run_solver_batch(name: str, Y, masks, D: Dictionary, **settings) -> list[RecoveryResult]:
@@ -158,9 +167,8 @@ def run_solver_batch(name: str, Y, masks, D: Dictionary, **settings) -> list[Rec
     ``masks[i]``, in one batched solve; one result per row.  Settings:
     ``max_iter`` (50), ``record_iterates``, ``overrides`` (a dict of
     config fields) and ``feasibility_tol`` (csim-alm only)."""
-    config = _solver_config(name, **settings)
-    batch = {"csim-alm": solve_batch, "fista": fista_solve_batch, "iht": iht_adaptive_solve_batch}
-    return batch[name](Y, masks, D, config)
+    config, batch, _ = _solver(name, **settings)
+    return batch(Y, masks, D, config)
 
 
 def run_solver(name: str, y, mask, D: Dictionary, **settings) -> RecoveryResult:
@@ -168,9 +176,8 @@ def run_solver(name: str, y, mask, D: Dictionary, **settings) -> RecoveryResult:
     (``solve``, ``fista_solve``, ``iht_adaptive_solve``), with the
     settings of ``run_solver_batch``; the result has the bits of that
     row in a batch."""
-    config = _solver_config(name, **settings)
-    single = {"csim-alm": solve, "fista": fista_solve, "iht": iht_adaptive_solve}
-    return single[name](y, mask, D, config)
+    config, _, single = _solver(name, **settings)
+    return single(y, mask, D, config)
 
 
 def solver_settings(
@@ -179,11 +186,11 @@ def solver_settings(
     """Settings ``recover_patches`` hands to solver ``name``, for a run
     log: every effective csim-alm hyperparameter (as resolved for the
     first patch), or a baseline's name and iteration budget."""
-    kwargs = {"max_iter": 50, **(overrides or {})}
-    if name == "csim-alm":
-        resolved = effective_config(SolverConfig(**kwargs), observation_mask(D.n, sr, seed, 0), D)
+    config, _, _ = _solver(name, overrides=overrides)
+    if isinstance(config, SolverConfig):
+        resolved = effective_config(config, observation_mask(D.n, sr, seed, 0), D)
         return {**asdict(resolved), "gram_norm": D.spectral_norm_sq}
-    return {"solver": name, "max_iter": kwargs["max_iter"]}
+    return {"solver": name, "max_iter": config.max_iter}
 
 
 def recover_patches(
@@ -195,9 +202,8 @@ def recover_patches(
     a single vector recovered as row 0 sees the mask of an image's first
     patch.  ``overrides`` holds solver settings, as in ``run_solver``.
     """
-    masks = [observation_mask(D.n, sr, seed, i) for i in range(len(patches))]
-    Y = np.stack([apply_mask(patch, mask) for patch, mask in zip(patches, masks)])
-    return run_solver_batch(solver, Y, masks, D, overrides=overrides)
+    masks = _observe(len(patches), D.n, sr, seed)
+    return run_solver_batch(solver, patches, masks, D, overrides=overrides)
 
 
 def recover_image(
@@ -266,11 +272,9 @@ def _truth(spec: ExperimentSpec, D: Dictionary, images=None):
     return None, np.stack(patches)
 
 
-def _observe(X_true, sr: float, seed: int):
-    """Masks of every trial at sampling ratio ``sr`` and the observations
-    they keep, one row per trial."""
-    masks = [observation_mask(X_true.shape[1], sr, seed, trial) for trial in range(len(X_true))]
-    return masks, np.stack([apply_mask(x, mask) for x, mask in zip(X_true, masks)])
+def _observe(count: int, n: int, sr: float, seed: int) -> list[SamplingMask]:
+    """Masks of jobs 0 to ``count`` - 1 at sampling ratio ``sr``."""
+    return [observation_mask(n, sr, seed, i) for i in range(count)]
 
 
 def _fmt(value: float) -> str:
@@ -302,7 +306,7 @@ def sweep_sr(spec: ExperimentSpec) -> str:
     D = build_dictionary(spec.dict_kind, spec.n, spec.p)
     images = load_corpus(spec.corpus) if spec.corpus else None
     S_true, X_true = _truth(spec, D, images)
-    observations = {sr: _observe(X_true, sr, spec.seed) for sr in spec.srs}
+    masks = {sr: _observe(spec.trials, D.n, sr, spec.seed) for sr in spec.srs}
     if S_true is None:
         peak = 255.0
         c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
@@ -316,7 +320,7 @@ def sweep_sr(spec: ExperimentSpec) -> str:
 
     rows = []
     for solver, sr in itertools.product(spec.solvers, spec.srs):
-        results, group_ms = _solve_group(spec, D, solver, *observations[sr])
+        results, group_ms = _solve_group(spec, D, solver, masks[sr], X_true)
         runtime_ms = group_ms / spec.trials if spec.timing else 0.0
         X_hat = np.stack([r.x_hat for r in results])
         psnr_db = psnr(X_hat, X_true, peak, axis=-1).tolist()
@@ -347,12 +351,12 @@ def sweep_iters(spec: ExperimentSpec) -> str:
         raise ValueError("iteration traces need ground-truth synthetic signals")
     D = build_dictionary(spec.dict_kind, spec.n, spec.p)
     S_true, X_true = _truth(spec, D)
-    observations = {sr: _observe(X_true, sr, spec.seed) for sr in spec.srs}
+    masks = {sr: _observe(spec.trials, D.n, sr, spec.seed) for sr in spec.srs}
 
     lines = []
     for solver, sr in itertools.product(spec.solvers, spec.srs):
         results, _ = _solve_group(
-            spec, D, solver, *observations[sr], record_iterates=True, feasibility_tol=0.0
+            spec, D, solver, masks[sr], X_true, record_iterates=True, feasibility_tol=0.0
         )
         for trial, (s_true, result) in enumerate(zip(S_true, results)):
             iterates = np.array(result.iterates)

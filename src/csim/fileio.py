@@ -97,9 +97,15 @@ def save_csv_vector(path, x) -> None:
 
 
 def load_csv_vector(path) -> np.ndarray:
-    with open(path, "r") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    try:
-        return np.array([float(v) for v in lines], dtype=float)
-    except ValueError as exc:
-        raise ValueError("malformed CSV vector") from exc
+    """One finite value per line; a bad one raises naming its line."""
+    values = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    values.append(float(line))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: malformed CSV vector") from None
+                if not np.isfinite(values[-1]):
+                    raise ValueError(f"{path}:{lineno}: non-finite value {line.strip()}")
+    return np.array(values)

@@ -235,8 +235,11 @@ def _indicator(mask):
 
 
 def _observed_rows(Y, masks, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Observations as a float (B, n) array, one row per mask, and the
-    0/1 indicator of each row's observed positions."""
+    """Every solver's working arrays: the observations as a (B, n) array,
+    one row per mask, with the unobserved samples zeroed, and the 0/1
+    indicator of each row's observed positions.  A non-finite observed
+    sample raises.  One row comes back on 1-D arrays, whose per-row values
+    are scalars: cheaper than (1, 1) arrays, with the same bits."""
     if any(mask.n != n for mask in masks):
         raise ValueError("mask does not match the dictionary dimension")
     Y = np.asarray(Y, dtype=float)
@@ -245,6 +248,11 @@ def _observed_rows(Y, masks, n: int) -> tuple[np.ndarray, np.ndarray]:
     observed = np.zeros(Y.shape)
     for row, mask in enumerate(masks):
         observed[row, mask.observed] = 1.0
+    Y = np.where(observed, Y, 0.0)
+    if not _all(np.isfinite(Y)):
+        raise NonFiniteError("observed samples contain non-finite values")
+    if len(masks) == 1:
+        return Y[0], observed[0]
     return Y, observed
 
 
@@ -400,14 +408,6 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
             configs[mask.m] = effective_config(config, mask, D)
     cfg = configs[masks[0].m]
     B = len(masks)
-    Y = np.where(observed, Y, 0.0)
-    if not _all(np.isfinite(Y)):
-        raise NonFiniteError("observed samples contain non-finite values")
-    if B == 1:
-        # A single row runs on 1-D arrays: its per-row values are then
-        # scalars, whose arithmetic costs a fraction of that of (1, 1)
-        # arrays.  The bits are the same.
-        Y, observed = Y[0], observed[0]
 
     params = CsimParams(cfg.mean_weight, cfg.var_weight, n)
     kernel = CsimKernel(params)
@@ -557,6 +557,5 @@ def kkt_residuals(
     if z is None or dual_x is None or dual_z is None:
         raise ValueError("result does not carry final duals")
     grad_z = 2.0 * (apply_kernel(z, kernel) + slack_ridge * z) + dual_z
-    masked_dual = np.zeros(mask.n)
-    masked_dual[mask.observed] = dual_z[mask.observed]
+    masked_dual = mask.indicator() * dual_z
     return float(np.linalg.norm(grad_z)), float(np.linalg.norm(dual_x - masked_dual))

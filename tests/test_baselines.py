@@ -16,7 +16,8 @@ from csim.baselines import (
     iht_adaptive_solve_batch,
 )
 from csim.dictionaries import Dictionary, dct_dictionary, haar_wp_dictionary, spectral_norm_sq
-from csim.signals import SamplingMask, apply_mask, random_mask, synth_sparse_signal
+from csim.signals import SamplingMask, apply_mask, random_mask, substream, synth_sparse_signal
+from csim.solver import NonFiniteError, SolverConfig, solve, solve_batch
 
 
 def _masked(mask, atoms):
@@ -368,3 +369,68 @@ def test_batched_baselines_reject_a_row_with_an_all_zero_operator(solve):
     with pytest.raises(ValueError, match="all-zero"):
         solve(np.ones((2, 8)), masks, D)
     assert solve(np.zeros((0, 8)), [], D) == []
+
+
+# --- the observation contract, shared with the ADMM solver -------------------
+
+_SOLVERS = {
+    "csim-alm": (solve_batch, solve, SolverConfig(record_iterates=True)),
+    "fista": (fista_solve_batch, fista_solve, FistaConfig(record_iterates=True)),
+    "iht": (iht_adaptive_solve_batch, iht_adaptive_solve, IhtConfig(record_iterates=True)),
+}
+
+
+def _clean_rows(rows):
+    """Clean 6-sparse DCT-64 signals and masks keeping 32 samples (sr 0.5),
+    both from substream keys."""
+    D = dct_dictionary(64, 64)
+    X = np.array([synth_sparse_signal(D, 6, substream(80, i, 1)).x for i in range(rows)])
+    masks = [random_mask(64, 32, substream(80, i, 2)) for i in range(rows)]
+    return D, X, masks
+
+
+def _solve_rows(solver, X, masks, D):
+    batch, single, config = _SOLVERS[solver]
+    if len(masks) == 1:
+        return [single(X[0], masks[0], D, config)]
+    return batch(X, masks, D, config)
+
+
+def _assert_identical(a, b):
+    """Every field but the clock has the same bits."""
+    for name, value in vars(b).items():
+        if name == "elapsed_ms":
+            continue
+        other = getattr(a, name)
+        if isinstance(value, np.ndarray):
+            assert other.tobytes() == value.tobytes(), name
+        elif isinstance(value, list):
+            assert np.array(other).tobytes() == np.array(value).tobytes(), name
+        else:
+            assert other == value, name
+
+
+@pytest.mark.parametrize("rows", [1, 8])
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
+def test_every_solver_reads_a_row_only_at_its_observed_positions(solver, rows):
+    D, X, masks = _clean_rows(rows)
+    masked = np.array([apply_mask(x, mask) for x, mask in zip(X, masks)])
+    expected = _solve_rows(solver, masked, masks, D)
+    for fill in (None, np.nan, np.inf, -np.inf):
+        Y = X.copy()
+        if fill is not None:
+            for y, mask in zip(Y, masks):
+                y[np.setdiff1d(np.arange(64), mask.observed)] = fill
+        for got, want in zip(_solve_rows(solver, Y, masks, D), expected):
+            _assert_identical(got, want)
+
+
+@pytest.mark.parametrize("rows", [1, 8])
+@pytest.mark.parametrize("solver", sorted(_SOLVERS))
+def test_a_non_finite_observed_sample_raises_in_every_solver(solver, rows):
+    D, X, masks = _clean_rows(rows)
+    for bad in (np.nan, np.inf):
+        Y = X.copy()
+        Y[rows - 1, masks[-1].observed[3]] = bad
+        with pytest.raises(NonFiniteError, match="observed samples"):
+            _solve_rows(solver, Y, masks, D)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from csim.cli import main
-from csim.experiments import add_noise_snr, synthetic_image
+from csim.experiments import add_noise_snr, observation_mask, synthetic_image
 from csim.fileio import load_csv_vector, load_pgm, save_csv_vector, save_pgm
 from csim.signals import substream
 from csim.solver import SolverConfig
@@ -534,3 +534,18 @@ def test_runtime_failure_exits_three(tmp_path):
         ["recover", "--input", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "o.csv")]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("observed", [True, False], ids=["observed", "unobserved"])
+@pytest.mark.parametrize("solver", ["csim-alm", "fista", "iht"])
+def test_a_non_finite_csv_value_exits_three_and_leaves_no_log(tmp_path, capsys, solver, observed):
+    mask = observation_mask(64, 0.5, 4, 0)  # the mask `recover` gives a vector
+    unobserved = np.setdiff1d(np.arange(64), mask.observed)
+    index = int((mask.observed if observed else unobserved)[2])
+    src, dst = tmp_path / "x.csv", tmp_path / "xhat.csv"
+    src.write_text("".join("nan\n" if i == index else "0.5\n" for i in range(64)))
+    argv = ["recover", "--input", str(src), "--out", str(dst), "--sr", "0.5", "--seed", "4"]
+    assert main(argv + ["--solver", solver]) == 3
+    assert f"{src}:{index + 1}: non-finite value nan" in capsys.readouterr().err
+    assert not dst.exists()
+    assert not (tmp_path / "xhat.csv.log.jsonl").exists()

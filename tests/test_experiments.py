@@ -319,3 +319,17 @@ def test_add_noise_achieves_target_snr():
     noise = noisy - image.astype(float)
     measured = 10.0 * np.log10(float(image.astype(float).var()) / float(noise.var()))
     assert measured == pytest.approx(1.0, abs=0.2)
+
+
+def test_unknown_solver_names_raise_naming_the_solver():
+    D = build_dictionary("dct", 16, 16)
+    mask = observation_mask(16, 0.5, 0, 0)
+    y = np.zeros(16)
+    calls = (
+        lambda: run_solver("bogus", y, mask, D),
+        lambda: run_solver_batch("bogus", y[None], [mask], D),
+        lambda: solver_settings("bogus", D, 0.5, 0),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown solver 'bogus'"):
+            call()
