@@ -123,6 +123,7 @@ def _results(atoms, s, history, elapsed, iterates) -> list[RecoveryResult]:
             objectives=history[:, 1, j].copy(),
             elapsed_ms=clock,
             iterates=None if iterates is None else list(iterates[:, j]),
+            stop_reason="budget",
         )
         for j in range(len(S))
     ]

@@ -122,12 +122,22 @@ def csim_stats(e, params: CsimParams):
     e = np.asarray(e, dtype=float)
     if e.ndim == 0 or e.shape[-1] != params.n:
         raise ValueError(f"expected residuals of length {params.n}")
-    mu = np.add.reduce(e, axis=-1) / params.n  # e.mean(), bit for bit
-    dev = e - mu[..., None]
-    value = params.mean_weight * mu * mu + params.var_weight / (params.n - 1) * np.vecdot(
-        dev, dev
-    )
+    value = _index(e, *_index_weights(params))
     return float(value) if e.ndim == 1 else value
+
+
+def _index_weights(params: CsimParams) -> tuple[float, float]:
+    """The weights of mu**2 and of ||e - mu||**2 in ``csim_stats``."""
+    return params.mean_weight, params.var_weight / (params.n - 1)
+
+
+def _index(e, mean_coef: float, dev_coef: float):
+    """``csim_stats`` of checked float residuals with their weights
+    given, for loops that hold the weights: a numpy scalar for one
+    residual, one value per row for a stack."""
+    mu = np.add.reduce(e, axis=-1) / e.shape[-1]  # e.mean(), bit for bit
+    dev = e - (mu if e.ndim == 1 else mu[..., None])
+    return mean_coef * mu * mu + dev_coef * np.vecdot(dev, dev)
 
 
 def csim_pair(x, y, params: CsimParams) -> float:

@@ -29,13 +29,18 @@ def _synthesize(atoms, s) -> np.ndarray:
 
     The stacked product gives each row the bits of the one-vector
     product ``atoms @ s`` whatever the number of rows; a plain GEMM
-    ``s @ atoms.T`` does not.
+    ``s @ atoms.T`` does not.  A single vector takes that product
+    directly.
     """
+    if s.ndim == 1:
+        return atoms @ s
     return (s[..., None, :] @ atoms.T)[..., 0, :]
 
 
 def _analyze(atoms, r) -> np.ndarray:
     """atoms.T @ r for each row of r (stacked, as in ``_synthesize``)."""
+    if r.ndim == 1:
+        return r @ atoms
     return (r[..., None, :] @ atoms)[..., 0, :]
 
 

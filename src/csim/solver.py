@@ -23,12 +23,13 @@ the product of the current s and returns that of the accepted one.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CsimKernel, CsimParams, apply_kernel, csim_stats
+from .core import CsimKernel, CsimParams, _index, _index_weights, apply_kernel
 from .dictionaries import Dictionary, _analyze, _dot, _synthesize
 from .signals import SamplingMask
 
@@ -73,6 +74,14 @@ class SolverConfig:
     ``continuation`` is on.  ``project_observed`` re-imposes the known
     samples on x each iteration; turn both flags off (see ``analysis``)
     to run the plain ADMM with a fixed l1 weight.
+
+    Only that regime carries the convergence guarantee: the stationarity
+    gaps of ``kkt_residuals`` close as the iterates settle.  With
+    projection on, the slack and its dual stay at zero, so the gap
+    ||dual_x - M.T dual_z|| is all of ||dual_x||; with continuation on,
+    the weight moves every iteration and the gap keeps a share of
+    ||dual_x|| set by the decay.  Either way the feasibility test can
+    still stop the run.
     """
 
     rho1: float | None = None
@@ -151,9 +160,12 @@ class RecoveryResult:
     iterate (with the l1 weight current at that iteration).
     ``elapsed_ms`` is cumulative wall time (of the whole batch, for a
     batched solve).  ``s_retries`` counts the backtracking retries of
-    the s step over all iterations.  Baseline solvers reuse this type
+    the s step over all iterations.  ``stop_reason`` is "converged" when
+    both feasibility residuals of the last iteration are below
+    ``feasibility_tol`` and "budget" otherwise (``max_iter`` ran out); a
+    non-finite iterate raises instead.  Baseline solvers reuse this type
     with ``slack_residuals``, the final duals and ``s_retries`` set to
-    None.
+    None, and always stop on their budget.
     """
 
     x_hat: np.ndarray
@@ -170,6 +182,7 @@ class RecoveryResult:
     l1_weight_final: float | None = None
     majorizer_final: float | None = None
     s_retries: int | None = None
+    stop_reason: str | None = None
 
 
 def _shrink(v, tau):
@@ -200,8 +213,17 @@ def _sum(v):
 
 def _all(flags) -> bool:
     # np.count_nonzero costs a fraction of ndarray.all's Python wrapper,
-    # which adds up over thousands of tiny per-iteration checks.
-    return np.count_nonzero(flags) == np.size(flags)
+    # which adds up over thousands of tiny per-iteration checks; a scalar
+    # flag (one row) skips both.
+    if not isinstance(flags, np.ndarray):
+        return bool(flags)
+    return np.count_nonzero(flags) == flags.size
+
+
+def _any(flags) -> bool:
+    if not isinstance(flags, np.ndarray):
+        return bool(flags)
+    return np.count_nonzero(flags) > 0
 
 
 def _per_row(values):
@@ -256,12 +278,18 @@ def _observed_rows(Y, masks, n: int) -> tuple[np.ndarray, np.ndarray]:
     return Y, observed
 
 
+def _x_divisor(observed, rho1, rho2):
+    """Diagonal of the x system rho1 I + rho2 M.T M for each row of the
+    0/1 indicator ``observed``."""
+    return rho1 + rho2 * observed
+
+
 def x_update(b, mask, rho1, rho2) -> np.ndarray:
     """Solve (rho1 I + rho2 M.T M) x = b for each row of b; the system is
     diagonal, so observed entries divide by rho1 + rho2 and the rest by
     rho1.  ``mask`` is a SamplingMask or a 0/1 indicator shaped like b.
     """
-    return np.asarray(b, dtype=float) / (rho1 + rho2 * _indicator(mask))
+    return np.asarray(b, dtype=float) / _x_divisor(_indicator(mask), rho1, rho2)
 
 
 def projection(x, y, mask) -> np.ndarray:
@@ -283,7 +311,7 @@ def s_update_backtracking(
     majorizer,
     growth: float,
     synthesized=None,
-) -> tuple[np.ndarray, np.ndarray | float, int, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | float, int, np.ndarray, np.ndarray | float]:
     """One majorize-minimize step on the s subproblem of each row.
 
     Proposes a soft-thresholded gradient step with the current surrogate
@@ -292,8 +320,9 @@ def s_update_backtracking(
     every row passes.  rho1, l1_weight (nonnegative) and majorizer are
     per-row values; ``synthesized`` is D s when the caller holds it
     (it is formed here otherwise).  Returns (new s, accepted constants,
-    number of retry rounds, D times the new s).  The accepted step never
-    increases a row's subproblem objective.
+    number of retry rounds, D times the new s, ||new s||_1 as a per-row
+    value).  The accepted step never increases a row's subproblem
+    objective.
     """
     atoms = D.atoms
     s = np.asarray(s, dtype=float)
@@ -310,7 +339,8 @@ def s_update_backtracking(
         candidate = _shrink(s - grad0 / majorizer, l1_over_rho / majorizer)
         product = _synthesize(atoms, candidate)
         r = target - product
-        l1_term = l1_over_rho * _sum(np.abs(candidate))
+        l1_norm = _sum(np.abs(candidate))
+        l1_term = l1_over_rho * l1_norm
         value = 0.5 * _dot(r, r) + l1_term
         d = candidate - s
         bound = half_rr0 + _dot(d, grad0) + 0.5 * majorizer * _dot(d, d) + l1_term
@@ -318,7 +348,7 @@ def s_update_backtracking(
         # or infinite value fails the comparison and raises below.
         accepted = value <= bound + 1e-12 * (1.0 + value)
         if _all(accepted):
-            return candidate, majorizer, retries, product
+            return candidate, majorizer, retries, product, l1_norm
         if not (_all(np.isfinite(value)) and _all(np.isfinite(bound))):
             raise NonFiniteError("non-finite value in the coefficient update")
         retries += 1
@@ -341,24 +371,29 @@ def _retry_counts(before, after, growth: float, rounds: int):
     return counts
 
 
+def _slack_solver(kernel: CsimKernel, rho2, slack_ridge: float):
+    """The solve c -> (rho2 I + 2 (W + slack_ridge I))^-1 c for each row
+    of a float array c, in O(n), with its coefficients formed once.
+
+    The system matrix is diagonal-plus-rank-one, so its inverse is a
+    scale plus a rank-one correction.
+    """
+    diag = rho2 + 2.0 * kernel.diag_coef + 2.0 * slack_ridge
+    ones = 2.0 * kernel.ones_coef
+    full = diag + kernel.n * ones
+    if np.count_nonzero(full <= 0):
+        raise AssertionError("slack system lost positive definiteness")
+    return lambda c: (c - ones * _sum(c) / full) / diag
+
+
 def z_update(
     c,
     kernel: CsimKernel,
     rho2,
     slack_ridge: float,
 ) -> np.ndarray:
-    """Solve (rho2 I + 2 (W + slack_ridge I)) z = c for each row of c in O(n).
-
-    The system matrix is diagonal-plus-rank-one, so its inverse is a
-    scale plus a rank-one correction.
-    """
-    c = np.asarray(c, dtype=float)
-    diag = rho2 + 2.0 * kernel.diag_coef + 2.0 * slack_ridge
-    ones = 2.0 * kernel.ones_coef
-    full = diag + kernel.n * ones
-    if np.count_nonzero(full <= 0):
-        raise AssertionError("slack system lost positive definiteness")
-    return (c - ones * _sum(c) / full) / diag
+    """Solve (rho2 I + 2 (W + slack_ridge I)) z = c for each row of c in O(n)."""
+    return _slack_solver(kernel, rho2, slack_ridge)(np.asarray(c, dtype=float))
 
 
 def multipliers_update(
@@ -391,9 +426,12 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     penalties (from its sample count), l1 weight, surrogate constant and
     stop iteration: it stops at ``max_iter`` or as soon as both of its
     feasibility residuals drop below ``feasibility_tol``, and then
-    leaves the working set.  A row's result has the bits of its one-row
-    solve, apart from ``elapsed_ms``, which is the batch's clock.  A
-    non-finite value or a backtracking failure in any row raises.
+    leaves the working set (``stop_reason`` says which).  Values fixed
+    while the working set is (the x-system divisor, the slack solve and
+    the index weights) are formed when it changes, not every iteration.
+    A row's result has the bits of its one-row solve, apart from
+    ``elapsed_ms``, which is the batch's clock.  A non-finite value or a
+    backtracking failure in any row raises.
     """
     if config is None:
         config = SolverConfig()
@@ -411,6 +449,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
 
     params = CsimParams(cfg.mean_weight, cfg.var_weight, n)
     kernel = CsimKernel(params)
+    mean_coef, dev_coef = _index_weights(params)
     rho1 = _per_row([configs[mask.m].rho1 for mask in masks])
     rho2 = _per_row([configs[mask.m].rho2 for mask in masks])
     ridge, growth = cfg.slack_ridge, cfg.majorizer_growth
@@ -439,26 +478,34 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         [[] for _ in range(B)] if cfg.record_iterates else None
     )
     elapsed: list[float] = []
+    tol = cfg.feasibility_tol
+    # One row has Python-float residual norms (the bits of np.sqrt's).
+    sqrt, isfinite = (math.sqrt, math.isfinite) if Y.ndim == 1 else (np.sqrt, np.isfinite)
+    divisor = slack_solve = None
 
     start = time.perf_counter()
     for iteration in range(1, cfg.max_iter + 1):
-        b = rho1 * synthesized - dual_x
+        if divisor is None:
+            # Fixed while the working set is: formed again when rows leave.
+            divisor = _x_divisor(observed, rho1, rho2)
+            slack_solve = _slack_solver(kernel, rho2, ridge)
         # Products with the 0/1 indicator stand in for masked assignments;
-        # they can differ from them only in the sign of a zero.
-        b = b + observed * (rho2 * (z + Y) + dual_z)
-        x = x_update(b, observed, rho1, rho2)
+        # they can differ from them only in the sign of a zero.  The
+        # right-hand side is a temporary, freed before the s step, so the
+        # held divisor adds nothing to the loop's peak memory.
+        x = (rho1 * synthesized - dual_x + observed * (rho2 * (z + Y) + dual_z)) / divisor
         if cfg.project_observed:
             x = projection(x, Y, observed)
 
         before = majorizer
-        s, majorizer, rounds, synthesized = s_update_backtracking(
+        s, majorizer, rounds, synthesized, s_l1 = s_update_backtracking(
             s, x, dual_x, D, rho1, l1_weight, majorizer, growth, synthesized
         )
         if rounds:
             retries = retries + _retry_counts(before, majorizer, growth, rounds)
 
         masked_x = observed * x
-        z = z_update(rho2 * (masked_x - Y) - dual_z, kernel, rho2, ridge)
+        z = slack_solve(rho2 * (masked_x - Y) - dual_z)
 
         coupling_residual = x - synthesized
         slack_residual = z - masked_x + Y
@@ -466,15 +513,15 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
             dual_x, dual_z, coupling_residual, slack_residual, rho1, rho2
         )
 
-        r1 = np.sqrt(_dot(coupling_residual, coupling_residual))
-        r2 = np.sqrt(_dot(slack_residual, slack_residual))
-        index = csim_stats(z, params)  # one value per row, without the row axis
+        r1 = sqrt(_dot(coupling_residual, coupling_residual))
+        r2 = sqrt(_dot(slack_residual, slack_residual))
+        index = _index(z, mean_coef, dev_coef)  # one value per row, without the row axis
         segment.append(
             (
                 r1,
                 r2,
                 (index if z.ndim == 1 else index[:, None])
-                + l1_weight * _sum(np.abs(s))
+                + l1_weight * s_l1
                 + ridge * _dot(z, z),
             )
         )
@@ -486,11 +533,10 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
 
         # Non-finite entries of x, s or z make r1 or r2 non-finite: every
         # atom has a nonzero entry, and inf * 0 is nan.
-        worst = np.maximum(r1, r2)
-        if not _all(np.isfinite(worst)):
+        if not (_all(isfinite(r1)) and _all(isfinite(r2))):
             raise NonFiniteError(f"non-finite iterate at iteration {iteration}")
-        done = worst < cfg.feasibility_tol
-        if iteration < cfg.max_iter and not np.count_nonzero(done):
+        done = (r1 < tol) & (r2 < tol)
+        if iteration < cfg.max_iter and not _any(done):
             continue
 
         # Hand the segment to the working rows, then retire those that stop.
@@ -503,10 +549,8 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
             for j, row in enumerate(rows):
                 iterates[row].extend(block_s[:, j])
         segment, segment_s = [], []
-        if iteration < cfg.max_iter:
-            stopping = np.reshape(done, -1)
-        else:
-            stopping = np.ones(width, dtype=bool)
+        done = np.reshape(done, -1)
+        stopping = done if iteration < cfg.max_iter else np.ones(width, dtype=bool)
         clock = np.array(elapsed)
         for j in np.flatnonzero(stopping):
             row = rows[j]
@@ -526,6 +570,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
                 l1_weight_final=float(_row_value(l1_weight, j)),
                 majorizer_final=float(_row_value(majorizer, j)),
                 s_retries=int(_row_value(retries, j)),
+                stop_reason="converged" if done[j] else "budget",
             )
         keep = ~stopping
         if not np.count_nonzero(keep):
@@ -536,6 +581,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         rho1, rho2, l1_weight, majorizer, retries = (
             _keep(v, keep) for v in (rho1, rho2, l1_weight, majorizer, retries)
         )
+        divisor = None
     return results
 
 
@@ -549,7 +595,8 @@ def kkt_residuals(
 
     Returns (||2 (W + slack_ridge I) z + dual_z||,
     ||dual_x - M.T dual_z||); both vanish at an optimum of the fixed-
-    weight problem.
+    weight problem.  The iteration drives them to zero only under
+    ``SolverConfig.analysis`` (see ``SolverConfig``).
     """
     z = result.final_slack
     dual_x = result.final_dual_x

@@ -190,6 +190,18 @@ def test_baseline_histories_lengths():
     assert result.slack_residuals is None
 
 
+@pytest.mark.parametrize(
+    "solve_batch_fn, config",
+    [(fista_solve_batch, FistaConfig(max_iter=17)), (iht_adaptive_solve_batch, IhtConfig(max_iter=17))],
+)
+def test_baselines_stop_on_their_budget(solve_batch_fn, config):
+    D = dct_dictionary(16, 16)
+    masks = [random_mask(16, 12, (16, i)) for i in range(3)]
+    Y = np.array([apply_mask(synth_sparse_signal(D, 2, (15, i)).x, m) for i, m in enumerate(masks)])
+    for result in solve_batch_fn(Y, masks, D, config):
+        assert (result.iterations, result.stop_reason) == (17, "budget")
+
+
 def test_thresholds_take_per_row_values_and_reject_any_negative_entry():
     v = np.array([[0.5, -0.2, 1.0], [0.5, -0.2, 1.0]])
     tau = np.array([[0.3], [0.6]])

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import csim.dictionaries
 from csim.dictionaries import (
     Dictionary,
+    _analyze,
+    _synthesize,
     dct_dictionary,
     haar_wp_dictionary,
     normalize_columns,
@@ -188,3 +192,30 @@ def test_csv_export_round_trip_shapes(tmp_path):
     assert lines[1] == "4,8"
     parsed = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
     np.testing.assert_allclose(parsed, D.atoms, atol=0.0)
+
+
+_PRODUCT_DICTIONARIES = {
+    "dct64": (dct_dictionary, 64, 64),
+    "dct64x128": (dct_dictionary, 64, 128),
+    "haar64x128": (haar_wp_dictionary, 64, 128),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_PRODUCT_DICTIONARIES)),
+    seed=st.integers(min_value=0, max_value=2**31),
+    rows=st.integers(min_value=1, max_value=9),
+    scale=st.integers(min_value=-8, max_value=8),
+    density=st.sampled_from([0.05, 0.5, 1.0]),
+)
+def test_one_vector_products_have_the_bits_of_their_stacked_row(name, seed, rows, scale, density):
+    build, n, p = _PRODUCT_DICTIONARIES[name]
+    atoms = build(n, p).atoms
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((rows, p)) * 10.0**scale * (rng.random((rows, p)) < density)
+    R = rng.standard_normal((rows, n)) * 10.0**scale
+    synthesized, analyzed = _synthesize(atoms, S), _analyze(atoms, R)
+    for j in range(rows):
+        assert _synthesize(atoms, S[j]).tobytes() == synthesized[j].tobytes()
+        assert _analyze(atoms, R[j]).tobytes() == analyzed[j].tobytes()

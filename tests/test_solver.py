@@ -1,11 +1,14 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csim.solver
-from csim.core import CsimKernel, CsimParams
-from csim.dictionaries import Dictionary, _synthesize, dct_dictionary
+from csim.core import CsimKernel, CsimParams, csim_stats
+from csim.dictionaries import Dictionary, _synthesize, dct_dictionary, haar_wp_dictionary
 from csim.signals import SamplingMask, apply_mask, random_mask, synth_sparse_signal
 from csim.solver import (
     BacktrackingLimitError,
@@ -128,7 +131,7 @@ def test_s_update_reduces_to_thresholded_point_at_consistency():
     s = soft_threshold(rng.standard_normal(16), 0.8)
     x = D.atoms @ s
     l1_weight, rho1, majorizer = 0.05, 1.0, 1.2
-    out, _, retries, _ = s_update_backtracking(
+    out, _, retries, _, _ = s_update_backtracking(
         s, x, np.zeros(16), D, rho1, l1_weight, majorizer, 1.1
     )
     np.testing.assert_allclose(
@@ -136,7 +139,7 @@ def test_s_update_reduces_to_thresholded_point_at_consistency():
     )
     assert retries == 0
     # zero l1 weight makes the consistent point an exact fixed point
-    out0, _, _, _ = s_update_backtracking(
+    out0, _, _, _, _ = s_update_backtracking(
         s, x, np.zeros(16), D, rho1, 0.0, majorizer, 1.1
     )
     np.testing.assert_allclose(out0, s, atol=1e-14)
@@ -149,7 +152,7 @@ def test_majorizer_above_gram_norm_never_retries():
         s = rng.standard_normal(32)
         x = rng.standard_normal(16)
         dual = rng.standard_normal(16)
-        _, accepted, retries, _ = s_update_backtracking(
+        _, accepted, retries, _, _ = s_update_backtracking(
             s, x, dual, D, 0.7, 0.3, 1.0001 * D.spectral_norm_sq, 1.1
         )
         assert retries == 0
@@ -183,7 +186,7 @@ def test_backtracking_recovers_from_small_majorizer():
     x = rng.standard_normal(16)
     dual = rng.standard_normal(16)
     before = _subproblem_value(s, D.atoms, x, dual, 1.0, 0.3)
-    out, accepted, retries, _ = s_update_backtracking(
+    out, accepted, retries, _, _ = s_update_backtracking(
         s, x, dual, D, 1.0, 0.3, 0.05 * D.spectral_norm_sq, 1.5
     )
     assert retries > 0
@@ -220,7 +223,7 @@ def test_subproblem_objective_monotone_across_run():
         x = rng.standard_normal(32)
         dual = rng.standard_normal(32)
         before = _subproblem_value(s, D.atoms, x, dual, 0.9, 0.2)
-        s, lam, _, _ = s_update_backtracking(s, x, dual, D, 0.9, 0.2, lam, 1.1)
+        s, lam, _, _, _ = s_update_backtracking(s, x, dual, D, 0.9, 0.2, lam, 1.1)
         after = _subproblem_value(s, D.atoms, x, dual, 0.9, 0.2)
         assert after <= before + 1e-10 * (1.0 + abs(before))
 
@@ -420,7 +423,7 @@ def test_analysis_mode_successive_differences_trend():
         b = rho1 * synth - dual_x
         b[obs] += rho2 * (z[obs] + y[obs]) + dual_z[obs]
         x = x_update(b, mask, rho1, rho2)
-        new_s, majorizer, _, _ = s_update_backtracking(
+        new_s, majorizer, _, _, _ = s_update_backtracking(
             s, x, dual_x, D, rho1, l1_weight, majorizer, 1.1
         )
         masked_x = np.zeros(n)
@@ -577,13 +580,14 @@ def test_s_step_returns_the_product_of_the_accepted_coefficients():
     D = dct_dictionary(16, 32)
     s, x, dual = rng.standard_normal(32), rng.standard_normal(16), rng.standard_normal(16)
     args = (s, x, dual, D, 1.0, 0.3, 0.05 * D.spectral_norm_sq, 1.5)
-    out, majorizer, retries, product = s_update_backtracking(*args)
+    out, majorizer, retries, product, l1_norm = s_update_backtracking(*args)
     assert retries > 0
     assert product.tobytes() == _synthesize(D.atoms, out).tobytes()
+    assert l1_norm == np.abs(out).sum()
     # handing in the product of s changes no bit
     given = s_update_backtracking(*args, _synthesize(D.atoms, s))
     assert given[0].tobytes() == out.tobytes() and given[3].tobytes() == product.tobytes()
-    assert (given[1], given[2]) == (majorizer, retries)
+    assert (given[1], given[2], given[4]) == (majorizer, retries, l1_norm)
 
 
 @pytest.mark.parametrize("rows", [1, 8])
@@ -632,6 +636,30 @@ def test_solve_batch_rejects_non_finite_observations():
         _assert_same_bits(a, b)
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_iterate_raises_at_its_iteration(monkeypatch, rows, bad):
+    # The s step's own check passes finite values; an iterate that turns
+    # non-finite after it must still stop the loop.
+    D = dct_dictionary(16, 16)
+    Y, masks = _problem_rows(D, 9, rows)
+    step = csim.solver.s_update_backtracking
+    calls = []
+
+    def spoiled_step(*args):
+        out = step(*args)
+        calls.append(1)
+        if len(calls) == 4:
+            product = out[3].copy()
+            product[..., -1] = bad  # the last sample of every row
+            return out[:3] + (product,) + out[4:]
+        return out
+
+    monkeypatch.setattr(csim.solver, "s_update_backtracking", spoiled_step)
+    with pytest.raises(NonFiniteError, match="iteration 4"):
+        solve_batch(Y, masks, D, SolverConfig(max_iter=30))
+
+
 def test_solve_batch_validates_shapes():
     D = dct_dictionary(16, 16)
     Y, masks = _problem_rows(D, 8, 3)
@@ -640,3 +668,174 @@ def test_solve_batch_validates_shapes():
         solve_batch(Y[:2], masks, D)
     with pytest.raises(ValueError):
         solve_batch(np.zeros((1, 8)), [random_mask(8, 4, 1)], D)
+
+
+# --- the loop against the iteration written out -----------------------------------
+
+
+def _oracle_solve(y, mask, D, config):
+    """One signal's iteration written out in plain Python from the public
+    steps, with nothing formed ahead of the iteration that needs it."""
+    cfg = effective_config(config, mask, D)
+    params = CsimParams(cfg.mean_weight, cfg.var_weight, D.n)
+    kernel = CsimKernel(params)
+    observed = mask.indicator()
+    y = np.where(observed != 0, y, 0.0)
+    rho1, rho2, ridge = cfg.rho1, cfg.rho2, cfg.slack_ridge
+    if cfg.l1_weight is None:
+        peak = float(np.abs(y @ D.atoms).max())
+        l1_weight = max(cfg.l1_init_scale * peak, cfg.l1_weight_min)
+    else:
+        l1_weight = cfg.l1_weight
+    majorizer, retries = cfg.majorizer0, 0
+    s, z, dual_x, dual_z = np.zeros(D.p), np.zeros(D.n), np.zeros(D.n), np.zeros(D.n)
+    primal, slack, objectives, iterates = [], [], [], []
+    for iteration in range(1, cfg.max_iter + 1):
+        b = rho1 * (D.atoms @ s) - dual_x + observed * (rho2 * (z + y) + dual_z)
+        x = x_update(b, mask, rho1, rho2)
+        if cfg.project_observed:
+            x = projection(x, y, mask)
+        s, majorizer, rounds, _, _ = s_update_backtracking(
+            s, x, dual_x, D, rho1, l1_weight, majorizer, cfg.majorizer_growth
+        )
+        retries += rounds
+        masked_x = observed * x
+        z = z_update(rho2 * (masked_x - y) - dual_z, kernel, rho2, ridge)
+        coupling_residual = x - D.atoms @ s
+        slack_residual = z - masked_x + y
+        dual_x, dual_z = multipliers_update(
+            dual_x, dual_z, coupling_residual, slack_residual, rho1, rho2
+        )
+        primal.append(math.sqrt(coupling_residual @ coupling_residual))
+        slack.append(math.sqrt(slack_residual @ slack_residual))
+        objectives.append(
+            csim_stats(z, params) + l1_weight * np.abs(s).sum() + ridge * (z @ z)
+        )
+        if cfg.continuation:
+            l1_weight = alpha_schedule(l1_weight, cfg.l1_decay, cfg.l1_weight_min)
+        iterates.append(s)
+        assert math.isfinite(primal[-1]) and math.isfinite(slack[-1])
+        converged = primal[-1] < cfg.feasibility_tol and slack[-1] < cfg.feasibility_tol
+        if converged:
+            break
+    return {
+        "x_hat": x,
+        "s_hat": s,
+        "iterations": iteration,
+        "primal_residuals": np.array(primal),
+        "slack_residuals": np.array(slack),
+        "objectives": np.array(objectives),
+        "iterates": iterates if cfg.record_iterates else None,
+        "final_slack": z,
+        "final_dual_x": dual_x,
+        "final_dual_z": dual_z,
+        "l1_weight_final": float(l1_weight),
+        "majorizer_final": float(majorizer),
+        "s_retries": retries,
+        "stop_reason": "converged" if converged else "budget",
+    }
+
+
+def _assert_matches_oracle(result, expected):
+    fields = set(vars(result)) - {"elapsed_ms"}
+    assert fields == set(expected)
+    for name, want in expected.items():
+        got = getattr(result, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        elif isinstance(want, list):
+            assert len(got) == len(want), name
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), name
+        else:
+            assert type(got) is type(want) and got == want, name
+
+
+def _understated_dct():
+    # A recorded Gram norm below the true one makes some rows backtrack.
+    atoms = dct_dictionary(64, 64).atoms
+    return Dictionary(atoms, spectral_norm_sq=0.9 * np.linalg.norm(atoms, 2) ** 2)
+
+
+_ORACLE_DICTIONARIES = {
+    "dct64": lambda: dct_dictionary(64, 64),
+    "haar64x128": lambda: haar_wp_dictionary(64, 128),
+    "dct64-understated-norm": _understated_dct,
+}
+_ORACLE_CONFIGS = {
+    "default": SolverConfig(record_iterates=True),
+    "analysis": SolverConfig.analysis(
+        l1_weight=1e-3, max_iter=300, feasibility_tol=1e-8, record_iterates=True
+    ),
+}
+
+
+@pytest.mark.parametrize("rows", [1, 8])
+@pytest.mark.parametrize("config", sorted(_ORACLE_CONFIGS))
+@pytest.mark.parametrize("dictionary", sorted(_ORACLE_DICTIONARIES))
+def test_solve_and_solve_batch_match_the_written_out_iteration(rows, config, dictionary):
+    D = _ORACLE_DICTIONARIES[dictionary]()
+    Y, masks = _problem_rows(D, 43, rows, sparsity=4)
+    cfg = _ORACLE_CONFIGS[config]
+    expected = [_oracle_solve(y, mask, D, cfg) for y, mask in zip(Y, masks)]
+    for result, want in zip(solve_batch(Y, masks, D, cfg), expected, strict=True):
+        _assert_matches_oracle(result, want)
+    for y, mask, want in zip(Y, masks, expected):
+        _assert_matches_oracle(solve(y, mask, D, cfg), want)
+    if rows > 1:
+        reasons = {want["stop_reason"] for want in expected}
+        assert reasons == ({"converged", "budget"} if config == "analysis" else {"budget"})
+    if dictionary.endswith("understated-norm"):
+        assert any(want["s_retries"] for want in expected)
+
+
+def test_stop_reason_is_the_test_that_retires_the_row():
+    D = dct_dictionary(32, 32)
+    sig = synth_sparse_signal(D, 3, 23)
+    mask = random_mask(32, 29, 24)
+    y = apply_mask(sig.x, mask)
+    cfg = SolverConfig.analysis(l1_weight=1e-3, max_iter=5000, feasibility_tol=1e-8)
+    first = solve(y, mask, D, cfg)
+    assert first.stop_reason == "converged" and first.iterations < cfg.max_iter
+    # meeting the tolerance on the last iteration of the budget is convergence
+    last = solve(y, mask, D, replace(cfg, max_iter=first.iterations))
+    assert last.stop_reason == "converged"
+    short = solve(y, mask, D, replace(cfg, max_iter=first.iterations - 1))
+    assert short.stop_reason == "budget"
+    assert max(short.primal_residuals[-1], short.slack_residuals[-1]) >= cfg.feasibility_tol
+
+
+def _relative_stationarity_gap(result, mask, D, cfg):
+    values = effective_config(cfg, mask, D)
+    kernel = CsimKernel(CsimParams(values.mean_weight, values.var_weight, D.n))
+    r_z, r_mu = kkt_residuals(result, mask, kernel, values.slack_ridge)
+    assert r_z <= 1e-12  # the z step solves its stationarity condition exactly
+    return r_mu / float(np.linalg.norm(result.final_dual_x))
+
+
+def test_stationarity_gap_closes_only_in_the_analysis_config():
+    D = dct_dictionary(64, 64)
+    sig = synth_sparse_signal(D, 6, 19)
+    mask = random_mask(64, 51, 20)
+    y = apply_mask(sig.x, mask)
+
+    def gap(cfg):
+        result = solve(y, mask, D, cfg)
+        return result, _relative_stationarity_gap(result, mask, D, cfg)
+
+    early = gap(SolverConfig.analysis(l1_weight=1e-3, max_iter=10))[1]
+    result, late = gap(SolverConfig.analysis(l1_weight=1e-3, max_iter=2000))
+    assert result.stop_reason == "converged"
+    assert early > 0.1 and late < 1e-4
+    others = {
+        # projection keeps the slack and its dual at zero: the gap is all of dual_x
+        "default": SolverConfig(max_iter=2000),
+        "projection only": SolverConfig(max_iter=2000, continuation=False, l1_weight=1e-3),
+        # a weight still decaying keeps a share of dual_x
+        "continuation only": SolverConfig(
+            max_iter=2000, project_observed=False, l1_weight_min=1e-9
+        ),
+    }
+    for name, cfg in others.items():
+        result, value = gap(cfg)
+        assert result.stop_reason == "converged", name
+        assert value > 1e-2, name
