@@ -2,7 +2,6 @@
 
 from .baselines import FistaConfig, IhtConfig, fista_solve, hard_threshold, iht_adaptive_solve
 from .core import (
-    CsimKernel,
     CsimParams,
     apply_kernel,
     apply_kernel_sqrt,

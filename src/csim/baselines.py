@@ -51,11 +51,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FistaConfig:
-    """l1 weight (None: 0.01 * max|A.T y|), step (None: 1/||A||^2),
-    iteration budget, and whether to keep per-iteration coefficients."""
+    """l1 weight (None: 0.01 * max|A.T y|), iteration budget, and
+    whether to keep per-iteration coefficients; the step is 1/||A||^2."""
 
     l1_weight: float | None = None
-    step: float | None = None
     max_iter: int = 50
     record_iterates: bool = False
 
@@ -147,9 +146,8 @@ def fista_solve_batch(Y, masks, D: Dictionary, config: FistaConfig | None = None
     """Accelerated proximal gradient on 0.5||A s - y||^2 + w ||s||_1 for
     every row of ``Y``, row i observed through ``masks[i]``.
 
-    Each row has its own step 1/||A_b||^2 (a set ``step`` must not
-    exceed any of them) and, unless ``l1_weight`` is set, its own
-    weight.  Any momentum step that would raise a row's objective is
+    Each row has its own step 1/||A_b||^2 and, unless ``l1_weight`` is
+    set, its own weight.  Any momentum step that would raise a row's objective is
     replaced by the plain proximal step from its previous iterate (which
     cannot raise it), and the row's momentum is reset, so its recorded
     objectives are non-increasing.  A row's result has the bits of its
@@ -165,14 +163,7 @@ def fista_solve_batch(Y, masks, D: Dictionary, config: FistaConfig | None = None
     atoms = D.atoms
     Y, observed, lipschitz = _row_stack(Y, masks, D)
     forward, adjoint = _operator(atoms, observed)
-    if config.step is None:
-        step = _per_row(1.0 / lipschitz)
-    elif np.count_nonzero(config.step > 1.0 / lipschitz):
-        raise ValueError("step exceeds 1 / ||A||^2")
-    elif config.step <= 0:
-        raise ValueError("step must be positive")
-    else:
-        step = float(config.step)
+    step = _per_row(1.0 / lipschitz)
     w = config.l1_weight
     if w is None:
         w = _per_row(0.01 * np.abs(adjoint(Y)).max(axis=-1))

@@ -102,7 +102,7 @@ def _load_config_file(path) -> dict:
     return out
 
 
-def _solver_overrides(args) -> dict:
+def _solver_options(args) -> dict:
     options = {}
     if args.config:
         options.update(_load_config_file(args.config))
@@ -178,7 +178,7 @@ def _log_event(log, event: str, **fields) -> None:
 
 
 def _cmd_recover(args) -> int:
-    overrides = args.overrides
+    options = args.solver_options
     out_log = args.out + ".log.jsonl"
     is_image = args.input.endswith(".pgm")
     if is_image:
@@ -189,13 +189,13 @@ def _cmd_recover(args) -> int:
         D = _dictionary_from_args(args, x.size, f"{x.size} samples in --input")
     # Resolve the settings before the log exists, so a bad one leaves none.
     try:
-        settings = solver_settings(args.solver, D, args.sr, args.seed, overrides)
+        settings = solver_settings(args.solver, D, args.sr, args.seed, **options)
     except ValueError as exc:
         raise _ArgumentError(f"--config {args.config}: {exc}") from None
     with open(out_log, "w", newline="\n") as log:
         _log_event(log, "config", **settings)
         if is_image:
-            restored, results = recover_image(image, args.sr, args.seed, args.solver, D, overrides)
+            restored, results = recover_image(image, args.sr, args.seed, args.solver, D, **options)
             for i, result in enumerate(results):
                 _log_event(
                     log,
@@ -207,7 +207,7 @@ def _cmd_recover(args) -> int:
             _log_event(log, "result", psnr_db=min(psnr(restored, image), PSNR_CSV_CAP))
             save_pgm(args.out, np.clip(np.round(restored), 0, 255))
         else:
-            (result,) = recover_patches(x[None, :], args.sr, args.seed, args.solver, D, overrides)
+            (result,) = recover_patches(x[None, :], args.sr, args.seed, args.solver, D, **options)
             for t in range(result.iterations):
                 entry = {"t": t + 1, "coupling_residual": float(result.primal_residuals[t])}
                 if result.slack_residuals is not None:
@@ -264,7 +264,7 @@ def _run_sweep(args, mode: str) -> int:
         trials=args.trials,
         seed=args.seed,
         solvers=tuple(args.solver) if args.solver else ExperimentSpec.solvers,
-        max_iter=args.max_iter if args.max_iter is not None else 50,
+        max_iter=args.max_iter,
         timing=args.timing,
         corpus=tuple(getattr(args, "corpus", None) or ()),
     )
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_sw.add_argument("--trials", type=_positive_int, default=100)
         p_sw.add_argument("--seed", type=int, default=0)
         p_sw.add_argument("--solver", action="append", choices=SOLVER_NAMES, default=None)
-        p_sw.add_argument("--max-iter", dest="max_iter", type=_positive_int, default=None)
+        p_sw.add_argument("--max-iter", dest="max_iter", type=_positive_int, default=ExperimentSpec.max_iter)
         p_sw.add_argument("--out", required=True)
         if mode == "sweep-sr":
             p_sw.add_argument(
@@ -362,7 +362,7 @@ def main(argv=None) -> int:
         if args.input.endswith(".pgm") and not (args.n >= 4 and math.isqrt(args.n) ** 2 == args.n):
             parser.error(f"--n {args.n}: PGM input needs a square patch length of at least 4")
         try:
-            args.overrides = _solver_overrides(args)
+            args.solver_options = _solver_options(args)
         except (OSError, ValueError) as exc:
             parser.error(str(exc))
     if args.command == "denoise":

@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "CsimParams",
-    "CsimKernel",
     "csim_stats",
     "csim_pair",
     "quadratic_form",
@@ -42,6 +41,12 @@ class CsimParams:
     ``var_weight > mean_weight``; that is not enforced because the equal
     weight case is meaningful too (it reduces the denoising filter to
     the plain Wiener-Hopf solution).
+
+    The properties give the coefficients of the index matrix
+    W = diag_coef * I + ones_coef * ones @ ones.T and of its principal
+    square root.  The all-ones direction is an eigenvector of W with
+    eigenvalue mean_weight/n; every mean-zero vector is one with
+    eigenvalue var_weight/(n-1).
     """
 
     mean_weight: float
@@ -65,31 +70,14 @@ class CsimParams:
         var_weight = float(n - 1)
         return cls(mean_weight=0.25 * var_weight, var_weight=var_weight, n=n)
 
-
-@dataclass(frozen=True)
-class CsimKernel:
-    """Implicit matrix W = diag_coef * I + ones_coef * ones @ ones.T.
-
-    Carries the coefficients of W and of its principal square root.  The
-    all-ones direction is an eigenvector with eigenvalue mean_weight/n;
-    every mean-zero vector is an eigenvector with eigenvalue
-    var_weight/(n-1).
-    """
-
-    params: CsimParams
-
-    @property
-    def n(self) -> int:
-        return self.params.n
-
     @property
     def diag_coef(self) -> float:
-        return self.params.var_weight / (self.params.n - 1)
+        return self.var_weight / (self.n - 1)
 
     @property
     def ones_coef(self) -> float:
-        n = self.params.n
-        return self.params.mean_weight / n**2 - self.params.var_weight / (n * (n - 1))
+        n = self.n
+        return self.mean_weight / n**2 - self.var_weight / (n * (n - 1))
 
     @property
     def sqrt_diag_coef(self) -> float:
@@ -97,8 +85,7 @@ class CsimKernel:
 
     @property
     def sqrt_ones_coef(self) -> float:
-        n = self.params.n
-        return (math.sqrt(self.params.mean_weight / n) - self.sqrt_diag_coef) / n
+        return (math.sqrt(self.mean_weight / self.n) - self.sqrt_diag_coef) / self.n
 
 
 def _vector(e, n: int | None = None) -> np.ndarray:
@@ -122,13 +109,8 @@ def csim_stats(e, params: CsimParams):
     e = np.asarray(e, dtype=float)
     if e.ndim == 0 or e.shape[-1] != params.n:
         raise ValueError(f"expected residuals of length {params.n}")
-    value = _index(e, *_index_weights(params))
+    value = _index(e, params.mean_weight, params.diag_coef)
     return float(value) if e.ndim == 1 else value
-
-
-def _index_weights(params: CsimParams) -> tuple[float, float]:
-    """The weights of mu**2 and of ||e - mu||**2 in ``csim_stats``."""
-    return params.mean_weight, params.var_weight / (params.n - 1)
 
 
 def _index(e, mean_coef: float, dev_coef: float):
@@ -147,32 +129,32 @@ def csim_pair(x, y, params: CsimParams) -> float:
     return csim_stats(x - y, params)
 
 
-def quadratic_form(e, kernel: CsimKernel) -> float:
+def quadratic_form(e, params: CsimParams) -> float:
     """e @ W @ e evaluated as diag_coef*||e||^2 + ones_coef*(sum e)^2."""
-    e = _vector(e, kernel.n)
+    e = _vector(e, params.n)
     total = float(e.sum())
-    return kernel.diag_coef * float(e @ e) + kernel.ones_coef * total * total
+    return params.diag_coef * float(e @ e) + params.ones_coef * total * total
 
 
-def apply_kernel(e, kernel: CsimKernel) -> np.ndarray:
+def apply_kernel(e, params: CsimParams) -> np.ndarray:
     """W @ e in O(n): scale e and add the rank-one correction."""
-    e = _vector(e, kernel.n)
-    return kernel.diag_coef * e + (kernel.ones_coef * float(e.sum()))
+    e = _vector(e, params.n)
+    return params.diag_coef * e + (params.ones_coef * float(e.sum()))
 
 
-def apply_kernel_sqrt(e, kernel: CsimKernel) -> np.ndarray:
+def apply_kernel_sqrt(e, params: CsimParams) -> np.ndarray:
     """W^(1/2) @ e in O(n); applying it twice reproduces apply_kernel."""
-    e = _vector(e, kernel.n)
-    return kernel.sqrt_diag_coef * e + (kernel.sqrt_ones_coef * float(e.sum()))
+    e = _vector(e, params.n)
+    return params.sqrt_diag_coef * e + (params.sqrt_ones_coef * float(e.sum()))
 
 
-def kernel_eigenvalues(kernel: CsimKernel) -> tuple[float, float]:
+def kernel_eigenvalues(params: CsimParams) -> tuple[float, float]:
     """(repeated eigenvalue on mean-zero vectors, all-ones eigenvalue).
 
     The first value is var_weight/(n-1) with multiplicity n-1, the
     second mean_weight/n with the normalized all-ones eigenvector.
     """
-    return kernel.diag_coef, kernel.params.mean_weight / kernel.n
+    return params.diag_coef, params.mean_weight / params.n
 
 
 def sensitivity_ratio(params: CsimParams) -> float:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -108,7 +108,6 @@ class ExperimentSpec:
     max_iter: int = 50
     timing: bool = False
     corpus: tuple[str, ...] = ()
-    overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -144,29 +143,21 @@ def observation_mask(n: int, sr: float, seed: int, index: int) -> SamplingMask:
     return random_mask(n, m, substream(seed, index, _TAG_MASK, m))
 
 
-def _solver(
-    name: str,
-    max_iter: int = 50,
-    record_iterates: bool = False,
-    overrides: dict | None = None,
-    feasibility_tol: float | None = None,
-):
-    """(config, batched entry point, one-row entry point) of solver ``name``."""
+def _solver(name: str, **settings):
+    """(config, batched entry point, one-row entry point) of solver
+    ``name``; ``settings`` are fields of its config type, and one it
+    lacks raises ``TypeError``."""
     if name not in SOLVER_NAMES:
         raise ValueError(f"unknown solver {name!r}")
     config_type, batch, single = _solver_table()[name]
-    kwargs = {"max_iter": max_iter, "record_iterates": record_iterates}
-    if config_type is SolverConfig and feasibility_tol is not None:
-        kwargs["feasibility_tol"] = feasibility_tol
-    kwargs.update(overrides or {})
-    return config_type(**kwargs), batch, single
+    return config_type(**settings), batch, single
 
 
 def run_solver_batch(name: str, Y, masks, D: Dictionary, **settings) -> list[RecoveryResult]:
     """Run solver ``name`` on every row of ``Y``, row i observed through
-    ``masks[i]``, in one batched solve; one result per row.  Settings:
-    ``max_iter`` (50), ``record_iterates``, ``overrides`` (a dict of
-    config fields) and ``feasibility_tol`` (csim-alm only)."""
+    ``masks[i]``, in one batched solve; one result per row.  Settings
+    are fields of the solver's config (``SolverConfig``, ``FistaConfig``,
+    ``IhtConfig``), with that type's defaults."""
     config, batch, _ = _solver(name, **settings)
     return batch(Y, masks, D, config)
 
@@ -180,13 +171,11 @@ def run_solver(name: str, y, mask, D: Dictionary, **settings) -> RecoveryResult:
     return single(y, mask, D, config)
 
 
-def solver_settings(
-    name: str, D: Dictionary, sr: float, seed: int, overrides: dict | None = None
-) -> dict:
+def solver_settings(name: str, D: Dictionary, sr: float, seed: int, **settings) -> dict:
     """Settings ``recover_patches`` hands to solver ``name``, for a run
     log: every effective csim-alm hyperparameter (as resolved for the
     first patch), or a baseline's name and iteration budget."""
-    config, _, _ = _solver(name, overrides=overrides)
+    config, _, _ = _solver(name, **settings)
     if isinstance(config, SolverConfig):
         resolved = effective_config(config, observation_mask(D.n, sr, seed, 0), D)
         return {**asdict(resolved), "gram_norm": D.spectral_norm_sq}
@@ -194,20 +183,20 @@ def solver_settings(
 
 
 def recover_patches(
-    patches, sr: float, seed: int, solver: str, D: Dictionary, overrides: dict | None = None
+    patches, sr: float, seed: int, solver: str, D: Dictionary, **settings
 ) -> list[RecoveryResult]:
     """Recover every row of ``patches`` from the samples its mask keeps.
 
     Row i is observed through ``observation_mask(D.n, sr, seed, i)``, so
     a single vector recovered as row 0 sees the mask of an image's first
-    patch.  ``overrides`` holds solver settings, as in ``run_solver``.
+    patch.  ``settings`` are config fields, as in ``run_solver``.
     """
     masks = _observe(len(patches), D.n, sr, seed)
-    return run_solver_batch(solver, patches, masks, D, overrides=overrides)
+    return run_solver_batch(solver, patches, masks, D, **settings)
 
 
 def recover_image(
-    image, sr: float, seed: int, solver: str, D: Dictionary, overrides: dict | None = None
+    image, sr: float, seed: int, solver: str, D: Dictionary, **settings
 ) -> tuple[np.ndarray, list[RecoveryResult]]:
     """Recover an image tile by tile; returns the restored float image
     and the per-patch results.
@@ -220,7 +209,7 @@ def recover_image(
         raise ValueError("image recovery needs a square patch length")
     height, width = np.shape(image)
     grid = PatchGrid(height, width, side=side, stride=side)
-    results = recover_patches(extract_patches(image, grid), sr, seed, solver, D, overrides)
+    results = recover_patches(extract_patches(image, grid), sr, seed, solver, D, **settings)
     return reassemble(np.stack([r.x_hat for r in results]), grid), results
 
 
@@ -281,13 +270,11 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _solve_group(spec: ExperimentSpec, D: Dictionary, solver: str, masks, Y, **kwargs):
+def _solve_group(spec: ExperimentSpec, D: Dictionary, solver: str, masks, Y, **settings):
     """The results of one (solver, sampling ratio) group from one
     ``run_solver_batch`` call, and its solve time in ms."""
     t0 = time.perf_counter()
-    results = run_solver_batch(
-        solver, Y, masks, D, max_iter=spec.max_iter, overrides=spec.overrides.get(solver), **kwargs
-    )
+    results = run_solver_batch(solver, Y, masks, D, max_iter=spec.max_iter, **settings)
     return results, (time.perf_counter() - t0) * 1e3
 
 
@@ -355,8 +342,10 @@ def sweep_iters(spec: ExperimentSpec) -> str:
 
     lines = []
     for solver, sr in itertools.product(spec.solvers, spec.srs):
+        # A zero tolerance keeps csim-alm from stopping before its budget.
+        no_stop = {"feasibility_tol": 0.0} if solver == "csim-alm" else {}
         results, _ = _solve_group(
-            spec, D, solver, masks[sr], X_true, record_iterates=True, feasibility_tol=0.0
+            spec, D, solver, masks[sr], X_true, record_iterates=True, **no_stop
         )
         for trial, (s_true, result) in enumerate(zip(S_true, results)):
             iterates = np.array(result.iterates)

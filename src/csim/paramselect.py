@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import CsimKernel, CsimParams
+from .core import CsimParams
 
 __all__ = [
     "KappaBound",
@@ -147,45 +147,29 @@ def kappa_ratio_bound(D, kappa_max: float = DEFAULT_KAPPA_MAX) -> KappaBound:
     if smax == 0.0:
         raise ValueError("all-zero dictionary")
     rank = int(np.sum(svals > _RANK_RTOL * smax))
+    ratio_coef = constant = float("nan")
     if p > n or rank < p:
-        return KappaBound(
-            ratio_coef=float("nan"),
-            constant=float("nan"),
-            kappa_max=kappa_max,
-            ratio_upper=None,
-            feasible=False,
-            reason="dictionary is not full column rank",
-        )
-    kappa = smax / float(svals[-1])
-    # ones @ D @ D.T @ ones is the squared norm of the atom row sums.
-    rowsum_energy = float(np.sum(atoms.sum(axis=0) ** 2))
-    normalized_rowsum = rowsum_energy / (n * smax * smax)
-    ratio_coef = kappa * (n / (n - 1)) * (1.0 / (kappa * kappa) - normalized_rowsum)
-    constant = kappa * normalized_rowsum
-    if ratio_coef <= 0.0:
-        return KappaBound(
-            ratio_coef=ratio_coef,
-            constant=constant,
-            kappa_max=kappa_max,
-            ratio_upper=None,
-            feasible=False,
-            reason="ratio coefficient is not positive (bound is vacuous)",
-        )
-    if kappa_max <= ratio_coef + constant:
-        return KappaBound(
-            ratio_coef=ratio_coef,
-            constant=constant,
-            kappa_max=kappa_max,
-            ratio_upper=None,
-            feasible=False,
-            reason="kappa_max does not exceed ratio_coef + constant",
-        )
+        reason = "dictionary is not full column rank"
+    else:
+        kappa = smax / float(svals[-1])
+        # ones @ D @ D.T @ ones is the squared norm of the atom row sums.
+        rowsum_energy = float(np.sum(atoms.sum(axis=0) ** 2))
+        normalized_rowsum = rowsum_energy / (n * smax * smax)
+        ratio_coef = kappa * (n / (n - 1)) * (1.0 / (kappa * kappa) - normalized_rowsum)
+        constant = kappa * normalized_rowsum
+        if ratio_coef <= 0.0:
+            reason = "ratio coefficient is not positive (bound is vacuous)"
+        elif kappa_max <= ratio_coef + constant:
+            reason = "kappa_max does not exceed ratio_coef + constant"
+        else:
+            reason = None
     return KappaBound(
         ratio_coef=ratio_coef,
         constant=constant,
         kappa_max=kappa_max,
-        ratio_upper=(kappa_max - constant) / ratio_coef,
-        feasible=True,
+        ratio_upper=None if reason else (kappa_max - constant) / ratio_coef,
+        feasible=reason is None,
+        reason=reason,
     )
 
 
@@ -296,7 +280,7 @@ def select_ratio(
     )
 
 
-def verify_rip_bruteforce(D, kernel: CsimKernel, two_k: int, budget: int = 100_000) -> float:
+def verify_rip_bruteforce(D, params: CsimParams, two_k: int, budget: int = 100_000) -> float:
     """Exact isometry constant of the transformed dictionary.
 
     Forms the square-root-weighted atoms, then for every set of two_k
@@ -306,7 +290,7 @@ def verify_rip_bruteforce(D, kernel: CsimKernel, two_k: int, budget: int = 100_0
     """
     atoms = _atoms(D)
     n, p = atoms.shape
-    if kernel.n != n:
+    if params.n != n:
         raise ValueError("kernel dimension does not match the dictionary")
     two_k = int(two_k)
     if not 1 <= two_k <= p:
@@ -319,7 +303,7 @@ def verify_rip_bruteforce(D, kernel: CsimKernel, two_k: int, budget: int = 100_0
         raise ValueError(f"{count} subsets exceed the enumeration budget {budget}")
 
     col_sums = atoms.sum(axis=0)
-    weighted = kernel.sqrt_diag_coef * atoms + kernel.sqrt_ones_coef * col_sums
+    weighted = params.sqrt_diag_coef * atoms + params.sqrt_ones_coef * col_sums
     gram = weighted.T @ weighted
 
     worst = 0.0

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import CsimKernel, CsimParams, _index, _index_weights, apply_kernel
+from .core import CsimParams, _index, apply_kernel
 from .dictionaries import Dictionary, _analyze, _dot, _synthesize
 from .signals import SamplingMask
 
@@ -115,7 +115,13 @@ class SolverConfig:
 
 def effective_config(config: SolverConfig, mask: SamplingMask, D: Dictionary) -> SolverConfig:
     """``config`` with every ``None`` hyperparameter (but ``l1_weight``,
-    which ``None`` sets per signal) resolved for a given problem."""
+    which ``None`` sets per signal) resolved for a given problem.  A
+    setting out of its range, or a float setting that is not finite,
+    raises ``ValueError`` naming the field."""
+    for field in fields(config):  # the derived values are finite when these are
+        value = getattr(config, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
     ratio = mask.m / mask.n
     var_weight = config.var_weight if config.var_weight is not None else float(mask.n - 1)
     resolved = replace(
@@ -360,27 +366,27 @@ def s_update_backtracking(
         majorizer = np.where(accepted, majorizer, majorizer * growth)
 
 
-def _retry_counts(before, after, growth: float, rounds: int):
-    """Retries of each row in one backtracking call of ``rounds`` rounds:
-    how often its constant was multiplied by ``growth``."""
-    counts = np.zeros(np.shape(after), dtype=np.int64)
-    for _ in range(rounds):
-        grew = before < after
-        counts += grew
-        before = np.where(grew, before * growth, before)
-    return counts
+def _growth_steps(majorizer0: float, majorizer: float, growth: float) -> int:
+    """How often backtracking multiplied ``majorizer0`` by ``growth`` to
+    reach ``majorizer``: the constant only ever grows by that factor, so
+    replaying the products meets it bit for bit."""
+    steps = 0
+    while majorizer0 < majorizer:
+        majorizer0 *= growth
+        steps += 1
+    return steps
 
 
-def _slack_solver(kernel: CsimKernel, rho2, slack_ridge: float):
+def _slack_solver(params: CsimParams, rho2, slack_ridge: float):
     """The solve c -> (rho2 I + 2 (W + slack_ridge I))^-1 c for each row
     of a float array c, in O(n), with its coefficients formed once.
 
     The system matrix is diagonal-plus-rank-one, so its inverse is a
     scale plus a rank-one correction.
     """
-    diag = rho2 + 2.0 * kernel.diag_coef + 2.0 * slack_ridge
-    ones = 2.0 * kernel.ones_coef
-    full = diag + kernel.n * ones
+    diag = rho2 + 2.0 * params.diag_coef + 2.0 * slack_ridge
+    ones = 2.0 * params.ones_coef
+    full = diag + params.n * ones
     if np.count_nonzero(full <= 0):
         raise AssertionError("slack system lost positive definiteness")
     return lambda c: (c - ones * _sum(c) / full) / diag
@@ -388,12 +394,12 @@ def _slack_solver(kernel: CsimKernel, rho2, slack_ridge: float):
 
 def z_update(
     c,
-    kernel: CsimKernel,
+    params: CsimParams,
     rho2,
     slack_ridge: float,
 ) -> np.ndarray:
     """Solve (rho2 I + 2 (W + slack_ridge I)) z = c for each row of c in O(n)."""
-    return _slack_solver(kernel, rho2, slack_ridge)(np.asarray(c, dtype=float))
+    return _slack_solver(params, rho2, slack_ridge)(np.asarray(c, dtype=float))
 
 
 def multipliers_update(
@@ -448,8 +454,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     B = len(masks)
 
     params = CsimParams(cfg.mean_weight, cfg.var_weight, n)
-    kernel = CsimKernel(params)
-    mean_coef, dev_coef = _index_weights(params)
+    mean_coef, dev_coef = params.mean_weight, params.diag_coef
     rho1 = _per_row([configs[mask.m].rho1 for mask in masks])
     rho2 = _per_row([configs[mask.m].rho2 for mask in masks])
     ridge, growth = cfg.slack_ridge, cfg.majorizer_growth
@@ -459,7 +464,6 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         peak = np.abs(_analyze(atoms, Y)).max(axis=-1)
         l1_weight = _per_row(np.maximum(cfg.l1_init_scale * peak, cfg.l1_weight_min))
     majorizer = cfg.majorizer0
-    retries = 0
 
     s = np.zeros(Y.shape[:-1] + (p,))
     z = np.zeros_like(Y)
@@ -488,7 +492,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         if divisor is None:
             # Fixed while the working set is: formed again when rows leave.
             divisor = _x_divisor(observed, rho1, rho2)
-            slack_solve = _slack_solver(kernel, rho2, ridge)
+            slack_solve = _slack_solver(params, rho2, ridge)
         # Products with the 0/1 indicator stand in for masked assignments;
         # they can differ from them only in the sign of a zero.  The
         # right-hand side is a temporary, freed before the s step, so the
@@ -497,12 +501,9 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         if cfg.project_observed:
             x = projection(x, Y, observed)
 
-        before = majorizer
-        s, majorizer, rounds, synthesized, s_l1 = s_update_backtracking(
+        s, majorizer, _, synthesized, s_l1 = s_update_backtracking(
             s, x, dual_x, D, rho1, l1_weight, majorizer, growth, synthesized
         )
-        if rounds:
-            retries = retries + _retry_counts(before, majorizer, growth, rounds)
 
         masked_x = observed * x
         z = slack_solve(rho2 * (masked_x - Y) - dual_z)
@@ -555,6 +556,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         for j in np.flatnonzero(stopping):
             row = rows[j]
             history = np.concatenate(pieces[row]).T.copy()
+            majorizer_final = float(_row_value(majorizer, j))
             results[row] = RecoveryResult(
                 x_hat=_row(x, j),
                 s_hat=_row(s, j),
@@ -568,8 +570,8 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
                 final_dual_x=_row(dual_x, j),
                 final_dual_z=_row(dual_z, j),
                 l1_weight_final=float(_row_value(l1_weight, j)),
-                majorizer_final=float(_row_value(majorizer, j)),
-                s_retries=int(_row_value(retries, j)),
+                majorizer_final=majorizer_final,
+                s_retries=_growth_steps(cfg.majorizer0, majorizer_final, growth),
                 stop_reason="converged" if done[j] else "budget",
             )
         keep = ~stopping
@@ -578,8 +580,8 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         rows, Y, observed, s, z, dual_x, dual_z, synthesized = (
             a[keep] for a in (rows, Y, observed, s, z, dual_x, dual_z, synthesized)
         )
-        rho1, rho2, l1_weight, majorizer, retries = (
-            _keep(v, keep) for v in (rho1, rho2, l1_weight, majorizer, retries)
+        rho1, rho2, l1_weight, majorizer = (
+            _keep(v, keep) for v in (rho1, rho2, l1_weight, majorizer)
         )
         divisor = None
     return results
@@ -588,7 +590,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
 def kkt_residuals(
     result: RecoveryResult,
     mask: SamplingMask,
-    kernel: CsimKernel,
+    params: CsimParams,
     slack_ridge: float,
 ) -> tuple[float, float]:
     """Stationarity gaps at the returned iterate.
@@ -603,6 +605,6 @@ def kkt_residuals(
     dual_z = result.final_dual_z
     if z is None or dual_x is None or dual_z is None:
         raise ValueError("result does not carry final duals")
-    grad_z = 2.0 * (apply_kernel(z, kernel) + slack_ridge * z) + dual_z
+    grad_z = 2.0 * (apply_kernel(z, params) + slack_ridge * z) + dual_z
     masked_dual = mask.indicator() * dual_z
     return float(np.linalg.norm(grad_z)), float(np.linalg.norm(dual_x - masked_dual))

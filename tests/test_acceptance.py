@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from csim.core import (
-    CsimKernel,
     CsimParams,
     apply_kernel,
     apply_kernel_sqrt,
@@ -68,19 +67,18 @@ def test_criterion_1_kernel_algebra_suite():
         params = CsimParams(
             float(rng.uniform(0.05, 8.0)), float(rng.uniform(0.05, 8.0)), n
         )
-        kernel = CsimKernel(params)
         e = rng.uniform(-5.0, 5.0, size=n)
 
         a = csim_stats(e, params)
-        b = quadratic_form(e, kernel)
+        b = quadratic_form(e, params)
         worst_gap = max(worst_gap, abs(a - b) / (1.0 + abs(a)))
 
-        comp = apply_kernel_sqrt(apply_kernel_sqrt(e, kernel), kernel)
+        comp = apply_kernel_sqrt(apply_kernel_sqrt(e, params), params)
         worst_sqrt = max(
-            worst_sqrt, float(np.max(np.abs(comp - apply_kernel(e, kernel))))
+            worst_sqrt, float(np.max(np.abs(comp - apply_kernel(e, params))))
         )
 
-        repeated, mean_dir = kernel_eigenvalues(kernel)
+        repeated, mean_dir = kernel_eigenvalues(params)
         dense = np.sort(np.linalg.eigvalsh(dense_kernel(params)))
         expected = np.sort(np.array([mean_dir] + [repeated] * (n - 1)))
         worst_eig = max(worst_eig, float(np.max(np.abs(dense - expected))))
@@ -143,14 +141,13 @@ def test_criterion_3_closed_form_update_oracles():
         params = CsimParams(
             float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.05, 8.0)), n
         )
-        kernel = CsimKernel(params)
         ridge = float(rng.uniform(0.0, 2.0))
         c = rng.standard_normal(n)
         dense_sys = rho2 * np.eye(n) + 2.0 * (dense_kernel(params) + ridge * np.eye(n))
         dense_z = np.linalg.solve(dense_sys, c)
         worst_z = max(
             worst_z,
-            float(np.max(np.abs(z_update(c, kernel, rho2, ridge) - dense_z))),
+            float(np.max(np.abs(z_update(c, params, rho2, ridge) - dense_z))),
         )
     elapsed = time.perf_counter() - start
     assert worst_x <= 1e-10
@@ -181,7 +178,7 @@ def test_criterion_4_rip_brute_force():
     assert bound.violated == "mu >= delta/(2k-1)"
     # the exhaustive measurement itself still runs on the fallback ratio
     measured_12 = verify_rip_bruteforce(
-        atoms, CsimKernel(params_for_ratio(4.0, 12)), two_k
+        atoms, params_for_ratio(4.0, 12), two_k
     )
     assert measured_12 >= 0.0
 
@@ -191,8 +188,8 @@ def test_criterion_4_rip_brute_force():
     D = dct_dictionary(16, 16)
     feasible_bound = rip_ratio_bound(16, two_k // 2, D.coherence, delta)
     assert feasible_bound.feasible
-    kernel = CsimKernel(params_for_ratio(feasible_bound.ratio_upper, 16))
-    measured = verify_rip_bruteforce(D, kernel, two_k)
+    params = params_for_ratio(feasible_bound.ratio_upper, 16)
+    measured = verify_rip_bruteforce(D, params, two_k)
     elapsed = time.perf_counter() - start
     assert measured <= delta
     assert elapsed < 60.0
@@ -248,10 +245,8 @@ def test_criterion_6_solver_convergence_fixed_weight():
         ):
             feasible += 1
         values = effective_config(cfg, mask, D)
-        kernel = CsimKernel(
-            CsimParams(values.mean_weight, values.var_weight, 64)
-        )
-        r_z, r_mu = kkt_residuals(result, mask, kernel, values.slack_ridge)
+        params = CsimParams(values.mean_weight, values.var_weight, 64)
+        r_z, r_mu = kkt_residuals(result, mask, params, values.slack_ridge)
         if r_z <= 1e-6 * (
             1.0 + float(np.linalg.norm(result.final_dual_z))
         ) and r_mu <= 1e-6 * (1.0 + float(np.linalg.norm(result.final_dual_x))):

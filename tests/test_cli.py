@@ -263,6 +263,22 @@ def test_config_file_values_the_solver_rejects_exit_two_and_leave_no_log(tmp_pat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "x.csv"]
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "key", [f.name for f in fields(SolverConfig) if f.type.startswith("float")]
+)
+def test_config_file_non_finite_values_exit_two_and_leave_no_file(tmp_path, capsys, key, value):
+    src = tmp_path / "x.csv"
+    save_csv_vector(src, substream(6, 7).standard_normal(16))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    with pytest.raises(SystemExit) as err:
+        main(["recover", "--input", str(src), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)])
+    assert err.value.code == 2
+    assert f"--config {cfg}: {key} must be finite" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "x.csv"]
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csim.core import (
-    CsimKernel,
     CsimParams,
     apply_kernel,
     apply_kernel_sqrt,
@@ -65,20 +64,19 @@ def test_stats_equals_dense_quadratic_form():
     e = rng.standard_normal(8)
     dense = float(e @ dense_kernel_matrix(p) @ e)
     assert csim_stats(e, p) == pytest.approx(dense, abs=1e-12)
-    assert quadratic_form(e, CsimKernel(p)) == pytest.approx(dense, abs=1e-12)
+    assert quadratic_form(e, p) == pytest.approx(dense, abs=1e-12)
 
 
 def test_quadratic_form_on_ones_and_mean_zero():
     p = CsimParams(1.0, 3.0, 4)
-    k = CsimKernel(p)
     W = dense_kernel_matrix(p)
     ones = np.ones(4)
-    assert quadratic_form(ones, k) == pytest.approx(float(ones @ W @ ones), abs=1e-12)
-    assert quadratic_form(ones, k) == pytest.approx(1.0, abs=1e-12)
+    assert quadratic_form(ones, p) == pytest.approx(float(ones @ W @ ones), abs=1e-12)
+    assert quadratic_form(ones, p) == pytest.approx(1.0, abs=1e-12)
     perp = np.array([1.0, -1.0, 0.0, 0.0])
-    assert quadratic_form(perp, k) == pytest.approx(float(perp @ W @ perp), abs=1e-12)
-    assert quadratic_form(perp, k) == pytest.approx(2.0, abs=1e-12)
-    assert quadratic_form(np.zeros(4), k) == 0.0
+    assert quadratic_form(perp, p) == pytest.approx(float(perp @ W @ perp), abs=1e-12)
+    assert quadratic_form(perp, p) == pytest.approx(2.0, abs=1e-12)
+    assert quadratic_form(np.zeros(4), p) == 0.0
 
 
 def test_pair_symmetry_and_identity():
@@ -100,59 +98,54 @@ def test_pair_constant_offset():
 def test_apply_kernel_matches_dense_product():
     rng = np.random.default_rng(11)
     p = random_params(rng, 8)
-    k = CsimKernel(p)
     e = rng.standard_normal(8)
     np.testing.assert_allclose(
-        apply_kernel(e, k), dense_kernel_matrix(p) @ e, atol=1e-12
+        apply_kernel(e, p), dense_kernel_matrix(p) @ e, atol=1e-12
     )
 
 
 def test_apply_kernel_eigenvectors():
     p = CsimParams(1.0, 3.0, 4)
-    k = CsimKernel(p)
     np.testing.assert_allclose(
-        apply_kernel(np.ones(4), k), 0.25 * np.ones(4), atol=1e-14
+        apply_kernel(np.ones(4), p), 0.25 * np.ones(4), atol=1e-14
     )
     perp = np.array([1.0, -1.0, 0.0, 0.0])
-    np.testing.assert_allclose(apply_kernel(perp, k), 1.0 * perp, atol=1e-14)
+    np.testing.assert_allclose(apply_kernel(perp, p), 1.0 * perp, atol=1e-14)
 
 
 def test_sqrt_composition_and_energy():
     rng = np.random.default_rng(12)
     for n in (2, 5, 64):
         p = random_params(rng, n)
-        k = CsimKernel(p)
         e = rng.standard_normal(n)
         np.testing.assert_allclose(
-            apply_kernel_sqrt(apply_kernel_sqrt(e, k), k),
-            apply_kernel(e, k),
+            apply_kernel_sqrt(apply_kernel_sqrt(e, p), p),
+            apply_kernel(e, p),
             atol=1e-10,
         )
-        half = apply_kernel_sqrt(e, k)
-        assert float(half @ half) == pytest.approx(quadratic_form(e, k), rel=1e-10)
+        half = apply_kernel_sqrt(e, p)
+        assert float(half @ half) == pytest.approx(quadratic_form(e, p), rel=1e-10)
 
 
 def test_sqrt_matches_dense_matrix_root():
     rng = np.random.default_rng(13)
     p = random_params(rng, 8)
-    k = CsimKernel(p)
     w, V = np.linalg.eigh(dense_kernel_matrix(p))
     root = V @ np.diag(np.sqrt(w)) @ V.T
     e = rng.standard_normal(8)
-    np.testing.assert_allclose(apply_kernel_sqrt(e, k), root @ e, atol=1e-10)
+    np.testing.assert_allclose(apply_kernel_sqrt(e, p), root @ e, atol=1e-10)
 
 
 def test_sqrt_on_ones():
     p = CsimParams(1.0, 3.0, 4)
-    k = CsimKernel(p)
     np.testing.assert_allclose(
-        apply_kernel_sqrt(np.ones(4), k), 0.5 * np.ones(4), atol=1e-14
+        apply_kernel_sqrt(np.ones(4), p), 0.5 * np.ones(4), atol=1e-14
     )
 
 
 def test_eigenvalues_match_dense_decomposition():
     p = CsimParams(1.0, 3.0, 4)
-    repeated, mean_dir = kernel_eigenvalues(CsimKernel(p))
+    repeated, mean_dir = kernel_eigenvalues(p)
     assert repeated == pytest.approx(1.0, abs=1e-12)
     assert mean_dir == pytest.approx(0.25, abs=1e-12)
     dense = np.sort(np.linalg.eigvalsh(dense_kernel_matrix(p)))
@@ -167,8 +160,8 @@ def test_equal_eigenvalue_case():
     n = 6
     var_weight = 2.0
     mean_weight = var_weight * n / (n - 1)
-    k = CsimKernel(CsimParams(mean_weight, var_weight, n))
-    repeated, mean_dir = kernel_eigenvalues(k)
+    p = CsimParams(mean_weight, var_weight, n)
+    repeated, mean_dir = kernel_eigenvalues(p)
     assert repeated == pytest.approx(mean_dir, rel=1e-12)
     dense = np.linalg.eigvalsh(
         dense_kernel_matrix(CsimParams(mean_weight, var_weight, n))
@@ -212,15 +205,14 @@ def test_noise_bias_direction():
 
 def test_dimension_mismatch_errors():
     p = CsimParams(1.0, 1.0, 4)
-    k = CsimKernel(p)
     with pytest.raises(ValueError):
         csim_stats(np.zeros(5), p)
     with pytest.raises(ValueError):
-        quadratic_form(np.zeros(3), k)
+        quadratic_form(np.zeros(3), p)
     with pytest.raises(ValueError):
         csim_pair(np.zeros(4), np.zeros(5), p)
     with pytest.raises(ValueError):
-        apply_kernel(np.zeros((2, 2)), k)
+        apply_kernel(np.zeros((2, 2)), p)
 
 
 @settings(max_examples=80, deadline=None)
@@ -234,7 +226,7 @@ def test_two_path_equality_property(n, mean_weight, var_weight, seed):
     p = CsimParams(mean_weight, var_weight, n)
     e = np.random.default_rng(seed).uniform(-10.0, 10.0, size=n)
     a = csim_stats(e, p)
-    b = quadratic_form(e, CsimKernel(p))
+    b = quadratic_form(e, p)
     assert abs(a - b) <= 1e-10 * (1.0 + abs(a))
 
 
@@ -249,7 +241,7 @@ def test_positive_definiteness_property(n, seed):
     e = rng.standard_normal(n)
     if not np.any(e):
         e[0] = 1.0
-    assert quadratic_form(e, CsimKernel(p)) > 0.0
+    assert quadratic_form(e, p) > 0.0
 
 
 @settings(max_examples=60, deadline=None)

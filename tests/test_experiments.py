@@ -15,6 +15,8 @@ from csim.experiments import (
     build_dictionary,
     emit_plot_script,
     observation_mask,
+    recover_image,
+    recover_patches,
     run_solver,
     run_solver_batch,
     solver_settings,
@@ -163,6 +165,40 @@ def test_solver_settings_echo_every_config_field_and_the_gram_norm():
     assert type(settings["max_iter"]) is int
 
 
+@pytest.mark.parametrize("solver", ["csim-alm", "fista", "iht"])
+def test_every_entry_point_hands_its_settings_to_the_solver_config(solver):
+    D = build_dictionary("dct", 16, 16)
+    image = synthetic_image(8, 8, seed=1).astype(float)  # four 4x4 patches
+    mask = observation_mask(16, 0.6, 2, 0)
+    y = apply_mask(image[:4, :4].reshape(-1), mask)
+    results = [
+        run_solver(solver, y, mask, D, max_iter=7),
+        *run_solver_batch(solver, y[None], [mask], D, max_iter=7),
+        *recover_patches(image[:4].reshape(2, 16), 0.6, 2, solver, D, max_iter=7),
+        *recover_image(image, 0.6, 2, solver, D, max_iter=7)[1],
+    ]
+    assert len(results) == 8  # one, one, two and four rows
+    assert all(result.iterations == 7 for result in results)
+    assert solver_settings(solver, D, 0.6, 2, max_iter=7)["max_iter"] == 7
+
+
+@pytest.mark.parametrize(
+    "solver, setting", [("csim-alm", "tau0"), ("fista", "feasibility_tol"), ("iht", "l1_weight")]
+)
+def test_a_setting_the_solver_config_lacks_raises_type_error(solver, setting):
+    D = build_dictionary("dct", 16, 16)
+    mask = observation_mask(16, 0.6, 2, 0)
+    y = np.zeros(16)
+    calls = (
+        lambda: run_solver(solver, y, mask, D, **{setting: 0.1}),
+        lambda: run_solver_batch(solver, y[None], [mask], D, **{setting: 0.1}),
+        lambda: solver_settings(solver, D, 0.6, 2, **{setting: 0.1}),
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match=setting):
+            call()
+
+
 def test_sweep_sr_caps_finite_psnr_at_csv_cap():
     # near-exact iht recoveries score a finite PSNR far above the cap
     spec = ExperimentSpec(srs=(0.8,), trials=20, solvers=("iht",), seed=0)
@@ -172,16 +208,17 @@ def test_sweep_sr_caps_finite_psnr_at_csv_cap():
 def test_sweep_sr_full_observation_recovers_exactly_sparse():
     # noiseless full observation: every solver pinned to the exact-recovery
     # operating point reports tiny coefficient error
-    spec = ExperimentSpec(
-        srs=(1.0,),
-        trials=5,
-        solvers=("csim-alm", "fista", "iht"),
-        seed=3,
-        max_iter=250,
-        overrides={"fista": {"l1_weight": 1e-4}},
-    )
+    spec = ExperimentSpec(srs=(1.0,), trials=5, solvers=("csim-alm", "iht"), seed=3, max_iter=250)
     for row in parse(sweep_sr(spec)):
         assert float(row["relerr"]) <= 1e-3
+    # fista needs a small l1 weight there; its trials are the sweep's
+    D = build_dictionary("dct", 64, 64)
+    signals = [synth_sparse_signal(D, 7, substream(3, trial, 1)) for trial in range(5)]
+    masks = [observation_mask(64, 1.0, 3, trial) for trial in range(5)]
+    X = np.array([signal.x for signal in signals])
+    results = run_solver_batch("fista", X, masks, D, max_iter=250, l1_weight=1e-4)
+    for signal, result in zip(signals, results, strict=True):
+        assert relative_error(result.s_hat, signal.s) <= 1e-3
 
 
 def test_sweep_sr_runtime_column_zero_without_timing():
@@ -208,6 +245,19 @@ def test_sweep_iters_schema_and_iteration_span():
                 int(r["iter"]) for r in rows if r["solver"] == solver and r["trial"] == trial
             ]
             assert iters == list(range(1, 13))
+
+
+def test_sweep_iters_runs_csim_alm_past_the_point_where_it_would_converge():
+    spec = ExperimentSpec(n=16, p=16, srs=(0.9,), trials=2, seed=0, solvers=("csim-alm",), max_iter=200)
+    D = build_dictionary("dct", 16, 16)
+    for trial in range(spec.trials):
+        signal = synth_sparse_signal(D, 2, substream(0, trial, 1))
+        mask = observation_mask(16, 0.9, 0, trial)
+        alone = run_solver("csim-alm", apply_mask(signal.x, mask), mask, D, max_iter=200)
+        assert alone.stop_reason == "converged" and alone.iterations < 200
+    rows = parse(sweep_iters(spec))
+    for trial in ("0", "1"):
+        assert [int(r["iter"]) for r in rows if r["trial"] == trial] == list(range(1, 201))
 
 
 def test_sweep_iters_elapsed_strictly_increasing_within_trace():

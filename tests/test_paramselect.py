@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from csim.core import CsimKernel, CsimParams
+from csim.core import CsimParams
 from csim.dictionaries import dct_dictionary
 from csim.paramselect import (
     condition_number,
@@ -122,14 +122,18 @@ def test_kappa_bound_cap_too_small_reports_infeasible():
     xi, nu = _kappa_constants_oracle(atoms)
     bound = kappa_ratio_bound(atoms, 0.9 * (xi + nu))
     assert not bound.feasible
+    assert bound.ratio_upper is None
     assert "kappa_max" in bound.reason
+    assert bound.ratio_coef == pytest.approx(xi, rel=1e-10)
 
 
 def test_kappa_bound_rejects_wide_matrices():
     rng = np.random.default_rng(10)
     bound = kappa_ratio_bound(random_normalized(rng, 8, 16), 4.0)
     assert not bound.feasible
+    assert bound.ratio_upper is None
     assert "column rank" in bound.reason
+    assert math.isnan(bound.ratio_coef) and math.isnan(bound.constant)
 
 
 # --- RIP ratio bound -------------------------------------------------------
@@ -244,17 +248,17 @@ def test_bruteforce_identity_kernel_measures_zero():
     # weights that make the kernel the identity: unit repeated eigenvalue
     # and unit all-ones eigenvalue
     n = 8
-    kernel = CsimKernel(CsimParams(mean_weight=float(n), var_weight=float(n - 1), n=n))
-    measured = verify_rip_bruteforce(np.eye(n), kernel, two_k=2)
+    params = CsimParams(mean_weight=float(n), var_weight=float(n - 1), n=n)
+    measured = verify_rip_bruteforce(np.eye(n), params, two_k=2)
     assert measured == pytest.approx(0.0, abs=1e-12)
 
 
-def _gct_bound(kernel, mu, two_k):
+def _gct_bound(params, mu, two_k):
     """Independent Gershgorin bound on the measured constant, valid for
     either sign of the rank-one coefficient."""
-    n = kernel.n
-    d = kernel.diag_coef
-    o = kernel.ones_coef
+    n = params.n
+    d = params.diag_coef
+    o = params.ones_coef
     radius = (two_k - 1) * (
         (abs(d) + abs(o)) * mu + (n - 1) * abs(o)
     )
@@ -266,10 +270,10 @@ def _gct_bound(kernel, mu, two_k):
 def test_bruteforce_below_gershgorin_bound():
     rng = np.random.default_rng(21)
     atoms = random_normalized(rng, 12, 16)
-    kernel = CsimKernel(params_for_ratio(2.0, 12))
-    measured = verify_rip_bruteforce(atoms, kernel, two_k=4)
+    params = params_for_ratio(2.0, 12)
+    measured = verify_rip_bruteforce(atoms, params, two_k=4)
     mu = mutual_coherence(atoms)
-    assert measured <= _gct_bound(kernel, mu, 4) + 1e-12
+    assert measured <= _gct_bound(params, mu, 4) + 1e-12
 
 
 def test_bruteforce_matches_direct_enumeration_oracle():
@@ -277,11 +281,11 @@ def test_bruteforce_matches_direct_enumeration_oracle():
 
     rng = np.random.default_rng(22)
     atoms = random_normalized(rng, 6, 8)
-    kernel = CsimKernel(params_for_ratio(3.0, 6))
-    measured = verify_rip_bruteforce(atoms, kernel, two_k=3)
+    params = params_for_ratio(3.0, 6)
+    measured = verify_rip_bruteforce(atoms, params, two_k=3)
     # oracle: materialize the dense square root and enumerate explicitly
     w, V = np.linalg.eigh(
-        kernel.diag_coef * np.eye(6) + kernel.ones_coef * np.ones((6, 6))
+        params.diag_coef * np.eye(6) + params.ones_coef * np.ones((6, 6))
     )
     root = V @ np.diag(np.sqrt(w)) @ V.T
     weighted = root @ atoms
@@ -296,9 +300,9 @@ def test_bruteforce_matches_direct_enumeration_oracle():
 def test_bruteforce_budget_guard():
     rng = np.random.default_rng(23)
     atoms = random_normalized(rng, 10, 30)
-    kernel = CsimKernel(params_for_ratio(2.0, 10))
+    params = params_for_ratio(2.0, 10)
     with pytest.raises(ValueError):
-        verify_rip_bruteforce(atoms, kernel, two_k=10)
+        verify_rip_bruteforce(atoms, params, two_k=10)
 
 
 def test_closed_form_bound_dominates_measurement_when_feasible():
@@ -308,6 +312,6 @@ def test_closed_form_bound_dominates_measurement_when_feasible():
     D = dct_dictionary(n, n)
     bound = rip_ratio_bound(n, two_k // 2, D.coherence, 0.4)
     assert bound.feasible
-    kernel = CsimKernel(params_for_ratio(bound.ratio_upper, n))
-    measured = verify_rip_bruteforce(D, kernel, two_k)
+    params = params_for_ratio(bound.ratio_upper, n)
+    measured = verify_rip_bruteforce(D, params, two_k)
     assert measured <= 0.4

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csim.solver
-from csim.core import CsimKernel, CsimParams, csim_stats
+from csim.core import CsimParams, csim_stats
 from csim.dictionaries import Dictionary, _synthesize, dct_dictionary, haar_wp_dictionary
 from csim.signals import SamplingMask, apply_mask, random_mask, synth_sparse_signal
 from csim.solver import (
@@ -232,8 +232,8 @@ def test_subproblem_objective_monotone_across_run():
 
 
 def test_z_update_zero_input():
-    kernel = CsimKernel(CsimParams.defaults(8))
-    np.testing.assert_allclose(z_update(np.zeros(8), kernel, 1.0, 1.0), np.zeros(8))
+    params = CsimParams.defaults(8)
+    np.testing.assert_allclose(z_update(np.zeros(8), params, 1.0, 1.0), np.zeros(8))
 
 
 def test_z_update_matches_dense_solve():
@@ -243,26 +243,25 @@ def test_z_update_matches_dense_solve():
         params = CsimParams(
             float(rng.uniform(0.1, 4.0)), float(rng.uniform(0.1, 8.0)), n
         )
-        kernel = CsimKernel(params)
         rho2 = float(rng.uniform(0.1, 3.0))
         ridge = float(rng.uniform(0.0, 2.0))
         c = rng.standard_normal(n)
-        W = kernel.diag_coef * np.eye(n) + kernel.ones_coef * np.ones((n, n))
+        W = params.diag_coef * np.eye(n) + params.ones_coef * np.ones((n, n))
         system = rho2 * np.eye(n) + 2.0 * (W + ridge * np.eye(n))
         np.testing.assert_allclose(
-            z_update(c, kernel, rho2, ridge), np.linalg.solve(system, c), atol=1e-10
+            z_update(c, params, rho2, ridge), np.linalg.solve(system, c), atol=1e-10
         )
 
 
 def test_z_update_all_ones_eigenvector():
     n = 8
-    kernel = CsimKernel(CsimParams.defaults(n))
+    params = CsimParams.defaults(n)
     rho2, ridge = 1.3, 0.7
-    diag = rho2 + 2.0 * kernel.diag_coef + 2.0 * ridge
-    ones_term = 2.0 * kernel.ones_coef
+    diag = rho2 + 2.0 * params.diag_coef + 2.0 * ridge
+    ones_term = 2.0 * params.ones_coef
     expected = np.ones(n) / (diag + n * ones_term)
     np.testing.assert_allclose(
-        z_update(np.ones(n), kernel, rho2, ridge), expected, atol=1e-12
+        z_update(np.ones(n), params, rho2, ridge), expected, atol=1e-12
     )
 
 
@@ -363,6 +362,18 @@ def test_effective_config_validation():
     assert values.majorizer0 == pytest.approx(1.05 * D.spectral_norm_sq)
 
 
+_FLOAT_SETTINGS = [f.name for f in fields(SolverConfig) if f.type.startswith("float")]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", _FLOAT_SETTINGS)
+def test_effective_config_rejects_a_non_finite_float_setting_by_name(name, value):
+    D = dct_dictionary(8, 8)
+    mask = random_mask(8, 6, 18)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        effective_config(SolverConfig(**{name: value}), mask, D)
+
+
 def test_effective_config_is_the_config_with_its_none_fields_resolved():
     D = dct_dictionary(8, 8)
     mask = random_mask(8, 6, 18)
@@ -391,8 +402,8 @@ def test_analysis_mode_reaches_feasibility_and_kkt():
     assert result.primal_residuals[-1] < 1e-6
     assert result.slack_residuals[-1] < 1e-6
     values = effective_config(cfg, mask, D)
-    kernel = CsimKernel(CsimParams(values.mean_weight, values.var_weight, 64))
-    r_z, r_mu = kkt_residuals(result, mask, kernel, values.slack_ridge)
+    params = CsimParams(values.mean_weight, values.var_weight, 64)
+    r_z, r_mu = kkt_residuals(result, mask, params, values.slack_ridge)
     assert r_z <= 1e-6 * (1.0 + float(np.linalg.norm(result.final_dual_z)))
     assert r_mu <= 1e-6 * (1.0 + float(np.linalg.norm(result.final_dual_x)))
 
@@ -408,7 +419,6 @@ def test_analysis_mode_successive_differences_trend():
     obs = mask.observed
     n = 32
     params = CsimParams.defaults(n)
-    kernel = CsimKernel(params)
     rho1, rho2, ridge = 0.4 * mask.m / n, 2.0 * mask.m / n, 1.0
     l1_weight = 1e-3
     majorizer = 1.05 * D.spectral_norm_sq
@@ -428,7 +438,7 @@ def test_analysis_mode_successive_differences_trend():
         )
         masked_x = np.zeros(n)
         masked_x[obs] = x[obs]
-        new_z = z_update(rho2 * (masked_x - y) - dual_z, kernel, rho2, ridge)
+        new_z = z_update(rho2 * (masked_x - y) - dual_z, params, rho2, ridge)
         r1 = x - D.atoms @ new_s
         r2 = new_z - masked_x + y
         new_dual_x, new_dual_z = multipliers_update(
@@ -678,7 +688,6 @@ def _oracle_solve(y, mask, D, config):
     steps, with nothing formed ahead of the iteration that needs it."""
     cfg = effective_config(config, mask, D)
     params = CsimParams(cfg.mean_weight, cfg.var_weight, D.n)
-    kernel = CsimKernel(params)
     observed = mask.indicator()
     y = np.where(observed != 0, y, 0.0)
     rho1, rho2, ridge = cfg.rho1, cfg.rho2, cfg.slack_ridge
@@ -700,7 +709,7 @@ def _oracle_solve(y, mask, D, config):
         )
         retries += rounds
         masked_x = observed * x
-        z = z_update(rho2 * (masked_x - y) - dual_z, kernel, rho2, ridge)
+        z = z_update(rho2 * (masked_x - y) - dual_z, params, rho2, ridge)
         coupling_residual = x - D.atoms @ s
         slack_residual = z - masked_x + y
         dual_x, dual_z = multipliers_update(
@@ -806,8 +815,8 @@ def test_stop_reason_is_the_test_that_retires_the_row():
 
 def _relative_stationarity_gap(result, mask, D, cfg):
     values = effective_config(cfg, mask, D)
-    kernel = CsimKernel(CsimParams(values.mean_weight, values.var_weight, D.n))
-    r_z, r_mu = kkt_residuals(result, mask, kernel, values.slack_ridge)
+    params = CsimParams(values.mean_weight, values.var_weight, D.n)
+    r_z, r_mu = kkt_residuals(result, mask, params, values.slack_ridge)
     assert r_z <= 1e-12  # the z step solves its stationarity condition exactly
     return r_mu / float(np.linalg.norm(result.final_dual_x))
 
