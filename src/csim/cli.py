@@ -18,7 +18,7 @@ from dataclasses import fields
 import numpy as np
 
 from .core import CsimParams, sensitivity_ratio
-from .denoise import denoise_patches
+from .denoise import PATCH_SIDE, denoise_patches
 from .dictionaries import Dictionary
 from .experiments import (
     SOLVER_NAMES,
@@ -34,14 +34,12 @@ from .experiments import (
 )
 from .fileio import load_csv_vector, load_pgm, save_csv_vector, save_pgm
 from .metrics import PSNR_CSV_CAP, image_ssim, psnr, relative_error
-from .paramselect import params_for_ratio, select_ratio
+from .paramselect import DEFAULT_DELTA, DEFAULT_KAPPA_MAX, select_ratio
 from .signals import PatchGrid, extract_patches, reassemble
 from .solver import SolverConfig
 
-# `denoise` filters non-overlapping 8x8 patches; a filter of m taps
-# needs 2m samples.
-_DENOISE_SIDE = 8
-_DENOISE_MAX_TAPS = _DENOISE_SIDE**2 // 2
+# A filter of m taps needs 2m samples of its patch.
+_DENOISE_MAX_TAPS = PATCH_SIDE**2 // 2
 
 
 def _flag(value: str) -> bool:
@@ -81,6 +79,13 @@ def _ratio(value: str) -> float:
     return number
 
 
+def _delta(value: str) -> float:
+    number = float(value)
+    if not 0.0 < number < 1.0:
+        raise argparse.ArgumentTypeError(f"expected an isometry constant in (0, 1), got {value}")
+    return number
+
+
 def _load_config_file(path) -> dict:
     """Flat key = value lines; '#' starts a comment.  Errors name the
     file and line."""
@@ -111,10 +116,10 @@ def _solver_options(args) -> dict:
     return options
 
 
-def _add_dict_args(parser, default_n=64, default_p=None):
+def _add_dict_args(parser):
     parser.add_argument("--dict", choices=("dct", "haar-wp"), default="dct")
-    parser.add_argument("--n", type=int, default=default_n)
-    parser.add_argument("--p", type=int, default=default_p)
+    parser.add_argument("--n", type=int, default=64)
+    parser.add_argument("--p", type=int, default=None)
 
 
 class _ArgumentError(ValueError):
@@ -168,18 +173,23 @@ def _cmd_params(args) -> int:
     else:
         print(f"rip bound: infeasible ({rip_b.violated})")
     print(f"selected ratio var_weight/mean_weight: {selection.ratio:.6g} [{selection.source}]")
-    params = params_for_ratio(selection.ratio, D.n)
+    params = CsimParams.for_ratio(selection.ratio, D.n)
     print(f"sensitivity ratio: {sensitivity_ratio(params):.9g}")
     return 0
 
 
-def _log_event(log, event: str, **fields) -> None:
-    log.write(json.dumps({"event": event, **fields}, sort_keys=True) + "\n")
+def _write_run(out: str, save, data, events) -> None:
+    """``save(out, data)``, then the run log, one JSON line per event.  A
+    command computes both first, so a failing run writes neither."""
+    log_path = out + ".log.jsonl"
+    save(out, data)
+    with open(log_path, "w", newline="\n") as log:
+        log.writelines(json.dumps(event, sort_keys=True) + "\n" for event in events)
+    print(f"wrote {out} and {log_path}")
 
 
 def _cmd_recover(args) -> int:
     options = args.solver_options
-    out_log = args.out + ".log.jsonl"
     is_image = args.input.endswith(".pgm")
     if is_image:
         image = load_pgm(args.input).astype(float)
@@ -187,87 +197,82 @@ def _cmd_recover(args) -> int:
     else:
         x = load_csv_vector(args.input)
         D = _dictionary_from_args(args, x.size, f"{x.size} samples in --input")
-    # Resolve the settings before the log exists, so a bad one leaves none.
     try:
         settings = solver_settings(args.solver, D, args.sr, args.seed, **options)
     except ValueError as exc:
         raise _ArgumentError(f"--config {args.config}: {exc}") from None
-    with open(out_log, "w", newline="\n") as log:
-        _log_event(log, "config", **settings)
-        if is_image:
-            restored, results = recover_image(image, args.sr, args.seed, args.solver, D, **options)
-            for i, result in enumerate(results):
-                _log_event(
-                    log,
-                    "patch",
-                    index=i,
-                    iterations=result.iterations,
-                    final_residual=float(result.primal_residuals[-1]),
-                )
-            _log_event(log, "result", psnr_db=min(psnr(restored, image), PSNR_CSV_CAP))
-            save_pgm(args.out, np.clip(np.round(restored), 0, 255))
-        else:
-            (result,) = recover_patches(x[None, :], args.sr, args.seed, args.solver, D, **options)
-            for t in range(result.iterations):
-                entry = {"t": t + 1, "coupling_residual": float(result.primal_residuals[t])}
-                if result.slack_residuals is not None:
-                    entry["slack_residual"] = float(result.slack_residuals[t])
-                _log_event(log, "iteration", **entry)
-            peak = max(x.max() - x.min(), 1.0)
-            fidelity = relative_error(result.x_hat, x) if np.linalg.norm(x) > 0 else None
-            _log_event(
-                log,
-                "result",
-                iterations=result.iterations,
-                psnr_db=min(psnr(result.x_hat, x, peak=peak), PSNR_CSV_CAP),
-                rel_data_fidelity=fidelity,
+    events = [dict(event="config", **settings)]
+    if is_image:
+        restored, results = recover_image(image, args.sr, args.seed, args.solver, D, **options)
+        for i, result in enumerate(results):
+            final = float(result.primal_residuals[-1])
+            events.append(
+                dict(event="patch", index=i, iterations=result.iterations, final_residual=final)
             )
-            save_csv_vector(args.out, result.x_hat)
-    print(f"wrote {args.out} and {out_log}")
+        events.append(dict(event="result", psnr_db=min(psnr(restored, image), PSNR_CSV_CAP)))
+        _write_run(args.out, save_pgm, np.clip(np.round(restored), 0, 255), events)
+        return 0
+    (result,) = recover_patches(x[None, :], args.sr, args.seed, args.solver, D, **options)
+    for t in range(result.iterations):
+        entry = {"t": t + 1, "coupling_residual": float(result.primal_residuals[t])}
+        if result.slack_residuals is not None:
+            entry["slack_residual"] = float(result.slack_residuals[t])
+        events.append(dict(event="iteration", **entry))
+    peak = max(x.max() - x.min(), 1.0)
+    events.append(
+        dict(
+            event="result",
+            iterations=result.iterations,
+            psnr_db=min(psnr(result.x_hat, x, peak=peak), PSNR_CSV_CAP),
+            rel_data_fidelity=relative_error(result.x_hat, x) if np.linalg.norm(x) > 0 else None,
+        )
+    )
+    _write_run(args.out, save_csv_vector, result.x_hat, events)
     return 0
 
 
 def _cmd_denoise(args) -> int:
     image = load_pgm(args.input).astype(float)
-    # quarter mean/var ratio on 8x8 patches
-    params = CsimParams.defaults(_DENOISE_SIDE**2) if args.method == "csim" else None
-    grid = PatchGrid(*image.shape, side=_DENOISE_SIDE, stride=_DENOISE_SIDE)
+    clean = load_pgm(args.reference).astype(float) if args.reference else None
+    params = CsimParams.defaults(PATCH_SIDE**2) if args.method == "csim" else None
+    grid = PatchGrid(*image.shape, side=PATCH_SIDE, stride=PATCH_SIDE)
     filtered, floored = denoise_patches(
         extract_patches(image, grid), args.m_taps, args.sigma_n**2, params
     )
     out = reassemble(filtered, grid)
-    save_pgm(args.out, np.clip(np.round(out), 0, 255))
-    log_path = args.out + ".log.jsonl"
-    with open(log_path, "w", newline="\n") as log:
-        config = {"method": args.method, "m_taps": args.m_taps, "sigma_n": args.sigma_n}
-        if params is not None:  # mse reads no index weights
-            config.update(mean_weight=params.mean_weight, var_weight=params.var_weight)
-        _log_event(log, "config", side=_DENOISE_SIDE, **config)
-        entry = {"floored_patches": int(np.count_nonzero(floored))}
-        if args.reference:
-            clean = load_pgm(args.reference).astype(float)
-            entry["psnr_db"] = min(psnr(out, clean), PSNR_CSV_CAP)
-            entry["ssim"] = image_ssim(out, clean)
-            entry["input_psnr_db"] = min(psnr(image, clean), PSNR_CSV_CAP)
-        _log_event(log, "result", **entry)
-    print(f"wrote {args.out} and {log_path}")
+    config = {"method": args.method, "m_taps": args.m_taps, "sigma_n": args.sigma_n}
+    if params is not None:  # mse reads no index weights
+        config.update(mean_weight=params.mean_weight, var_weight=params.var_weight)
+    result = {"floored_patches": int(np.count_nonzero(floored))}
+    if clean is not None:
+        result["psnr_db"] = min(psnr(out, clean), PSNR_CSV_CAP)
+        result["ssim"] = image_ssim(out, clean)
+        result["input_psnr_db"] = min(psnr(image, clean), PSNR_CSV_CAP)
+    events = [dict(event="config", side=PATCH_SIDE, **config), dict(event="result", **result)]
+    _write_run(args.out, save_pgm, np.clip(np.round(out), 0, 255), events)
     return 0
 
 
 def _run_sweep(args, mode: str) -> int:
     _dictionary_from_args(args)  # a shape the builders reject is a bad argument
-    spec = ExperimentSpec(
-        dict_kind=args.dict,
-        n=args.n,
-        p=args.p if args.p is not None else args.n,
-        srs=tuple(args.sr) if args.sr else (0.4, 0.6, 0.8),
-        trials=args.trials,
-        seed=args.seed,
-        solvers=tuple(args.solver) if args.solver else ExperimentSpec.solvers,
-        max_iter=args.max_iter,
-        timing=args.timing,
-        corpus=tuple(getattr(args, "corpus", None) or ()),
-    )
+    corpus = tuple(getattr(args, "corpus", None) or ())
+    try:
+        spec = ExperimentSpec(
+            dict_kind=args.dict,
+            n=args.n,
+            p=args.p if args.p is not None else args.n,
+            srs=tuple(args.sr) if args.sr else ExperimentSpec.srs,
+            trials=args.trials,
+            seed=args.seed,
+            solvers=tuple(args.solver) if args.solver else ExperimentSpec.solvers,
+            max_iter=args.max_iter,
+            timing=args.timing,
+            corpus=corpus,
+        )
+        if corpus:
+            corpus_files(corpus)
+    except ValueError as exc:  # the parser has checked every other field
+        raise _ArgumentError(f"--corpus {' '.join(corpus)}: {exc}") from None
     text = sweep_sr(spec) if mode == "sweep-sr" else sweep_iters(spec)
     with open(args.out, "w", newline="\n") as fh:
         fh.write(text)
@@ -309,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_sw = sub.add_parser(mode, help=f"batch experiment: {mode}")
         _add_dict_args(p_sw)
         p_sw.add_argument("--sr", type=_ratio, action="append", default=None)
-        p_sw.add_argument("--trials", type=_positive_int, default=100)
+        p_sw.add_argument("--trials", type=_positive_int, default=ExperimentSpec.trials)
         p_sw.add_argument("--seed", type=int, default=0)
         p_sw.add_argument("--solver", action="append", choices=SOLVER_NAMES, default=None)
         p_sw.add_argument("--max-iter", dest="max_iter", type=_positive_int, default=ExperimentSpec.max_iter)
@@ -339,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_par = sub.add_parser("params", help="report weight-ratio bounds")
     _add_dict_args(p_par)
-    p_par.add_argument("--kappa-max", dest="kappa_max", type=float, default=4.0)
-    p_par.add_argument("--delta", type=float, default=0.4)
+    p_par.add_argument("--kappa-max", dest="kappa_max", type=float, default=DEFAULT_KAPPA_MAX)
+    p_par.add_argument("--delta", type=_delta, default=DEFAULT_DELTA)
     p_par.add_argument("--k", type=int, default=None)
     p_par.set_defaults(func=_cmd_params)
 
@@ -370,16 +375,9 @@ def main(argv=None) -> int:
             parser.error(f"--sigma-n {args.sigma_n}: expected a nonnegative noise level")
         if not 1 <= args.m_taps <= _DENOISE_MAX_TAPS:
             parser.error(
-                f"--m-taps {args.m_taps}: an 8x8 patch allows 1 to {_DENOISE_MAX_TAPS} taps"
+                f"--m-taps {args.m_taps}: a {PATCH_SIDE}x{PATCH_SIDE} patch allows"
+                f" 1 to {_DENOISE_MAX_TAPS} taps"
             )
-    if getattr(args, "corpus", None):
-        corpus = f"--corpus {' '.join(args.corpus)}"
-        if not (args.n >= 1 and math.isqrt(args.n) ** 2 == args.n):
-            parser.error(f"{corpus}: corpus patches need a square --n, got --n {args.n}")
-        try:
-            corpus_files(args.corpus)
-        except ValueError as exc:
-            parser.error(f"{corpus}: {exc}")
     try:
         return args.func(args)
     except _ArgumentError as exc:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DEFAULT_RATIO",
     "CsimParams",
     "csim_stats",
     "csim_pair",
@@ -26,6 +27,9 @@ __all__ = [
     "kernel_eigenvalues",
     "sensitivity_ratio",
 ]
+
+# The empirical var_weight/mean_weight ratio, for when no bound applies.
+DEFAULT_RATIO = 4.0
 
 
 @dataclass(frozen=True)
@@ -65,10 +69,15 @@ class CsimParams:
             raise ValueError("signal length must be at least 2")
 
     @classmethod
-    def defaults(cls, n: int) -> "CsimParams":
-        """Empirical default weights: var_weight = n - 1 and a 4:1 ratio."""
+    def for_ratio(cls, ratio: float, n: int) -> "CsimParams":
+        """Weights with var_weight = n - 1 and var_weight/mean_weight = ratio."""
         var_weight = float(n - 1)
-        return cls(mean_weight=0.25 * var_weight, var_weight=var_weight, n=n)
+        return cls(mean_weight=var_weight / float(ratio), var_weight=var_weight, n=n)
+
+    @classmethod
+    def defaults(cls, n: int) -> "CsimParams":
+        """Empirical default weights: ``for_ratio(DEFAULT_RATIO, n)``."""
+        return cls.for_ratio(DEFAULT_RATIO, n)
 
     @property
     def diag_coef(self) -> float:

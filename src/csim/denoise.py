@@ -21,6 +21,7 @@ from .core import CsimParams
 from .signals import PatchGrid, extract_patches, reassemble
 
 __all__ = [
+    "PATCH_SIDE",
     "PatchStats",
     "FirFilter",
     "SingularStatsError",
@@ -33,6 +34,9 @@ __all__ = [
 ]
 
 _RIDGE_SCALE = 1e-10
+
+# Side of the square, non-overlapping patches ``denoise_image`` filters.
+PATCH_SIDE = 8
 
 
 class SingularStatsError(np.linalg.LinAlgError):
@@ -232,13 +236,11 @@ def denoise_image(
     sigma_n_sq: float,
     params: CsimParams | None = None,
     method: str = "csim",
-    side: int = 8,
-    stride: int | None = None,
 ) -> np.ndarray:
     """Per-patch filter estimation and filtering, reassembled by averaging.
 
     ``method`` selects "mse" or "csim"; the latter needs ``params``.
-    Patches are square of the given side, non-overlapping by default.
+    Patches are non-overlapping squares of side ``PATCH_SIDE``.
     """
     if method not in ("mse", "csim"):
         raise ValueError(f"unknown method {method!r}")
@@ -247,9 +249,7 @@ def denoise_image(
     image = np.asarray(image, dtype=float)
     if image.ndim != 2 or image.size == 0:
         raise ValueError("expected a non-empty 2-D image")
-    grid = PatchGrid(
-        image.shape[0], image.shape[1], side=side, stride=side if stride is None else stride
-    )
+    grid = PatchGrid(*image.shape, side=PATCH_SIDE, stride=PATCH_SIDE)
     filtered, _ = denoise_patches(
         extract_patches(image, grid), m, sigma_n_sq, params if method == "csim" else None
     )

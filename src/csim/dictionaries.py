@@ -50,11 +50,11 @@ def _dot(a, b):
     return np.vecdot(a, b, keepdims=a.ndim > 1)
 
 
-def spectral_norm_sq(A, tol: float = 1e-10, max_iter: int = 100_000, *, observed=None):
+def spectral_norm_sq(A, max_iter: int = 100_000, *, observed=None):
     """Largest eigenvalue of A.T @ A by power iteration.
 
     Iterates v <- A.T @ (A @ v) from a fixed pseudorandom start until the
-    Rayleigh quotient is stable to the relative tolerance.  With
+    Rayleigh quotient is stable to a relative 1e-10.  With
     ``observed``, a (B, n) stack of 0/1 rows, it returns as a length-B
     array the value of every masked matrix diag(o_b) A, iterating
     v <- A.T (o_b * (A v)) on all rows at once without forming those
@@ -92,7 +92,7 @@ def spectral_norm_sq(A, tol: float = 1e-10, max_iter: int = 100_000, *, observed
             W = np.where(restart, shifted, W)
             norm = np.where(restart, np.sqrt(_dot(shifted, shifted)), norm)
         V = W / norm
-        done = ~restart & (np.abs(value - previous) <= tol * np.maximum(np.abs(value), 1e-300))
+        done = ~restart & (np.abs(value - previous) <= 1e-10 * np.maximum(np.abs(value), 1e-300))
         previous = np.where(restart, previous, value)
         if not np.count_nonzero(done):
             continue

@@ -125,7 +125,7 @@ class ExperimentSpec:
         if self.corpus:
             side = math.isqrt(self.n)
             if side * side != self.n:
-                raise ValueError("corpus mode needs a square patch length")
+                raise ValueError(f"corpus mode needs a square patch length, got n = {self.n}")
 
 
 def build_dictionary(kind: str, n: int, p: int) -> Dictionary:

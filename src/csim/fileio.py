@@ -1,4 +1,4 @@
-"""Grayscale PGM images (P2/P5, maxval 255) and CSV vectors."""
+"""Grayscale PGM images (P2 or P5 in, P5 out; maxval 255) and CSV vectors."""
 
 from __future__ import annotations
 
@@ -7,28 +7,20 @@ import numpy as np
 __all__ = ["load_pgm", "save_pgm", "load_csv_vector", "save_csv_vector"]
 
 
-def save_pgm(path, image, binary: bool = True) -> None:
-    """Write an 8-bit grayscale image as P5 (binary) or P2 (ASCII)."""
-    image = np.asarray(image)
-    if image.ndim != 2 or image.size == 0:
-        raise ValueError("expected a non-empty 2-D image")
+def save_pgm(path, image) -> None:
+    """Write an 8-bit grayscale image as P5 (binary)."""
     values = np.asarray(image, dtype=float)
+    if values.ndim != 2 or values.size == 0:
+        raise ValueError("expected a non-empty 2-D image")
     if np.any(~np.isfinite(values)) or np.any(values < 0) or np.any(values > 255):
         raise ValueError("pixel values must lie in [0, 255]")
     if np.any(values != np.round(values)):
         raise ValueError("pixel values must be integers")
     pixels = values.astype(np.uint8)
     h, w = pixels.shape
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-            fh.write(pixels.tobytes())
-    else:
-        lines = [f"P2\n{w} {h}\n255"]
-        for row in pixels:
-            lines.append(" ".join(str(int(v)) for v in row))
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(pixels.tobytes())
 
 
 def _read_tokens(data: bytes, count: int, start: int) -> tuple[list[bytes], int]:
@@ -80,10 +72,10 @@ def load_pgm(path) -> np.ndarray:
     values = data[pos:].split()
     if len(values) != w * h:
         raise ValueError("wrong number of ASCII samples")
-    pixels = np.array([int(v) for v in values], dtype=np.int64)
-    if pixels.min() < 0 or pixels.max() > 255:
+    pixels = [int(v) for v in values]
+    if min(pixels) < 0 or max(pixels) > 255:
         raise ValueError("sample out of range")
-    return pixels.astype(np.uint8).reshape(h, w)
+    return np.array(pixels, dtype=np.uint8).reshape(h, w)
 
 
 def save_csv_vector(path, x) -> None:

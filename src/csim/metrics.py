@@ -100,9 +100,9 @@ def ssim_global(
     return float(score) if x.ndim == 1 else score
 
 
-def image_ssim(a, b, side: int = 8, c1: float = (0.01 * 255.0) ** 2, c2: float = (0.03 * 255.0) ** 2) -> float:
-    """Mean single-window SSIM over non-overlapping square tiles; the
-    rows and columns past the last whole tile are left out."""
+def image_ssim(a, b, side: int = 8) -> float:
+    """Mean 8-bit single-window SSIM over non-overlapping square tiles;
+    the rows and columns past the last whole tile are left out."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 2:
@@ -113,7 +113,7 @@ def image_ssim(a, b, side: int = 8, c1: float = (0.01 * 255.0) ** 2, c2: float =
         cropped = image[: rows * side, : cols * side].reshape(rows, side, cols, side)
         return cropped.transpose(0, 2, 1, 3).reshape(-1, side * side)
 
-    return float(np.mean(ssim_global(tiles(a), tiles(b), c1, c2)))
+    return float(np.mean(ssim_global(tiles(a), tiles(b))))
 
 
 def relative_error(s_hat, s_true, axis: int | None = None) -> float | np.ndarray:

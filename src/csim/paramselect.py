@@ -4,9 +4,9 @@ Two closed-form upper bounds restrict the ratio: one keeps the condition
 number of the weighted pseudo-inverse operator below a cap, the other
 keeps the transformed dictionary inside a restricted-isometry budget.
 The selector takes the smaller feasible bound and falls back to the
-empirical ratio 4 when neither bound applies.  A brute-force verifier
-measures the actual isometry constant on every column subset of small
-dictionaries.
+empirical ``core.DEFAULT_RATIO`` (4) when neither bound applies.  A
+brute-force verifier measures the actual isometry constant on every
+column subset of small dictionaries.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import CsimParams
+from .core import DEFAULT_RATIO, CsimParams
 
 __all__ = [
     "KappaBound",
@@ -36,7 +36,6 @@ _RANK_RTOL = 1e-12
 
 DEFAULT_KAPPA_MAX = 4.0
 DEFAULT_DELTA = 0.4
-FALLBACK_RATIO = 4.0
 
 
 def _atoms(D) -> np.ndarray:
@@ -48,6 +47,14 @@ def _atoms(D) -> np.ndarray:
     return atoms
 
 
+def _unit_atoms(D) -> np.ndarray:
+    """``_atoms``, rejecting a column whose norm is off 1 by more than 1e-8."""
+    atoms = _atoms(D)
+    if np.any(np.abs(np.linalg.norm(atoms, axis=0) - 1.0) > 1e-8):
+        raise ValueError("atoms must have unit norm")
+    return atoms
+
+
 @dataclass(frozen=True)
 class KappaBound:
     """Result of the condition-number bound.
@@ -55,25 +62,29 @@ class KappaBound:
     The bound has the form kappa(transformed) <= ratio_coef * ratio +
     constant, so ratio_upper = (kappa_max - constant) / ratio_coef.  It
     is only usable when ratio_coef > 0 and kappa_max exceeds
-    ratio_coef + constant; otherwise ``feasible`` is False and ``reason``
-    names the violated hypothesis.
+    ratio_coef + constant; otherwise ``ratio_upper`` is None and
+    ``reason`` names the violated hypothesis.
     """
 
     ratio_coef: float
     constant: float
     kappa_max: float
     ratio_upper: float | None
-    feasible: bool
     reason: str | None = None
+
+    @property
+    def feasible(self) -> bool:
+        return self.ratio_upper is not None
 
 
 @dataclass(frozen=True)
 class RipBound:
     """Result of the restricted-isometry bound for support size two_k.
 
-    ratio_upper = num_coef / (den_coef - delta_target) when feasible.
-    ``dim_threshold`` is the dimension the signal length must exceed;
-    ``violated`` names the first failed hypothesis when infeasible.
+    ratio_upper = num_coef / (den_coef - delta_target) when feasible,
+    else None.  ``dim_threshold`` is the dimension the signal length
+    must exceed; ``violated`` names the first failed hypothesis when
+    infeasible.
     """
 
     num_coef: float
@@ -83,8 +94,11 @@ class RipBound:
     two_k: int
     coherence: float
     ratio_upper: float | None
-    feasible: bool
     violated: str | None = None
+
+    @property
+    def feasible(self) -> bool:
+        return self.ratio_upper is not None
 
 
 @dataclass(frozen=True)
@@ -93,8 +107,6 @@ class RatioSelection:
 
     ratio: float
     source: str  # "rip-limited" | "kappa-limited" | "default-fallback"
-    kappa_max_used: float
-    delta_used: float
     k_used: int
     kappa_bound: KappaBound | None = None
     rip_bound: RipBound | None = None
@@ -106,13 +118,9 @@ def mutual_coherence(D) -> float:
     Raises if the matrix has fewer than two columns or any column norm
     deviates from 1 by more than 1e-8.
     """
-    atoms = _atoms(D)
-    p = atoms.shape[1]
-    if p < 2:
+    atoms = _unit_atoms(D)
+    if atoms.shape[1] < 2:
         raise ValueError("mutual coherence needs at least two atoms")
-    norms = np.linalg.norm(atoms, axis=0)
-    if np.any(np.abs(norms - 1.0) > 1e-8):
-        raise ValueError("atoms must have unit norm")
     gram = np.abs(atoms.T @ atoms)
     np.fill_diagonal(gram, 0.0)
     return float(gram.max())
@@ -168,7 +176,6 @@ def kappa_ratio_bound(D, kappa_max: float = DEFAULT_KAPPA_MAX) -> KappaBound:
         constant=constant,
         kappa_max=kappa_max,
         ratio_upper=None if reason else (kappa_max - constant) / ratio_coef,
-        feasible=reason is None,
         reason=reason,
     )
 
@@ -217,8 +224,6 @@ def rip_ratio_bound(n: int, k: int, mu: float, delta: float) -> RipBound:
     if violated is None and den_coef <= delta:
         violated = "den_coef <= delta"
 
-    feasible = violated is None
-    ratio_upper = num_coef / (den_coef - delta) if feasible else None
     return RipBound(
         num_coef=num_coef,
         den_coef=den_coef,
@@ -226,8 +231,7 @@ def rip_ratio_bound(n: int, k: int, mu: float, delta: float) -> RipBound:
         delta_target=delta,
         two_k=2 * k,
         coherence=mu,
-        ratio_upper=ratio_upper,
-        feasible=feasible,
+        ratio_upper=None if violated else num_coef / (den_coef - delta),
         violated=violated,
     )
 
@@ -242,7 +246,7 @@ def select_ratio(
 
     Defaults: kappa_max = 4, delta = 0.4, and 10% sparsity
     (k = floor(0.1 n)).  When both bounds are infeasible the empirical
-    ratio 4 is returned with source "default-fallback".
+    ``DEFAULT_RATIO`` is returned with source "default-fallback".
     """
     atoms = _atoms(D)
     n, p = atoms.shape
@@ -259,21 +263,13 @@ def select_ratio(
             mu = mutual_coherence(atoms)
         rip_bound = rip_ratio_bound(n, k, mu, delta)
 
-    candidates: list[tuple[float, str]] = []
-    if rip_bound is not None and rip_bound.feasible:
-        candidates.append((rip_bound.ratio_upper, "rip-limited"))
-    if kappa_bound.feasible:
-        candidates.append((kappa_bound.ratio_upper, "kappa-limited"))
-
-    if candidates:
-        ratio, source = min(candidates, key=lambda item: item[0])
-    else:
-        ratio, source = FALLBACK_RATIO, "default-fallback"
+    bounds = ((rip_bound, "rip-limited"), (kappa_bound, "kappa-limited"))
+    candidates = [(b.ratio_upper, source) for b, source in bounds if b is not None and b.feasible]
+    fallback = (DEFAULT_RATIO, "default-fallback")
+    ratio, source = min(candidates, key=lambda item: item[0], default=fallback)
     return RatioSelection(
         ratio=float(ratio),
         source=source,
-        kappa_max_used=float(kappa_max),
-        delta_used=float(delta),
         k_used=k,
         kappa_bound=kappa_bound,
         rip_bound=rip_bound,
@@ -288,16 +284,13 @@ def verify_rip_bruteforce(D, params: CsimParams, two_k: int, budget: int = 100_0
     the maximum of max(1 - lambda_min, lambda_max - 1) over all subsets
     is returned.  Refuses to enumerate more than ``budget`` subsets.
     """
-    atoms = _atoms(D)
+    atoms = _unit_atoms(D)
     n, p = atoms.shape
     if params.n != n:
         raise ValueError("kernel dimension does not match the dictionary")
     two_k = int(two_k)
     if not 1 <= two_k <= p:
         raise ValueError("two_k must lie in [1, p]")
-    norms = np.linalg.norm(atoms, axis=0)
-    if np.any(np.abs(norms - 1.0) > 1e-8):
-        raise ValueError("atoms must have unit norm")
     count = math.comb(p, two_k)
     if count > budget:
         raise ValueError(f"{count} subsets exceed the enumeration budget {budget}")
@@ -312,9 +305,3 @@ def verify_rip_bruteforce(D, params: CsimParams, two_k: int, budget: int = 100_0
         eigs = np.linalg.eigvalsh(gram[np.ix_(idx, idx)])
         worst = max(worst, 1.0 - float(eigs[0]), float(eigs[-1]) - 1.0)
     return worst
-
-
-def params_for_ratio(ratio: float, n: int) -> CsimParams:
-    """Weights with var_weight = n - 1 and the given ratio to mean_weight."""
-    var_weight = float(n - 1)
-    return CsimParams(mean_weight=var_weight / float(ratio), var_weight=var_weight, n=n)

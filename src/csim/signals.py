@@ -66,10 +66,6 @@ class SamplingMask:
     def m(self) -> int:
         return int(self.observed.size)
 
-    @property
-    def sampling_ratio(self) -> float:
-        return self.m / self.n
-
     def indicator(self) -> np.ndarray:
         """0/1 vector with ones at the observed positions."""
         ind = np.zeros(self.n)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import CsimParams, _index, apply_kernel
+from .core import DEFAULT_RATIO, CsimParams, _index, apply_kernel
 from .dictionaries import Dictionary, _analyze, _dot, _synthesize
 from .signals import SamplingMask
 
@@ -68,12 +68,12 @@ class SolverConfig:
 
     Derivations follow the reference experiment protocol: with sampling
     ratio m/n, rho1 = 0.4 m/n and rho2 = 2 m/n; var_weight = n - 1 with
-    mean_weight = 0.25 var_weight; majorizer0 = 1.05 * ||D||^2.  The l1
-    weight starts at l1_init_scale * max|D.T y| (floored at
-    l1_weight_min) and decays by l1_decay per iteration while
-    ``continuation`` is on.  ``project_observed`` re-imposes the known
-    samples on x each iteration; turn both flags off (see ``analysis``)
-    to run the plain ADMM with a fixed l1 weight.
+    mean_weight = var_weight / DEFAULT_RATIO; majorizer0 = 1.05 *
+    ||D||^2.  The l1 weight starts at l1_init_scale * max|D.T y|
+    (floored at l1_weight_min) and decays by l1_decay per iteration
+    while ``continuation`` is on.  ``project_observed`` re-imposes the
+    known samples on x each iteration; turn both flags off (see
+    ``analysis``) to run the plain ADMM with a fixed l1 weight.
 
     Only that regime carries the convergence guarantee: the stationarity
     gaps of ``kkt_residuals`` close as the iterates settle.  With
@@ -131,7 +131,9 @@ def effective_config(config: SolverConfig, mask: SamplingMask, D: Dictionary) ->
         majorizer0=(
             config.majorizer0 if config.majorizer0 is not None else 1.05 * D.spectral_norm_sq
         ),
-        mean_weight=config.mean_weight if config.mean_weight is not None else 0.25 * var_weight,
+        mean_weight=(
+            config.mean_weight if config.mean_weight is not None else var_weight / DEFAULT_RATIO
+        ),
         var_weight=var_weight,
     )
     if not resolved.rho1 > 0:
@@ -303,10 +305,6 @@ def projection(x, y, mask) -> np.ndarray:
     return np.where(_indicator(mask), y, np.asarray(x, dtype=float))
 
 
-def _coupling_target(x, dual_x, rho1) -> np.ndarray:
-    return np.asarray(x, dtype=float) + np.asarray(dual_x, dtype=float) / rho1
-
-
 def s_update_backtracking(
     s,
     x,
@@ -334,7 +332,7 @@ def s_update_backtracking(
     s = np.asarray(s, dtype=float)
     if synthesized is None:
         synthesized = _synthesize(atoms, s)
-    target = _coupling_target(x, dual_x, rho1)
+    target = np.asarray(x, dtype=float) + np.asarray(dual_x, dtype=float) / rho1
     residual0 = target - synthesized
     grad0 = -_analyze(atoms, residual0)
     l1_over_rho = l1_weight / rho1

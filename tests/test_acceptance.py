@@ -31,7 +31,6 @@ from csim.experiments import (
 )
 from csim.metrics import psnr
 from csim.paramselect import (
-    params_for_ratio,
     rip_ratio_bound,
     verify_rip_bruteforce,
 )
@@ -178,7 +177,7 @@ def test_criterion_4_rip_brute_force():
     assert bound.violated == "mu >= delta/(2k-1)"
     # the exhaustive measurement itself still runs on the fallback ratio
     measured_12 = verify_rip_bruteforce(
-        atoms, params_for_ratio(4.0, 12), two_k
+        atoms, CsimParams.for_ratio(4.0, 12), two_k
     )
     assert measured_12 >= 0.0
 
@@ -188,7 +187,7 @@ def test_criterion_4_rip_brute_force():
     D = dct_dictionary(16, 16)
     feasible_bound = rip_ratio_bound(16, two_k // 2, D.coherence, delta)
     assert feasible_bound.feasible
-    params = params_for_ratio(feasible_bound.ratio_upper, 16)
+    params = CsimParams.for_ratio(feasible_bound.ratio_upper, 16)
     measured = verify_rip_bruteforce(D, params, two_k)
     elapsed = time.perf_counter() - start
     assert measured <= delta

@@ -4,9 +4,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from csim.cli import main
-from csim.experiments import add_noise_snr, observation_mask, synthetic_image
+from csim.cli import build_parser, main
+from csim.experiments import ExperimentSpec, add_noise_snr, observation_mask, synthetic_image
 from csim.fileio import load_csv_vector, load_pgm, save_csv_vector, save_pgm
+from csim.paramselect import DEFAULT_DELTA, DEFAULT_KAPPA_MAX
 from csim.signals import substream
 from csim.solver import SolverConfig
 
@@ -395,6 +396,46 @@ def test_denoise_an_all_black_image_writes_zeros(tmp_path, method):
     assert result == {"event": "result", "floored_patches": 4}
 
 
+def test_cli_defaults_are_the_library_defaults(tmp_path):
+    parser = build_parser()
+    params = parser.parse_args(["params"])
+    assert (params.kappa_max, params.delta) == (DEFAULT_KAPPA_MAX, DEFAULT_DELTA)
+    sweep = parser.parse_args(["sweep-sr", "--out", "x.csv"])
+    assert (sweep.trials, sweep.max_iter) == (ExperimentSpec.trials, ExperimentSpec.max_iter)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-sr", "--n", "16", "--trials", "1", "--max-iter", "2", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert {float(row[3]) for row in rows} == set(ExperimentSpec.srs)
+    assert {row[2] for row in rows} == set(ExperimentSpec.solvers)
+
+
+def test_recover_an_image_smaller_than_one_patch_exits_three_and_leaves_no_file(
+    tmp_path, capsys
+):
+    src = tmp_path / "tiny.pgm"
+    save_pgm(src, synthetic_image(4, 4, seed=1))
+    assert main(["recover", "--input", str(src), "--out", str(tmp_path / "o.pgm")]) == 3
+    assert "image smaller than one patch" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [src]
+
+
+@pytest.mark.parametrize(
+    "reference, message",
+    [("tiny.pgm", "length mismatch"), ("missing.pgm", "No such file or directory")],
+    ids=["wrong-size", "missing"],
+)
+def test_denoise_with_a_bad_reference_exits_three_and_leaves_no_file(
+    tmp_path, capsys, reference, message
+):
+    save_pgm(tmp_path / "img.pgm", synthetic_image(16, 16, seed=3))
+    save_pgm(tmp_path / "tiny.pgm", synthetic_image(4, 4, seed=1))
+    inputs = sorted(tmp_path.iterdir())
+    argv = ["denoise", "--input", str(tmp_path / "img.pgm"), "--out", str(tmp_path / "o.pgm")]
+    assert main(argv + ["--sigma-n", "5", "--reference", str(tmp_path / reference)]) == 3
+    assert message in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
 def test_sweep_sr_cli_byte_identical_runs(tmp_path):
     args = [
         "sweep-sr",
@@ -519,6 +560,8 @@ def test_bad_arguments_exit_two():
         (["denoise", "--sigma-n", "10", "--m-taps", "40"], "--m-taps"),
         (["sweep-sr", "--trials", "0"], "--trials"),
         (["sweep-sr", "--sr", "1.5"], "--sr"),
+        (["params", "--delta", "0"], "--delta"),
+        (["params", "--delta", "1.5"], "--delta"),
     ],
     ids=[
         "recover-fista-max-iter-0",
@@ -530,19 +573,24 @@ def test_bad_arguments_exit_two():
         "denoise-m-taps-40",
         "sweep-trials-0",
         "sweep-sr-above-1",
+        "params-delta-0",
+        "params-delta-above-1",
     ],
 )
 def test_bad_numeric_flags_exit_two(tmp_path, capsys, argv, flag):
     src = tmp_path / "img.pgm"
     save_pgm(src, synthetic_image(16, 16, seed=3))
     out = tmp_path / ("out.csv" if argv[0] == "sweep-sr" else "out.pgm")
-    if argv[0] != "sweep-sr":
+    if argv[0] in ("recover", "denoise"):
         argv = argv + ["--input", str(src)]
+    if argv[0] != "params":  # which takes neither --input nor --out
+        argv = argv + ["--out", str(out)]
     with pytest.raises(SystemExit) as err:
-        main(argv + ["--out", str(out)])
+        main(argv)
     assert err.value.code == 2
-    assert flag in capsys.readouterr().err
-    assert not out.exists()
+    message = capsys.readouterr().err
+    assert flag in message and "unrecognized arguments" not in message
+    assert sorted(tmp_path.iterdir()) == [src]
 
 
 def test_runtime_failure_exits_three(tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csim.core import (
+    DEFAULT_RATIO,
     CsimParams,
     apply_kernel,
     apply_kernel_sqrt,
@@ -46,6 +47,14 @@ def test_defaults_follow_reference_protocol():
     p = CsimParams.defaults(64)
     assert p.var_weight == 63.0
     assert p.mean_weight == pytest.approx(0.25 * 63.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 64, 1000])
+def test_defaults_are_the_default_ratio_with_the_bits_of_a_quarter(n):
+    assert CsimParams.defaults(n) == CsimParams.for_ratio(DEFAULT_RATIO, n)
+    assert CsimParams.defaults(n).mean_weight == 0.25 * (n - 1)
+    p = CsimParams.for_ratio(2.5, n)
+    assert p.var_weight == n - 1 and p.mean_weight == (n - 1) / 2.5
 
 
 def test_zero_residual_scores_zero():

@@ -8,7 +8,7 @@ def test_binary_pgm_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     image = rng.integers(0, 256, size=(13, 17), dtype=np.uint8)
     path = tmp_path / "img.pgm"
-    save_pgm(path, image, binary=True)
+    save_pgm(path, image)
     loaded = load_pgm(path)
     assert loaded.dtype == np.uint8
     assert np.array_equal(loaded, image)
@@ -19,8 +19,9 @@ def test_ascii_and_binary_encodings_agree(tmp_path):
     image = rng.integers(0, 256, size=(9, 5), dtype=np.uint8)
     p5 = tmp_path / "b.pgm"
     p2 = tmp_path / "a.pgm"
-    save_pgm(p5, image, binary=True)
-    save_pgm(p2, image, binary=False)
+    save_pgm(p5, image)
+    rows = "\n".join(" ".join(str(v) for v in row) for row in image.tolist())
+    p2.write_text(f"P2\n5 9\n255\n{rows}\n")
     assert np.array_equal(load_pgm(p5), load_pgm(p2))
 
 

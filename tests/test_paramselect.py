@@ -6,10 +6,11 @@ import pytest
 from csim.core import CsimParams
 from csim.dictionaries import dct_dictionary
 from csim.paramselect import (
+    KappaBound,
+    RipBound,
     condition_number,
     kappa_ratio_bound,
     mutual_coherence,
-    params_for_ratio,
     rip_ratio_bound,
     select_ratio,
     verify_rip_bruteforce,
@@ -93,6 +94,13 @@ def _kappa_constants_oracle(atoms):
     xi = kappa * (n / (n - 1)) * (1.0 / kappa**2 - scaled)
     nu = kappa * scaled
     return xi, nu
+
+
+@pytest.mark.parametrize("ratio_upper", [None, 2.5])
+def test_feasibility_is_whether_a_bound_gives_a_ratio(ratio_upper):
+    kappa = KappaBound(ratio_coef=1.0, constant=0.5, kappa_max=4.0, ratio_upper=ratio_upper)
+    rip = RipBound(1.0, 2.0, None, 0.4, 4, 0.0, ratio_upper)
+    assert kappa.feasible == rip.feasible == (ratio_upper is not None)
 
 
 def test_kappa_bound_orthonormal_square_is_infeasible():
@@ -270,7 +278,7 @@ def _gct_bound(params, mu, two_k):
 def test_bruteforce_below_gershgorin_bound():
     rng = np.random.default_rng(21)
     atoms = random_normalized(rng, 12, 16)
-    params = params_for_ratio(2.0, 12)
+    params = CsimParams.for_ratio(2.0, 12)
     measured = verify_rip_bruteforce(atoms, params, two_k=4)
     mu = mutual_coherence(atoms)
     assert measured <= _gct_bound(params, mu, 4) + 1e-12
@@ -281,7 +289,7 @@ def test_bruteforce_matches_direct_enumeration_oracle():
 
     rng = np.random.default_rng(22)
     atoms = random_normalized(rng, 6, 8)
-    params = params_for_ratio(3.0, 6)
+    params = CsimParams.for_ratio(3.0, 6)
     measured = verify_rip_bruteforce(atoms, params, two_k=3)
     # oracle: materialize the dense square root and enumerate explicitly
     w, V = np.linalg.eigh(
@@ -300,7 +308,7 @@ def test_bruteforce_matches_direct_enumeration_oracle():
 def test_bruteforce_budget_guard():
     rng = np.random.default_rng(23)
     atoms = random_normalized(rng, 10, 30)
-    params = params_for_ratio(2.0, 10)
+    params = CsimParams.for_ratio(2.0, 10)
     with pytest.raises(ValueError):
         verify_rip_bruteforce(atoms, params, two_k=10)
 
@@ -312,6 +320,6 @@ def test_closed_form_bound_dominates_measurement_when_feasible():
     D = dct_dictionary(n, n)
     bound = rip_ratio_bound(n, two_k // 2, D.coherence, 0.4)
     assert bound.feasible
-    params = params_for_ratio(bound.ratio_upper, n)
+    params = CsimParams.for_ratio(bound.ratio_upper, n)
     measured = verify_rip_bruteforce(D, params, two_k)
     assert measured <= 0.4
