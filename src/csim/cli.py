@@ -207,7 +207,13 @@ def _cmd_recover(args) -> int:
         for i, result in enumerate(results):
             final = float(result.primal_residuals[-1])
             events.append(
-                dict(event="patch", index=i, iterations=result.iterations, final_residual=final)
+                dict(
+                    event="patch",
+                    index=i,
+                    iterations=result.iterations,
+                    final_residual=final,
+                    stop_reason=result.stop_reason,
+                )
             )
         events.append(dict(event="result", psnr_db=min(psnr(restored, image), PSNR_CSV_CAP)))
         _write_run(args.out, save_pgm, np.clip(np.round(restored), 0, 255), events)

@@ -215,14 +215,17 @@ def recover_image(
 
 def corpus_files(paths) -> list[Path]:
     """The PGM files named by ``paths``: files as given, directories as
-    their ``*.pgm`` entries in sorted order."""
+    their ``*.pgm`` entries in sorted order.  A path that does not exist
+    raises ``ValueError`` naming it."""
     files: list[Path] = []
     for entry in paths:
         path = Path(entry)
         if path.is_dir():
             files.extend(sorted(path.glob("*.pgm")))
-        else:
+        elif path.exists():
             files.append(path)
+        else:
+            raise ValueError(f"no such file or directory: {entry}")
     if not files:
         raise ValueError("corpus contains no PGM files")
     return files

@@ -13,6 +13,9 @@ l1 weight optionally decays geometrically across iterations
 (continuation) and observed samples can be re-imposed on x every
 iteration (projection); disabling both gives the plain ADMM whose fixed
 point satisfies the stationarity system checked by `kkt_residuals`.
+The s and z steps and the dual step can read an over-relaxed x
+(Boyd et al. 2011, section 3.4.3), and a run stops once the primal,
+slack and dual residuals (section 3.3) are all below a tolerance.
 
 The iteration is separable per signal, so one loop (`solve_batch`) runs
 it on a stack of signals at once, every step acting on the last axis;
@@ -80,12 +83,25 @@ class SolverConfig:
     projection on, the slack and its dual stay at zero, so the gap
     ||dual_x - M.T dual_z|| is all of ||dual_x||; with continuation on,
     the weight moves every iteration and the gap keeps a share of
-    ||dual_x|| set by the decay.  Either way the feasibility test can
-    still stop the run.
+    ||dual_x|| set by the decay.  Either way the stop tests can still
+    stop the run.
+
+    ``relaxation`` is the over-relaxation factor alpha in (0, 2) of
+    Boyd et al. (2011), section 3.4.3.  The s step reads alpha x +
+    (1 - alpha) D s_prev in place of x, the z step reads alpha M x +
+    (1 - alpha) (z_prev + y) in place of M x, and the dual step takes
+    the residuals of those relaxed values; the feasibility residuals
+    keep the plain x.  At 1.0 (the default) the iteration is the plain
+    one, bit for bit.  The s step is one majorize-minimize step, not an
+    exact minimization, so the relaxation theory does not cover it
+    exactly; acceptance criterion 6 (``tests/test_acceptance.py``) is
+    the evidence that the relaxed iteration still reaches the
+    stationarity system.
     """
 
     rho1: float | None = None
     rho2: float | None = None
+    relaxation: float = 1.0
     slack_ridge: float = 1.0
     majorizer_growth: float = 1.1
     majorizer0: float | None = None
@@ -104,7 +120,9 @@ class SolverConfig:
     @classmethod
     def analysis(cls, l1_weight: float, **kwargs) -> "SolverConfig":
         """Fixed-l1-weight, no-projection configuration (the regime in
-        which the iteration provably reaches the stationarity system)."""
+        which the iteration reaches the stationarity system), over-relaxed
+        with ``relaxation`` 1.8 unless ``kwargs`` sets it."""
+        kwargs.setdefault("relaxation", 1.8)
         return cls(
             continuation=False,
             project_observed=False,
@@ -140,6 +158,8 @@ def effective_config(config: SolverConfig, mask: SamplingMask, D: Dictionary) ->
         raise ValueError("rho1 must be positive")
     if not resolved.rho2 > 0:
         raise ValueError("rho2 must be positive")
+    if not 0 < resolved.relaxation < 2:
+        raise ValueError("relaxation must lie in (0, 2)")
     if resolved.slack_ridge < 0:
         raise ValueError("slack_ridge must be nonnegative")
     if not resolved.majorizer_growth > 1:
@@ -169,9 +189,11 @@ class RecoveryResult:
     ``elapsed_ms`` is cumulative wall time (of the whole batch, for a
     batched solve).  ``s_retries`` counts the backtracking retries of
     the s step over all iterations.  ``stop_reason`` is "converged" when
-    both feasibility residuals of the last iteration are below
-    ``feasibility_tol`` and "budget" otherwise (``max_iter`` ran out); a
-    non-finite iterate raises instead.  Baseline solvers reuse this type
+    both feasibility residuals of the last iteration and the norm of its
+    dual residual rho1 (D s - D s_prev) + M.T rho2 (z - z_prev) are below
+    ``feasibility_tol``, and "budget" otherwise (``max_iter`` ran out,
+    whichever of the three tests failed); a non-finite iterate raises
+    instead.  Baseline solvers reuse this type
     with ``slack_residuals``, the final duals and ``s_retries`` set to
     None, and always stop on their budget.
     """
@@ -429,8 +451,10 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     read only at its observed positions.  Every row keeps its own
     penalties (from its sample count), l1 weight, surrogate constant and
     stop iteration: it stops at ``max_iter`` or as soon as both of its
-    feasibility residuals drop below ``feasibility_tol``, and then
-    leaves the working set (``stop_reason`` says which).  Values fixed
+    feasibility residuals and its dual residual drop below
+    ``feasibility_tol``, and then leaves the working set
+    (``stop_reason`` says which).  The dual residual is formed only on
+    iterations where some row meets both feasibility tests.  Values fixed
     while the working set is (the x-system divisor, the slack solve and
     the index weights) are formed when it changes, not every iteration.
     A row's result has the bits of its one-row solve, apart from
@@ -456,6 +480,8 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     rho1 = _per_row([configs[mask.m].rho1 for mask in masks])
     rho2 = _per_row([configs[mask.m].rho2 for mask in masks])
     ridge, growth = cfg.slack_ridge, cfg.majorizer_growth
+    alpha = cfg.relaxation
+    relaxed = alpha != 1.0
     if cfg.l1_weight is not None:
         l1_weight = cfg.l1_weight
     else:
@@ -499,18 +525,26 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         if cfg.project_observed:
             x = projection(x, Y, observed)
 
+        # The relaxed values are x itself (and M x) when alpha is 1.
+        previous_synthesized, previous_z = synthesized, z
+        x_relaxed = alpha * x + (1.0 - alpha) * previous_synthesized if relaxed else x
         s, majorizer, _, synthesized, s_l1 = s_update_backtracking(
-            s, x, dual_x, D, rho1, l1_weight, majorizer, growth, synthesized
+            s, x_relaxed, dual_x, D, rho1, l1_weight, majorizer, growth, synthesized
         )
 
         masked_x = observed * x
-        z = slack_solve(rho2 * (masked_x - Y) - dual_z)
+        masked_relaxed = (
+            alpha * masked_x + (1.0 - alpha) * (previous_z + Y) if relaxed else masked_x
+        )
+        z = slack_solve(rho2 * (masked_relaxed - Y) - dual_z)
 
-        coupling_residual = x - synthesized
-        slack_residual = z - masked_x + Y
+        coupling_residual = x_relaxed - synthesized
+        slack_residual = z - masked_relaxed + Y
         dual_x, dual_z = multipliers_update(
             dual_x, dual_z, coupling_residual, slack_residual, rho1, rho2
         )
+        if relaxed:  # the feasibility residuals read the plain x
+            coupling_residual, slack_residual = x - synthesized, z - masked_x + Y
 
         r1 = sqrt(_dot(coupling_residual, coupling_residual))
         r2 = sqrt(_dot(slack_residual, slack_residual))
@@ -535,6 +569,11 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         if not (_all(isfinite(r1)) and _all(isfinite(r2))):
             raise NonFiniteError(f"non-finite iterate at iteration {iteration}")
         done = (r1 < tol) & (r2 < tol)
+        if _any(done):
+            dual_residual = rho1 * (synthesized - previous_synthesized) + observed * (
+                rho2 * (z - previous_z)
+            )
+            done = done & (sqrt(_dot(dual_residual, dual_residual)) < tol)
         if iteration < cfg.max_iter and not _any(done):
             continue
 

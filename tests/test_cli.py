@@ -115,6 +115,25 @@ def test_recover_image_runs(tmp_path):
     assert events[-1]["event"] == "result"
 
 
+def test_recover_pgm_log_says_why_each_patch_stopped(tmp_path):
+    # The all-zero left half stays at zero and converges at once; the
+    # right half runs out of its budget.
+    image = synthetic_image(16, 16, seed=2)
+    image[:, :8] = 0
+    src = tmp_path / "img.pgm"
+    save_pgm(src, image)
+    dst = tmp_path / "rec.pgm"
+    assert main(["recover", "--input", str(src), "--out", str(dst), "--max-iter", "20"]) == 0
+    events = [json.loads(l) for l in (tmp_path / "rec.pgm.log.jsonl").read_text().splitlines()]
+    patches = [e for e in events if e["event"] == "patch"]
+    assert [(e["index"], e["iterations"], e["stop_reason"]) for e in patches] == [
+        (0, 1, "converged"),
+        (1, 20, "budget"),
+        (2, 1, "converged"),
+        (3, 20, "budget"),
+    ]
+
+
 def test_config_file_and_flag_override(tmp_path):
     x = substream(4, 5).standard_normal(32)
     src = tmp_path / "x.csv"
@@ -152,6 +171,7 @@ def test_config_file_accepts_every_solver_field(tmp_path):
     values = {
         "rho1": "0.5",
         "rho2": "1.5",
+        "relaxation": "1.5",
         "slack_ridge": "0.5",
         "majorizer_growth": "1.2",
         "majorizer0": "2",
@@ -261,6 +281,18 @@ def test_config_file_values_the_solver_rejects_exit_two_and_leave_no_log(tmp_pat
         main(["recover", "--input", str(src), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)])
     assert err.value.code == 2
     assert f"--config {cfg}: {key} must be positive" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "x.csv"]
+
+
+def test_config_file_relaxation_outside_its_range_exits_two_and_leaves_no_file(tmp_path, capsys):
+    src = tmp_path / "x.csv"
+    save_csv_vector(src, substream(6, 7).standard_normal(16))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("relaxation = 2\n")
+    with pytest.raises(SystemExit) as err:
+        main(["recover", "--input", str(src), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)])
+    assert err.value.code == 2
+    assert f"--config {cfg}: relaxation must lie in (0, 2)" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "x.csv"]
 
 
@@ -513,6 +545,17 @@ def test_sweep_sr_corpus_without_pgm_files(tmp_path, capsys):
     message = capsys.readouterr().err
     assert "--corpus" in message and "no PGM files" in message
     assert sorted(tmp_path.iterdir()) == [empty]
+
+
+def test_sweep_sr_corpus_path_that_does_not_exist(tmp_path, capsys):
+    missing = tmp_path / "nothere.pgm"
+    out = tmp_path / "s.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["sweep-sr", "--corpus", str(missing), "--out", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "--corpus" in message and f"no such file or directory: {missing}" in message
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_iters_cli_no_timing_deterministic(tmp_path):

@@ -7,6 +7,7 @@ import csim.dictionaries
 from csim.dictionaries import (
     Dictionary,
     _analyze,
+    _dot,
     _synthesize,
     dct_dictionary,
     haar_wp_dictionary,
@@ -219,3 +220,28 @@ def test_one_vector_products_have_the_bits_of_their_stacked_row(name, seed, rows
     for j in range(rows):
         assert _synthesize(atoms, S[j]).tobytes() == synthesized[j].tobytes()
         assert _analyze(atoms, R[j]).tobytes() == analyzed[j].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([16, 64, 128]),
+    seed=st.integers(min_value=0, max_value=2**31),
+    rows=st.integers(min_value=1, max_value=9),
+    scale=st.integers(min_value=-8, max_value=8),
+    density=st.sampled_from([0.05, 0.5, 1.0]),
+)
+def test_dot_of_two_vectors_has_the_bits_of_vecdot_and_of_its_stacked_row(
+    n, seed, rows, scale, density
+):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((rows, n)) * 10.0**scale * (rng.random((rows, n)) < density)
+    B = rng.standard_normal((rows, n))
+    stacked = _dot(A, B)
+    assert stacked.shape == (rows, 1)
+    assert stacked.tobytes() == np.vecdot(A, B, keepdims=True).tobytes()
+    for j in range(rows):
+        for a, b in ((A[j], B[j]), (A[j], A[j])):
+            one = _dot(a, b)
+            assert np.ndim(one) == 0
+            assert one.tobytes() == np.vecdot(a, b).tobytes()
+        assert _dot(A[j], B[j]).tobytes() == stacked[j, 0].tobytes()

@@ -13,6 +13,7 @@ from csim.experiments import (
     ExperimentSpec,
     add_noise_snr,
     build_dictionary,
+    corpus_files,
     emit_plot_script,
     observation_mask,
     recover_image,
@@ -148,6 +149,7 @@ def test_solver_settings_echo_every_config_field_and_the_gram_norm():
     assert settings == {
         "rho1": 0.4 * 51 / 64,  # round(0.8 * 64) = 51 samples
         "rho2": 2.0 * 51 / 64,
+        "relaxation": 1.0,
         "slack_ridge": 1.0,
         "majorizer_growth": 1.1,
         "l1_decay": 0.95,
@@ -331,6 +333,10 @@ def test_corpus_validation(tmp_path):
     spec = ExperimentSpec(srs=(0.5,), trials=1, corpus=(str(tmp_path),))
     with pytest.raises(ValueError):
         sweep_sr(spec)  # empty directory
+    missing = tmp_path / "nothere.pgm"
+    with pytest.raises(ValueError) as err:
+        corpus_files([missing])
+    assert str(err.value) == f"no such file or directory: {missing}"
 
 
 def test_spec_validation():

@@ -374,6 +374,20 @@ def test_effective_config_rejects_a_non_finite_float_setting_by_name(name, value
         effective_config(SolverConfig(**{name: value}), mask, D)
 
 
+@pytest.mark.parametrize("value", [0.0, 2.0, -1.0, math.nan])
+def test_relaxation_outside_the_open_interval_raises_by_name(value):
+    D = dct_dictionary(8, 8)
+    mask = random_mask(8, 6, 18)
+    with pytest.raises(ValueError, match="^relaxation must"):
+        effective_config(SolverConfig(relaxation=value), mask, D)
+
+
+def test_only_the_analysis_config_over_relaxes_by_default():
+    assert SolverConfig().relaxation == 1.0
+    assert SolverConfig.analysis(1e-3).relaxation == 1.8
+    assert SolverConfig.analysis(1e-3, relaxation=1.2).relaxation == 1.2
+
+
 def test_effective_config_is_the_config_with_its_none_fields_resolved():
     D = dct_dictionary(8, 8)
     mask = random_mask(8, 6, 18)
@@ -516,6 +530,7 @@ def _assert_same_bits(batched, single):
 
 _CONFIGS = {
     "default": SolverConfig(max_iter=30),
+    "default-relaxed": SolverConfig(max_iter=30, relaxation=1.5),
     "analysis": SolverConfig.analysis(l1_weight=1e-3, max_iter=300, feasibility_tol=1e-8),
 }
 
@@ -553,9 +568,11 @@ def test_solve_batch_does_not_depend_on_row_order(seed, rows):
 def test_solve_batch_rows_stop_at_their_own_iteration():
     D = dct_dictionary(16, 32)
     Y, masks = _problem_rows(D, 31, 8)
-    cfg = _CONFIGS["analysis"]
+    cfg = replace(_CONFIGS["analysis"], max_iter=1500)
     batch = solve_batch(Y, masks, D, cfg)
-    # seed 31: five rows stop early, each at its own iteration; three run out
+    # seed 31: six rows stop early, each at its own iteration (75 to
+    # 1408, the dual test holding most of them past their first feasible
+    # iterate); two run out
     stops = sorted(r.iterations for r in batch if r.iterations < cfg.max_iter)
     assert len(set(stops)) == len(stops) >= 4
     assert any(r.iterations == cfg.max_iter for r in batch)
@@ -685,12 +702,13 @@ def test_solve_batch_validates_shapes():
 
 def _oracle_solve(y, mask, D, config):
     """One signal's iteration written out in plain Python from the public
-    steps, with nothing formed ahead of the iteration that needs it."""
+    steps, with nothing formed ahead of the iteration that needs it.  At
+    relaxation 1 it forms no relaxed value: it is the plain iteration."""
     cfg = effective_config(config, mask, D)
     params = CsimParams(cfg.mean_weight, cfg.var_weight, D.n)
     observed = mask.indicator()
     y = np.where(observed != 0, y, 0.0)
-    rho1, rho2, ridge = cfg.rho1, cfg.rho2, cfg.slack_ridge
+    rho1, rho2, ridge, alpha = cfg.rho1, cfg.rho2, cfg.slack_ridge, cfg.relaxation
     if cfg.l1_weight is None:
         peak = float(np.abs(y @ D.atoms).max())
         l1_weight = max(cfg.l1_init_scale * peak, cfg.l1_weight_min)
@@ -704,17 +722,27 @@ def _oracle_solve(y, mask, D, config):
         x = x_update(b, mask, rho1, rho2)
         if cfg.project_observed:
             x = projection(x, y, mask)
+        masked_x = observed * x
+        previous_s, previous_z = s, z
+        x_relaxed, masked_relaxed = x, masked_x
+        if alpha != 1.0:
+            x_relaxed = alpha * x + (1.0 - alpha) * (D.atoms @ previous_s)
+            masked_relaxed = alpha * masked_x + (1.0 - alpha) * (previous_z + y)
         s, majorizer, rounds, _, _ = s_update_backtracking(
-            s, x, dual_x, D, rho1, l1_weight, majorizer, cfg.majorizer_growth
+            s, x_relaxed, dual_x, D, rho1, l1_weight, majorizer, cfg.majorizer_growth
         )
         retries += rounds
-        masked_x = observed * x
-        z = z_update(rho2 * (masked_x - y) - dual_z, params, rho2, ridge)
+        z = z_update(rho2 * (masked_relaxed - y) - dual_z, params, rho2, ridge)
+        dual_x, dual_z = multipliers_update(
+            dual_x,
+            dual_z,
+            x_relaxed - D.atoms @ s,
+            z - masked_relaxed + y,
+            rho1,
+            rho2,
+        )
         coupling_residual = x - D.atoms @ s
         slack_residual = z - masked_x + y
-        dual_x, dual_z = multipliers_update(
-            dual_x, dual_z, coupling_residual, slack_residual, rho1, rho2
-        )
         primal.append(math.sqrt(coupling_residual @ coupling_residual))
         slack.append(math.sqrt(slack_residual @ slack_residual))
         objectives.append(
@@ -725,6 +753,11 @@ def _oracle_solve(y, mask, D, config):
         iterates.append(s)
         assert math.isfinite(primal[-1]) and math.isfinite(slack[-1])
         converged = primal[-1] < cfg.feasibility_tol and slack[-1] < cfg.feasibility_tol
+        if converged:
+            dual_residual = rho1 * (D.atoms @ s - D.atoms @ previous_s) + observed * (
+                rho2 * (z - previous_z)
+            )
+            converged = math.sqrt(dual_residual @ dual_residual) < cfg.feasibility_tol
         if converged:
             break
     return {
@@ -772,8 +805,13 @@ _ORACLE_DICTIONARIES = {
 }
 _ORACLE_CONFIGS = {
     "default": SolverConfig(record_iterates=True),
+    "default-relaxed": SolverConfig(relaxation=1.5, record_iterates=True),
+    # over-relaxed at 1.8, the analysis default
     "analysis": SolverConfig.analysis(
         l1_weight=1e-3, max_iter=300, feasibility_tol=1e-8, record_iterates=True
+    ),
+    "analysis-unrelaxed": SolverConfig.analysis(
+        l1_weight=1e-3, max_iter=300, feasibility_tol=1e-8, relaxation=1.0, record_iterates=True
     ),
 }
 
@@ -792,9 +830,62 @@ def test_solve_and_solve_batch_match_the_written_out_iteration(rows, config, dic
         _assert_matches_oracle(solve(y, mask, D, cfg), want)
     if rows > 1:
         reasons = {want["stop_reason"] for want in expected}
-        assert reasons == ({"converged", "budget"} if config == "analysis" else {"budget"})
+        assert reasons == (
+            {"converged", "budget"} if config.startswith("analysis") else {"budget"}
+        )
     if dictionary.endswith("understated-norm"):
         assert any(want["s_retries"] for want in expected)
+
+
+def test_a_row_stops_once_its_dual_residual_is_below_the_tolerance():
+    # Row 0 of seed 31, unrelaxed, meets both feasibility tests at
+    # iteration 92 but the dual test only at 101.
+    D = dct_dictionary(16, 32)
+    Y, masks = _problem_rows(D, 31, 1)
+    y, mask = Y[0], masks[0]
+    cfg = SolverConfig.analysis(
+        l1_weight=1e-3, max_iter=2000, feasibility_tol=1e-8, relaxation=1.0
+    )
+    values = effective_config(cfg, mask, D)
+
+    def run(max_iter):
+        return solve(y, mask, D, replace(cfg, max_iter=max_iter))
+
+    def dual_residual(before, after):
+        change = values.rho1 * (D.atoms @ after.s_hat - D.atoms @ before.s_hat)
+        change += mask.indicator() * (values.rho2 * (after.final_slack - before.final_slack))
+        return float(np.linalg.norm(change))
+
+    result = run(cfg.max_iter)
+    assert (result.iterations, result.stop_reason) == (101, "converged")
+    assert dual_residual(run(100), result) < cfg.feasibility_tol
+    feasible = (result.primal_residuals < cfg.feasibility_tol) & (
+        result.slack_residuals < cfg.feasibility_tol
+    )
+    first = int(np.flatnonzero(feasible)[0]) + 1
+    assert first == 92
+    early = run(first)
+    assert early.stop_reason == "budget"  # feasible, but the duals still move
+    assert dual_residual(run(first - 1), early) >= cfg.feasibility_tol
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    rows=st.integers(min_value=1, max_value=6),
+    relaxation=st.sampled_from([1.0, 0.5, 1.5, 1.8]),
+    max_iter=st.integers(min_value=1, max_value=40),
+    overcomplete=st.booleans(),
+)
+def test_projection_reproduces_the_observed_samples(seed, rows, relaxation, max_iter, overcomplete):
+    D = dct_dictionary(16, 32 if overcomplete else 16)
+    Y, masks = _problem_rows(D, seed, rows)
+    # what a row holds at its unobserved positions is never read
+    Y = Y + np.random.default_rng(seed).standard_normal(Y.shape) * (Y == 0)
+    cfg = SolverConfig(max_iter=max_iter, relaxation=relaxation)
+    assert cfg.project_observed
+    for y, mask, result in zip(Y, masks, solve_batch(Y, masks, D, cfg)):
+        assert result.x_hat[mask.observed].tobytes() == y[mask.observed].tobytes()
 
 
 def test_stop_reason_is_the_test_that_retires_the_row():
@@ -848,3 +939,19 @@ def test_stationarity_gap_closes_only_in_the_analysis_config():
         result, value = gap(cfg)
         assert result.stop_reason == "converged", name
         assert value > 1e-2, name
+
+
+def test_continuation_can_still_stop_while_the_weight_decays():
+    # The dual test does not catch this run: its duals are so small
+    # (||dual_x|| about 6e-6) that every absolute test at 1e-6 passes
+    # while the stationarity gap is still 2.2e-2 of ||dual_x||.
+    D = dct_dictionary(64, 64)
+    sig = synth_sparse_signal(D, 6, 19)
+    mask = random_mask(64, 51, 20)
+    y = apply_mask(sig.x, mask)
+    cfg = SolverConfig(max_iter=2000, project_observed=False, l1_weight_min=1e-9)
+    result = solve(y, mask, D, cfg)
+    assert (result.iterations, result.stop_reason) == (202, "converged")
+    assert result.l1_weight_final > 1e3 * cfg.l1_weight_min  # still decaying
+    assert np.linalg.norm(result.final_dual_x) < 1e-5
+    assert _relative_stationarity_gap(result, mask, D, cfg) > 1e-2
