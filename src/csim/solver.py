@@ -11,11 +11,11 @@ gradient step on a majorizing surrogate (with backtracking on the
 surrogate constant), and the z system is diagonal-plus-rank-one.  The
 l1 weight optionally decays geometrically across iterations
 (continuation) and observed samples can be re-imposed on x every
-iteration (projection); disabling both gives the plain ADMM whose fixed
-point satisfies the stationarity system checked by `kkt_residuals`.
-The s and z steps and the dual step can read an over-relaxed x
-(Boyd et al. 2011, section 3.4.3), and a run stops once the primal,
-slack and dual residuals (section 3.3) are all below a tolerance.
+iteration (projection); disabling both gives the ADMM whose fixed point
+satisfies the stationarity system checked by `kkt_residuals`, and in
+that regime the s and z steps and the dual step read an over-relaxed x
+(Boyd et al. 2011, section 3.4.3).  A run stops once the primal, slack
+and dual residuals (section 3.3) are all below a tolerance.
 
 The iteration is separable per signal, so one loop (`solve_batch`) runs
 it on a stack of signals at once, every step acting on the last axis;
@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 _BACKTRACK_CAP = 64
+# Over-relaxation factor of the fixed-weight, no-projection regime.
+_RELAXATION = 1.8
 
 
 class BacktrackingLimitError(RuntimeError):
@@ -76,7 +78,7 @@ class SolverConfig:
     (floored at l1_weight_min) and decays by l1_decay per iteration
     while ``continuation`` is on.  ``project_observed`` re-imposes the
     known samples on x each iteration; turn both flags off (see
-    ``analysis``) to run the plain ADMM with a fixed l1 weight.
+    ``analysis``) to run the ADMM with a fixed l1 weight.
 
     Only that regime carries the convergence guarantee: the stationarity
     gaps of ``kkt_residuals`` close as the iterates settle.  With
@@ -86,22 +88,21 @@ class SolverConfig:
     ||dual_x|| set by the decay.  Either way the stop tests can still
     stop the run.
 
-    ``relaxation`` is the over-relaxation factor alpha in (0, 2) of
-    Boyd et al. (2011), section 3.4.3.  The s step reads alpha x +
-    (1 - alpha) D s_prev in place of x, the z step reads alpha M x +
-    (1 - alpha) (z_prev + y) in place of M x, and the dual step takes
-    the residuals of those relaxed values; the feasibility residuals
-    keep the plain x.  At 1.0 (the default) the iteration is the plain
-    one, bit for bit.  The s step is one majorize-minimize step, not an
-    exact minimization, so the relaxation theory does not cover it
-    exactly; acceptance criterion 6 (``tests/test_acceptance.py``) is
-    the evidence that the relaxed iteration still reaches the
-    stationarity system.
+    In that regime the iteration is also over-relaxed with the factor
+    alpha = 1.8 of Boyd et al. (2011), section 3.4.3: the s step reads
+    alpha x + (1 - alpha) D s_prev in place of x, the z step reads
+    alpha M x + (1 - alpha) (z_prev + y) in place of M x, and the dual
+    step takes the residuals of those relaxed values; the feasibility
+    residuals keep the plain x.  With either flag on, alpha is 1 and the
+    iteration is the plain one, bit for bit.  The s step is one
+    majorize-minimize step, not an exact minimization, so the relaxation
+    theory does not cover it exactly; acceptance criterion 6
+    (``tests/test_acceptance.py``) is the evidence that the relaxed
+    iteration still reaches the stationarity system.
     """
 
     rho1: float | None = None
     rho2: float | None = None
-    relaxation: float = 1.0
     slack_ridge: float = 1.0
     majorizer_growth: float = 1.1
     majorizer0: float | None = None
@@ -120,9 +121,7 @@ class SolverConfig:
     @classmethod
     def analysis(cls, l1_weight: float, **kwargs) -> "SolverConfig":
         """Fixed-l1-weight, no-projection configuration (the regime in
-        which the iteration reaches the stationarity system), over-relaxed
-        with ``relaxation`` 1.8 unless ``kwargs`` sets it."""
-        kwargs.setdefault("relaxation", 1.8)
+        which the iteration reaches the stationarity system, over-relaxed)."""
         return cls(
             continuation=False,
             project_observed=False,
@@ -158,8 +157,6 @@ def effective_config(config: SolverConfig, mask: SamplingMask, D: Dictionary) ->
         raise ValueError("rho1 must be positive")
     if not resolved.rho2 > 0:
         raise ValueError("rho2 must be positive")
-    if not 0 < resolved.relaxation < 2:
-        raise ValueError("relaxation must lie in (0, 2)")
     if resolved.slack_ridge < 0:
         raise ValueError("slack_ridge must be nonnegative")
     if not resolved.majorizer_growth > 1:
@@ -480,8 +477,8 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     rho1 = _per_row([configs[mask.m].rho1 for mask in masks])
     rho2 = _per_row([configs[mask.m].rho2 for mask in masks])
     ridge, growth = cfg.slack_ridge, cfg.majorizer_growth
-    alpha = cfg.relaxation
-    relaxed = alpha != 1.0
+    relaxed = not (cfg.continuation or cfg.project_observed)
+    alpha = _RELAXATION if relaxed else 1.0
     if cfg.l1_weight is not None:
         l1_weight = cfg.l1_weight
     else:
@@ -569,12 +566,14 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         if not (_all(isfinite(r1)) and _all(isfinite(r2))):
             raise NonFiniteError(f"non-finite iterate at iteration {iteration}")
         done = (r1 < tol) & (r2 < tol)
-        if _any(done):
+        any_done = _any(done)
+        if any_done:
             dual_residual = rho1 * (synthesized - previous_synthesized) + observed * (
                 rho2 * (z - previous_z)
             )
             done = done & (sqrt(_dot(dual_residual, dual_residual)) < tol)
-        if iteration < cfg.max_iter and not _any(done):
+            any_done = _any(done)
+        if iteration < cfg.max_iter and not any_done:
             continue
 
         # Hand the segment to the working rows, then retire those that stop.

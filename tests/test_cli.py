@@ -4,12 +4,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import csim.solver
 from csim.cli import build_parser, main
+from csim.dictionaries import dct_dictionary
 from csim.experiments import ExperimentSpec, add_noise_snr, observation_mask, synthetic_image
 from csim.fileio import load_csv_vector, load_pgm, save_csv_vector, save_pgm
 from csim.paramselect import DEFAULT_DELTA, DEFAULT_KAPPA_MAX
-from csim.signals import substream
-from csim.solver import SolverConfig
+from csim.signals import substream, synth_sparse_signal
+from csim.solver import SolverConfig, solve
 
 
 def test_params_complete_dct(capsys):
@@ -171,7 +173,6 @@ def test_config_file_accepts_every_solver_field(tmp_path):
     values = {
         "rho1": "0.5",
         "rho2": "1.5",
-        "relaxation": "1.5",
         "slack_ridge": "0.5",
         "majorizer_growth": "1.2",
         "majorizer0": "2",
@@ -200,6 +201,33 @@ def test_config_file_accepts_every_solver_field(tmp_path):
     for key, value in values.items():
         if key not in ("continuation", "project_observed", "max_iter"):
             assert config_line[key] == float(value), key
+
+
+def test_config_file_with_both_flags_off_runs_the_over_relaxed_analysis_iteration(
+    tmp_path, monkeypatch
+):
+    D = dct_dictionary(64, 64)
+    x = synth_sparse_signal(D, 4, 3).x
+    src = tmp_path / "x.csv"
+    save_csv_vector(src, x)
+    cfg = tmp_path / "analysis.cfg"
+    cfg.write_text(
+        "continuation = no\nproject_observed = no\nl1_weight = 0.001\n"
+        "max_iter = 400\nfeasibility_tol = 1e-8\n"
+    )
+
+    def coupling_residuals(name):
+        argv = ["recover", "--input", str(src), "--out", str(tmp_path / name), "--sr", "0.5"]
+        assert main(argv + ["--config", str(cfg)]) == 0
+        events = [json.loads(l) for l in (tmp_path / f"{name}.log.jsonl").read_text().splitlines()]
+        return [e["coupling_residual"] for e in events if e["event"] == "iteration"]
+
+    config = SolverConfig.analysis(l1_weight=1e-3, max_iter=400, feasibility_tol=1e-8)
+    want = solve(x, observation_mask(64, 0.5, 0, 0), D, config)
+    assert want.stop_reason == "converged"
+    assert coupling_residuals("relaxed.csv") == want.primal_residuals.tolist()
+    monkeypatch.setattr(csim.solver, "_RELAXATION", 1.0)
+    assert coupling_residuals("plain.csv") != want.primal_residuals.tolist()
 
 
 def test_config_file_rejects_record_iterates(tmp_path, capsys):
@@ -281,18 +309,6 @@ def test_config_file_values_the_solver_rejects_exit_two_and_leave_no_log(tmp_pat
         main(["recover", "--input", str(src), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)])
     assert err.value.code == 2
     assert f"--config {cfg}: {key} must be positive" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "x.csv"]
-
-
-def test_config_file_relaxation_outside_its_range_exits_two_and_leaves_no_file(tmp_path, capsys):
-    src = tmp_path / "x.csv"
-    save_csv_vector(src, substream(6, 7).standard_normal(16))
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("relaxation = 2\n")
-    with pytest.raises(SystemExit) as err:
-        main(["recover", "--input", str(src), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)])
-    assert err.value.code == 2
-    assert f"--config {cfg}: relaxation must lie in (0, 2)" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "x.csv"]
 
 

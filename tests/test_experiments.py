@@ -149,7 +149,6 @@ def test_solver_settings_echo_every_config_field_and_the_gram_norm():
     assert settings == {
         "rho1": 0.4 * 51 / 64,  # round(0.8 * 64) = 51 samples
         "rho2": 2.0 * 51 / 64,
-        "relaxation": 1.0,
         "slack_ridge": 1.0,
         "majorizer_growth": 1.1,
         "l1_decay": 0.95,

@@ -374,20 +374,6 @@ def test_effective_config_rejects_a_non_finite_float_setting_by_name(name, value
         effective_config(SolverConfig(**{name: value}), mask, D)
 
 
-@pytest.mark.parametrize("value", [0.0, 2.0, -1.0, math.nan])
-def test_relaxation_outside_the_open_interval_raises_by_name(value):
-    D = dct_dictionary(8, 8)
-    mask = random_mask(8, 6, 18)
-    with pytest.raises(ValueError, match="^relaxation must"):
-        effective_config(SolverConfig(relaxation=value), mask, D)
-
-
-def test_only_the_analysis_config_over_relaxes_by_default():
-    assert SolverConfig().relaxation == 1.0
-    assert SolverConfig.analysis(1e-3).relaxation == 1.8
-    assert SolverConfig.analysis(1e-3, relaxation=1.2).relaxation == 1.2
-
-
 def test_effective_config_is_the_config_with_its_none_fields_resolved():
     D = dct_dictionary(8, 8)
     mask = random_mask(8, 6, 18)
@@ -530,7 +516,6 @@ def _assert_same_bits(batched, single):
 
 _CONFIGS = {
     "default": SolverConfig(max_iter=30),
-    "default-relaxed": SolverConfig(max_iter=30, relaxation=1.5),
     "analysis": SolverConfig.analysis(l1_weight=1e-3, max_iter=300, feasibility_tol=1e-8),
 }
 
@@ -571,8 +556,7 @@ def test_solve_batch_rows_stop_at_their_own_iteration():
     cfg = replace(_CONFIGS["analysis"], max_iter=1500)
     batch = solve_batch(Y, masks, D, cfg)
     # seed 31: six rows stop early, each at its own iteration (75 to
-    # 1408, the dual test holding most of them past their first feasible
-    # iterate); two run out
+    # 1408); two run out
     stops = sorted(r.iterations for r in batch if r.iterations < cfg.max_iter)
     assert len(set(stops)) == len(stops) >= 4
     assert any(r.iterations == cfg.max_iter for r in batch)
@@ -702,13 +686,15 @@ def test_solve_batch_validates_shapes():
 
 def _oracle_solve(y, mask, D, config):
     """One signal's iteration written out in plain Python from the public
-    steps, with nothing formed ahead of the iteration that needs it.  At
-    relaxation 1 it forms no relaxed value: it is the plain iteration."""
+    steps, with nothing formed ahead of the iteration that needs it.  With
+    continuation or projection on it forms no relaxed value: it is the
+    plain iteration."""
     cfg = effective_config(config, mask, D)
     params = CsimParams(cfg.mean_weight, cfg.var_weight, D.n)
     observed = mask.indicator()
     y = np.where(observed != 0, y, 0.0)
-    rho1, rho2, ridge, alpha = cfg.rho1, cfg.rho2, cfg.slack_ridge, cfg.relaxation
+    rho1, rho2, ridge = cfg.rho1, cfg.rho2, cfg.slack_ridge
+    relaxed = not (cfg.continuation or cfg.project_observed)
     if cfg.l1_weight is None:
         peak = float(np.abs(y @ D.atoms).max())
         l1_weight = max(cfg.l1_init_scale * peak, cfg.l1_weight_min)
@@ -725,9 +711,9 @@ def _oracle_solve(y, mask, D, config):
         masked_x = observed * x
         previous_s, previous_z = s, z
         x_relaxed, masked_relaxed = x, masked_x
-        if alpha != 1.0:
-            x_relaxed = alpha * x + (1.0 - alpha) * (D.atoms @ previous_s)
-            masked_relaxed = alpha * masked_x + (1.0 - alpha) * (previous_z + y)
+        if relaxed:  # over-relaxed by 1.8
+            x_relaxed = 1.8 * x + (1.0 - 1.8) * (D.atoms @ previous_s)
+            masked_relaxed = 1.8 * masked_x + (1.0 - 1.8) * (previous_z + y)
         s, majorizer, rounds, _, _ = s_update_backtracking(
             s, x_relaxed, dual_x, D, rho1, l1_weight, majorizer, cfg.majorizer_growth
         )
@@ -805,14 +791,16 @@ _ORACLE_DICTIONARIES = {
 }
 _ORACLE_CONFIGS = {
     "default": SolverConfig(record_iterates=True),
-    "default-relaxed": SolverConfig(relaxation=1.5, record_iterates=True),
-    # over-relaxed at 1.8, the analysis default
+    # over-relaxed
     "analysis": SolverConfig.analysis(
         l1_weight=1e-3, max_iter=300, feasibility_tol=1e-8, record_iterates=True
     ),
-    "analysis-unrelaxed": SolverConfig.analysis(
-        l1_weight=1e-3, max_iter=300, feasibility_tol=1e-8, relaxation=1.0, record_iterates=True
+    # not relaxed, with the dual stop reachable
+    "fixed-weight-projected": SolverConfig(
+        continuation=False, l1_weight=1e-3, max_iter=300, feasibility_tol=1e-8, record_iterates=True
     ),
+    # not relaxed: continuation alone keeps alpha at 1
+    "unprojected": SolverConfig(project_observed=False, record_iterates=True),
 }
 
 
@@ -831,21 +819,19 @@ def test_solve_and_solve_batch_match_the_written_out_iteration(rows, config, dic
     if rows > 1:
         reasons = {want["stop_reason"] for want in expected}
         assert reasons == (
-            {"converged", "budget"} if config.startswith("analysis") else {"budget"}
+            {"converged", "budget"} if cfg.l1_weight is not None else {"budget"}
         )
     if dictionary.endswith("understated-norm"):
         assert any(want["s_retries"] for want in expected)
 
 
 def test_a_row_stops_once_its_dual_residual_is_below_the_tolerance():
-    # Row 0 of seed 31, unrelaxed, meets both feasibility tests at
-    # iteration 92 but the dual test only at 101.
+    # Row 0 of seed 112 meets both feasibility tests at iteration 50 but
+    # the dual test only at 54.
     D = dct_dictionary(16, 32)
-    Y, masks = _problem_rows(D, 31, 1)
+    Y, masks = _problem_rows(D, 112, 1)
     y, mask = Y[0], masks[0]
-    cfg = SolverConfig.analysis(
-        l1_weight=1e-3, max_iter=2000, feasibility_tol=1e-8, relaxation=1.0
-    )
+    cfg = SolverConfig.analysis(l1_weight=1e-3, max_iter=2000, feasibility_tol=1e-8)
     values = effective_config(cfg, mask, D)
 
     def run(max_iter):
@@ -857,13 +843,13 @@ def test_a_row_stops_once_its_dual_residual_is_below_the_tolerance():
         return float(np.linalg.norm(change))
 
     result = run(cfg.max_iter)
-    assert (result.iterations, result.stop_reason) == (101, "converged")
+    assert (result.iterations, result.stop_reason) == (54, "converged")
     assert dual_residual(run(100), result) < cfg.feasibility_tol
     feasible = (result.primal_residuals < cfg.feasibility_tol) & (
         result.slack_residuals < cfg.feasibility_tol
     )
     first = int(np.flatnonzero(feasible)[0]) + 1
-    assert first == 92
+    assert first == 50
     early = run(first)
     assert early.stop_reason == "budget"  # feasible, but the duals still move
     assert dual_residual(run(first - 1), early) >= cfg.feasibility_tol
@@ -873,16 +859,16 @@ def test_a_row_stops_once_its_dual_residual_is_below_the_tolerance():
 @given(
     seed=st.integers(min_value=0, max_value=2**31),
     rows=st.integers(min_value=1, max_value=6),
-    relaxation=st.sampled_from([1.0, 0.5, 1.5, 1.8]),
+    continuation=st.booleans(),
     max_iter=st.integers(min_value=1, max_value=40),
     overcomplete=st.booleans(),
 )
-def test_projection_reproduces_the_observed_samples(seed, rows, relaxation, max_iter, overcomplete):
+def test_projection_reproduces_the_observed_samples(seed, rows, continuation, max_iter, overcomplete):
     D = dct_dictionary(16, 32 if overcomplete else 16)
     Y, masks = _problem_rows(D, seed, rows)
     # what a row holds at its unobserved positions is never read
     Y = Y + np.random.default_rng(seed).standard_normal(Y.shape) * (Y == 0)
-    cfg = SolverConfig(max_iter=max_iter, relaxation=relaxation)
+    cfg = SolverConfig(max_iter=max_iter, continuation=continuation)
     assert cfg.project_observed
     for y, mask, result in zip(Y, masks, solve_batch(Y, masks, D, cfg)):
         assert result.x_hat[mask.observed].tobytes() == y[mask.observed].tobytes()
