@@ -6,6 +6,7 @@ derive independent, reproducible substreams from (master seed, tags).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,16 @@ class SamplingMask:
     observed: np.ndarray
 
     def __post_init__(self):
-        observed = np.array(self.observed, dtype=np.int64).reshape(-1)
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"n must be an integer, got {self.n!r}") from None
+        observed = np.asarray(self.observed)
+        if observed.size and observed.dtype.kind not in "iu":
+            # A cast would truncate fractional indices and read a boolean
+            # indicator as the indices 0 and 1.
+            raise ValueError(f"observed indices must be integers, got dtype {observed.dtype}")
+        observed = np.array(observed, dtype=np.int64).reshape(-1)
         if np.count_nonzero(observed[1:] <= observed[:-1]):
             # Not strictly increasing: sort, and reject repeats.  Sorted
             # input (every mask ``random_mask`` draws) skips the sort.
@@ -54,13 +64,13 @@ class SamplingMask:
             if unique.size != observed.size:
                 raise ValueError("observed indices must be unique")
             observed = unique
-        if observed.size < 1 or observed.size > self.n:
+        if observed.size < 1 or observed.size > n:
             raise ValueError("need between 1 and n observed indices")
-        if observed[0] < 0 or observed[-1] >= self.n:
+        if observed[0] < 0 or observed[-1] >= n:
             raise ValueError("observed indices out of range")
         observed.flags.writeable = False
         object.__setattr__(self, "observed", observed)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
 
     @property
     def m(self) -> int:

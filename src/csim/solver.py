@@ -15,7 +15,8 @@ iteration (projection); disabling both gives the ADMM whose fixed point
 satisfies the stationarity system checked by `kkt_residuals`, and in
 that regime the s and z steps and the dual step read an over-relaxed x
 (Boyd et al. 2011, section 3.4.3).  A run stops once the primal, slack
-and dual residuals (section 3.3) are all below a tolerance.
+and dual residuals (section 3.3) are all below a tolerance and, under
+continuation, the l1 weight is at its floor.
 
 The iteration is separable per signal, so one loop (`solve_batch`) runs
 it on a stack of signals at once, every step acting on the last axis;
@@ -82,11 +83,17 @@ class SolverConfig:
 
     Only that regime carries the convergence guarantee: the stationarity
     gaps of ``kkt_residuals`` close as the iterates settle.  With
-    projection on, the slack and its dual stay at zero, so the gap
-    ||dual_x - M.T dual_z|| is all of ||dual_x||; with continuation on,
-    the weight moves every iteration and the gap keeps a share of
-    ||dual_x|| set by the decay.  Either way the stop tests can still
-    stop the run.
+    projection on, the observed samples of x equal y after every x step,
+    so the slack z = M x - y, its dual, the slack residual and the index
+    and ridge terms of the objective are exactly +0.0 in every iteration;
+    the loop never forms them.  ``rho2``, ``slack_ridge``,
+    ``mean_weight`` and ``var_weight`` are still validated, but they
+    cannot change a projected run's output: the CSIM term shapes the
+    solution only with projection off.  The gap ||dual_x - M.T dual_z||
+    is then all of ||dual_x||.  With continuation on, a row stops only
+    once the weight it used is ``l1_weight_min``; when the duals are
+    smaller than the tolerance, the gap can still keep a share of
+    ||dual_x||.  Either way the stop tests can still stop the run.
 
     In that regime the iteration is also over-relaxed with the factor
     alpha = 1.8 of Boyd et al. (2011), section 3.4.3: the s step reads
@@ -188,8 +195,9 @@ class RecoveryResult:
     the s step over all iterations.  ``stop_reason`` is "converged" when
     both feasibility residuals of the last iteration and the norm of its
     dual residual rho1 (D s - D s_prev) + M.T rho2 (z - z_prev) are below
-    ``feasibility_tol``, and "budget" otherwise (``max_iter`` ran out,
-    whichever of the three tests failed); a non-finite iterate raises
+    ``feasibility_tol`` (and, with continuation on, the l1 weight of that
+    iteration is ``l1_weight_min``), and "budget" otherwise (``max_iter``
+    ran out, whichever test failed); a non-finite iterate raises
     instead.  Baseline solvers reuse this type
     with ``slack_residuals``, the final duals and ``s_retries`` set to
     None, and always stop on their budget.
@@ -449,11 +457,15 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     penalties (from its sample count), l1 weight, surrogate constant and
     stop iteration: it stops at ``max_iter`` or as soon as both of its
     feasibility residuals and its dual residual drop below
-    ``feasibility_tol``, and then leaves the working set
+    ``feasibility_tol`` (with continuation on, only once the l1 weight
+    it used is ``l1_weight_min``), and then leaves the working set
     (``stop_reason`` says which).  The dual residual is formed only on
     iterations where some row meets both feasibility tests.  Values fixed
     while the working set is (the x-system divisor, the slack solve and
     the index weights) are formed when it changes, not every iteration.
+    With ``project_observed`` on, the slack block is exactly +0.0 (see
+    ``SolverConfig``) and is never formed: z and its dual keep their zero
+    start, the slack residual is 0.0, and the objective is the l1 term.
     A row's result has the bits of its one-row solve, apart from
     ``elapsed_ms``, which is the batch's clock.  A non-finite value or a
     backtracking failure in any row raises.
@@ -477,7 +489,8 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     rho1 = _per_row([configs[mask.m].rho1 for mask in masks])
     rho2 = _per_row([configs[mask.m].rho2 for mask in masks])
     ridge, growth = cfg.slack_ridge, cfg.majorizer_growth
-    relaxed = not (cfg.continuation or cfg.project_observed)
+    projected = cfg.project_observed
+    relaxed = not (cfg.continuation or projected)
     alpha = _RELAXATION if relaxed else 1.0
     if cfg.l1_weight is not None:
         l1_weight = cfg.l1_weight
@@ -506,7 +519,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     tol = cfg.feasibility_tol
     # One row has Python-float residual norms (the bits of np.sqrt's).
     sqrt, isfinite = (math.sqrt, math.isfinite) if Y.ndim == 1 else (np.sqrt, np.isfinite)
-    divisor = slack_solve = None
+    divisor = slack_solve = no_slack = None
 
     start = time.perf_counter()
     for iteration in range(1, cfg.max_iter + 1):
@@ -514,13 +527,17 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
             # Fixed while the working set is: formed again when rows leave.
             divisor = _x_divisor(observed, rho1, rho2)
             slack_solve = _slack_solver(params, rho2, ridge)
-        # Products with the 0/1 indicator stand in for masked assignments;
-        # they can differ from them only in the sign of a zero.  The
-        # right-hand side is a temporary, freed before the s step, so the
-        # held divisor adds nothing to the loop's peak memory.
-        x = (rho1 * synthesized - dual_x + observed * (rho2 * (z + Y) + dual_z)) / divisor
-        if cfg.project_observed:
-            x = projection(x, Y, observed)
+            no_slack = 0.0 if Y.ndim == 1 else np.zeros((len(rows), 1))
+        if projected:
+            # z and dual_z stay +0.0 (see SolverConfig), so the x system's
+            # slack term is zero at the unobserved samples, the only ones kept.
+            x = projection((rho1 * synthesized - dual_x) / divisor, Y, observed)
+        else:
+            # Products with the 0/1 indicator stand in for masked
+            # assignments; they can differ from them only in the sign of a
+            # zero.  The right-hand side is a temporary, freed before the s
+            # step, so the held divisor adds nothing to the loop's peak memory.
+            x = (rho1 * synthesized - dual_x + observed * (rho2 * (z + Y) + dual_z)) / divisor
 
         # The relaxed values are x itself (and M x) when alpha is 1.
         previous_synthesized, previous_z = synthesized, z
@@ -529,34 +546,35 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
             s, x_relaxed, dual_x, D, rho1, l1_weight, majorizer, growth, synthesized
         )
 
-        masked_x = observed * x
-        masked_relaxed = (
-            alpha * masked_x + (1.0 - alpha) * (previous_z + Y) if relaxed else masked_x
-        )
-        z = slack_solve(rho2 * (masked_relaxed - Y) - dual_z)
+        if projected:  # the slack block is zero: its residual, step and terms too
+            coupling_residual = x - synthesized
+            dual_x = dual_x + rho1 * coupling_residual
+            r1, r2 = sqrt(_dot(coupling_residual, coupling_residual)), no_slack
+            objective = l1_weight * s_l1
+        else:
+            masked_x = observed * x
+            masked_relaxed = (
+                alpha * masked_x + (1.0 - alpha) * (previous_z + Y) if relaxed else masked_x
+            )
+            z = slack_solve(rho2 * (masked_relaxed - Y) - dual_z)
 
-        coupling_residual = x_relaxed - synthesized
-        slack_residual = z - masked_relaxed + Y
-        dual_x, dual_z = multipliers_update(
-            dual_x, dual_z, coupling_residual, slack_residual, rho1, rho2
-        )
-        if relaxed:  # the feasibility residuals read the plain x
-            coupling_residual, slack_residual = x - synthesized, z - masked_x + Y
+            coupling_residual = x_relaxed - synthesized
+            slack_residual = z - masked_relaxed + Y
+            dual_x, dual_z = multipliers_update(
+                dual_x, dual_z, coupling_residual, slack_residual, rho1, rho2
+            )
+            if relaxed:  # the feasibility residuals read the plain x
+                coupling_residual, slack_residual = x - synthesized, z - masked_x + Y
 
-        r1 = sqrt(_dot(coupling_residual, coupling_residual))
-        r2 = sqrt(_dot(slack_residual, slack_residual))
-        index = _index(z, mean_coef, dev_coef)  # one value per row, without the row axis
-        segment.append(
-            (
-                r1,
-                r2,
+            r1 = sqrt(_dot(coupling_residual, coupling_residual))
+            r2 = sqrt(_dot(slack_residual, slack_residual))
+            index = _index(z, mean_coef, dev_coef)  # one value per row, without the row axis
+            objective = (
                 (index if z.ndim == 1 else index[:, None])
                 + l1_weight * s_l1
-                + ridge * _dot(z, z),
+                + ridge * _dot(z, z)
             )
-        )
-        if cfg.continuation:
-            l1_weight = alpha_schedule(l1_weight, cfg.l1_decay, cfg.l1_weight_min)
+        segment.append((r1, r2, objective))
         elapsed.append((time.perf_counter() - start) * 1e3)
         if iterates is not None:
             segment_s.append(s)
@@ -568,11 +586,15 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         done = (r1 < tol) & (r2 < tol)
         any_done = _any(done)
         if any_done:
+            if cfg.continuation:  # a weight still decaying is no stop
+                done = done & (l1_weight == cfg.l1_weight_min)
             dual_residual = rho1 * (synthesized - previous_synthesized) + observed * (
                 rho2 * (z - previous_z)
             )
             done = done & (sqrt(_dot(dual_residual, dual_residual)) < tol)
             any_done = _any(done)
+        if cfg.continuation:
+            l1_weight = alpha_schedule(l1_weight, cfg.l1_decay, cfg.l1_weight_min)
         if iteration < cfg.max_iter and not any_done:
             continue
 

@@ -47,6 +47,41 @@ def test_mask_validation():
         SamplingMask(4, np.array([0, 0, 1]))
     with pytest.raises(ValueError):
         SamplingMask(4, np.array([4]))
+    with pytest.raises(ValueError):
+        SamplingMask(4, [])
+
+
+@pytest.mark.parametrize(
+    "n, observed",
+    [
+        (4, [0.5, 1.7]),  # a cast would keep [0, 1]
+        (4, np.array([0.0, 2.0])),
+        (2, [True, False]),  # an indicator, which a cast would read as [1, 0]
+        (4, np.array([True, False, True, False])),
+        (4.5, [0, 1]),  # int() would make n 4
+        (4.0, [0, 1]),
+        ("4", [0, 1]),
+    ],
+)
+def test_mask_rejects_indices_or_size_that_are_not_integers(n, observed):
+    with pytest.raises(ValueError, match="integer"):
+        SamplingMask(n, observed)
+
+
+@pytest.mark.parametrize(
+    "n, observed",
+    [
+        (4, [1, 3]),
+        (4, np.array([1, 3])),
+        (4, np.array([3, 1], dtype=np.uint8)),
+        (np.int64(4), np.array([1, 3], dtype=np.int32)),
+        (4, [np.int64(1), 3]),
+    ],
+)
+def test_mask_takes_integer_indices_and_size(n, observed):
+    mask = SamplingMask(n, observed)
+    assert type(mask.n) is int and mask.n == 4
+    assert mask.observed.dtype == np.int64 and mask.observed.tolist() == [1, 3]
 
 
 def test_apply_mask_idempotent_and_matches_dense_oracle():

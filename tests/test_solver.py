@@ -688,7 +688,8 @@ def _oracle_solve(y, mask, D, config):
     """One signal's iteration written out in plain Python from the public
     steps, with nothing formed ahead of the iteration that needs it.  With
     continuation or projection on it forms no relaxed value: it is the
-    plain iteration."""
+    plain iteration.  It forms the slack block under projection too, so
+    it is the check that the loop may skip that block there."""
     cfg = effective_config(config, mask, D)
     params = CsimParams(cfg.mean_weight, cfg.var_weight, D.n)
     observed = mask.indicator()
@@ -734,11 +735,14 @@ def _oracle_solve(y, mask, D, config):
         objectives.append(
             csim_stats(z, params) + l1_weight * np.abs(s).sum() + ridge * (z @ z)
         )
+        weight = l1_weight
         if cfg.continuation:
             l1_weight = alpha_schedule(l1_weight, cfg.l1_decay, cfg.l1_weight_min)
         iterates.append(s)
         assert math.isfinite(primal[-1]) and math.isfinite(slack[-1])
         converged = primal[-1] < cfg.feasibility_tol and slack[-1] < cfg.feasibility_tol
+        if cfg.continuation:  # a weight still decaying is no stop
+            converged = converged and weight == cfg.l1_weight_min
         if converged:
             dual_residual = rho1 * (D.atoms @ s - D.atoms @ previous_s) + observed * (
                 rho2 * (z - previous_z)
@@ -874,6 +878,49 @@ def test_projection_reproduces_the_observed_samples(seed, rows, continuation, ma
         assert result.x_hat[mask.observed].tobytes() == y[mask.observed].tobytes()
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    rows=st.integers(min_value=1, max_value=6),
+    dictionary=st.sampled_from(sorted(_ORACLE_DICTIONARIES)),
+    continuation=st.booleans(),
+    max_iter=st.integers(min_value=1, max_value=60),
+    rho2=st.floats(min_value=1e-3, max_value=1e3),
+    slack_ridge=st.floats(min_value=0.0, max_value=1e3),
+    mean_weight=st.floats(min_value=1e-2, max_value=1e3),
+    var_weight=st.floats(min_value=1e-2, max_value=1e3),
+)
+def test_projection_holds_the_slack_block_at_zero(
+    seed, rows, dictionary, continuation, max_iter, rho2, slack_ridge, mean_weight, var_weight
+):
+    D = _ORACLE_DICTIONARIES[dictionary]()
+    Y, masks = _problem_rows(D, seed, rows, sparsity=4)
+    cfg = SolverConfig(
+        continuation=continuation,
+        l1_weight=None if continuation else 1e-3,
+        max_iter=max_iter,
+        record_iterates=True,
+    )
+    batch = solve_batch(Y, masks, D, cfg)
+    for y, mask, result in zip(Y, masks, batch):
+        # the written-out iteration forms the slack block the loop skips
+        _assert_matches_oracle(result, _oracle_solve(y, mask, D, cfg))
+        for name in ("slack_residuals", "final_slack", "final_dual_z"):
+            values = getattr(result, name)
+            assert not np.count_nonzero(values) and not np.signbit(values).any(), name
+        if not continuation:
+            for objective, s in zip(result.objectives, result.iterates, strict=True):
+                assert objective == cfg.l1_weight * np.abs(s).sum()
+    # so the slack penalty and the index weights cannot change the result
+    changed = replace(
+        cfg, rho2=rho2, slack_ridge=slack_ridge, mean_weight=mean_weight, var_weight=var_weight
+    )
+    for other, result in zip(solve_batch(Y, masks, D, changed), batch, strict=True):
+        _assert_same_bits(other, result)
+        assert other.stop_reason == result.stop_reason
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(other.iterates, result.iterates, strict=True))
+
+
 def test_stop_reason_is_the_test_that_retires_the_row():
     D = dct_dictionary(32, 32)
     sig = synth_sparse_signal(D, 3, 23)
@@ -916,7 +963,9 @@ def test_stationarity_gap_closes_only_in_the_analysis_config():
         # projection keeps the slack and its dual at zero: the gap is all of dual_x
         "default": SolverConfig(max_iter=2000),
         "projection only": SolverConfig(max_iter=2000, continuation=False, l1_weight=1e-3),
-        # a weight still decaying keeps a share of dual_x
+        # stops once the weight is at its floor (iteration 353), with duals
+        # so small (||dual_x|| about 3e-9) that the absolute tests pass
+        # while a share of dual_x is left
         "continuation only": SolverConfig(
             max_iter=2000, project_observed=False, l1_weight_min=1e-9
         ),
@@ -927,17 +976,30 @@ def test_stationarity_gap_closes_only_in_the_analysis_config():
         assert value > 1e-2, name
 
 
-def test_continuation_can_still_stop_while_the_weight_decays():
-    # The dual test does not catch this run: its duals are so small
-    # (||dual_x|| about 6e-6) that every absolute test at 1e-6 passes
-    # while the stationarity gap is still 2.2e-2 of ||dual_x||.
+def test_continuation_stops_only_once_the_weight_is_at_its_floor():
+    # The feasibility and dual tests pass from iteration 202, with the
+    # weight at 2.1e-6 and still decaying; the weight a row uses reaches
+    # the floor of 1e-9 at iteration 353.
     D = dct_dictionary(64, 64)
     sig = synth_sparse_signal(D, 6, 19)
     mask = random_mask(64, 51, 20)
     y = apply_mask(sig.x, mask)
     cfg = SolverConfig(max_iter=2000, project_observed=False, l1_weight_min=1e-9)
-    result = solve(y, mask, D, cfg)
-    assert (result.iterations, result.stop_reason) == (202, "converged")
-    assert result.l1_weight_final > 1e3 * cfg.l1_weight_min  # still decaying
-    assert np.linalg.norm(result.final_dual_x) < 1e-5
-    assert _relative_stationarity_gap(result, mask, D, cfg) > 1e-2
+    tol = cfg.feasibility_tol
+    values = effective_config(cfg, mask, D)
+
+    def run(max_iter):
+        return solve(y, mask, D, replace(cfg, max_iter=max_iter))
+
+    result = run(cfg.max_iter)
+    assert (result.iterations, result.stop_reason) == (353, "converged")
+    assert result.l1_weight_final == cfg.l1_weight_min
+    feasible = (result.primal_residuals < tol) & (result.slack_residuals < tol)
+    assert int(np.flatnonzero(feasible)[0]) + 1 == 202 and feasible[201:].all()
+    # a run's final weight is the one its next iteration uses
+    before, short = run(351), run(352)
+    assert before.l1_weight_final > cfg.l1_weight_min
+    assert short.stop_reason == "budget"  # every residual test passes at 352
+    change = values.rho1 * (D.atoms @ short.s_hat - D.atoms @ before.s_hat)
+    change += mask.indicator() * (values.rho2 * (short.final_slack - before.final_slack))
+    assert np.linalg.norm(change) < tol
