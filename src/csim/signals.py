@@ -51,12 +51,12 @@ class SamplingMask:
             n = operator.index(self.n)
         except TypeError:
             raise ValueError(f"n must be an integer, got {self.n!r}") from None
-        observed = np.asarray(self.observed)
+        observed = np.array(self.observed).reshape(-1)  # the mask's own copy
         if observed.size and observed.dtype.kind not in "iu":
             # A cast would truncate fractional indices and read a boolean
             # indicator as the indices 0 and 1.
             raise ValueError(f"observed indices must be integers, got dtype {observed.dtype}")
-        observed = np.array(observed, dtype=np.int64).reshape(-1)
+        observed = observed.astype(np.int64, copy=False)
         if np.count_nonzero(observed[1:] <= observed[:-1]):
             # Not strictly increasing: sort, and reject repeats.  Sorted
             # input (every mask ``random_mask`` draws) skips the sort.
