@@ -918,7 +918,8 @@ def test_projection_holds_the_slack_block_at_zero(
     for other, result in zip(solve_batch(Y, masks, D, changed), batch, strict=True):
         _assert_same_bits(other, result)
         assert other.stop_reason == result.stop_reason
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(other.iterates, result.iterates, strict=True))
+        pairs = zip(other.iterates, result.iterates, strict=True)
+        assert all(a.tobytes() == b.tobytes() for a, b in pairs)
 
 
 def test_stop_reason_is_the_test_that_retires_the_row():
