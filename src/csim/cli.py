@@ -72,6 +72,20 @@ def _positive_int(value: str) -> int:
     return number
 
 
+def _nonnegative_int(value: str) -> int:
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
+    return number
+
+
+def _positive_finite(value: str) -> float:
+    number = float(value)
+    if not (math.isfinite(number) and number > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {value}")
+    return number
+
+
 def _ratio(value: str) -> float:
     number = float(value)
     if not 0.0 < number <= 1.0:
@@ -200,7 +214,8 @@ def _cmd_recover(args) -> int:
     try:
         settings = solver_settings(args.solver, D, args.sr, args.seed, **options)
     except ValueError as exc:
-        raise _ArgumentError(f"--config {args.config}: {exc}") from None
+        source = f"--config {args.config}: " if args.config else ""
+        raise _ArgumentError(f"{source}{exc}") from None
     events = [dict(event="config", **settings)]
     if is_image:
         restored, results = recover_image(image, args.sr, args.seed, args.solver, D, **options)
@@ -300,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--input", required=True)
     p_rec.add_argument("--out", required=True)
     p_rec.add_argument("--sr", type=_ratio, default=0.8, help="sampling ratio")
-    p_rec.add_argument("--seed", type=int, default=0)
+    p_rec.add_argument("--seed", type=_nonnegative_int, default=0)
     p_rec.add_argument("--solver", choices=SOLVER_NAMES, default=SOLVER_NAMES[0])
     p_rec.add_argument("--max-iter", dest="max_iter", type=_positive_int, default=None)
     p_rec.add_argument("--config", default=None, help="key=value config file")
@@ -321,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_dict_args(p_sw)
         p_sw.add_argument("--sr", type=_ratio, action="append", default=None)
         p_sw.add_argument("--trials", type=_positive_int, default=ExperimentSpec.trials)
-        p_sw.add_argument("--seed", type=int, default=0)
+        p_sw.add_argument("--seed", type=_nonnegative_int, default=0)
         p_sw.add_argument("--solver", action="append", choices=SOLVER_NAMES, default=None)
         p_sw.add_argument("--max-iter", dest="max_iter", type=_positive_int, default=ExperimentSpec.max_iter)
         p_sw.add_argument("--out", required=True)
@@ -350,7 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_par = sub.add_parser("params", help="report weight-ratio bounds")
     _add_dict_args(p_par)
-    p_par.add_argument("--kappa-max", dest="kappa_max", type=float, default=DEFAULT_KAPPA_MAX)
+    p_par.add_argument(
+        "--kappa-max", dest="kappa_max", type=_positive_finite, default=DEFAULT_KAPPA_MAX
+    )
     p_par.add_argument("--delta", type=_delta, default=DEFAULT_DELTA)
     p_par.add_argument("--k", type=int, default=None)
     p_par.set_defaults(func=_cmd_params)

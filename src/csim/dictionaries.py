@@ -119,6 +119,8 @@ class Dictionary:
     the largest eigenvalue of the Gram matrix and ``coherence`` the
     largest off-diagonal Gram entry in absolute value, computed on first
     read (it forms the p x p Gram matrix, which solving never needs).
+    ``spectral_norm_sq_bound`` is also computed on first read, by the
+    s step of the solver.
     """
 
     atoms: np.ndarray
@@ -139,6 +141,26 @@ class Dictionary:
     @functools.cached_property
     def coherence(self) -> float:
         return mutual_coherence(self.atoms)
+
+    @functools.cached_property
+    def spectral_norm_sq_bound(self) -> float:
+        """An upper bound on ||D||^2 from the atoms alone, never from the
+        recorded ``spectral_norm_sq``: the largest absolute row sum of the
+        smaller Gram matrix (Gershgorin), computed on first read.
+
+        A computed Gram entry is off by at most k eps sqrt(G_ii G_jj) for
+        inner length k (Cauchy-Schwarz), so a row sum of m entries is off
+        by at most about (k m + m) eps / 2 of the largest row sum; the
+        relative margin 2 (k + 1) (m + 1) eps covers that rounding.
+        """
+        short = self.atoms if self.n <= self.p else self.atoms.T
+        # One matrix-vector product per row: a matrix product would touch
+        # the BLAS matrix-product buffers, which a one-row solve never does
+        # (about 0.25 MiB of peak memory with OpenBLAS).
+        gram = np.array([row @ short.T for row in short])
+        k, m = max(self.n, self.p), min(self.n, self.p)
+        margin = 2.0 * (k + 1) * (m + 1) * np.finfo(float).eps
+        return float(np.abs(gram).sum(axis=1).max()) * (1.0 + margin)
 
     @property
     def n(self) -> int:

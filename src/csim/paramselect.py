@@ -145,11 +145,14 @@ def kappa_ratio_bound(D, kappa_max: float = DEFAULT_KAPPA_MAX) -> KappaBound:
     Requires a full-column-rank dictionary.  Infeasibility (rank
     deficiency, vanishing ratio coefficient, or a cap that the bound's
     own constants already exceed) is reported in the result, never
-    silently replaced by a default.
+    silently replaced by a default.  A non-finite ``kappa_max`` raises
+    ``ValueError``.
     """
+    kappa_max = float(kappa_max)
+    if not math.isfinite(kappa_max):
+        raise ValueError(f"kappa_max must be finite, got {kappa_max}")
     atoms = _atoms(D)
     n, p = atoms.shape
-    kappa_max = float(kappa_max)
     svals = np.linalg.svd(atoms, compute_uv=False)
     smax = float(svals[0])
     if smax == 0.0:

@@ -22,7 +22,10 @@ The iteration is separable per signal, so one loop (`solve_batch`) runs
 it on a stack of signals at once, every step acting on the last axis;
 `solve` is its one-signal case.  The loop forms one dictionary product
 D s per iteration (plus one per backtracking retry): the s step takes
-the product of the current s and returns that of the accepted one.
+the product of the current s and returns that of the accepted one.  It
+carries the scaled duals u = dual_x / rho1 and v = dual_z / rho2 (Boyd
+et al. 2011, section 3.1.1), so its x, residual and dual steps form no
+rho products; a result gets rho1 u and rho2 v.
 """
 
 from __future__ import annotations
@@ -242,8 +245,12 @@ def soft_threshold(v, tau) -> np.ndarray:
 
 
 def _sum(v):
-    """Sum of each row (the bits of ``v.sum()``), as a per-row value."""
-    return np.add.reduce(v, axis=-1, keepdims=v.ndim > 1)
+    """Sum of each row (the bits of ``v.sum()``), as a per-row value.  A
+    single row takes ``np.add.reduce(v)``, at half the call cost of the
+    keyword form."""
+    if v.ndim == 1:
+        return np.add.reduce(v)
+    return np.add.reduce(v, axis=-1, keepdims=True)
 
 
 def _all(flags) -> bool:
@@ -348,12 +355,16 @@ def s_update_backtracking(
     Proposes a soft-thresholded gradient step with the current surrogate
     constant.  Rows whose true subproblem objective exceeds the
     surrogate value at the proposal grow their constant and retry, until
-    every row passes.  rho1, l1_weight (nonnegative) and majorizer are
-    per-row values; ``synthesized`` is D s when the caller holds it
-    (it is formed here otherwise).  Returns (new s, accepted constants,
-    number of retry rounds, D times the new s, ||new s||_1 as a per-row
-    value).  The accepted step never increases a row's subproblem
-    objective.
+    every row passes.  While every row's constant is at least
+    ``D.spectral_norm_sq_bound``, the surrogate majorizes the subproblem
+    (D.T D <= ||D||^2 I), so that test cannot fail in exact arithmetic
+    and is skipped; a non-finite value then raises only where the test
+    runs (``solve_batch`` checks its residuals every iteration).  rho1,
+    l1_weight (nonnegative) and majorizer are per-row values;
+    ``synthesized`` is D s when the caller holds it (it is formed here
+    otherwise).  Returns (new s, accepted constants, number of retry
+    rounds, D times the new s, ||new s||_1 as a per-row value).  The
+    accepted step never increases a row's subproblem objective.
     """
     atoms = D.atoms
     s = np.asarray(s, dtype=float)
@@ -363,18 +374,24 @@ def s_update_backtracking(
     residual0 = target - synthesized
     grad0 = -_analyze(atoms, residual0)
     l1_over_rho = l1_weight / rho1
-    half_rr0 = 0.5 * _dot(residual0, residual0)
 
     retries = 0
     while True:
         candidate = _shrink(s - grad0 / majorizer, l1_over_rho / majorizer)
         product = _synthesize(atoms, candidate)
-        r = target - product
         l1_norm = _sum(np.abs(candidate))
+        if _all(majorizer >= D.spectral_norm_sq_bound):
+            return candidate, majorizer, retries, product, l1_norm
+        r = target - product
         l1_term = l1_over_rho * l1_norm
         value = 0.5 * _dot(r, r) + l1_term
         d = candidate - s
-        bound = half_rr0 + _dot(d, grad0) + 0.5 * majorizer * _dot(d, d) + l1_term
+        bound = (
+            0.5 * _dot(residual0, residual0)
+            + _dot(d, grad0)
+            + 0.5 * majorizer * _dot(d, d)
+            + l1_term
+        )
         # value >= 0 (l1_weight >= 0), so 1 + value is 1 + |value|.  A nan
         # or infinite value fails the comparison and raises below.
         accepted = value <= bound + 1e-12 * (1.0 + value)
@@ -402,9 +419,10 @@ def _growth_steps(majorizer0: float, majorizer: float, growth: float) -> int:
     return steps
 
 
-def _slack_solver(params: CsimParams, rho2, slack_ridge: float):
-    """The solve c -> (rho2 I + 2 (W + slack_ridge I))^-1 c for each row
-    of a float array c, in O(n), with its coefficients formed once.
+def _slack_solver(params: CsimParams, rho2, slack_ridge: float, scale=1.0):
+    """The solve c -> (rho2 I + 2 (W + slack_ridge I))^-1 (scale c) for
+    each row of a float array c, in O(n), with its coefficients formed
+    once.
 
     The system matrix is diagonal-plus-rank-one, so its inverse is a
     scale plus a rank-one correction.
@@ -414,7 +432,8 @@ def _slack_solver(params: CsimParams, rho2, slack_ridge: float):
     full = diag + params.n * ones
     if np.count_nonzero(full <= 0):
         raise AssertionError("slack system lost positive definiteness")
-    return lambda c: (c - ones * _sum(c) / full) / diag
+    share, gain = ones / full, scale / diag
+    return lambda c: (c - _sum(c) * share) * gain
 
 
 def z_update(
@@ -425,6 +444,14 @@ def z_update(
 ) -> np.ndarray:
     """Solve (rho2 I + 2 (W + slack_ridge I)) z = c for each row of c in O(n)."""
     return _slack_solver(params, rho2, slack_ridge)(np.asarray(c, dtype=float))
+
+
+def _slack_terms(held, mean_coef: float, dev_coef: float) -> tuple[np.ndarray, np.ndarray]:
+    """The index and ||z||^2 of every z in ``held`` (a list of 1-D rows or
+    of equal row stacks), one value per row and held array, each with the
+    bits of its own call."""
+    Z = np.array(held)
+    return _index(Z, mean_coef, dev_coef), np.vecdot(Z, Z)
 
 
 def multipliers_update(
@@ -461,11 +488,13 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     it used is ``l1_weight_min``), and then leaves the working set
     (``stop_reason`` says which).  The dual residual is formed only on
     iterations where some row meets both feasibility tests.  Values fixed
-    while the working set is (the x-system divisor, the slack solve and
+    while the working set is (the x-step weights, the slack solve and
     the index weights) are formed when it changes, not every iteration.
     With ``project_observed`` on, the slack block is exactly +0.0 (see
     ``SolverConfig``) and is never formed: z and its dual keep their zero
     start, the slack residual is 0.0, and the objective is the l1 term.
+    Otherwise the index and ridge terms of the objective are formed for
+    up to 64 iterations at a time, from the z they held.
     A row's result has the bits of its one-row solve, apart from
     ``elapsed_ms``, which is the batch's clock.  A non-finite value or a
     backtracking failure in any row raises.
@@ -501,16 +530,23 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
 
     s = np.zeros(Y.shape[:-1] + (p,))
     z = np.zeros_like(Y)
-    dual_x = np.zeros_like(Y)
-    dual_z = np.zeros_like(Y)
+    # Scaled duals (Boyd et al. 2011, section 3.1.1): u = dual_x / rho1 and
+    # v = dual_z / rho2.  A result gets rho1 u and rho2 v.
+    u = np.zeros_like(Y)
+    v = np.zeros_like(Y)
     synthesized = np.zeros_like(Y)  # D s at s = 0
 
     rows = np.arange(B)  # input row of each working row
     results: list[RecoveryResult | None] = [None] * B
-    # Residuals and objectives (and iterates) of the working rows since
-    # the working set last changed; split into per-row pieces when it does.
+    # Residuals and l1 terms (and iterates) of the working rows since the
+    # working set last changed; split into per-row pieces when it does.
     segment: list[tuple] = []
     segment_s: list[np.ndarray] = []
+    # Without projection, the index and ridge terms of the objective are
+    # formed from the held z of up to 64 iterations (at most 2**16 floats)
+    # at once, in one stacked call.
+    held_z: list[np.ndarray] = []
+    slack_terms: list[tuple[np.ndarray, np.ndarray]] = []
     pieces: list[list[np.ndarray]] = [[] for _ in range(B)]
     iterates: list[list[np.ndarray]] | None = (
         [[] for _ in range(B)] if cfg.record_iterates else None
@@ -519,62 +555,55 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     tol = cfg.feasibility_tol
     # One row has Python-float residual norms (the bits of np.sqrt's).
     sqrt, isfinite = (math.sqrt, math.isfinite) if Y.ndim == 1 else (np.sqrt, np.isfinite)
-    divisor = slack_solve = no_slack = None
+    slack_solve = x_weight = no_slack = chunk = None
 
     start = time.perf_counter()
     for iteration in range(1, cfg.max_iter + 1):
-        if divisor is None:
+        if slack_solve is None:
             # Fixed while the working set is: formed again when rows leave.
-            divisor = _x_divisor(observed, rho1, rho2)
-            slack_solve = _slack_solver(params, rho2, ridge)
+            # The x system's solution is D s - u at the unobserved samples
+            # and this weighted mean of it with z + y + v at the observed ones.
+            x_weight = rho2 * observed / _x_divisor(observed, rho1, rho2)
+            slack_solve = _slack_solver(params, rho2, ridge, scale=rho2)
             no_slack = 0.0 if Y.ndim == 1 else np.zeros((len(rows), 1))
+            chunk = max(1, min(64, 2**16 // Y.size))
         if projected:
-            # z and dual_z stay +0.0 (see SolverConfig), so the x system's
-            # slack term is zero at the unobserved samples, the only ones kept.
-            x = projection((rho1 * synthesized - dual_x) / divisor, Y, observed)
+            # z and v stay +0.0 (see SolverConfig), so the x system's slack
+            # term is zero at the unobserved samples, the only ones kept.
+            x = projection(synthesized - u, Y, observed)
         else:
-            # Products with the 0/1 indicator stand in for masked
-            # assignments; they can differ from them only in the sign of a
-            # zero.  The right-hand side is a temporary, freed before the s
-            # step, so the held divisor adds nothing to the loop's peak memory.
-            x = (rho1 * synthesized - dual_x + observed * (rho2 * (z + Y) + dual_z)) / divisor
+            x = synthesized - u
+            x = x + x_weight * (z + Y + v - x)
 
-        # The relaxed values are x itself (and M x) when alpha is 1.
+        # The relaxed values are x itself (and M x - y) when alpha is 1.
         previous_synthesized, previous_z = synthesized, z
         x_relaxed = alpha * x + (1.0 - alpha) * previous_synthesized if relaxed else x
+        # The s step's target is x + u: rho1 is 1 and the weight l1_weight / rho1.
         s, majorizer, _, synthesized, s_l1 = s_update_backtracking(
-            s, x_relaxed, dual_x, D, rho1, l1_weight, majorizer, growth, synthesized
+            s, x_relaxed, u, D, 1.0, l1_weight / rho1, majorizer, growth, synthesized
         )
+        coupling_residual = x_relaxed - synthesized
+        u = u + coupling_residual
 
-        if projected:  # the slack block is zero: its residual, step and terms too
-            coupling_residual = x - synthesized
-            dual_x = dual_x + rho1 * coupling_residual
+        if projected:  # the slack block is zero: its residual and terms too
             r1, r2 = sqrt(_dot(coupling_residual, coupling_residual)), no_slack
-            objective = l1_weight * s_l1
         else:
-            masked_x = observed * x
-            masked_relaxed = (
-                alpha * masked_x + (1.0 - alpha) * (previous_z + Y) if relaxed else masked_x
-            )
-            z = slack_solve(rho2 * (masked_relaxed - Y) - dual_z)
-
-            coupling_residual = x_relaxed - synthesized
-            slack_residual = z - masked_relaxed + Y
-            dual_x, dual_z = multipliers_update(
-                dual_x, dual_z, coupling_residual, slack_residual, rho1, rho2
-            )
+            # Products with the 0/1 indicator stand in for masked
+            # assignments; they can differ from them only in the sign of a zero.
+            offset = observed * x - Y
+            offset_relaxed = alpha * offset + (1.0 - alpha) * previous_z if relaxed else offset
+            z = slack_solve(offset_relaxed - v)
+            slack_residual = z - offset_relaxed
+            v = v + slack_residual
             if relaxed:  # the feasibility residuals read the plain x
-                coupling_residual, slack_residual = x - synthesized, z - masked_x + Y
-
+                coupling_residual, slack_residual = x - synthesized, z - offset
             r1 = sqrt(_dot(coupling_residual, coupling_residual))
             r2 = sqrt(_dot(slack_residual, slack_residual))
-            index = _index(z, mean_coef, dev_coef)  # one value per row, without the row axis
-            objective = (
-                (index if z.ndim == 1 else index[:, None])
-                + l1_weight * s_l1
-                + ridge * _dot(z, z)
-            )
-        segment.append((r1, r2, objective))
+            held_z.append(z)
+            if len(held_z) == chunk:
+                slack_terms.append(_slack_terms(held_z, mean_coef, dev_coef))
+                held_z = []
+        segment.append((r1, r2, l1_weight * s_l1))
         elapsed.append((time.perf_counter() - start) * 1e3)
         if iterates is not None:
             segment_s.append(s)
@@ -601,6 +630,12 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         # Hand the segment to the working rows, then retire those that stop.
         width = len(rows)
         block = np.reshape(segment, (len(segment), 3, width))
+        if not projected:  # the objective is index + l1 term + ridge ||z||^2
+            if held_z:
+                slack_terms.append(_slack_terms(held_z, mean_coef, dev_coef))
+            index, squares = (np.reshape(np.concatenate(t), (-1, width)) for t in zip(*slack_terms))
+            block[:, 2] = index + block[:, 2] + ridge * squares
+            held_z, slack_terms = [], []
         for j, row in enumerate(rows):
             pieces[row].append(block[:, :, j])
         if iterates is not None:
@@ -611,6 +646,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         done = np.reshape(done, -1)
         stopping = done if iteration < cfg.max_iter else np.ones(width, dtype=bool)
         clock = np.array(elapsed)
+        dual_x, dual_z = rho1 * u, rho2 * v
         for j in np.flatnonzero(stopping):
             row = rows[j]
             history = np.concatenate(pieces[row]).T.copy()
@@ -635,13 +671,13 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         keep = ~stopping
         if not np.count_nonzero(keep):
             break
-        rows, Y, observed, s, z, dual_x, dual_z, synthesized = (
-            a[keep] for a in (rows, Y, observed, s, z, dual_x, dual_z, synthesized)
+        rows, Y, observed, s, z, u, v, synthesized = (
+            a[keep] for a in (rows, Y, observed, s, z, u, v, synthesized)
         )
         rho1, rho2, l1_weight, majorizer = (
-            _keep(v, keep) for v in (rho1, rho2, l1_weight, majorizer)
+            _keep(value, keep) for value in (rho1, rho2, l1_weight, majorizer)
         )
-        divisor = None
+        slack_solve = None
     return results
 
 

@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import csim.cli
 import csim.solver
 from csim.cli import build_parser, main
 from csim.dictionaries import dct_dictionary
@@ -621,6 +622,13 @@ def test_bad_arguments_exit_two():
         (["sweep-sr", "--sr", "1.5"], "--sr"),
         (["params", "--delta", "0"], "--delta"),
         (["params", "--delta", "1.5"], "--delta"),
+        (["recover", "--seed", "-1"], "--seed"),
+        (["sweep-sr", "--seed", "-1"], "--seed"),
+        (["sweep-iters", "--seed", "-1"], "--seed"),
+        (["params", "--kappa-max", "nan"], "--kappa-max"),
+        (["params", "--kappa-max", "inf"], "--kappa-max"),
+        (["params", "--kappa-max", "-5"], "--kappa-max"),
+        (["params", "--kappa-max", "0"], "--kappa-max"),
     ],
     ids=[
         "recover-fista-max-iter-0",
@@ -634,6 +642,13 @@ def test_bad_arguments_exit_two():
         "sweep-sr-above-1",
         "params-delta-0",
         "params-delta-above-1",
+        "recover-seed-negative",
+        "sweep-sr-seed-negative",
+        "sweep-iters-seed-negative",
+        "params-kappa-max-nan",
+        "params-kappa-max-inf",
+        "params-kappa-max-negative",
+        "params-kappa-max-0",
     ],
 )
 def test_bad_numeric_flags_exit_two(tmp_path, capsys, argv, flag):
@@ -650,6 +665,28 @@ def test_bad_numeric_flags_exit_two(tmp_path, capsys, argv, flag):
     message = capsys.readouterr().err
     assert flag in message and "unrecognized arguments" not in message
     assert sorted(tmp_path.iterdir()) == [src]
+
+
+def test_recover_names_config_only_when_a_file_was_given(tmp_path, capsys, monkeypatch):
+    # a setting the solver rejects, with the settings coming from flags alone
+    def rejecting_settings(*args, **kwargs):
+        raise ValueError("rejected setting")
+
+    monkeypatch.setattr(csim.cli, "solver_settings", rejecting_settings)
+    src, dst = tmp_path / "x.csv", tmp_path / "xhat.csv"
+    save_csv_vector(src, np.linspace(0.0, 1.0, 16))
+    with pytest.raises(SystemExit) as err:
+        main(["recover", "--input", str(src), "--out", str(dst)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "rejected setting" in message and "--config" not in message
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("max_iter = 5\n")
+    with pytest.raises(SystemExit) as err:
+        main(["recover", "--input", str(src), "--out", str(dst), "--config", str(cfg)])
+    assert err.value.code == 2
+    assert f"--config {cfg}: rejected setting" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg, src]
 
 
 def test_runtime_failure_exits_three(tmp_path):

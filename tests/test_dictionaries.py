@@ -15,6 +15,7 @@ from csim.dictionaries import (
     spectral_norm_sq,
 )
 from csim.paramselect import mutual_coherence
+from csim.solver import _sum
 
 
 def test_complete_dct_is_orthonormal():
@@ -245,3 +246,41 @@ def test_dot_of_two_vectors_has_the_bits_of_vecdot_and_of_its_stacked_row(
             assert np.ndim(one) == 0
             assert one.tobytes() == np.vecdot(a, b).tobytes()
         assert _dot(A[j], B[j]).tobytes() == stacked[j, 0].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([16, 64, 128]),
+    seed=st.integers(min_value=0, max_value=2**31),
+    rows=st.integers(min_value=1, max_value=9),
+    scale=st.integers(min_value=-8, max_value=8),
+    density=st.sampled_from([0.05, 0.5, 1.0]),
+)
+def test_row_sum_has_the_bits_of_sum_for_one_row_and_a_stack(n, seed, rows, scale, density):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((rows, n)) * 10.0**scale * (rng.random((rows, n)) < density)
+    stacked = _sum(A)
+    assert stacked.shape == (rows, 1)
+    for j in range(rows):
+        one = _sum(A[j])
+        assert np.ndim(one) == 0
+        assert one.tobytes() == A[j].sum().tobytes() == stacked[j, 0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "build, n, p",
+    [
+        (build, n, p)
+        for build in (dct_dictionary, haar_wp_dictionary)
+        for n, p in ((16, 16), (16, 32), (64, 64), (64, 96), (64, 128))
+        if build is dct_dictionary or p in (n, 2 * n)
+    ],
+)
+def test_spectral_norm_sq_bound_is_at_least_the_squared_norm(build, n, p):
+    D = build(n, p)
+    assert "spectral_norm_sq_bound" not in vars(D)  # formed on first read only
+    bound = D.spectral_norm_sq_bound
+    assert bound >= np.linalg.norm(D.atoms, 2) ** 2
+    assert bound >= D.spectral_norm_sq
+    # never read off the recorded value
+    assert Dictionary(D.atoms, spectral_norm_sq=0.5).spectral_norm_sq_bound == bound

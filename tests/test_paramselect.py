@@ -144,6 +144,12 @@ def test_kappa_bound_rejects_wide_matrices():
     assert math.isnan(bound.ratio_coef) and math.isnan(bound.constant)
 
 
+@pytest.mark.parametrize("kappa_max", [math.nan, math.inf, -math.inf])
+def test_kappa_bound_rejects_a_cap_that_is_not_finite(kappa_max):
+    with pytest.raises(ValueError, match="kappa_max must be finite"):
+        kappa_ratio_bound(np.eye(16)[:, :8], kappa_max)
+
+
 # --- RIP ratio bound -------------------------------------------------------
 
 

@@ -686,10 +686,12 @@ def test_solve_batch_validates_shapes():
 
 def _oracle_solve(y, mask, D, config):
     """One signal's iteration written out in plain Python from the public
-    steps, with nothing formed ahead of the iteration that needs it.  With
-    continuation or projection on it forms no relaxed value: it is the
-    plain iteration.  It forms the slack block under projection too, so
-    it is the check that the loop may skip that block there."""
+    steps, with nothing formed ahead of the iteration that needs it.  It
+    carries the scaled duals u = dual_x / rho1 and v = dual_z / rho2 and
+    writes out the slack solve (rho2 I + 2 (W + ridge I)) z = rho2 w.
+    With continuation or projection on it forms no relaxed value: it is
+    the plain iteration.  It forms the slack block under projection too,
+    so it is the check that the loop may skip that block there."""
     cfg = effective_config(config, mask, D)
     params = CsimParams(cfg.mean_weight, cfg.var_weight, D.n)
     observed = mask.indicator()
@@ -701,35 +703,33 @@ def _oracle_solve(y, mask, D, config):
         l1_weight = max(cfg.l1_init_scale * peak, cfg.l1_weight_min)
     else:
         l1_weight = cfg.l1_weight
+    diag = rho2 + 2.0 * params.diag_coef + 2.0 * ridge
+    ones = 2.0 * params.ones_coef
+    share = ones / (diag + D.n * ones)
     majorizer, retries = cfg.majorizer0, 0
-    s, z, dual_x, dual_z = np.zeros(D.p), np.zeros(D.n), np.zeros(D.n), np.zeros(D.n)
+    s, z, u, v = np.zeros(D.p), np.zeros(D.n), np.zeros(D.n), np.zeros(D.n)
     primal, slack, objectives, iterates = [], [], [], []
     for iteration in range(1, cfg.max_iter + 1):
-        b = rho1 * (D.atoms @ s) - dual_x + observed * (rho2 * (z + y) + dual_z)
-        x = x_update(b, mask, rho1, rho2)
+        x = D.atoms @ s - u
+        x = x + rho2 * observed / (rho1 + rho2 * observed) * (z + y + v - x)
         if cfg.project_observed:
             x = projection(x, y, mask)
-        masked_x = observed * x
+        offset = observed * x - y
         previous_s, previous_z = s, z
-        x_relaxed, masked_relaxed = x, masked_x
+        x_relaxed, offset_relaxed = x, offset
         if relaxed:  # over-relaxed by 1.8
             x_relaxed = 1.8 * x + (1.0 - 1.8) * (D.atoms @ previous_s)
-            masked_relaxed = 1.8 * masked_x + (1.0 - 1.8) * (previous_z + y)
+            offset_relaxed = 1.8 * offset + (1.0 - 1.8) * previous_z
         s, majorizer, rounds, _, _ = s_update_backtracking(
-            s, x_relaxed, dual_x, D, rho1, l1_weight, majorizer, cfg.majorizer_growth
+            s, x_relaxed, u, D, 1.0, l1_weight / rho1, majorizer, cfg.majorizer_growth
         )
         retries += rounds
-        z = z_update(rho2 * (masked_relaxed - y) - dual_z, params, rho2, ridge)
-        dual_x, dual_z = multipliers_update(
-            dual_x,
-            dual_z,
-            x_relaxed - D.atoms @ s,
-            z - masked_relaxed + y,
-            rho1,
-            rho2,
-        )
+        w = offset_relaxed - v
+        z = (w - w.sum() * share) * (rho2 / diag)
+        u = u + (x_relaxed - D.atoms @ s)
+        v = v + (z - offset_relaxed)
         coupling_residual = x - D.atoms @ s
-        slack_residual = z - masked_x + y
+        slack_residual = z - offset
         primal.append(math.sqrt(coupling_residual @ coupling_residual))
         slack.append(math.sqrt(slack_residual @ slack_residual))
         objectives.append(
@@ -759,8 +759,8 @@ def _oracle_solve(y, mask, D, config):
         "objectives": np.array(objectives),
         "iterates": iterates if cfg.record_iterates else None,
         "final_slack": z,
-        "final_dual_x": dual_x,
-        "final_dual_z": dual_z,
+        "final_dual_x": rho1 * u,
+        "final_dual_z": rho2 * v,
         "l1_weight_final": float(l1_weight),
         "majorizer_final": float(majorizer),
         "s_retries": retries,
@@ -827,6 +827,84 @@ def test_solve_and_solve_batch_match_the_written_out_iteration(rows, config, dic
         )
     if dictionary.endswith("understated-norm"):
         assert any(want["s_retries"] for want in expected)
+
+
+@pytest.mark.parametrize("dictionary, rows, tol", [("haar64x128", 1, 1e-8), ("dct16", 200, 1e-4)])
+def test_fixed_weight_objectives_over_several_chunks_match_the_written_out_iteration(
+    dictionary, rows, tol
+):
+    # The loop forms the index and ridge terms of up to 64 iterations at
+    # once (and of fewer when a wide working set would hold more than 2**16
+    # floats of z: 20 for the 200 rows of length 16).  The one Haar row
+    # runs past two such chunks; the 200 rows leave the working set at
+    # many iterations, mid-chunk.
+    D = dct_dictionary(16, 16) if dictionary == "dct16" else _ORACLE_DICTIONARIES[dictionary]()
+    Y, masks = _problem_rows(D, 43, rows, sparsity=4)
+    cfg = SolverConfig.analysis(l1_weight=1e-3, max_iter=300 if rows == 1 else 60, feasibility_tol=tol)
+    batch = solve_batch(Y, masks, D, cfg)
+    stops = {result.iterations for result in batch}
+    assert max(stops) > 128 if rows == 1 else len(stops) > 20
+    for y, mask, result in zip(Y, masks, batch, strict=True):
+        want = _oracle_solve(y, mask, D, cfg)
+        assert result.objectives.tobytes() == want["objectives"].tobytes()
+        assert result.iterations == want["iterations"]
+        assert result.s_hat.tobytes() == want["s_hat"].tobytes()
+
+
+def _record_s_steps(monkeypatch):
+    """(least constant handed in, whether the step ran its value/bound
+    test) of every s step the loop takes; the test is what calls ``_dot``
+    there."""
+    steps, dots = [], [0]
+    dot, step = csim.solver._dot, csim.solver.s_update_backtracking
+
+    def counting_dot(*args):
+        dots[0] += 1
+        return dot(*args)
+
+    def recording_step(*args):
+        before = dots[0]
+        out = step(*args)
+        steps.append((float(np.min(args[6])), dots[0] > before))
+        return out
+
+    monkeypatch.setattr(csim.solver, "_dot", counting_dot)
+    monkeypatch.setattr(csim.solver, "s_update_backtracking", recording_step)
+    return steps
+
+
+@pytest.mark.parametrize("case", ["dct64x96", "dct64x96-halved-norm", "dct64-understated-norm"])
+def test_s_step_tests_majorization_exactly_while_a_constant_is_below_the_bound(
+    monkeypatch, case
+):
+    atoms = dct_dictionary(64, 96 if case.startswith("dct64x96") else 64).atoms
+    true_norm = np.linalg.norm(atoms, 2) ** 2
+    recorded = {"dct64x96": None, "dct64x96-halved-norm": 0.5, "dct64-understated-norm": 0.9}[case]
+    D = Dictionary(atoms, spectral_norm_sq=None if recorded is None else recorded * true_norm)
+    bound = D.spectral_norm_sq_bound
+    Y, masks = _problem_rows(D, 5, 8, sparsity=3)
+    cfg = SolverConfig(max_iter=30)
+    expected = [_oracle_solve(y, mask, D, cfg) for y, mask in zip(Y, masks)]
+    steps = _record_s_steps(monkeypatch)
+    batch = solve_batch(Y, masks, D, cfg)
+    for result, want in zip(batch, expected, strict=True):
+        _assert_matches_oracle(result, want)
+    assert len(steps) == 30
+    for least, tested in steps:
+        assert tested == (least < bound)
+    retries = [result.s_retries for result in batch]
+    if case == "dct64x96":
+        # 1.05 ||D||^2 = 1.777 is below the bound of 1.825: every step tests, none fails
+        assert 1.05 * D.spectral_norm_sq < bound
+        assert all(tested for _, tested in steps) and not any(retries)
+    elif case == "dct64x96-halved-norm":
+        # rows backtrack, and their constants stay below the bound
+        assert any(retries) and all(tested for _, tested in steps)
+        assert all(r.majorizer_final < bound for r in batch)
+    else:
+        # every row fails at 0.945 ||D||^2 once; grown past the bound, none tests again
+        assert all(r == 1 for r in retries) and all(r.majorizer_final >= bound for r in batch)
+        assert steps[0][1] and not any(tested for _, tested in steps[1:])
 
 
 def test_a_row_stops_once_its_dual_residual_is_below_the_tolerance():
