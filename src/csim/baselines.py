@@ -2,8 +2,8 @@
 
 Both baselines work on the masked synthesis operator A = M D and the
 objective 0.5 ||A s - y||^2 plus a sparsity term: FISTA with an l1
-penalty and a restart safeguard that keeps the objective monotone, and
-an iterative hard-thresholding solver with an exponentially decaying
+penalty and the gradient restart of O'Donoghue & Candes (2015), and an
+iterative hard-thresholding solver with an exponentially decaying
 threshold schedule.  Like the ADMM solver, both read a row only at its
 observed positions (through `solver._observed_rows`), and a non-finite
 observed sample raises `NonFiniteError`.
@@ -31,7 +31,6 @@ from .solver import (
     NonFiniteError,
     RecoveryResult,
     _all,
-    _keep,
     _observed_rows,
     _per_row,
     _sum,
@@ -128,15 +127,6 @@ def _results(atoms, s, history, elapsed, iterates) -> list[RecoveryResult]:
     ]
 
 
-def _proximal_step(point, forward, adjoint, y, step, threshold, w):
-    """Soft-thresholded gradient step from ``point`` on each row, with
-    the row's objective and squared residual norm there."""
-    candidate = soft_threshold(point - step * adjoint(forward(point) - y), threshold)
-    r = forward(candidate) - y
-    rr = _dot(r, r)
-    return candidate, 0.5 * rr + w * _sum(np.abs(candidate)), rr
-
-
 def fista_solve(y, mask: SamplingMask, D: Dictionary, config: FistaConfig | None = None) -> RecoveryResult:
     """Recover one signal: ``fista_solve_batch`` with a single row."""
     return fista_solve_batch(np.asarray(y, dtype=float)[None], [mask], D, config)[0]
@@ -147,11 +137,15 @@ def fista_solve_batch(Y, masks, D: Dictionary, config: FistaConfig | None = None
     every row of ``Y``, row i observed through ``masks[i]``.
 
     Each row has its own step 1/||A_b||^2 and, unless ``l1_weight`` is
-    set, its own weight.  Any momentum step that would raise a row's objective is
-    replaced by the plain proximal step from its previous iterate (which
-    cannot raise it), and the row's momentum is reset, so its recorded
-    objectives are non-increasing.  A row's result has the bits of its
-    one-row solve, apart from ``elapsed_ms``, the batch's clock.
+    set, its own weight.  A row whose new iterate s+ moved against its
+    momentum, (p - s+) . (s+ - s) > 0 at momentum point p, restarts: its
+    momentum weight goes back to 1, so its next step is a plain proximal
+    step from s+, which cannot raise its objective.  Other steps may
+    raise it: the recorded objectives are not monotone in general.  A p
+    is carried by linearity from the products of the last two iterates,
+    so an iteration forms one product with A and one with A.T.  A row's
+    result has the bits of its one-row solve, apart from ``elapsed_ms``,
+    the batch's clock.
     """
     if config is None:
         config = FistaConfig()
@@ -172,44 +166,42 @@ def fista_solve_batch(Y, masks, D: Dictionary, config: FistaConfig | None = None
     threshold = w * step
 
     s = np.zeros(Y.shape[:-1] + (D.p,))
-    momentum_point = s
+    product = np.zeros_like(Y)  # A s at s = 0
+    momentum_point, momentum_product = s, product
     t_k = 1.0
-    r = forward(s) - Y
-    value = 0.5 * _dot(r, r) + w * _sum(np.abs(s))
+    # One row keeps t_k a Python float: a Python-float sqrt and a scalar
+    # restart flag, with the bits of the array forms.
+    sqrt = math.sqrt if s.ndim == 1 else np.sqrt
 
     history, elapsed = [], []
     iterates: list[np.ndarray] | None = [] if config.record_iterates else None
     start = time.perf_counter()
     for _ in range(config.max_iter):
-        candidate, cand_value, rr = _proximal_step(
-            momentum_point, forward, adjoint, Y, step, threshold, w
+        candidate = soft_threshold(
+            momentum_point - step * adjoint(momentum_product - Y), threshold
         )
-        raised = cand_value > value
+        candidate_product = forward(candidate)
+        r = candidate_product - Y
+        rr = _dot(r, r)
+        change = candidate - s
+        # Gradient restart: a row whose step runs against its momentum
+        # (p - s+) . (s+ - s) > 0 drops the momentum.
+        restart = _dot(momentum_point - candidate, change) > 0
         if s.ndim == 1:
-            if raised:
-                candidate, cand_value, rr = _proximal_step(
-                    s, forward, adjoint, Y, step, threshold, w
-                )
+            if restart:
                 t_k = 1.0
-        elif np.count_nonzero(raised):
-            # Restart only the rows whose objective the momentum step raised.
-            rows = np.flatnonzero(raised)
-            candidate[rows], cand_value[rows], rr[rows] = _proximal_step(
-                s[rows],
-                *_operator(atoms, observed[rows]),
-                Y[rows],
-                *(_keep(v, rows) for v in (step, threshold, w)),
-            )
-            t_k = np.where(raised, 1.0, t_k)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k * t_k))
-        momentum_point = candidate + ((t_k - 1.0) / t_next) * (candidate - s)
-        s = candidate
-        value = cand_value
-        t_k = t_next
+        else:
+            t_k = np.where(restart, 1.0, t_k)
+        t_next = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t_k * t_k))
+        beta = (t_k - 1.0) / t_next
+        momentum_point = candidate + beta * change
+        # A p by linearity, from the products of s+ and s.
+        momentum_product = candidate_product + beta * (candidate_product - product)
+        s, product, t_k = candidate, candidate_product, t_next
 
         if not _all(np.isfinite(s)):
             raise NonFiniteError("non-finite FISTA iterate")
-        history.append((np.sqrt(rr), value))
+        history.append((sqrt(rr), 0.5 * rr + w * _sum(np.abs(s))))
         elapsed.append((time.perf_counter() - start) * 1e3)
         if iterates is not None:
             iterates.append(s)

@@ -10,6 +10,7 @@ inputs, writes outputs and the JSON-lines run logs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -379,8 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``: built on its first call, not at import,
+    and reused (parsing leaves no state in it)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "recover":
         if args.config and args.solver != SOLVER_NAMES[0]:

@@ -367,10 +367,14 @@ def s_update_backtracking(
     accepted step never increases a row's subproblem objective.
     """
     atoms = D.atoms
-    s = np.asarray(s, dtype=float)
     if synthesized is None:
+        s = np.asarray(s, dtype=float)
         synthesized = _synthesize(atoms, s)
-    target = np.asarray(x, dtype=float) + np.asarray(dual_x, dtype=float) / rho1
+    # x + dual_x / rho1 through the ufuncs, which take array-likes; a
+    # division by 1 is exact, so the solver loop's rho1 = 1.0 skips it.
+    if not (isinstance(rho1, float) and rho1 == 1.0):
+        dual_x = np.divide(dual_x, rho1)
+    target = np.add(x, dual_x)
     residual0 = target - synthesized
     grad0 = -_analyze(atoms, residual0)
     l1_over_rho = l1_weight / rho1

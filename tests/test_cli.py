@@ -514,6 +514,32 @@ def test_sweep_sr_cli_byte_identical_runs(tmp_path):
     compile((tmp_path / "a.csv.plot.py").read_text(), "plot.py", "exec")
 
 
+def test_main_builds_its_parser_once_and_keeps_no_state_between_calls(tmp_path, monkeypatch, capsys):
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return build_parser()
+
+    csim.cli._parser.cache_clear()
+    monkeypatch.setattr(csim.cli, "build_parser", counting_build)
+    try:
+        args = ["sweep-sr", "--n", "16", "--trials", "2", "--sr", "0.8", "--max-iter", "5"]
+        assert main(args + ["--solver", "fista", "--out", str(tmp_path / "fista.csv")]) == 0
+        with pytest.raises(SystemExit) as err:  # --solver appends before --trials fails
+            main(args[:3] + ["--solver", "iht", "--trials", "0", "--out", str(tmp_path / "bad.csv")])
+        assert err.value.code == 2
+        assert main(args + ["--out", str(tmp_path / "default.csv")]) == 0
+    finally:
+        csim.cli._parser.cache_clear()
+    assert built == [1]
+    rows = (tmp_path / "default.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    solvers = [dict(zip(header, row.split(",")))["solver"] for row in rows[1:]]
+    assert sorted(set(solvers)) == sorted(ExperimentSpec.solvers)
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def test_sweep_sr_cli_corpus_mode(tmp_path):
     save_pgm(tmp_path / "a.pgm", synthetic_image(24, 24, seed=21))
     out = tmp_path / "corpus.csv"
