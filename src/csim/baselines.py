@@ -31,6 +31,7 @@ from .solver import (
     NonFiniteError,
     RecoveryResult,
     _all,
+    _check_threshold,
     _observed_rows,
     _per_row,
     _sum,
@@ -76,8 +77,7 @@ class IhtConfig:
 def hard_threshold(v, tau) -> np.ndarray:
     """Zero entries with |v_i| < tau, keep the rest exactly; ``tau`` is
     a scalar or a per-row value."""
-    if tau < 0 if isinstance(tau, float) else np.count_nonzero(np.less(tau, 0)):
-        raise ValueError("threshold must be nonnegative")
+    _check_threshold(tau)
     v = np.asarray(v, dtype=float)
     return np.where(np.abs(v) >= tau, v, 0.0)
 

@@ -115,16 +115,17 @@ def spectral_norm_sq(A, max_iter: int = 100_000, *, observed=None):
 class Dictionary:
     """Column-normalized atom matrix with cached spectral facts.
 
-    ``atoms`` is (n, p) with unit-norm columns; ``spectral_norm_sq`` is
-    the largest eigenvalue of the Gram matrix and ``coherence`` the
-    largest off-diagonal Gram entry in absolute value, computed on first
-    read (it forms the p x p Gram matrix, which solving never needs).
-    ``spectral_norm_sq_bound`` is also computed on first read, by the
-    s step of the solver.
+    ``atoms`` is (n, p) with unit-norm columns.  ``spectral_norm_sq`` is
+    the largest eigenvalue of the Gram matrix by power iteration, which
+    can read a little low when the top eigenvalues are close;
+    ``spectral_norm_sq_bound`` is an upper bound on it, and
+    ``coherence`` the largest off-diagonal Gram entry in absolute value.
+    The last two are computed on first read (they form a Gram matrix,
+    which solving never needs).
     """
 
     atoms: np.ndarray
-    spectral_norm_sq: float = field(default=None)  # type: ignore[assignment]
+    spectral_norm_sq: float = field(init=False)
 
     def __post_init__(self):
         atoms = np.array(self.atoms, dtype=float)
@@ -135,8 +136,7 @@ class Dictionary:
             raise ValueError("every atom must have unit norm (within 1e-10)")
         atoms.flags.writeable = False
         object.__setattr__(self, "atoms", atoms)
-        if self.spectral_norm_sq is None:
-            object.__setattr__(self, "spectral_norm_sq", spectral_norm_sq(atoms))
+        object.__setattr__(self, "spectral_norm_sq", spectral_norm_sq(atoms))
 
     @functools.cached_property
     def coherence(self) -> float:
@@ -144,14 +144,18 @@ class Dictionary:
 
     @functools.cached_property
     def spectral_norm_sq_bound(self) -> float:
-        """An upper bound on ||D||^2 from the atoms alone, never from the
-        recorded ``spectral_norm_sq``: the largest absolute row sum of the
-        smaller Gram matrix (Gershgorin), computed on first read.
+        """A certified upper bound on ||D||^2: the largest eigenvalue of
+        the smaller Gram matrix (``np.linalg.eigvalsh``) times 1 + 2 (k + 1)
+        (m + 1) eps, for k = max(n, p) and m = min(n, p).
 
-        A computed Gram entry is off by at most k eps sqrt(G_ii G_jj) for
-        inner length k (Cauchy-Schwarz), so a row sum of m entries is off
-        by at most about (k m + m) eps / 2 of the largest row sum; the
-        relative margin 2 (k + 1) (m + 1) eps covers that rounding.
+        That margin covers two roundings.  A computed Gram entry, an
+        inner product of length k, is off by at most about k eps / 2 times
+        the product of the two row norms, so the computed matrix is within
+        k eps ||D||_F^2 / 2 of the exact one in the 2-norm, and ||D||_F^2 = p
+        is at most m ||D||^2.  The symmetric eigensolver is backward
+        stable: its value is exact for a matrix within a modest multiple of
+        m eps ||G|| of the computed one (Golub & Van Loan, section 8.3), and
+        by Weyl's inequality the rest of the margin covers that.
         """
         short = self.atoms if self.n <= self.p else self.atoms.T
         # One matrix-vector product per row: a matrix product would touch
@@ -160,7 +164,7 @@ class Dictionary:
         gram = np.array([row @ short.T for row in short])
         k, m = max(self.n, self.p), min(self.n, self.p)
         margin = 2.0 * (k + 1) * (m + 1) * np.finfo(float).eps
-        return float(np.abs(gram).sum(axis=1).max()) * (1.0 + margin)
+        return float(np.linalg.eigvalsh(gram)[-1] * (1.0 + margin))
 
     @property
     def n(self) -> int:

@@ -7,11 +7,10 @@ Solves, over coefficients s, signal x, and slack z,
 
 where M keeps the observed samples of x.  Each subproblem has a closed
 form: the x system is diagonal, the s step is one soft-thresholded
-gradient step on a majorizing surrogate (with backtracking on the
-surrogate constant), and the z system is diagonal-plus-rank-one.  The
-l1 weight optionally decays geometrically across iterations
-(continuation) and observed samples can be re-imposed on x every
-iteration (projection); disabling both gives the ADMM whose fixed point
+gradient step on a majorizing surrogate, and the z system is
+diagonal-plus-rank-one.  The l1 weight optionally decays geometrically
+across iterations (continuation) and observed samples can be re-imposed
+on x every iteration (projection); disabling both gives the ADMM whose fixed point
 satisfies the stationarity system checked by `kkt_residuals`, and in
 that regime the s and z steps and the dual step read an over-relaxed x
 (Boyd et al. 2011, section 3.4.3).  A run stops once the primal, slack
@@ -21,11 +20,11 @@ continuation, the l1 weight is at its floor.
 The iteration is separable per signal, so one loop (`solve_batch`) runs
 it on a stack of signals at once, every step acting on the last axis;
 `solve` is its one-signal case.  The loop forms one dictionary product
-D s per iteration (plus one per backtracking retry): the s step takes
-the product of the current s and returns that of the accepted one.  It
-carries the scaled duals u = dual_x / rho1 and v = dual_z / rho2 (Boyd
-et al. 2011, section 3.1.1), so its x, residual and dual steps form no
-rho products; a result gets rho1 u and rho2 v.
+D s per iteration: the s step takes the product of the current s and
+returns that of the new one.  It carries the scaled duals
+u = dual_x / rho1 and v = dual_z / rho2 (Boyd et al. 2011, section
+3.1.1), so its x, residual and dual steps form no rho products; a result
+gets rho1 u and rho2 v.
 """
 
 from __future__ import annotations
@@ -57,14 +56,14 @@ __all__ = [
     "kkt_residuals",
 ]
 
-_BACKTRACK_CAP = 64
 # Over-relaxation factor of the fixed-weight, no-projection regime.
 _RELAXATION = 1.8
 
 
 class BacktrackingLimitError(RuntimeError):
-    """Backtracking grew the surrogate constant 64 times without the
-    majorization check passing; the configuration is inconsistent."""
+    """No solver raises it: every accepted ``majorizer0`` majorizes, so
+    the s step never backtracks.  It stays importable for the benchmark,
+    which lists it among its operation errors."""
 
 
 class NonFiniteError(RuntimeError):
@@ -78,9 +77,11 @@ class SolverConfig:
     Derivations follow the reference experiment protocol: with sampling
     ratio m/n, rho1 = 0.4 m/n and rho2 = 2 m/n; var_weight = n - 1 with
     mean_weight = var_weight / DEFAULT_RATIO; majorizer0 = 1.05 *
-    ||D||^2.  The l1 weight starts at l1_init_scale * max|D.T y|
-    (floored at l1_weight_min) and decays by l1_decay per iteration
-    while ``continuation`` is on.  ``project_observed`` re-imposes the
+    ``D.spectral_norm_sq``.  A given majorizer0 must be at least
+    ``D.spectral_norm_sq_bound``, so the s step's surrogate majorizes in
+    every accepted configuration.  The l1 weight starts at
+    l1_init_scale * max|D.T y| (floored at l1_weight_min) and decays by
+    l1_decay per iteration while ``continuation`` is on.  ``project_observed`` re-imposes the
     known samples on x each iteration; turn both flags off (see
     ``analysis``) to run the ADMM with a fixed l1 weight.
 
@@ -114,7 +115,6 @@ class SolverConfig:
     rho1: float | None = None
     rho2: float | None = None
     slack_ridge: float = 1.0
-    majorizer_growth: float = 1.1
     majorizer0: float | None = None
     l1_decay: float = 0.95
     l1_init_scale: float = 0.1
@@ -169,8 +169,6 @@ def effective_config(config: SolverConfig, mask: SamplingMask, D: Dictionary) ->
         raise ValueError("rho2 must be positive")
     if resolved.slack_ridge < 0:
         raise ValueError("slack_ridge must be nonnegative")
-    if not resolved.majorizer_growth > 1:
-        raise ValueError("majorizer_growth must exceed 1")
     if not 0 < resolved.l1_decay < 1:
         raise ValueError("l1_decay must lie in (0, 1)")
     if not resolved.l1_weight_min > 0:
@@ -179,8 +177,11 @@ def effective_config(config: SolverConfig, mask: SamplingMask, D: Dictionary) ->
         raise ValueError("l1_weight must be nonnegative")
     if resolved.max_iter < 1:
         raise ValueError("max_iter must be positive")
-    if resolved.majorizer0 <= D.spectral_norm_sq:
-        raise ValueError("majorizer0 must exceed the squared spectral norm of D")
+    if not resolved.majorizer0 >= D.spectral_norm_sq_bound:
+        raise ValueError(
+            f"majorizer0 must be at least the bound {D.spectral_norm_sq_bound} on ||D||^2,"
+            f" got {resolved.majorizer0}"
+        )
     CsimParams(resolved.mean_weight, resolved.var_weight, mask.n)  # checks the index weights
     return resolved
 
@@ -194,16 +195,15 @@ class RecoveryResult:
     objective csim(z) + l1_weight ||s||_1 + slack_ridge ||z||^2 at the
     iterate (with the l1 weight current at that iteration).
     ``elapsed_ms`` is cumulative wall time (of the whole batch, for a
-    batched solve).  ``s_retries`` counts the backtracking retries of
-    the s step over all iterations.  ``stop_reason`` is "converged" when
-    both feasibility residuals of the last iteration and the norm of its
+    batched solve).  ``stop_reason`` is "converged" when both
+    feasibility residuals of the last iteration and the norm of its
     dual residual rho1 (D s - D s_prev) + M.T rho2 (z - z_prev) are below
     ``feasibility_tol`` (and, with continuation on, the l1 weight of that
     iteration is ``l1_weight_min``), and "budget" otherwise (``max_iter``
     ran out, whichever test failed); a non-finite iterate raises
     instead.  Baseline solvers reuse this type
-    with ``slack_residuals``, the final duals and ``s_retries`` set to
-    None, and always stop on their budget.
+    with ``slack_residuals`` and the final duals set to None, and always
+    stop on their budget.
     """
 
     x_hat: np.ndarray
@@ -218,28 +218,29 @@ class RecoveryResult:
     final_dual_x: np.ndarray | None = None
     final_dual_z: np.ndarray | None = None
     l1_weight_final: float | None = None
-    majorizer_final: float | None = None
-    s_retries: int | None = None
     stop_reason: str | None = None
 
 
-def _shrink(v, tau):
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+def _check_threshold(tau) -> None:
+    """Raise unless the scalar or per-row threshold ``tau`` is at least 0;
+    a nan fails that comparison too."""
+    if not (tau >= 0 if isinstance(tau, float) else _all(np.greater_equal(tau, 0))):
+        raise ValueError("threshold must be nonnegative")
 
 
 def soft_threshold(v, tau) -> np.ndarray:
     """Componentwise sign(v) * max(|v| - tau, 0); ``tau`` is a scalar or
     a per-row value."""
-    if tau < 0 if isinstance(tau, float) else np.count_nonzero(np.less(tau, 0)):
-        raise ValueError("threshold must be nonnegative")
-    return _shrink(np.asarray(v, dtype=float), tau)
+    _check_threshold(tau)
+    v = np.asarray(v, dtype=float)
+    return np.copysign(np.maximum(np.abs(v) - tau, 0.0), v)
 
 
 # Row stacks.  The iteration acts on the last axis: one signal is a 1-D
 # array, B signals a (B, n) stack.  A per-row value (a penalty, the l1
-# weight, a surrogate constant, a residual norm) is a scalar for one
-# signal or when every row shares it, and a (B, 1) column otherwise, so
-# it broadcasts along the rows either way.  The stacked products
+# weight, a residual norm) is a scalar for one signal or when every row
+# shares it, and a (B, 1) column otherwise, so it broadcasts along the
+# rows either way.  The stacked products
 # (``_synthesize``, ``_analyze``) and ``_dot`` live in ``dictionaries``,
 # whose power iteration runs on row stacks too.
 
@@ -347,24 +348,22 @@ def s_update_backtracking(
     rho1,
     l1_weight,
     majorizer,
-    growth: float,
     synthesized=None,
 ) -> tuple[np.ndarray, np.ndarray | float, int, np.ndarray, np.ndarray | float]:
     """One majorize-minimize step on the s subproblem of each row.
 
-    Proposes a soft-thresholded gradient step with the current surrogate
-    constant.  Rows whose true subproblem objective exceeds the
-    surrogate value at the proposal grow their constant and retry, until
-    every row passes.  While every row's constant is at least
-    ``D.spectral_norm_sq_bound``, the surrogate majorizes the subproblem
-    (D.T D <= ||D||^2 I), so that test cannot fail in exact arithmetic
-    and is skipped; a non-finite value then raises only where the test
-    runs (``solve_batch`` checks its residuals every iteration).  rho1,
-    l1_weight (nonnegative) and majorizer are per-row values;
-    ``synthesized`` is D s when the caller holds it (it is formed here
-    otherwise).  Returns (new s, accepted constants, number of retry
-    rounds, D times the new s, ||new s||_1 as a per-row value).  The
-    accepted step never increases a row's subproblem objective.
+    With r = x + dual_x / rho1 - D s, the step is the soft threshold of
+    s + D.T r / majorizer at (l1_weight / rho1) / majorizer: the minimizer
+    of the subproblem's surrogate with constant ``majorizer``.  That
+    surrogate majorizes the subproblem (D.T D <= ||D||^2 I) whenever the
+    constant is at least ``D.spectral_norm_sq_bound``, as
+    ``effective_config`` requires, so the step never increases a row's
+    subproblem objective.  rho1, l1_weight (nonnegative) and majorizer
+    are per-row values; ``synthesized`` is D s when the caller holds it
+    (it is formed here otherwise).  Returns (new s, ``majorizer``, 0, D
+    times the new s, ||new s||_1 as a per-row value): the constant and a
+    retry count of 0 keep the result's shape, which the benchmark's
+    tracer reads.
     """
     atoms = D.atoms
     if synthesized is None:
@@ -374,53 +373,11 @@ def s_update_backtracking(
     # division by 1 is exact, so the solver loop's rho1 = 1.0 skips it.
     if not (isinstance(rho1, float) and rho1 == 1.0):
         dual_x = np.divide(dual_x, rho1)
-    target = np.add(x, dual_x)
-    residual0 = target - synthesized
-    grad0 = -_analyze(atoms, residual0)
-    l1_over_rho = l1_weight / rho1
-
-    retries = 0
-    while True:
-        candidate = _shrink(s - grad0 / majorizer, l1_over_rho / majorizer)
-        product = _synthesize(atoms, candidate)
-        l1_norm = _sum(np.abs(candidate))
-        if _all(majorizer >= D.spectral_norm_sq_bound):
-            return candidate, majorizer, retries, product, l1_norm
-        r = target - product
-        l1_term = l1_over_rho * l1_norm
-        value = 0.5 * _dot(r, r) + l1_term
-        d = candidate - s
-        bound = (
-            0.5 * _dot(residual0, residual0)
-            + _dot(d, grad0)
-            + 0.5 * majorizer * _dot(d, d)
-            + l1_term
-        )
-        # value >= 0 (l1_weight >= 0), so 1 + value is 1 + |value|.  A nan
-        # or infinite value fails the comparison and raises below.
-        accepted = value <= bound + 1e-12 * (1.0 + value)
-        if _all(accepted):
-            return candidate, majorizer, retries, product, l1_norm
-        if not (_all(np.isfinite(value)) and _all(np.isfinite(bound))):
-            raise NonFiniteError("non-finite value in the coefficient update")
-        retries += 1
-        if retries > _BACKTRACK_CAP:
-            raise BacktrackingLimitError(
-                "majorization never held after 64 growth steps; "
-                "check the surrogate constant and dictionary scaling"
-            )
-        majorizer = np.where(accepted, majorizer, majorizer * growth)
-
-
-def _growth_steps(majorizer0: float, majorizer: float, growth: float) -> int:
-    """How often backtracking multiplied ``majorizer0`` by ``growth`` to
-    reach ``majorizer``: the constant only ever grows by that factor, so
-    replaying the products meets it bit for bit."""
-    steps = 0
-    while majorizer0 < majorizer:
-        majorizer0 *= growth
-        steps += 1
-    return steps
+    residual = np.add(x, dual_x) - synthesized
+    v = s + _analyze(atoms, residual) / majorizer
+    magnitude = np.maximum(np.abs(v) - l1_weight / rho1 / majorizer, 0.0)
+    candidate = np.copysign(magnitude, v)
+    return candidate, majorizer, 0, _synthesize(atoms, candidate), _sum(magnitude)
 
 
 def _slack_solver(params: CsimParams, rho2, slack_ridge: float, scale=1.0):
@@ -485,9 +442,9 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
 
     Row i of the (B, n) array ``Y`` is observed through ``masks[i]`` and
     read only at its observed positions.  Every row keeps its own
-    penalties (from its sample count), l1 weight, surrogate constant and
-    stop iteration: it stops at ``max_iter`` or as soon as both of its
-    feasibility residuals and its dual residual drop below
+    penalties (from its sample count), l1 weight and stop iteration: it
+    stops at ``max_iter`` or as soon as both of its feasibility
+    residuals and its dual residual drop below
     ``feasibility_tol`` (with continuation on, only once the l1 weight
     it used is ``l1_weight_min``), and then leaves the working set
     (``stop_reason`` says which).  The dual residual is formed only on
@@ -500,8 +457,8 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     Otherwise the index and ridge terms of the objective are formed for
     up to 64 iterations at a time, from the z they held.
     A row's result has the bits of its one-row solve, apart from
-    ``elapsed_ms``, which is the batch's clock.  A non-finite value or a
-    backtracking failure in any row raises.
+    ``elapsed_ms``, which is the batch's clock.  A non-finite value in
+    any row raises.
     """
     if config is None:
         config = SolverConfig()
@@ -521,7 +478,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     mean_coef, dev_coef = params.mean_weight, params.diag_coef
     rho1 = _per_row([configs[mask.m].rho1 for mask in masks])
     rho2 = _per_row([configs[mask.m].rho2 for mask in masks])
-    ridge, growth = cfg.slack_ridge, cfg.majorizer_growth
+    ridge, majorizer = cfg.slack_ridge, cfg.majorizer0
     projected = cfg.project_observed
     relaxed = not (cfg.continuation or projected)
     alpha = _RELAXATION if relaxed else 1.0
@@ -530,7 +487,6 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     else:
         peak = np.abs(_analyze(atoms, Y)).max(axis=-1)
         l1_weight = _per_row(np.maximum(cfg.l1_init_scale * peak, cfg.l1_weight_min))
-    majorizer = cfg.majorizer0
 
     s = np.zeros(Y.shape[:-1] + (p,))
     z = np.zeros_like(Y)
@@ -583,8 +539,8 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         previous_synthesized, previous_z = synthesized, z
         x_relaxed = alpha * x + (1.0 - alpha) * previous_synthesized if relaxed else x
         # The s step's target is x + u: rho1 is 1 and the weight l1_weight / rho1.
-        s, majorizer, _, synthesized, s_l1 = s_update_backtracking(
-            s, x_relaxed, u, D, 1.0, l1_weight / rho1, majorizer, growth, synthesized
+        s, _, _, synthesized, s_l1 = s_update_backtracking(
+            s, x_relaxed, u, D, 1.0, l1_weight / rho1, majorizer, synthesized
         )
         coupling_residual = x_relaxed - synthesized
         u = u + coupling_residual
@@ -654,7 +610,6 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         for j in np.flatnonzero(stopping):
             row = rows[j]
             history = np.concatenate(pieces[row]).T.copy()
-            majorizer_final = float(_row_value(majorizer, j))
             results[row] = RecoveryResult(
                 x_hat=_row(x, j),
                 s_hat=_row(s, j),
@@ -668,8 +623,6 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
                 final_dual_x=_row(dual_x, j),
                 final_dual_z=_row(dual_z, j),
                 l1_weight_final=float(_row_value(l1_weight, j)),
-                majorizer_final=majorizer_final,
-                s_retries=_growth_steps(cfg.majorizer0, majorizer_final, growth),
                 stop_reason="converged" if done[j] else "budget",
             )
         keep = ~stopping
@@ -678,9 +631,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         rows, Y, observed, s, z, u, v, synthesized = (
             a[keep] for a in (rows, Y, observed, s, z, u, v, synthesized)
         )
-        rho1, rho2, l1_weight, majorizer = (
-            _keep(value, keep) for value in (rho1, rho2, l1_weight, majorizer)
-        )
+        rho1, rho2, l1_weight = (_keep(value, keep) for value in (rho1, rho2, l1_weight))
         slack_solve = None
     return results
 

@@ -83,7 +83,6 @@ def test_recover_vector_full_observation(tmp_path):
         "feasibility_tol",
         "continuation",
         "project_observed",
-        "majorizer_growth",
     ):
         assert key in log_lines[0]
     iteration_events = [l for l in log_lines if l["event"] == "iteration"]
@@ -175,7 +174,6 @@ def test_config_file_accepts_every_solver_field(tmp_path):
         "rho1": "0.5",
         "rho2": "1.5",
         "slack_ridge": "0.5",
-        "majorizer_growth": "1.2",
         "majorizer0": "2",
         "l1_decay": "0.9",
         "l1_init_scale": "0.2",
@@ -281,6 +279,39 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         main(["recover", "--input", str(src), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)])
     assert err.value.code == 2
     assert f"{cfg}:1: unknown key" in capsys.readouterr().err
+
+
+def test_config_file_rejects_the_retired_majorizer_growth_key(tmp_path, capsys):
+    src = tmp_path / "x.csv"
+    save_csv_vector(src, substream(6, 7).standard_normal(16))
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("majorizer_growth = 1.1\n")
+    with pytest.raises(SystemExit) as err:
+        main(["recover", "--input", str(src), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)])
+    assert err.value.code == 2
+    assert f"{cfg}:1: unknown key 'majorizer_growth'" in capsys.readouterr().err
+
+
+def test_config_file_majorizer0_below_the_norm_bound_is_a_bad_argument(tmp_path, capsys):
+    # On DCT 64x96 the power iteration records ||D||^2 about 7.5e-10 low;
+    # a constant between the two is below the bound, so it is rejected.
+    D = dct_dictionary(64, 96)
+    true_norm = np.linalg.norm(D.atoms, 2) ** 2
+    between = float(D.spectral_norm_sq + true_norm) / 2
+    assert D.spectral_norm_sq < between < true_norm <= D.spectral_norm_sq_bound
+    src = tmp_path / "x.csv"
+    save_csv_vector(src, substream(6, 7).standard_normal(64))
+    cfg = tmp_path / "low.cfg"
+    cfg.write_text(f"majorizer0 = {between!r}\n")
+    dst = tmp_path / "o.csv"
+    argv = ["recover", "--input", str(src), "--out", str(dst), "--p", "96", "--config", str(cfg)]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"--config {cfg}: majorizer0 must be at least" in capsys.readouterr().err
+    assert not dst.exists()
+    cfg.write_text(f"majorizer0 = {D.spectral_norm_sq_bound!r}\n")
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize(

@@ -282,5 +282,37 @@ def test_spectral_norm_sq_bound_is_at_least_the_squared_norm(build, n, p):
     bound = D.spectral_norm_sq_bound
     assert bound >= np.linalg.norm(D.atoms, 2) ** 2
     assert bound >= D.spectral_norm_sq
-    # never read off the recorded value
-    assert Dictionary(D.atoms, spectral_norm_sq=0.5).spectral_norm_sq_bound == bound
+    # tight, and below the default surrogate constant 1.05 ||D||^2
+    assert bound <= np.linalg.norm(D.atoms, 2) ** 2 * (1.0 + 1e-11)
+    assert bound < 1.05 * D.spectral_norm_sq
+
+
+def test_dictionary_takes_no_recorded_norm():
+    D = dct_dictionary(8, 16)
+    with pytest.raises(TypeError):
+        Dictionary(D.atoms, spectral_norm_sq=0.5)
+    assert Dictionary(D.atoms).spectral_norm_sq == D.spectral_norm_sq
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n=st.integers(min_value=2, max_value=24),
+    bases=st.integers(min_value=1, max_value=4),
+    spread=st.sampled_from([None, 0.0, 1e-14, 1e-10, 1e-6, 1e-2]),
+)
+def test_spectral_norm_sq_bound_holds_on_random_and_near_tight_frames(seed, n, bases, spread):
+    rng = np.random.default_rng(seed)
+    if spread is None:  # Gaussian atoms, as many as 3n or as few as 2
+        A = rng.standard_normal((n, int(rng.integers(2, 3 * n + 1))))
+    else:
+        # A union of orthonormal bases is a tight frame: every eigenvalue of
+        # D D.T equals the number of bases.  The perturbation splits the top
+        # eigenvalues by about ``spread``.
+        blocks = [np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(bases)]
+        A = np.hstack(blocks) + spread * rng.standard_normal((n, n * bases))
+    D = normalize_columns(A)
+    true_norm = np.linalg.norm(D.atoms, 2) ** 2
+    assert D.spectral_norm_sq_bound >= true_norm
+    assert D.spectral_norm_sq_bound >= D.spectral_norm_sq
+    assert D.spectral_norm_sq_bound <= true_norm * (1.0 + 1e-10)
