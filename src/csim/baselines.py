@@ -6,7 +6,8 @@ penalty and the gradient restart of O'Donoghue & Candes (2015), and an
 iterative hard-thresholding solver with an exponentially decaying
 threshold schedule.  Like the ADMM solver, both read a row only at its
 observed positions (through `solver._observed_rows`), and a non-finite
-observed sample raises `NonFiniteError`.
+observed sample raises `NonFiniteError`; a config setting that is not
+finite raises `ValueError` naming its field, as in the ADMM solver.
 
 Each iteration is separable per signal, so one loop per method
 (`fista_solve_batch`, `iht_adaptive_solve_batch`) runs it on a stack of
@@ -31,6 +32,7 @@ from .solver import (
     NonFiniteError,
     RecoveryResult,
     _all,
+    _check_finite,
     _check_threshold,
     _observed_rows,
     _per_row,
@@ -149,6 +151,7 @@ def fista_solve_batch(Y, masks, D: Dictionary, config: FistaConfig | None = None
     """
     if config is None:
         config = FistaConfig()
+    _check_finite(config)
     if config.max_iter < 1:
         raise ValueError("max_iter must be positive")
     masks = list(masks)
@@ -221,6 +224,7 @@ def iht_adaptive_solve_batch(Y, masks, D: Dictionary, config: IhtConfig | None =
     solve, apart from ``elapsed_ms``, the batch's clock."""
     if config is None:
         config = IhtConfig()
+    _check_finite(config)
     if config.max_iter < 1:
         raise ValueError("max_iter must be positive")
     masks = list(masks)

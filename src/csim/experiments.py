@@ -177,7 +177,7 @@ def solver_settings(name: str, D: Dictionary, sr: float, seed: int, **settings) 
     first patch), or a baseline's name and iteration budget."""
     config, _, _ = _solver(name, **settings)
     if isinstance(config, SolverConfig):
-        resolved = effective_config(config, observation_mask(D.n, sr, seed, 0), D)
+        resolved = effective_config(config, observation_mask(D.n, sr, seed, 0))
         return {**asdict(resolved), "gram_norm": D.spectral_norm_sq}
     return {"solver": name, "max_iter": config.max_iter}
 

@@ -48,9 +48,10 @@ def _atoms(D) -> np.ndarray:
 
 
 def _unit_atoms(D) -> np.ndarray:
-    """``_atoms``, rejecting a column whose norm is off 1 by more than 1e-8."""
+    """``_atoms``, rejecting a column whose norm is off 1 by more than 1e-8
+    or is not finite."""
     atoms = _atoms(D)
-    if np.any(np.abs(np.linalg.norm(atoms, axis=0) - 1.0) > 1e-8):
+    if not np.all(np.abs(np.linalg.norm(atoms, axis=0) - 1.0) <= 1e-8):
         raise ValueError("atoms must have unit norm")
     return atoms
 
@@ -116,7 +117,7 @@ def mutual_coherence(D) -> float:
     """Largest absolute inner product between distinct unit-norm atoms.
 
     Raises if the matrix has fewer than two columns or any column norm
-    deviates from 1 by more than 1e-8.
+    deviates from 1 by more than 1e-8 (or is not finite).
     """
     atoms = _unit_atoms(D)
     if atoms.shape[1] < 2:

@@ -2,14 +2,15 @@
 
 Solves, over coefficients s, signal x, and slack z,
 
-    minimize  csim(z) + l1_weight * ||s||_1 + slack_ridge * ||z||^2
+    minimize  csim(z) + l1_weight * ||s||_1 + ||z||^2
     subject to  x = D s  and  z = M x - y
 
 where M keeps the observed samples of x.  Each subproblem has a closed
 form: the x system is diagonal, the s step is one soft-thresholded
-gradient step on a majorizing surrogate, and the z system is
-diagonal-plus-rank-one.  The l1 weight optionally decays geometrically
-across iterations (continuation) and observed samples can be re-imposed
+gradient step on a surrogate with constant 1.05 ||D||^2, which
+majorizes it, and the z system is diagonal-plus-rank-one.  The l1
+weight optionally decays geometrically (by 0.95 per iteration, from 0.1
+max|D.T y|: continuation) and observed samples can be re-imposed
 on x every iteration (projection); disabling both gives the ADMM whose fixed point
 satisfies the stationarity system checked by `kkt_residuals`, and in
 that regime the s and z steps and the dual step read an over-relaxed x
@@ -58,12 +59,19 @@ __all__ = [
 
 # Over-relaxation factor of the fixed-weight, no-projection regime.
 _RELAXATION = 1.8
+# The reference protocol's constants (see SolverConfig): the s step's
+# surrogate constant over ||D||^2, the slack ridge weight, and the start
+# (over max|D.T y|) and decay of the l1 weight under continuation.
+_MAJORIZER_SCALE = 1.05
+_SLACK_RIDGE = 1.0
+_L1_INIT_SCALE = 0.1
+_L1_DECAY = 0.95
 
 
 class BacktrackingLimitError(RuntimeError):
-    """No solver raises it: every accepted ``majorizer0`` majorizes, so
-    the s step never backtracks.  It stays importable for the benchmark,
-    which lists it among its operation errors."""
+    """No solver raises it: the s step's constant 1.05 ||D||^2
+    majorizes, so the step never backtracks.  It stays importable for the
+    benchmark, which lists it among its operation errors."""
 
 
 class NonFiniteError(RuntimeError):
@@ -76,12 +84,12 @@ class SolverConfig:
 
     Derivations follow the reference experiment protocol: with sampling
     ratio m/n, rho1 = 0.4 m/n and rho2 = 2 m/n; var_weight = n - 1 with
-    mean_weight = var_weight / DEFAULT_RATIO; majorizer0 = 1.05 *
-    ``D.spectral_norm_sq``.  A given majorizer0 must be at least
-    ``D.spectral_norm_sq_bound``, so the s step's surrogate majorizes in
-    every accepted configuration.  The l1 weight starts at
-    l1_init_scale * max|D.T y| (floored at l1_weight_min) and decays by
-    l1_decay per iteration while ``continuation`` is on.  ``project_observed`` re-imposes the
+    mean_weight = var_weight / DEFAULT_RATIO.  The protocol also fixes
+    what no field sets: the s step's surrogate constant 1.05
+    ``D.spectral_norm_sq``, the slack ridge weight 1, and, while
+    ``continuation`` is on, an l1 weight that starts at
+    0.1 max|D.T y| (floored at l1_weight_min) and decays by 0.95 per
+    iteration.  ``project_observed`` re-imposes the
     known samples on x each iteration; turn both flags off (see
     ``analysis``) to run the ADMM with a fixed l1 weight.
 
@@ -90,8 +98,8 @@ class SolverConfig:
     projection on, the observed samples of x equal y after every x step,
     so the slack z = M x - y, its dual, the slack residual and the index
     and ridge terms of the objective are exactly +0.0 in every iteration;
-    the loop never forms them.  ``rho2``, ``slack_ridge``,
-    ``mean_weight`` and ``var_weight`` are still validated, but they
+    the loop never forms them.  ``rho2``, ``mean_weight`` and
+    ``var_weight`` are still validated, but they
     cannot change a projected run's output: the CSIM term shapes the
     solution only with projection off.  The gap ||dual_x - M.T dual_z||
     is then all of ||dual_x||.  With continuation on, a row stops only
@@ -114,10 +122,6 @@ class SolverConfig:
 
     rho1: float | None = None
     rho2: float | None = None
-    slack_ridge: float = 1.0
-    majorizer0: float | None = None
-    l1_decay: float = 0.95
-    l1_init_scale: float = 0.1
     l1_weight_min: float = 1e-4
     max_iter: int = 50
     mean_weight: float | None = None
@@ -140,24 +144,27 @@ class SolverConfig:
         )
 
 
-def effective_config(config: SolverConfig, mask: SamplingMask, D: Dictionary) -> SolverConfig:
+def _check_finite(config) -> None:
+    """Raise ``ValueError`` naming the first float field of the config
+    dataclass ``config`` that is not finite."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value}")
+
+
+def effective_config(config: SolverConfig, mask: SamplingMask) -> SolverConfig:
     """``config`` with every ``None`` hyperparameter (but ``l1_weight``,
     which ``None`` sets per signal) resolved for a given problem.  A
     setting out of its range, or a float setting that is not finite,
     raises ``ValueError`` naming the field."""
-    for field in fields(config):  # the derived values are finite when these are
-        value = getattr(config, field.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{field.name} must be finite, got {value}")
+    _check_finite(config)  # the derived values are finite when these are
     ratio = mask.m / mask.n
     var_weight = config.var_weight if config.var_weight is not None else float(mask.n - 1)
     resolved = replace(
         config,
         rho1=config.rho1 if config.rho1 is not None else 0.4 * ratio,
         rho2=config.rho2 if config.rho2 is not None else 2.0 * ratio,
-        majorizer0=(
-            config.majorizer0 if config.majorizer0 is not None else 1.05 * D.spectral_norm_sq
-        ),
         mean_weight=(
             config.mean_weight if config.mean_weight is not None else var_weight / DEFAULT_RATIO
         ),
@@ -167,21 +174,12 @@ def effective_config(config: SolverConfig, mask: SamplingMask, D: Dictionary) ->
         raise ValueError("rho1 must be positive")
     if not resolved.rho2 > 0:
         raise ValueError("rho2 must be positive")
-    if resolved.slack_ridge < 0:
-        raise ValueError("slack_ridge must be nonnegative")
-    if not 0 < resolved.l1_decay < 1:
-        raise ValueError("l1_decay must lie in (0, 1)")
     if not resolved.l1_weight_min > 0:
         raise ValueError("l1_weight_min must be positive")
     if resolved.l1_weight is not None and not resolved.l1_weight >= 0:
         raise ValueError("l1_weight must be nonnegative")
     if resolved.max_iter < 1:
         raise ValueError("max_iter must be positive")
-    if not resolved.majorizer0 >= D.spectral_norm_sq_bound:
-        raise ValueError(
-            f"majorizer0 must be at least the bound {D.spectral_norm_sq_bound} on ||D||^2,"
-            f" got {resolved.majorizer0}"
-        )
     CsimParams(resolved.mean_weight, resolved.var_weight, mask.n)  # checks the index weights
     return resolved
 
@@ -192,7 +190,7 @@ class RecoveryResult:
 
     ``primal_residuals[t]`` is ||x - D s|| and ``slack_residuals[t]`` is
     ||z - M x + y|| after iteration t; ``objectives[t]`` is the problem
-    objective csim(z) + l1_weight ||s||_1 + slack_ridge ||z||^2 at the
+    objective csim(z) + l1_weight ||s||_1 + ||z||^2 at the
     iterate (with the l1 weight current at that iteration).
     ``elapsed_ms`` is cumulative wall time (of the whole batch, for a
     batched solve).  ``stop_reason`` is "converged" when both
@@ -356,8 +354,8 @@ def s_update_backtracking(
     s + D.T r / majorizer at (l1_weight / rho1) / majorizer: the minimizer
     of the subproblem's surrogate with constant ``majorizer``.  That
     surrogate majorizes the subproblem (D.T D <= ||D||^2 I) whenever the
-    constant is at least ``D.spectral_norm_sq_bound``, as
-    ``effective_config`` requires, so the step never increases a row's
+    constant is at least ||D||^2 (``D.spectral_norm_sq``); the solver's
+    constant 1.05 ||D||^2 is, so its step never increases a row's
     subproblem objective.  rho1, l1_weight (nonnegative) and majorizer
     are per-row values; ``synthesized`` is D s when the caller holds it
     (it is formed here otherwise).  Returns (new s, ``majorizer``, 0, D
@@ -470,7 +468,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     configs: dict[int, SolverConfig] = {}
     for mask in masks:
         if mask.m not in configs:
-            configs[mask.m] = effective_config(config, mask, D)
+            configs[mask.m] = effective_config(config, mask)
     cfg = configs[masks[0].m]
     B = len(masks)
 
@@ -478,7 +476,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     mean_coef, dev_coef = params.mean_weight, params.diag_coef
     rho1 = _per_row([configs[mask.m].rho1 for mask in masks])
     rho2 = _per_row([configs[mask.m].rho2 for mask in masks])
-    ridge, majorizer = cfg.slack_ridge, cfg.majorizer0
+    majorizer = _MAJORIZER_SCALE * D.spectral_norm_sq
     projected = cfg.project_observed
     relaxed = not (cfg.continuation or projected)
     alpha = _RELAXATION if relaxed else 1.0
@@ -486,7 +484,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         l1_weight = cfg.l1_weight
     else:
         peak = np.abs(_analyze(atoms, Y)).max(axis=-1)
-        l1_weight = _per_row(np.maximum(cfg.l1_init_scale * peak, cfg.l1_weight_min))
+        l1_weight = _per_row(np.maximum(_L1_INIT_SCALE * peak, cfg.l1_weight_min))
 
     s = np.zeros(Y.shape[:-1] + (p,))
     z = np.zeros_like(Y)
@@ -524,7 +522,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
             # The x system's solution is D s - u at the unobserved samples
             # and this weighted mean of it with z + y + v at the observed ones.
             x_weight = rho2 * observed / _x_divisor(observed, rho1, rho2)
-            slack_solve = _slack_solver(params, rho2, ridge, scale=rho2)
+            slack_solve = _slack_solver(params, rho2, _SLACK_RIDGE, scale=rho2)
             no_slack = 0.0 if Y.ndim == 1 else np.zeros((len(rows), 1))
             chunk = max(1, min(64, 2**16 // Y.size))
         if projected:
@@ -583,7 +581,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
             done = done & (sqrt(_dot(dual_residual, dual_residual)) < tol)
             any_done = _any(done)
         if cfg.continuation:
-            l1_weight = alpha_schedule(l1_weight, cfg.l1_decay, cfg.l1_weight_min)
+            l1_weight = alpha_schedule(l1_weight, _L1_DECAY, cfg.l1_weight_min)
         if iteration < cfg.max_iter and not any_done:
             continue
 
@@ -594,7 +592,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
             if held_z:
                 slack_terms.append(_slack_terms(held_z, mean_coef, dev_coef))
             index, squares = (np.reshape(np.concatenate(t), (-1, width)) for t in zip(*slack_terms))
-            block[:, 2] = index + block[:, 2] + ridge * squares
+            block[:, 2] = index + block[:, 2] + _SLACK_RIDGE * squares
             held_z, slack_terms = [], []
         for j, row in enumerate(rows):
             pieces[row].append(block[:, :, j])
@@ -640,11 +638,10 @@ def kkt_residuals(
     result: RecoveryResult,
     mask: SamplingMask,
     params: CsimParams,
-    slack_ridge: float,
 ) -> tuple[float, float]:
     """Stationarity gaps at the returned iterate.
 
-    Returns (||2 (W + slack_ridge I) z + dual_z||,
+    Returns (||2 (W + I) z + dual_z||,
     ||dual_x - M.T dual_z||); both vanish at an optimum of the fixed-
     weight problem.  The iteration drives them to zero only under
     ``SolverConfig.analysis`` (see ``SolverConfig``).
@@ -654,6 +651,6 @@ def kkt_residuals(
     dual_z = result.final_dual_z
     if z is None or dual_x is None or dual_z is None:
         raise ValueError("result does not carry final duals")
-    grad_z = 2.0 * (apply_kernel(z, params) + slack_ridge * z) + dual_z
+    grad_z = 2.0 * (apply_kernel(z, params) + _SLACK_RIDGE * z) + dual_z
     masked_dual = mask.indicator() * dual_z
     return float(np.linalg.norm(grad_z)), float(np.linalg.norm(dual_x - masked_dual))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -133,6 +134,23 @@ def test_baselines_reject_an_empty_iteration_budget(solve, config):
     mask = random_mask(8, 6, 9)
     with pytest.raises(ValueError, match="max_iter"):
         solve(np.zeros(8), mask, D, config(max_iter=0))
+
+
+_FLOAT_SETTINGS = [
+    (batch, config, f.name)
+    for batch, config in ((fista_solve_batch, FistaConfig), (iht_adaptive_solve_batch, IhtConfig))
+    for f in fields(config)
+    if f.type.startswith("float")
+]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("solve_batch_fn, config, name", _FLOAT_SETTINGS)
+def test_baselines_reject_a_non_finite_setting_by_name(solve_batch_fn, config, name, value):
+    D = dct_dictionary(8, 8)
+    masks = [random_mask(8, 6, 9), random_mask(8, 5, 10)]
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        solve_batch_fn(np.ones((2, 8)), masks, D, config(**{name: value}))
 
 
 def test_iht_all_above_threshold_schedule_returns_zero():

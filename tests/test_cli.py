@@ -72,10 +72,6 @@ def test_recover_vector_full_observation(tmp_path):
     for key in (
         "rho1",
         "rho2",
-        "slack_ridge",
-        "majorizer0",
-        "l1_decay",
-        "l1_init_scale",
         "l1_weight_min",
         "max_iter",
         "mean_weight",
@@ -83,8 +79,11 @@ def test_recover_vector_full_observation(tmp_path):
         "feasibility_tol",
         "continuation",
         "project_observed",
+        "gram_norm",
     ):
         assert key in log_lines[0]
+    for key in ("slack_ridge", "majorizer0", "l1_decay", "l1_init_scale"):
+        assert key not in log_lines[0]  # protocol constants, not settings
     iteration_events = [l for l in log_lines if l["event"] == "iteration"]
     assert len(iteration_events) >= 1
     assert log_lines[-1]["event"] == "result"
@@ -141,14 +140,14 @@ def test_config_file_and_flag_override(tmp_path):
     src = tmp_path / "x.csv"
     save_csv_vector(src, x)
     cfg = tmp_path / "solver.cfg"
-    cfg.write_text("max_iter = 7\nl1_decay = 0.9  # comment\n")
+    cfg.write_text("max_iter = 7\nl1_weight_min = 0.001  # comment\n")
     dst = tmp_path / "out.csv"
     assert main(
         ["recover", "--input", str(src), "--out", str(dst), "--sr", "0.8", "--config", str(cfg)]
     ) == 0
     config_line = json.loads((tmp_path / "out.csv.log.jsonl").read_text().splitlines()[0])
     assert config_line["max_iter"] == 7
-    assert config_line["l1_decay"] == 0.9
+    assert config_line["l1_weight_min"] == 0.001
     # explicit flag beats the file value
     assert main(
         [
@@ -173,10 +172,6 @@ def test_config_file_accepts_every_solver_field(tmp_path):
     values = {
         "rho1": "0.5",
         "rho2": "1.5",
-        "slack_ridge": "0.5",
-        "majorizer0": "2",
-        "l1_decay": "0.9",
-        "l1_init_scale": "0.2",
         "l1_weight_min": "0.001",
         "max_iter": "7",
         "mean_weight": "10",
@@ -292,26 +287,22 @@ def test_config_file_rejects_the_retired_majorizer_growth_key(tmp_path, capsys):
     assert f"{cfg}:1: unknown key 'majorizer_growth'" in capsys.readouterr().err
 
 
-def test_config_file_majorizer0_below_the_norm_bound_is_a_bad_argument(tmp_path, capsys):
-    # On DCT 64x96 the power iteration records ||D||^2 about 7.5e-10 low;
-    # a constant between the two is below the bound, so it is rejected.
-    D = dct_dictionary(64, 96)
-    true_norm = np.linalg.norm(D.atoms, 2) ** 2
-    between = float(D.spectral_norm_sq + true_norm) / 2
-    assert D.spectral_norm_sq < between < true_norm <= D.spectral_norm_sq_bound
+@pytest.mark.parametrize(
+    "line", ["majorizer0 = 1.2", "slack_ridge = 0.5", "l1_init_scale = 0.2", "l1_decay = 0.9"]
+)
+def test_config_file_key_of_a_protocol_constant_is_unknown(tmp_path, capsys, line):
     src = tmp_path / "x.csv"
     save_csv_vector(src, substream(6, 7).standard_normal(64))
-    cfg = tmp_path / "low.cfg"
-    cfg.write_text(f"majorizer0 = {between!r}\n")
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"max_iter = 7\n{line}\n")
     dst = tmp_path / "o.csv"
     argv = ["recover", "--input", str(src), "--out", str(dst), "--p", "96", "--config", str(cfg)]
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
-    assert f"--config {cfg}: majorizer0 must be at least" in capsys.readouterr().err
+    key = line.split(" = ")[0]
+    assert f"{cfg}:2: unknown key {key!r}" in capsys.readouterr().err
     assert not dst.exists()
-    cfg.write_text(f"majorizer0 = {D.spectral_norm_sq_bound!r}\n")
-    assert main(argv) == 0
 
 
 @pytest.mark.parametrize(

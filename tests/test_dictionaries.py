@@ -130,7 +130,7 @@ def test_row_stack_spectral_norm_has_the_bits_of_single_matrix_calls(D):
     for row, value in zip(observed, stacked):
         masked = np.where(row[:, None] != 0, D.atoms, 0.0)
         assert value.tobytes() == np.float64(spectral_norm_sq(masked)).tobytes()
-    assert stacked[0] == D.spectral_norm_sq == spectral_norm_sq(D.atoms)
+    assert stacked[0] == spectral_norm_sq(D.atoms)
     # one row alone gives the same bits as inside the stack
     assert spectral_norm_sq(D.atoms, observed=observed[7:8])[0] == stacked[7]
 
@@ -177,6 +177,16 @@ def test_normalize_columns_rejects_zero_column():
 def test_dictionary_rejects_unnormalized_atoms():
     with pytest.raises(ValueError):
         Dictionary(np.full((4, 4), 0.5) + np.eye(4))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_dictionary_rejects_a_non_finite_atom(value):
+    atoms = dct_dictionary(8, 16).atoms.copy()
+    atoms[3, 5] = value
+    with pytest.raises(ValueError, match="unit norm"):
+        Dictionary(atoms)
+    with pytest.raises(ValueError):
+        normalize_columns(atoms)
 
 
 def test_dictionary_atoms_are_frozen():
@@ -276,15 +286,26 @@ def test_row_sum_has_the_bits_of_sum_for_one_row_and_a_stack(n, seed, rows, scal
         if build is dct_dictionary or p in (n, 2 * n)
     ],
 )
-def test_spectral_norm_sq_bound_is_at_least_the_squared_norm(build, n, p):
+def test_spectral_norm_sq_is_the_squared_norm(build, n, p):
     D = build(n, p)
-    assert "spectral_norm_sq_bound" not in vars(D)  # formed on first read only
-    bound = D.spectral_norm_sq_bound
-    assert bound >= np.linalg.norm(D.atoms, 2) ** 2
-    assert bound >= D.spectral_norm_sq
-    # tight, and below the default surrogate constant 1.05 ||D||^2
-    assert bound <= np.linalg.norm(D.atoms, 2) ** 2 * (1.0 + 1e-11)
-    assert bound < 1.05 * D.spectral_norm_sq
+    assert "spectral_norm_sq" not in vars(D)  # formed on first read only
+    true_norm = np.linalg.norm(D.atoms, 2) ** 2
+    assert D.spectral_norm_sq == pytest.approx(true_norm, rel=1e-12)
+    # so the solver's surrogate constant 1.05 ||D||^2 majorizes with room
+    assert 1.05 * D.spectral_norm_sq > true_norm * (1.0 + 1e-3)
+
+
+def test_building_a_dictionary_runs_no_power_iteration(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("building a dictionary ran the power iteration")
+
+    monkeypatch.setattr(csim.dictionaries, "spectral_norm_sq", fail)
+    D = dct_dictionary(64, 96)
+    assert "spectral_norm_sq" not in vars(D)
+    # The eigensolver's value, where the power iteration read 1.692660487909095.
+    assert D.spectral_norm_sq == pytest.approx(1.6926604891784736, rel=1e-14)
+    monkeypatch.undo()
+    assert spectral_norm_sq(D.atoms) < D.spectral_norm_sq * (1.0 - 1e-10)
 
 
 def test_dictionary_takes_no_recorded_norm():
@@ -301,7 +322,7 @@ def test_dictionary_takes_no_recorded_norm():
     bases=st.integers(min_value=1, max_value=4),
     spread=st.sampled_from([None, 0.0, 1e-14, 1e-10, 1e-6, 1e-2]),
 )
-def test_spectral_norm_sq_bound_holds_on_random_and_near_tight_frames(seed, n, bases, spread):
+def test_spectral_norm_sq_matches_the_2_norm_on_random_and_near_tight_frames(seed, n, bases, spread):
     rng = np.random.default_rng(seed)
     if spread is None:  # Gaussian atoms, as many as 3n or as few as 2
         A = rng.standard_normal((n, int(rng.integers(2, 3 * n + 1))))
@@ -313,6 +334,4 @@ def test_spectral_norm_sq_bound_holds_on_random_and_near_tight_frames(seed, n, b
         A = np.hstack(blocks) + spread * rng.standard_normal((n, n * bases))
     D = normalize_columns(A)
     true_norm = np.linalg.norm(D.atoms, 2) ** 2
-    assert D.spectral_norm_sq_bound >= true_norm
-    assert D.spectral_norm_sq_bound >= D.spectral_norm_sq
-    assert D.spectral_norm_sq_bound <= true_norm * (1.0 + 1e-10)
+    assert true_norm * (1.0 - 1e-12) <= D.spectral_norm_sq <= true_norm * (1.0 + 1e-12)

@@ -143,15 +143,10 @@ def test_solver_settings_echo_every_config_field_and_the_gram_norm():
     settings = solver_settings("csim-alm", D, 0.8, 0)
     assert set(settings) == {f.name for f in fields(SolverConfig)} | {"gram_norm"}
     gram_norm = settings.pop("gram_norm")
-    majorizer0 = settings.pop("majorizer0")
-    assert gram_norm == pytest.approx(1.0, rel=1e-12)
-    assert majorizer0 == pytest.approx(1.05, rel=1e-12)
+    assert gram_norm == D.spectral_norm_sq == pytest.approx(1.0, rel=1e-12)
     assert settings == {
         "rho1": 0.4 * 51 / 64,  # round(0.8 * 64) = 51 samples
         "rho2": 2.0 * 51 / 64,
-        "slack_ridge": 1.0,
-        "l1_decay": 0.95,
-        "l1_init_scale": 0.1,
         "l1_weight_min": 1e-4,
         "max_iter": 50,
         "mean_weight": 15.75,

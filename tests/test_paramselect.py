@@ -53,6 +53,16 @@ def test_coherence_rejects_bad_inputs():
         mutual_coherence(2.0 * np.eye(4))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_unit_norm_checks_reject_a_non_finite_atom(value):
+    atoms = np.eye(4)
+    atoms[1, 2] = value
+    with pytest.raises(ValueError, match="unit norm"):
+        mutual_coherence(atoms)
+    with pytest.raises(ValueError, match="unit norm"):
+        verify_rip_bruteforce(atoms, CsimParams.defaults(4), 2)
+
+
 # --- condition number ----------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -160,7 +161,7 @@ def test_s_update_reduces_to_thresholded_point_at_consistency():
 def test_s_step_is_the_thresholded_step_along_the_adjoint_residual():
     rng = np.random.default_rng(4)
     D = dct_dictionary(16, 32)
-    majorizer = 1.0001 * D.spectral_norm_sq_bound
+    majorizer = 1.0001 * D.spectral_norm_sq
     for trial in range(20):
         s = rng.standard_normal(32)
         x = rng.standard_normal(16)
@@ -198,18 +199,18 @@ def test_majorization_inequality_above_gram_norm():
     rho1=st.floats(min_value=0.05, max_value=3.0),
     l1_weight=st.floats(min_value=0.0, max_value=2.0),
 )
-def test_s_step_at_the_norm_bound_never_raises_the_subproblem_objective(
+def test_s_step_at_the_squared_norm_never_raises_the_subproblem_objective(
     seed, shape, rho1, l1_weight
 ):
-    # The least constant effective_config accepts still majorizes: the
-    # step lowers (or keeps) every row's subproblem objective.
+    # The constant ||D||^2 itself, below the solver's 1.05 ||D||^2, still
+    # majorizes: the step lowers (or keeps) every row's subproblem objective.
     D = dct_dictionary(*shape)
     rng = np.random.default_rng(seed)
     n, p = shape
     s, x, dual = rng.standard_normal(p), rng.standard_normal(n), rng.standard_normal(n)
     before = _subproblem_value(s, D.atoms, x, dual, rho1, l1_weight)
     out, _, _, _, _ = s_update_backtracking(
-        s, x, dual, D, rho1, l1_weight, D.spectral_norm_sq_bound
+        s, x, dual, D, rho1, l1_weight, D.spectral_norm_sq
     )
     after = _subproblem_value(out, D.atoms, x, dual, rho1, l1_weight)
     assert after <= before + 1e-12 * (1.0 + abs(before))
@@ -350,33 +351,34 @@ def test_solve_rejects_non_finite_input():
 
 
 def test_effective_config_validation():
-    D = dct_dictionary(8, 8)
     mask = random_mask(8, 6, 18)
-    with pytest.raises(ValueError):
-        effective_config(SolverConfig(majorizer0=0.5), mask, D)
-    with pytest.raises(ValueError):
-        effective_config(SolverConfig(l1_decay=1.5), mask, D)
-    values = effective_config(SolverConfig(), mask, D)
+    with pytest.raises(ValueError, match="^rho1 must be positive"):
+        effective_config(SolverConfig(rho1=-1.0), mask)
+    with pytest.raises(ValueError, match="^l1_weight_min must be positive"):
+        effective_config(SolverConfig(l1_weight_min=0.0), mask)
+    values = effective_config(SolverConfig(), mask)
     assert values.rho1 == pytest.approx(0.4 * 6 / 8)
     assert values.rho2 == pytest.approx(2.0 * 6 / 8)
     assert values.var_weight == pytest.approx(7.0)
     assert values.mean_weight == pytest.approx(0.25 * 7.0)
-    assert values.majorizer0 == pytest.approx(1.05 * D.spectral_norm_sq)
 
 
-def test_effective_config_rejects_a_majorizer0_between_the_recorded_and_the_true_norm():
-    # The power iteration records ||D||^2 of DCT 64x96 about 7.5e-10 low;
-    # the check reads the certified bound, not that value.
+@pytest.mark.parametrize("continuation, project", [(True, True), (False, False)])
+def test_the_s_step_constant_is_1_05_times_the_squared_norm(monkeypatch, continuation, project):
+    # DCT 64x96, where the power iteration read ||D||^2 about 7.5e-10 low.
     D = dct_dictionary(64, 96)
     mask = random_mask(64, 48, 18)
-    true_norm = np.linalg.norm(D.atoms, 2) ** 2
-    between = (D.spectral_norm_sq + true_norm) / 2
-    assert D.spectral_norm_sq < between < true_norm
-    with pytest.raises(ValueError, match="^majorizer0 must be at least the bound"):
-        effective_config(SolverConfig(majorizer0=between), mask, D)
-    bound = D.spectral_norm_sq_bound
-    assert effective_config(SolverConfig(majorizer0=bound), mask, D).majorizer0 == bound
-    assert effective_config(SolverConfig(), mask, D).majorizer0 == 1.05 * D.spectral_norm_sq
+    seen = []
+
+    def spy(*args):
+        seen.append(args[6])
+        return s_update_backtracking(*args)
+
+    monkeypatch.setattr(csim.solver, "s_update_backtracking", spy)
+    cfg = SolverConfig(max_iter=3, continuation=continuation, project_observed=project)
+    solve(np.arange(64.0), mask, D, cfg)
+    assert seen == [1.05 * D.spectral_norm_sq] * 3
+    assert seen[0] >= np.linalg.norm(D.atoms, 2) ** 2
 
 
 _FLOAT_SETTINGS = [f.name for f in fields(SolverConfig) if f.type.startswith("float")]
@@ -385,29 +387,28 @@ _FLOAT_SETTINGS = [f.name for f in fields(SolverConfig) if f.type.startswith("fl
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("name", _FLOAT_SETTINGS)
 def test_effective_config_rejects_a_non_finite_float_setting_by_name(name, value):
-    D = dct_dictionary(8, 8)
     mask = random_mask(8, 6, 18)
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        effective_config(SolverConfig(**{name: value}), mask, D)
+        effective_config(SolverConfig(**{name: value}), mask)
 
 
-def test_no_setting_or_result_field_is_left_from_backtracking():
+def test_no_setting_or_result_field_is_left_from_backtracking_or_the_protocol_constants():
     result = solve(np.zeros(8), random_mask(8, 6, 18), dct_dictionary(8, 8))
     names = {f.name for f in fields(SolverConfig)} | set(vars(result))
-    assert len(fields(SolverConfig)) == 15
-    assert not names & {"majorizer_growth", "majorizer_final", "s_retries"}
+    assert len(fields(SolverConfig)) == 11
+    removed = {"majorizer_growth", "majorizer_final", "s_retries"}
+    removed |= {"majorizer0", "slack_ridge", "l1_init_scale", "l1_decay"}
+    assert not names & removed
 
 
 def test_effective_config_is_the_config_with_its_none_fields_resolved():
-    D = dct_dictionary(8, 8)
     mask = random_mask(8, 6, 18)
     cfg = SolverConfig(rho2=3.0, max_iter=9, continuation=False)
-    resolved = effective_config(cfg, mask, D)
+    resolved = effective_config(cfg, mask)
     assert isinstance(resolved, SolverConfig)
     assert resolved == SolverConfig(
         rho1=0.4 * 6 / 8,
         rho2=3.0,
-        majorizer0=1.05 * D.spectral_norm_sq,
         max_iter=9,
         mean_weight=0.25 * 7.0,
         var_weight=7.0,
@@ -425,9 +426,9 @@ def test_analysis_mode_reaches_feasibility_and_kkt():
     assert result.iterations < 2000
     assert result.primal_residuals[-1] < 1e-6
     assert result.slack_residuals[-1] < 1e-6
-    values = effective_config(cfg, mask, D)
+    values = effective_config(cfg, mask)
     params = CsimParams(values.mean_weight, values.var_weight, 64)
-    r_z, r_mu = kkt_residuals(result, mask, params, values.slack_ridge)
+    r_z, r_mu = kkt_residuals(result, mask, params)
     assert r_z <= 1e-6 * (1.0 + float(np.linalg.norm(result.final_dual_z)))
     assert r_mu <= 1e-6 * (1.0 + float(np.linalg.norm(result.final_dual_x)))
 
@@ -592,9 +593,9 @@ def test_s_step_returns_the_product_of_the_new_coefficients():
     rng = np.random.default_rng(14)
     D = dct_dictionary(16, 32)
     s, x, dual = rng.standard_normal(32), rng.standard_normal(16), rng.standard_normal(16)
-    args = (s, x, dual, D, 1.0, 0.3, D.spectral_norm_sq_bound)
+    args = (s, x, dual, D, 1.0, 0.3, D.spectral_norm_sq)
     out, majorizer, retries, product, l1_norm = s_update_backtracking(*args)
-    assert (majorizer, retries) == (D.spectral_norm_sq_bound, 0)
+    assert (majorizer, retries) == (D.spectral_norm_sq, 0)
     assert product.tobytes() == _synthesize(D.atoms, out).tobytes()
     assert l1_norm == np.abs(out).sum()
     # handing in the product of s changes no bit
@@ -676,29 +677,32 @@ def test_solve_batch_validates_shapes():
 # --- the loop against the iteration written out -----------------------------------
 
 
-def _oracle_solve(y, mask, D, config):
+def _oracle_solve(y, mask, D, config, majorizer_scale=1.05):
     """One signal's iteration written out in plain Python from the public
-    steps, with nothing formed ahead of the iteration that needs it.  It
+    steps, with nothing formed ahead of the iteration that needs it, and
+    with the protocol's constants: the s step's constant majorizer_scale
+    ||D||^2, the slack ridge weight 1, and an l1 weight that starts at
+    0.1 max|D.T y| and decays by 0.95.  It
     carries the scaled duals u = dual_x / rho1 and v = dual_z / rho2 and
     writes out the slack solve (rho2 I + 2 (W + ridge I)) z = rho2 w.
     With continuation or projection on it forms no relaxed value: it is
     the plain iteration.  It forms the slack block under projection too,
     so it is the check that the loop may skip that block there."""
-    cfg = effective_config(config, mask, D)
+    cfg = effective_config(config, mask)
     params = CsimParams(cfg.mean_weight, cfg.var_weight, D.n)
     observed = mask.indicator()
     y = np.where(observed != 0, y, 0.0)
-    rho1, rho2, ridge = cfg.rho1, cfg.rho2, cfg.slack_ridge
+    rho1, rho2, ridge = cfg.rho1, cfg.rho2, 1.0
     relaxed = not (cfg.continuation or cfg.project_observed)
     if cfg.l1_weight is None:
         peak = float(np.abs(y @ D.atoms).max())
-        l1_weight = max(cfg.l1_init_scale * peak, cfg.l1_weight_min)
+        l1_weight = max(0.1 * peak, cfg.l1_weight_min)
     else:
         l1_weight = cfg.l1_weight
     diag = rho2 + 2.0 * params.diag_coef + 2.0 * ridge
     ones = 2.0 * params.ones_coef
     share = ones / (diag + D.n * ones)
-    majorizer = cfg.majorizer0
+    majorizer = majorizer_scale * D.spectral_norm_sq
     s, z, u, v = np.zeros(D.p), np.zeros(D.n), np.zeros(D.n), np.zeros(D.n)
     primal, slack, objectives, iterates = [], [], [], []
     for iteration in range(1, cfg.max_iter + 1):
@@ -728,7 +732,7 @@ def _oracle_solve(y, mask, D, config):
         )
         weight = l1_weight
         if cfg.continuation:
-            l1_weight = alpha_schedule(l1_weight, cfg.l1_decay, cfg.l1_weight_min)
+            l1_weight = alpha_schedule(l1_weight, 0.95, cfg.l1_weight_min)
         iterates.append(s)
         assert math.isfinite(primal[-1]) and math.isfinite(slack[-1])
         converged = primal[-1] < cfg.feasibility_tol and slack[-1] < cfg.feasibility_tol
@@ -812,14 +816,13 @@ def test_solve_and_solve_batch_match_the_written_out_iteration(rows, config, dic
 
 
 @pytest.mark.parametrize("dictionary", sorted(_ORACLE_DICTIONARIES))
-def test_the_least_accepted_constant_runs_the_written_out_iteration(dictionary):
-    # majorizer0 at the norm bound itself, in the over-relaxed regime
+def test_an_s_step_at_the_squared_norm_runs_the_written_out_iteration(dictionary, monkeypatch):
+    # The s step's constant at ||D||^2 itself, in the over-relaxed regime
+    monkeypatch.setattr(csim.solver, "_MAJORIZER_SCALE", 1.0)
     D = _ORACLE_DICTIONARIES[dictionary]()
     Y, masks = _problem_rows(D, 44, 4, sparsity=4)
-    cfg = SolverConfig.analysis(
-        l1_weight=1e-3, max_iter=120, majorizer0=D.spectral_norm_sq_bound, record_iterates=True
-    )
-    expected = [_oracle_solve(y, mask, D, cfg) for y, mask in zip(Y, masks)]
+    cfg = SolverConfig.analysis(l1_weight=1e-3, max_iter=120, record_iterates=True)
+    expected = [_oracle_solve(y, mask, D, cfg, majorizer_scale=1.0) for y, mask in zip(Y, masks)]
     for result, want in zip(solve_batch(Y, masks, D, cfg), expected, strict=True):
         _assert_matches_oracle(result, want)
 
@@ -853,7 +856,7 @@ def test_a_row_stops_once_its_dual_residual_is_below_the_tolerance():
     Y, masks = _problem_rows(D, 112, 1)
     y, mask = Y[0], masks[0]
     cfg = SolverConfig.analysis(l1_weight=1e-3, max_iter=2000, feasibility_tol=1e-8)
-    values = effective_config(cfg, mask, D)
+    values = effective_config(cfg, mask)
 
     def run(max_iter):
         return solve(y, mask, D, replace(cfg, max_iter=max_iter))
@@ -928,11 +931,11 @@ def test_projection_holds_the_slack_block_at_zero(
         if not continuation:
             for objective, s in zip(result.objectives, result.iterates, strict=True):
                 assert objective == cfg.l1_weight * np.abs(s).sum()
-    # so the slack penalty and the index weights cannot change the result
-    changed = replace(
-        cfg, rho2=rho2, slack_ridge=slack_ridge, mean_weight=mean_weight, var_weight=var_weight
-    )
-    for other, result in zip(solve_batch(Y, masks, D, changed), batch, strict=True):
+    # so the slack penalty, the ridge and the index weights cannot change the result
+    changed = replace(cfg, rho2=rho2, mean_weight=mean_weight, var_weight=var_weight)
+    with mock.patch.object(csim.solver, "_SLACK_RIDGE", slack_ridge):
+        others = solve_batch(Y, masks, D, changed)
+    for other, result in zip(others, batch, strict=True):
         _assert_same_bits(other, result)
         assert other.stop_reason == result.stop_reason
         pairs = zip(other.iterates, result.iterates, strict=True)
@@ -956,9 +959,9 @@ def test_stop_reason_is_the_test_that_retires_the_row():
 
 
 def _relative_stationarity_gap(result, mask, D, cfg):
-    values = effective_config(cfg, mask, D)
+    values = effective_config(cfg, mask)
     params = CsimParams(values.mean_weight, values.var_weight, D.n)
-    r_z, r_mu = kkt_residuals(result, mask, params, values.slack_ridge)
+    r_z, r_mu = kkt_residuals(result, mask, params)
     assert r_z <= 1e-12  # the z step solves its stationarity condition exactly
     return r_mu / float(np.linalg.norm(result.final_dual_x))
 
@@ -1004,7 +1007,7 @@ def test_continuation_stops_only_once_the_weight_is_at_its_floor():
     y = apply_mask(sig.x, mask)
     cfg = SolverConfig(max_iter=2000, project_observed=False, l1_weight_min=1e-9)
     tol = cfg.feasibility_tol
-    values = effective_config(cfg, mask, D)
+    values = effective_config(cfg, mask)
 
     def run(max_iter):
         return solve(y, mask, D, replace(cfg, max_iter=max_iter))
