@@ -165,7 +165,7 @@ def fista_solve_batch(Y, masks, D: Dictionary, config: FistaConfig | None = None
     if w is None:
         w = _per_row(0.01 * np.abs(adjoint(Y)).max(axis=-1))
     elif w < 0:
-        raise ValueError("l1 weight must be nonnegative")
+        raise ValueError("l1_weight must be nonnegative")
     threshold = w * step
 
     s = np.zeros(Y.shape[:-1] + (D.p,))
@@ -236,8 +236,10 @@ def iht_adaptive_solve_batch(Y, masks, D: Dictionary, config: IhtConfig | None =
     tau0 = config.tau0
     if tau0 is None:
         tau0 = _per_row(0.5 * np.abs(adjoint(Y)).max(axis=-1))
-    if np.count_nonzero(np.less(tau0, 0)) or config.tau_min < 0 or config.decay < 0:
-        raise ValueError("threshold schedule must be nonnegative")
+    for name in ("tau0", "tau_min", "decay"):
+        value = getattr(config, name)
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be nonnegative")
 
     s = np.zeros(Y.shape[:-1] + (D.p,))
     r = Y - forward(s)

@@ -43,26 +43,12 @@ from .solver import SolverConfig
 _DENOISE_MAX_TAPS = PATCH_SIDE**2 // 2
 
 
-def _flag(value: str) -> bool:
-    word = value.lower()
-    if word in ("1", "true", "yes"):
-        return True
-    if word in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected true or false, got {value!r}")
-
-
-def _parser_for(default):
-    """Parser of a config value, from the type of its field's default."""
-    if isinstance(default, bool):
-        return _flag
-    return int if isinstance(default, int) else float
-
-
 # Every SolverConfig field but record_iterates, which asks for a result
-# rather than setting the solve.
+# rather than setting the solve; each value parses as its default's type.
 _SOLVER_KEYS = {
-    f.name: _parser_for(f.default) for f in fields(SolverConfig) if f.name != "record_iterates"
+    f.name: int if isinstance(f.default, int) else float
+    for f in fields(SolverConfig)
+    if f.name != "record_iterates"
 }
 
 

@@ -8,15 +8,17 @@ Solves, over coefficients s, signal x, and slack z,
 where M keeps the observed samples of x.  Each subproblem has a closed
 form: the x system is diagonal, the s step is one soft-thresholded
 gradient step on a surrogate with constant 1.05 ||D||^2, which
-majorizes it, and the z system is diagonal-plus-rank-one.  The l1
-weight optionally decays geometrically (by 0.95 per iteration, from 0.1
-max|D.T y|: continuation) and observed samples can be re-imposed
-on x every iteration (projection); disabling both gives the ADMM whose fixed point
-satisfies the stationarity system checked by `kkt_residuals`, and in
-that regime the s and z steps and the dual step read an over-relaxed x
-(Boyd et al. 2011, section 3.4.3).  A run stops once the primal, slack
-and dual residuals (section 3.3) are all below a tolerance and, under
-continuation, the l1 weight is at its floor.
+majorizes it, and the z system is diagonal-plus-rank-one.  Two regimes
+follow from ``SolverConfig.l1_weight``.  Left at None, it runs the
+reference protocol: the l1 weight decays geometrically (by 0.95 per
+iteration, from 0.1 max|D.T y|, to a floor of 1e-4) and the observed
+samples are re-imposed on x every iteration (projection).  Set to a
+number, it runs the ADMM with that fixed weight, whose fixed point
+satisfies the stationarity system checked by `kkt_residuals`; its s and
+z steps and its dual step read an over-relaxed x (Boyd et al. 2011,
+section 3.4.3).  A run stops once the primal, slack and dual residuals
+(section 3.3) are all below a tolerance and, under the protocol, the l1
+weight is at its floor.
 
 The iteration is separable per signal, so one loop (`solve_batch`) runs
 it on a stack of signals at once, every step acting on the last axis;
@@ -57,15 +59,16 @@ __all__ = [
     "kkt_residuals",
 ]
 
-# Over-relaxation factor of the fixed-weight, no-projection regime.
+# Over-relaxation factor of the fixed-weight regime.
 _RELAXATION = 1.8
 # The reference protocol's constants (see SolverConfig): the s step's
 # surrogate constant over ||D||^2, the slack ridge weight, and the start
-# (over max|D.T y|) and decay of the l1 weight under continuation.
+# (over max|D.T y|), decay and floor of the l1 weight it decays.
 _MAJORIZER_SCALE = 1.05
 _SLACK_RIDGE = 1.0
 _L1_INIT_SCALE = 0.1
 _L1_DECAY = 0.95
+_L1_WEIGHT_MIN = 1e-4
 
 
 class BacktrackingLimitError(RuntimeError):
@@ -86,62 +89,51 @@ class SolverConfig:
     ratio m/n, rho1 = 0.4 m/n and rho2 = 2 m/n; var_weight = n - 1 with
     mean_weight = var_weight / DEFAULT_RATIO.  The protocol also fixes
     what no field sets: the s step's surrogate constant 1.05
-    ``D.spectral_norm_sq``, the slack ridge weight 1, and, while
-    ``continuation`` is on, an l1 weight that starts at
-    0.1 max|D.T y| (floored at l1_weight_min) and decays by 0.95 per
-    iteration.  ``project_observed`` re-imposes the
-    known samples on x each iteration; turn both flags off (see
-    ``analysis``) to run the ADMM with a fixed l1 weight.
+    ``D.spectral_norm_sq`` and the slack ridge weight 1.
 
-    Only that regime carries the convergence guarantee: the stationarity
-    gaps of ``kkt_residuals`` close as the iterates settle.  With
-    projection on, the observed samples of x equal y after every x step,
-    so the slack z = M x - y, its dual, the slack residual and the index
-    and ridge terms of the objective are exactly +0.0 in every iteration;
-    the loop never forms them.  ``rho2``, ``mean_weight`` and
-    ``var_weight`` are still validated, but they
+    ``l1_weight`` picks the regime.  Left at None, it runs the protocol:
+    an l1 weight that starts at 0.1 max|D.T y| and decays by 0.95 per
+    iteration to a floor of 1e-4, with the known samples re-imposed on x
+    each iteration (projection).  The observed samples of x then equal y
+    after every x step, so the slack z = M x - y, its dual, the slack
+    residual and the index and ridge terms of the objective are exactly
+    +0.0 in every iteration; the loop never forms them.  ``rho2``,
+    ``mean_weight`` and ``var_weight`` are still validated, but they
     cannot change a projected run's output: the CSIM term shapes the
-    solution only with projection off.  The gap ||dual_x - M.T dual_z||
-    is then all of ||dual_x||.  With continuation on, a row stops only
-    once the weight it used is ``l1_weight_min``; when the duals are
-    smaller than the tolerance, the gap can still keep a share of
-    ||dual_x||.  Either way the stop tests can still stop the run.
+    solution only in the other regime.  A row stops only once the weight
+    it used is at the floor; when the duals are smaller than the
+    tolerance, the stationarity gap ||dual_x - M.T dual_z|| (all of
+    ||dual_x|| here) can still keep a share of ||dual_x||.
 
-    In that regime the iteration is also over-relaxed with the factor
+    Set to a number (see ``analysis``), it runs the ADMM with that fixed
+    weight and no projection: the regime with the convergence guarantee,
+    in which the stationarity gaps of ``kkt_residuals`` close as the
+    iterates settle.  Its iteration is over-relaxed with the factor
     alpha = 1.8 of Boyd et al. (2011), section 3.4.3: the s step reads
     alpha x + (1 - alpha) D s_prev in place of x, the z step reads
     alpha M x + (1 - alpha) (z_prev + y) in place of M x, and the dual
     step takes the residuals of those relaxed values; the feasibility
-    residuals keep the plain x.  With either flag on, alpha is 1 and the
-    iteration is the plain one, bit for bit.  The s step is one
-    majorize-minimize step, not an exact minimization, so the relaxation
-    theory does not cover it exactly; acceptance criterion 6
-    (``tests/test_acceptance.py``) is the evidence that the relaxed
-    iteration still reaches the stationarity system.
+    residuals keep the plain x.  The s step is one majorize-minimize
+    step, not an exact minimization, so the relaxation theory does not
+    cover it exactly; acceptance criterion 6 (``tests/test_acceptance.py``)
+    is the evidence that the relaxed iteration still reaches the
+    stationarity system.
     """
 
     rho1: float | None = None
     rho2: float | None = None
-    l1_weight_min: float = 1e-4
     max_iter: int = 50
     mean_weight: float | None = None
     var_weight: float | None = None
     feasibility_tol: float = 1e-6
-    continuation: bool = True
-    project_observed: bool = True
     l1_weight: float | None = None
     record_iterates: bool = False
 
     @classmethod
     def analysis(cls, l1_weight: float, **kwargs) -> "SolverConfig":
-        """Fixed-l1-weight, no-projection configuration (the regime in
-        which the iteration reaches the stationarity system, over-relaxed)."""
-        return cls(
-            continuation=False,
-            project_observed=False,
-            l1_weight=float(l1_weight),
-            **kwargs,
-        )
+        """Fixed-l1-weight configuration (the regime in which the
+        iteration reaches the stationarity system, over-relaxed)."""
+        return cls(l1_weight=float(l1_weight), **kwargs)
 
 
 def _check_finite(config) -> None:
@@ -174,12 +166,12 @@ def effective_config(config: SolverConfig, mask: SamplingMask) -> SolverConfig:
         raise ValueError("rho1 must be positive")
     if not resolved.rho2 > 0:
         raise ValueError("rho2 must be positive")
-    if not resolved.l1_weight_min > 0:
-        raise ValueError("l1_weight_min must be positive")
     if resolved.l1_weight is not None and not resolved.l1_weight >= 0:
         raise ValueError("l1_weight must be nonnegative")
     if resolved.max_iter < 1:
         raise ValueError("max_iter must be positive")
+    if not resolved.feasibility_tol >= 0:
+        raise ValueError("feasibility_tol must be nonnegative")
     CsimParams(resolved.mean_weight, resolved.var_weight, mask.n)  # checks the index weights
     return resolved
 
@@ -196,8 +188,8 @@ class RecoveryResult:
     batched solve).  ``stop_reason`` is "converged" when both
     feasibility residuals of the last iteration and the norm of its
     dual residual rho1 (D s - D s_prev) + M.T rho2 (z - z_prev) are below
-    ``feasibility_tol`` (and, with continuation on, the l1 weight of that
-    iteration is ``l1_weight_min``), and "budget" otherwise (``max_iter``
+    ``feasibility_tol`` (and, under the protocol, the l1 weight of that
+    iteration is at its floor), and "budget" otherwise (``max_iter``
     ran out, whichever test failed); a non-finite iterate raises
     instead.  Baseline solvers reuse this type
     with ``slack_residuals`` and the final duals set to None, and always
@@ -443,13 +435,13 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     penalties (from its sample count), l1 weight and stop iteration: it
     stops at ``max_iter`` or as soon as both of its feasibility
     residuals and its dual residual drop below
-    ``feasibility_tol`` (with continuation on, only once the l1 weight
-    it used is ``l1_weight_min``), and then leaves the working set
+    ``feasibility_tol`` (under the protocol, only once the l1 weight it
+    used is at its floor), and then leaves the working set
     (``stop_reason`` says which).  The dual residual is formed only on
     iterations where some row meets both feasibility tests.  Values fixed
     while the working set is (the x-step weights, the slack solve and
     the index weights) are formed when it changes, not every iteration.
-    With ``project_observed`` on, the slack block is exactly +0.0 (see
+    Under the protocol, the slack block is exactly +0.0 (see
     ``SolverConfig``) and is never formed: z and its dual keep their zero
     start, the slack residual is 0.0, and the objective is the l1 term.
     Otherwise the index and ridge terms of the objective are formed for
@@ -477,14 +469,15 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     rho1 = _per_row([configs[mask.m].rho1 for mask in masks])
     rho2 = _per_row([configs[mask.m].rho2 for mask in masks])
     majorizer = _MAJORIZER_SCALE * D.spectral_norm_sq
-    projected = cfg.project_observed
-    relaxed = not (cfg.continuation or projected)
-    alpha = _RELAXATION if relaxed else 1.0
-    if cfg.l1_weight is not None:
-        l1_weight = cfg.l1_weight
-    else:
+    # The protocol (a decaying weight, projection) or the fixed-weight,
+    # over-relaxed regime; see SolverConfig.
+    projected = cfg.l1_weight is None
+    alpha = _RELAXATION
+    if projected:
         peak = np.abs(_analyze(atoms, Y)).max(axis=-1)
-        l1_weight = _per_row(np.maximum(_L1_INIT_SCALE * peak, cfg.l1_weight_min))
+        l1_weight = _per_row(np.maximum(_L1_INIT_SCALE * peak, _L1_WEIGHT_MIN))
+    else:
+        l1_weight = cfg.l1_weight
 
     s = np.zeros(Y.shape[:-1] + (p,))
     z = np.zeros_like(Y)
@@ -525,17 +518,15 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
             slack_solve = _slack_solver(params, rho2, _SLACK_RIDGE, scale=rho2)
             no_slack = 0.0 if Y.ndim == 1 else np.zeros((len(rows), 1))
             chunk = max(1, min(64, 2**16 // Y.size))
+        previous_synthesized, previous_z = synthesized, z
         if projected:
             # z and v stay +0.0 (see SolverConfig), so the x system's slack
             # term is zero at the unobserved samples, the only ones kept.
-            x = projection(synthesized - u, Y, observed)
+            x = x_relaxed = projection(synthesized - u, Y, observed)
         else:
             x = synthesized - u
             x = x + x_weight * (z + Y + v - x)
-
-        # The relaxed values are x itself (and M x - y) when alpha is 1.
-        previous_synthesized, previous_z = synthesized, z
-        x_relaxed = alpha * x + (1.0 - alpha) * previous_synthesized if relaxed else x
+            x_relaxed = alpha * x + (1.0 - alpha) * previous_synthesized
         # The s step's target is x + u: rho1 is 1 and the weight l1_weight / rho1.
         s, _, _, synthesized, s_l1 = s_update_backtracking(
             s, x_relaxed, u, D, 1.0, l1_weight / rho1, majorizer, synthesized
@@ -549,12 +540,11 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
             # Products with the 0/1 indicator stand in for masked
             # assignments; they can differ from them only in the sign of a zero.
             offset = observed * x - Y
-            offset_relaxed = alpha * offset + (1.0 - alpha) * previous_z if relaxed else offset
+            offset_relaxed = alpha * offset + (1.0 - alpha) * previous_z
             z = slack_solve(offset_relaxed - v)
-            slack_residual = z - offset_relaxed
-            v = v + slack_residual
-            if relaxed:  # the feasibility residuals read the plain x
-                coupling_residual, slack_residual = x - synthesized, z - offset
+            v = v + (z - offset_relaxed)
+            # The feasibility residuals read the plain x.
+            coupling_residual, slack_residual = x - synthesized, z - offset
             r1 = sqrt(_dot(coupling_residual, coupling_residual))
             r2 = sqrt(_dot(slack_residual, slack_residual))
             held_z.append(z)
@@ -573,15 +563,15 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         done = (r1 < tol) & (r2 < tol)
         any_done = _any(done)
         if any_done:
-            if cfg.continuation:  # a weight still decaying is no stop
-                done = done & (l1_weight == cfg.l1_weight_min)
+            if projected:  # a weight still decaying is no stop
+                done = done & (l1_weight == _L1_WEIGHT_MIN)
             dual_residual = rho1 * (synthesized - previous_synthesized) + observed * (
                 rho2 * (z - previous_z)
             )
             done = done & (sqrt(_dot(dual_residual, dual_residual)) < tol)
             any_done = _any(done)
-        if cfg.continuation:
-            l1_weight = alpha_schedule(l1_weight, _L1_DECAY, cfg.l1_weight_min)
+        if projected:
+            l1_weight = alpha_schedule(l1_weight, _L1_DECAY, _L1_WEIGHT_MIN)
         if iteration < cfg.max_iter and not any_done:
             continue
 

@@ -153,6 +153,22 @@ def test_baselines_reject_a_non_finite_setting_by_name(solve_batch_fn, config, n
         solve_batch_fn(np.ones((2, 8)), masks, D, config(**{name: value}))
 
 
+@pytest.mark.parametrize(
+    "solve_batch_fn, config, name",
+    [
+        (fista_solve_batch, FistaConfig, "l1_weight"),
+        (iht_adaptive_solve_batch, IhtConfig, "tau0"),
+        (iht_adaptive_solve_batch, IhtConfig, "tau_min"),
+        (iht_adaptive_solve_batch, IhtConfig, "decay"),
+    ],
+)
+def test_baselines_reject_a_negative_setting_by_name(solve_batch_fn, config, name):
+    D = dct_dictionary(8, 8)
+    masks = [random_mask(8, 6, 9), random_mask(8, 5, 10)]
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
+        solve_batch_fn(np.ones((2, 8)), masks, D, config(**{name: -0.5}))
+
+
 def test_iht_all_above_threshold_schedule_returns_zero():
     D = dct_dictionary(32, 32)
     sig = synth_sparse_signal(D, 3, 10)

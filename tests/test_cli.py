@@ -72,18 +72,18 @@ def test_recover_vector_full_observation(tmp_path):
     for key in (
         "rho1",
         "rho2",
-        "l1_weight_min",
         "max_iter",
         "mean_weight",
         "var_weight",
         "feasibility_tol",
-        "continuation",
-        "project_observed",
+        "l1_weight",
         "gram_norm",
     ):
         assert key in log_lines[0]
-    for key in ("slack_ridge", "majorizer0", "l1_decay", "l1_init_scale"):
+    for key in ("slack_ridge", "majorizer0", "l1_decay", "l1_init_scale", "l1_weight_min"):
         assert key not in log_lines[0]  # protocol constants, not settings
+    for key in ("continuation", "project_observed"):
+        assert key not in log_lines[0]  # the regime follows from l1_weight
     iteration_events = [l for l in log_lines if l["event"] == "iteration"]
     assert len(iteration_events) >= 1
     assert log_lines[-1]["event"] == "result"
@@ -133,6 +133,14 @@ def test_recover_pgm_log_says_why_each_patch_stopped(tmp_path):
         (2, 1, "converged"),
         (3, 20, "budget"),
     ]
+    # a zero tolerance turns the stop off, even for the all-zero patches
+    cfg = tmp_path / "no-stop.cfg"
+    cfg.write_text("feasibility_tol = 0\n")
+    argv = ["recover", "--input", str(src), "--out", str(dst), "--max-iter", "20"]
+    assert main(argv + ["--config", str(cfg)]) == 0
+    events = [json.loads(l) for l in (tmp_path / "rec.pgm.log.jsonl").read_text().splitlines()]
+    patches = [e for e in events if e["event"] == "patch"]
+    assert [(e["iterations"], e["stop_reason"]) for e in patches] == [(20, "budget")] * 4
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -140,14 +148,14 @@ def test_config_file_and_flag_override(tmp_path):
     src = tmp_path / "x.csv"
     save_csv_vector(src, x)
     cfg = tmp_path / "solver.cfg"
-    cfg.write_text("max_iter = 7\nl1_weight_min = 0.001  # comment\n")
+    cfg.write_text("max_iter = 7\nfeasibility_tol = 1e-7  # comment\n")
     dst = tmp_path / "out.csv"
     assert main(
         ["recover", "--input", str(src), "--out", str(dst), "--sr", "0.8", "--config", str(cfg)]
     ) == 0
     config_line = json.loads((tmp_path / "out.csv.log.jsonl").read_text().splitlines()[0])
     assert config_line["max_iter"] == 7
-    assert config_line["l1_weight_min"] == 0.001
+    assert config_line["feasibility_tol"] == 1e-7
     # explicit flag beats the file value
     assert main(
         [
@@ -172,13 +180,10 @@ def test_config_file_accepts_every_solver_field(tmp_path):
     values = {
         "rho1": "0.5",
         "rho2": "1.5",
-        "l1_weight_min": "0.001",
         "max_iter": "7",
         "mean_weight": "10",
         "var_weight": "30",
         "feasibility_tol": "1e-7",
-        "continuation": "no",
-        "project_observed": "yes",
         "l1_weight": "0.01",
     }
     assert set(values) == {f.name for f in fields(SolverConfig)} - {"record_iterates"}
@@ -189,15 +194,13 @@ def test_config_file_accepts_every_solver_field(tmp_path):
     dst = tmp_path / "out.csv"
     assert main(["recover", "--input", str(src), "--out", str(dst), "--config", str(cfg)]) == 0
     config_line = json.loads((tmp_path / "out.csv.log.jsonl").read_text().splitlines()[0])
-    assert config_line["continuation"] is False
-    assert config_line["project_observed"] is True
     assert config_line["max_iter"] == 7 and isinstance(config_line["max_iter"], int)
     for key, value in values.items():
-        if key not in ("continuation", "project_observed", "max_iter"):
+        if key != "max_iter":
             assert config_line[key] == float(value), key
 
 
-def test_config_file_with_both_flags_off_runs_the_over_relaxed_analysis_iteration(
+def test_config_file_with_an_l1_weight_runs_the_over_relaxed_analysis_iteration(
     tmp_path, monkeypatch
 ):
     D = dct_dictionary(64, 64)
@@ -205,10 +208,7 @@ def test_config_file_with_both_flags_off_runs_the_over_relaxed_analysis_iteratio
     src = tmp_path / "x.csv"
     save_csv_vector(src, x)
     cfg = tmp_path / "analysis.cfg"
-    cfg.write_text(
-        "continuation = no\nproject_observed = no\nl1_weight = 0.001\n"
-        "max_iter = 400\nfeasibility_tol = 1e-8\n"
-    )
+    cfg.write_text("l1_weight = 0.001\nmax_iter = 400\nfeasibility_tol = 1e-8\n")
 
     def coupling_residuals(name):
         argv = ["recover", "--input", str(src), "--out", str(tmp_path / name), "--sr", "0.5"]
@@ -288,7 +288,16 @@ def test_config_file_rejects_the_retired_majorizer_growth_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line", ["majorizer0 = 1.2", "slack_ridge = 0.5", "l1_init_scale = 0.2", "l1_decay = 0.9"]
+    "line",
+    [
+        "majorizer0 = 1.2",
+        "slack_ridge = 0.5",
+        "l1_init_scale = 0.2",
+        "l1_decay = 0.9",
+        "l1_weight_min = 0.001",
+        "continuation = no",
+        "project_observed = no",
+    ],
 )
 def test_config_file_key_of_a_protocol_constant_is_unknown(tmp_path, capsys, line):
     src = tmp_path / "x.csv"
@@ -306,7 +315,7 @@ def test_config_file_key_of_a_protocol_constant_is_unknown(tmp_path, capsys, lin
 
 
 @pytest.mark.parametrize(
-    "text, where", [("rho1 = abc\n", 1), ("max_iter = 7\ncontinuation = maybe\n", 2)]
+    "text, where", [("rho1 = abc\n", 1), ("rho1 = 7\nmax_iter = 7.5\n", 2)]
 )
 def test_config_file_bad_value_is_a_bad_argument(tmp_path, capsys, text, where):
     src = tmp_path / "x.csv"
@@ -332,6 +341,18 @@ def test_config_file_values_the_solver_rejects_exit_two_and_leave_no_log(tmp_pat
         main(["recover", "--input", str(src), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)])
     assert err.value.code == 2
     assert f"--config {cfg}: {key} must be positive" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "x.csv"]
+
+
+def test_config_file_negative_feasibility_tol_exits_two_and_leaves_no_log(tmp_path, capsys):
+    src = tmp_path / "x.csv"
+    save_csv_vector(src, substream(6, 7).standard_normal(16))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("feasibility_tol = -1\n")
+    with pytest.raises(SystemExit) as err:
+        main(["recover", "--input", str(src), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)])
+    assert err.value.code == 2
+    assert f"--config {cfg}: feasibility_tol must be nonnegative" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "x.csv"]
 
 

@@ -147,13 +147,10 @@ def test_solver_settings_echo_every_config_field_and_the_gram_norm():
     assert settings == {
         "rho1": 0.4 * 51 / 64,  # round(0.8 * 64) = 51 samples
         "rho2": 2.0 * 51 / 64,
-        "l1_weight_min": 1e-4,
         "max_iter": 50,
         "mean_weight": 15.75,
         "var_weight": 63.0,
         "feasibility_tol": 1e-6,
-        "continuation": True,
-        "project_observed": True,
         "l1_weight": None,
         "record_iterates": False,
     }

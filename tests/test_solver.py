@@ -354,8 +354,11 @@ def test_effective_config_validation():
     mask = random_mask(8, 6, 18)
     with pytest.raises(ValueError, match="^rho1 must be positive"):
         effective_config(SolverConfig(rho1=-1.0), mask)
-    with pytest.raises(ValueError, match="^l1_weight_min must be positive"):
-        effective_config(SolverConfig(l1_weight_min=0.0), mask)
+    with pytest.raises(ValueError, match="^feasibility_tol must be nonnegative$"):
+        effective_config(SolverConfig(feasibility_tol=-1e-12), mask)
+    # 0 turns the stop off: even an all-zero row runs its budget
+    result = solve(np.zeros(8), mask, dct_dictionary(8, 8), SolverConfig(feasibility_tol=0.0, max_iter=5))
+    assert (result.iterations, result.stop_reason) == (5, "budget")
     values = effective_config(SolverConfig(), mask)
     assert values.rho1 == pytest.approx(0.4 * 6 / 8)
     assert values.rho2 == pytest.approx(2.0 * 6 / 8)
@@ -363,8 +366,12 @@ def test_effective_config_validation():
     assert values.mean_weight == pytest.approx(0.25 * 7.0)
 
 
-@pytest.mark.parametrize("continuation, project", [(True, True), (False, False)])
-def test_the_s_step_constant_is_1_05_times_the_squared_norm(monkeypatch, continuation, project):
+@pytest.mark.parametrize(
+    "cfg",
+    [SolverConfig(max_iter=3), SolverConfig.analysis(l1_weight=1e-3, max_iter=3)],
+    ids=["default", "analysis"],
+)
+def test_the_s_step_constant_is_1_05_times_the_squared_norm(monkeypatch, cfg):
     # DCT 64x96, where the power iteration read ||D||^2 about 7.5e-10 low.
     D = dct_dictionary(64, 96)
     mask = random_mask(64, 48, 18)
@@ -375,7 +382,6 @@ def test_the_s_step_constant_is_1_05_times_the_squared_norm(monkeypatch, continu
         return s_update_backtracking(*args)
 
     monkeypatch.setattr(csim.solver, "s_update_backtracking", spy)
-    cfg = SolverConfig(max_iter=3, continuation=continuation, project_observed=project)
     solve(np.arange(64.0), mask, D, cfg)
     assert seen == [1.05 * D.spectral_norm_sq] * 3
     assert seen[0] >= np.linalg.norm(D.atoms, 2) ** 2
@@ -395,15 +401,16 @@ def test_effective_config_rejects_a_non_finite_float_setting_by_name(name, value
 def test_no_setting_or_result_field_is_left_from_backtracking_or_the_protocol_constants():
     result = solve(np.zeros(8), random_mask(8, 6, 18), dct_dictionary(8, 8))
     names = {f.name for f in fields(SolverConfig)} | set(vars(result))
-    assert len(fields(SolverConfig)) == 11
+    assert len(fields(SolverConfig)) == 8
     removed = {"majorizer_growth", "majorizer_final", "s_retries"}
     removed |= {"majorizer0", "slack_ridge", "l1_init_scale", "l1_decay"}
+    removed |= {"continuation", "project_observed", "l1_weight_min"}
     assert not names & removed
 
 
 def test_effective_config_is_the_config_with_its_none_fields_resolved():
     mask = random_mask(8, 6, 18)
-    cfg = SolverConfig(rho2=3.0, max_iter=9, continuation=False)
+    cfg = SolverConfig(rho2=3.0, max_iter=9, l1_weight=0.5)
     resolved = effective_config(cfg, mask)
     assert isinstance(resolved, SolverConfig)
     assert resolved == SolverConfig(
@@ -412,7 +419,7 @@ def test_effective_config_is_the_config_with_its_none_fields_resolved():
         max_iter=9,
         mean_weight=0.25 * 7.0,
         var_weight=7.0,
-        continuation=False,
+        l1_weight=0.5,
     )
 
 
@@ -685,18 +692,19 @@ def _oracle_solve(y, mask, D, config, majorizer_scale=1.05):
     0.1 max|D.T y| and decays by 0.95.  It
     carries the scaled duals u = dual_x / rho1 and v = dual_z / rho2 and
     writes out the slack solve (rho2 I + 2 (W + ridge I)) z = rho2 w.
-    With continuation or projection on it forms no relaxed value: it is
-    the plain iteration.  It forms the slack block under projection too,
-    so it is the check that the loop may skip that block there."""
+    Under the protocol (no l1_weight set) it projects, decays the weight
+    to its floor 1e-4 and forms no relaxed value: it is the plain
+    iteration.  It forms the slack block under projection too, so it is
+    the check that the loop may skip that block there."""
     cfg = effective_config(config, mask)
     params = CsimParams(cfg.mean_weight, cfg.var_weight, D.n)
     observed = mask.indicator()
     y = np.where(observed != 0, y, 0.0)
     rho1, rho2, ridge = cfg.rho1, cfg.rho2, 1.0
-    relaxed = not (cfg.continuation or cfg.project_observed)
-    if cfg.l1_weight is None:
+    protocol = cfg.l1_weight is None
+    if protocol:
         peak = float(np.abs(y @ D.atoms).max())
-        l1_weight = max(0.1 * peak, cfg.l1_weight_min)
+        l1_weight = max(0.1 * peak, 1e-4)
     else:
         l1_weight = cfg.l1_weight
     diag = rho2 + 2.0 * params.diag_coef + 2.0 * ridge
@@ -708,12 +716,12 @@ def _oracle_solve(y, mask, D, config, majorizer_scale=1.05):
     for iteration in range(1, cfg.max_iter + 1):
         x = D.atoms @ s - u
         x = x + rho2 * observed / (rho1 + rho2 * observed) * (z + y + v - x)
-        if cfg.project_observed:
+        if protocol:
             x = projection(x, y, mask)
         offset = observed * x - y
         previous_s, previous_z = s, z
         x_relaxed, offset_relaxed = x, offset
-        if relaxed:  # over-relaxed by 1.8
+        if not protocol:  # over-relaxed by 1.8
             x_relaxed = 1.8 * x + (1.0 - 1.8) * (D.atoms @ previous_s)
             offset_relaxed = 1.8 * offset + (1.0 - 1.8) * previous_z
         # The s step written out: the threshold of s + D.T r / L.
@@ -731,13 +739,13 @@ def _oracle_solve(y, mask, D, config, majorizer_scale=1.05):
             csim_stats(z, params) + l1_weight * np.abs(s).sum() + ridge * (z @ z)
         )
         weight = l1_weight
-        if cfg.continuation:
-            l1_weight = alpha_schedule(l1_weight, 0.95, cfg.l1_weight_min)
+        if protocol:
+            l1_weight = alpha_schedule(l1_weight, 0.95, 1e-4)
         iterates.append(s)
         assert math.isfinite(primal[-1]) and math.isfinite(slack[-1])
         converged = primal[-1] < cfg.feasibility_tol and slack[-1] < cfg.feasibility_tol
-        if cfg.continuation:  # a weight still decaying is no stop
-            converged = converged and weight == cfg.l1_weight_min
+        if protocol:  # a weight still decaying is no stop
+            converged = converged and weight == 1e-4
         if converged:
             dual_residual = rho1 * (D.atoms @ s - D.atoms @ previous_s) + observed * (
                 rho2 * (z - previous_z)
@@ -787,12 +795,8 @@ _ORACLE_CONFIGS = {
     "analysis": SolverConfig.analysis(
         l1_weight=1e-3, max_iter=300, feasibility_tol=1e-8, record_iterates=True
     ),
-    # not relaxed, with the dual stop reachable
-    "fixed-weight-projected": SolverConfig(
-        continuation=False, l1_weight=1e-3, max_iter=300, feasibility_tol=1e-8, record_iterates=True
-    ),
-    # not relaxed: continuation alone keeps alpha at 1
-    "unprojected": SolverConfig(project_observed=False, record_iterates=True),
+    # not relaxed, with the weight's floor and the dual stop reachable
+    "protocol-400": SolverConfig(max_iter=400, record_iterates=True),
 }
 
 
@@ -808,11 +812,9 @@ def test_solve_and_solve_batch_match_the_written_out_iteration(rows, config, dic
         _assert_matches_oracle(result, want)
     for y, mask, want in zip(Y, masks, expected):
         _assert_matches_oracle(solve(y, mask, D, cfg), want)
-    if rows > 1 and dictionary != "dct64x96":  # its fixed-weight rows run 300 iterations
+    if rows > 1 and dictionary != "dct64x96":  # its rows all stop on one reason
         reasons = {want["stop_reason"] for want in expected}
-        assert reasons == (
-            {"converged", "budget"} if cfg.l1_weight is not None else {"budget"}
-        )
+        assert reasons == ({"budget"} if config == "default" else {"converged", "budget"})
 
 
 @pytest.mark.parametrize("dictionary", sorted(_ORACLE_DICTIONARIES))
@@ -883,17 +885,15 @@ def test_a_row_stops_once_its_dual_residual_is_below_the_tolerance():
 @given(
     seed=st.integers(min_value=0, max_value=2**31),
     rows=st.integers(min_value=1, max_value=6),
-    continuation=st.booleans(),
     max_iter=st.integers(min_value=1, max_value=40),
     overcomplete=st.booleans(),
 )
-def test_projection_reproduces_the_observed_samples(seed, rows, continuation, max_iter, overcomplete):
+def test_projection_reproduces_the_observed_samples(seed, rows, max_iter, overcomplete):
     D = dct_dictionary(16, 32 if overcomplete else 16)
     Y, masks = _problem_rows(D, seed, rows)
     # what a row holds at its unobserved positions is never read
     Y = Y + np.random.default_rng(seed).standard_normal(Y.shape) * (Y == 0)
-    cfg = SolverConfig(max_iter=max_iter, continuation=continuation)
-    assert cfg.project_observed
+    cfg = SolverConfig(max_iter=max_iter)
     for y, mask, result in zip(Y, masks, solve_batch(Y, masks, D, cfg)):
         assert result.x_hat[mask.observed].tobytes() == y[mask.observed].tobytes()
 
@@ -903,7 +903,6 @@ def test_projection_reproduces_the_observed_samples(seed, rows, continuation, ma
     seed=st.integers(min_value=0, max_value=2**31),
     rows=st.integers(min_value=1, max_value=6),
     dictionary=st.sampled_from(sorted(_ORACLE_DICTIONARIES)),
-    continuation=st.booleans(),
     max_iter=st.integers(min_value=1, max_value=60),
     rho2=st.floats(min_value=1e-3, max_value=1e3),
     slack_ridge=st.floats(min_value=0.0, max_value=1e3),
@@ -911,16 +910,11 @@ def test_projection_reproduces_the_observed_samples(seed, rows, continuation, ma
     var_weight=st.floats(min_value=1e-2, max_value=1e3),
 )
 def test_projection_holds_the_slack_block_at_zero(
-    seed, rows, dictionary, continuation, max_iter, rho2, slack_ridge, mean_weight, var_weight
+    seed, rows, dictionary, max_iter, rho2, slack_ridge, mean_weight, var_weight
 ):
     D = _ORACLE_DICTIONARIES[dictionary]()
     Y, masks = _problem_rows(D, seed, rows, sparsity=4)
-    cfg = SolverConfig(
-        continuation=continuation,
-        l1_weight=None if continuation else 1e-3,
-        max_iter=max_iter,
-        record_iterates=True,
-    )
+    cfg = SolverConfig(max_iter=max_iter, record_iterates=True)
     batch = solve_batch(Y, masks, D, cfg)
     for y, mask, result in zip(Y, masks, batch):
         # the written-out iteration forms the slack block the loop skips
@@ -928,9 +922,11 @@ def test_projection_holds_the_slack_block_at_zero(
         for name in ("slack_residuals", "final_slack", "final_dual_z"):
             values = getattr(result, name)
             assert not np.count_nonzero(values) and not np.signbit(values).any(), name
-        if not continuation:
-            for objective, s in zip(result.objectives, result.iterates, strict=True):
-                assert objective == cfg.l1_weight * np.abs(s).sum()
+        # the objective is the l1 term alone, at the weight of its iteration
+        weight = max(0.1 * float(np.abs(y @ D.atoms).max()), 1e-4)
+        for objective, s in zip(result.objectives, result.iterates, strict=True):
+            assert objective == weight * np.abs(s).sum()
+            weight = max(0.95 * weight, 1e-4)
     # so the slack penalty, the ridge and the index weights cannot change the result
     changed = replace(cfg, rho2=rho2, mean_weight=mean_weight, var_weight=var_weight)
     with mock.patch.object(csim.solver, "_SLACK_RIDGE", slack_ridge):
@@ -940,6 +936,28 @@ def test_projection_holds_the_slack_block_at_zero(
         assert other.stop_reason == result.stop_reason
         pairs = zip(other.iterates, result.iterates, strict=True)
         assert all(a.tobytes() == b.tobytes() for a, b in pairs)
+
+
+@pytest.mark.parametrize("dictionary", sorted(_ORACLE_DICTIONARIES))
+def test_l1_weight_alone_picks_the_regime(dictionary):
+    D = _ORACLE_DICTIONARIES[dictionary]()
+    Y, masks = _problem_rows(D, 43, 4)
+    fixed_cfg = SolverConfig(l1_weight=1e-3, max_iter=40)
+    assert fixed_cfg == SolverConfig.analysis(1e-3, max_iter=40)
+    protocol = solve_batch(Y, masks, D, SolverConfig(max_iter=40))
+    fixed = solve_batch(Y, masks, D, fixed_cfg)
+    for y, mask, p, f in zip(Y, masks, protocol, fixed, strict=True):
+        # None: the observed samples are re-imposed and the weight decays
+        assert p.x_hat[mask.observed].tobytes() == y[mask.observed].tobytes()
+        assert not np.count_nonzero(p.slack_residuals)
+        weight = max(0.1 * float(np.abs(y @ D.atoms).max()), 1e-4)
+        for _ in range(p.iterations):
+            weight = max(0.95 * weight, 1e-4)
+        assert p.l1_weight_final == weight
+        # a number: the weight stays and the observed samples are left free
+        assert f.l1_weight_final == 1e-3
+        assert np.any(f.x_hat[mask.observed] != y[mask.observed])
+        assert np.all(f.slack_residuals > 0)
 
 
 def test_stop_reason_is_the_test_that_retires_the_row():
@@ -980,32 +998,26 @@ def test_stationarity_gap_closes_only_in_the_analysis_config():
     result, late = gap(SolverConfig.analysis(l1_weight=1e-3, max_iter=2000))
     assert result.stop_reason == "converged"
     assert early > 0.1 and late < 1e-4
-    others = {
-        # projection keeps the slack and its dual at zero: the gap is all of dual_x
-        "default": SolverConfig(max_iter=2000),
-        "projection only": SolverConfig(max_iter=2000, continuation=False, l1_weight=1e-3),
-        # stops once the weight is at its floor (iteration 353), with duals
-        # so small (||dual_x|| about 3e-9) that the absolute tests pass
-        # while a share of dual_x is left
-        "continuation only": SolverConfig(
-            max_iter=2000, project_observed=False, l1_weight_min=1e-9
-        ),
-    }
-    for name, cfg in others.items():
-        result, value = gap(cfg)
-        assert result.stop_reason == "converged", name
-        assert value > 1e-2, name
+    # the protocol: projection keeps the slack and its dual at zero, so the
+    # gap is all of dual_x
+    result, value = gap(SolverConfig(max_iter=2000))
+    assert result.stop_reason == "converged"
+    assert value > 1e-2
 
 
-def test_continuation_stops_only_once_the_weight_is_at_its_floor():
-    # The feasibility and dual tests pass from iteration 202, with the
-    # weight at 2.1e-6 and still decaying; the weight a row uses reaches
-    # the floor of 1e-9 at iteration 353.
+def test_continuation_stops_only_once_the_weight_is_at_its_floor(monkeypatch):
+    # The protocol with its weight floor lowered from 1e-4 to 1e-9: the
+    # feasibility and dual tests pass from iteration 202, with the weight
+    # at 2.2e-6 and still decaying; the weight a row uses reaches the
+    # floor at iteration 353.  (At the floor of 1e-4, which its weight
+    # reaches at iteration 128, the tests first pass at iteration 136.)
+    floor = 1e-9
+    monkeypatch.setattr(csim.solver, "_L1_WEIGHT_MIN", floor)
     D = dct_dictionary(64, 64)
     sig = synth_sparse_signal(D, 6, 19)
     mask = random_mask(64, 51, 20)
     y = apply_mask(sig.x, mask)
-    cfg = SolverConfig(max_iter=2000, project_observed=False, l1_weight_min=1e-9)
+    cfg = SolverConfig(max_iter=2000)
     tol = cfg.feasibility_tol
     values = effective_config(cfg, mask)
 
@@ -1014,13 +1026,13 @@ def test_continuation_stops_only_once_the_weight_is_at_its_floor():
 
     result = run(cfg.max_iter)
     assert (result.iterations, result.stop_reason) == (353, "converged")
-    assert result.l1_weight_final == cfg.l1_weight_min
+    assert result.l1_weight_final == floor
     feasible = (result.primal_residuals < tol) & (result.slack_residuals < tol)
     assert int(np.flatnonzero(feasible)[0]) + 1 == 202 and feasible[201:].all()
     # a run's final weight is the one its next iteration uses
     before, short = run(351), run(352)
-    assert before.l1_weight_final > cfg.l1_weight_min
+    assert before.l1_weight_final > floor
     assert short.stop_reason == "budget"  # every residual test passes at 352
+    # the slack block is zero under projection: the dual residual is the s change
     change = values.rho1 * (D.atoms @ short.s_hat - D.atoms @ before.s_hat)
-    change += mask.indicator() * (values.rho2 * (short.final_slack - before.final_slack))
     assert np.linalg.norm(change) < tol
