@@ -242,6 +242,8 @@ def _cmd_recover(args) -> int:
 def _cmd_denoise(args) -> int:
     image = load_pgm(args.input).astype(float)
     clean = load_pgm(args.reference).astype(float) if args.reference else None
+    if clean is not None and clean.shape != image.shape:
+        raise ValueError(f"--reference has shape {clean.shape}, --input has shape {image.shape}")
     params = CsimParams.defaults(PATCH_SIDE**2) if args.method == "csim" else None
     grid = PatchGrid(*image.shape, side=PATCH_SIDE, stride=PATCH_SIDE)
     filtered, floored = denoise_patches(
@@ -257,7 +259,8 @@ def _cmd_denoise(args) -> int:
         result["ssim"] = image_ssim(out, clean)
         result["input_psnr_db"] = min(psnr(image, clean), PSNR_CSV_CAP)
     events = [dict(event="config", side=PATCH_SIDE, **config), dict(event="result", **result)]
-    _write_run(args.out, save_pgm, np.clip(np.round(out), 0, 255), events)
+    np.clip(np.round(out, out=out), 0, 255, out=out)
+    _write_run(args.out, save_pgm, out, events)
     return 0
 
 

@@ -21,6 +21,9 @@ PSNR_CSV_CAP = 99.0
 
 DEFAULT_PEAK = 255.0
 
+# Tiles per pass of ``image_ssim``.
+_BLOCK_TILES = 512
+
 
 def _pair(x, y, axis) -> tuple[np.ndarray, np.ndarray]:
     """Both inputs as float arrays with the scored samples on the last
@@ -102,18 +105,25 @@ def ssim_global(
 
 def image_ssim(a, b, side: int = 8) -> float:
     """Mean 8-bit single-window SSIM over non-overlapping square tiles;
-    the rows and columns past the last whole tile are left out."""
+    the rows and columns past the last whole tile are left out.  Tiles
+    are scored a band of tile rows at a time (about ``_BLOCK_TILES``
+    tiles), so no image-sized copy is made."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 2:
         raise ValueError("need two equal-shape images")
     rows, cols = a.shape[0] // side, a.shape[1] // side
+    band = max(1, _BLOCK_TILES // max(cols, 1))
 
-    def tiles(image):
-        cropped = image[: rows * side, : cols * side].reshape(rows, side, cols, side)
+    def tiles(image, r0, r1):
+        cropped = image[r0 * side : r1 * side, : cols * side].reshape(r1 - r0, side, cols, side)
         return cropped.transpose(0, 2, 1, 3).reshape(-1, side * side)
 
-    return float(np.mean(ssim_global(tiles(a), tiles(b))))
+    scores = np.empty(rows * cols)
+    for r0 in range(0, rows, band):
+        r1 = min(r0 + band, rows)
+        scores[r0 * cols : r1 * cols] = ssim_global(tiles(a, r0, r1), tiles(b, r0, r1))
+    return float(np.mean(scores))
 
 
 def relative_error(s_hat, s_true, axis: int | None = None) -> float | np.ndarray:

@@ -150,11 +150,27 @@ def _patch_indices(grid: PatchGrid) -> np.ndarray:
     return origins[:, None] + offsets
 
 
+def _tiles(grid: PatchGrid) -> tuple[int, int] | None:
+    """(patch rows, patch columns) when the patches tile the image
+    exactly, each pixel in one patch; None for clamped or overlapping
+    grids."""
+    side = grid.side
+    if grid.stride != side or grid.height % side or grid.width % side:
+        return None
+    return grid.height // side, grid.width // side
+
+
 def extract_patches(image, grid: PatchGrid) -> np.ndarray:
-    """Stack of raster-vectorized patches, one per grid position."""
+    """Stack of raster-vectorized patches, one per grid position.  An
+    exact tiling is a reshape of the image; other grids gather by index."""
     image = np.asarray(image, dtype=float)
     if image.shape != (grid.height, grid.width):
         raise ValueError("image does not match the grid")
+    tiles = _tiles(grid)
+    if tiles is not None:
+        rows, cols = tiles
+        side = grid.side
+        return image.reshape(rows, side, cols, side).transpose(0, 2, 1, 3).reshape(-1, side * side)
     return image.reshape(-1)[_patch_indices(grid)]
 
 
@@ -162,8 +178,24 @@ def reassemble(patches, grid: PatchGrid) -> np.ndarray:
     """Average overlapping patch contributions back into an image.
 
     Each pixel sums its contributions in patch order, as a loop over
-    the patches would."""
+    the patches would, from +0.0.  An exact tiling writes each patch back
+    in place; other grids scatter by index."""
     patches = np.asarray(patches, dtype=float)
+    tiles = _tiles(grid)
+    if tiles is not None:
+        rows, cols = tiles
+        side = grid.side
+        if patches.shape != (rows * cols, side * side):
+            raise ValueError("patch stack does not match the grid")
+        image = np.empty((grid.height, grid.width))
+        # The one contribution of each pixel, added to +0.0 as in the sum:
+        # a -0.0 sample comes back as +0.0.
+        np.add(
+            patches.reshape(rows, cols, side, side).transpose(0, 2, 1, 3),
+            0.0,
+            out=image.reshape(rows, side, cols, side),
+        )
+        return image
     index = _patch_indices(grid)
     if patches.shape != index.shape:
         raise ValueError("patch stack does not match the grid")

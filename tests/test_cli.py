@@ -513,15 +513,23 @@ def test_recover_an_image_smaller_than_one_patch_exits_three_and_leaves_no_file(
 
 @pytest.mark.parametrize(
     "reference, message",
-    [("tiny.pgm", "length mismatch"), ("missing.pgm", "No such file or directory")],
+    [
+        ("tiny.pgm", "--reference has shape (4, 4), --input has shape (16, 16)"),
+        ("missing.pgm", "No such file or directory"),
+    ],
     ids=["wrong-size", "missing"],
 )
 def test_denoise_with_a_bad_reference_exits_three_and_leaves_no_file(
-    tmp_path, capsys, reference, message
+    tmp_path, capsys, monkeypatch, reference, message
 ):
     save_pgm(tmp_path / "img.pgm", synthetic_image(16, 16, seed=3))
     save_pgm(tmp_path / "tiny.pgm", synthetic_image(4, 4, seed=1))
     inputs = sorted(tmp_path.iterdir())
+
+    def no_filtering(*args, **kwargs):
+        raise AssertionError("the reference is checked before any filtering")
+
+    monkeypatch.setattr(csim.cli, "denoise_patches", no_filtering)
     argv = ["denoise", "--input", str(tmp_path / "img.pgm"), "--out", str(tmp_path / "o.pgm")]
     assert main(argv + ["--sigma-n", "5", "--reference", str(tmp_path / reference)]) == 3
     assert message in capsys.readouterr().err

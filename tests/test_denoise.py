@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -288,6 +290,64 @@ def test_an_all_zero_row_gets_zero_taps_and_the_others_keep_their_bits():
         assert filtered[keep].tobytes() == expected[keep].tobytes()
         assert mixed_floored[keep].tolist() == floored[keep].tolist()
         assert mixed_floored[2]
+
+
+# --- blocks of rows --------------------------------------------------------------
+
+BLOCK = csim.denoise._BLOCK_ROWS
+
+
+def _mixed_patches(rows, seed):
+    """Rows of every kind: noisy, low-variance (floored at sigma_n_sq 400)
+    and constant (given the diagonal floor)."""
+    rng = np.random.default_rng(seed)
+    spread = rng.choice([2.0, 10.0, 40.0], size=(rows, 1))
+    patches = np.round(rng.uniform(20.0, 235.0, (rows, 1)) + spread * rng.standard_normal((rows, 64)))
+    patches[rng.random(rows) < 0.05] = 117.0
+    return patches
+
+
+@pytest.mark.parametrize("rows", [BLOCK + 1, 3 * BLOCK + 37], ids=["block-plus-one", "blocks-plus-rest"])
+def test_blocked_rows_have_the_bits_of_one_patch_filters(rows):
+    patches = _mixed_patches(rows, rows)
+    for params in (None, CsimParams.defaults(64)):
+        filtered, floored = denoise_patches(patches, 6, 400.0, params)
+        expected = [_one_patch(patch, 6, 400.0, params) for patch in patches]
+        assert filtered.tobytes() == np.stack([out for out, _ in expected]).tobytes()
+        assert floored.tolist() == [flag for _, flag in expected]
+        assert 0 < floored.sum() < rows
+
+
+def test_an_empty_stack_gives_empty_outputs_and_still_checks_its_arguments():
+    filtered, floored = denoise_patches(np.empty((0, 64)), 6, 400.0)
+    assert filtered.shape == (0, 64) and floored.shape == (0,) and floored.dtype == bool
+    with pytest.raises(ValueError, match="too short"):
+        denoise_patches(np.empty((0, 8)), 6, 400.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        denoise_patches(np.empty((0, 64)), 6, -1.0)
+
+
+def test_a_row_singular_in_a_later_block_fails_the_whole_stack():
+    rng = np.random.default_rng(12)
+    singular = np.round(100.0 + 20.0 * rng.standard_normal((5, 64)))[4]  # see the test above
+    patches = np.zeros((2 * BLOCK + 3, 64))  # all-zero rows: floored, then definite
+    denoise_patches(patches, 32, 25.0)
+    patches[2 * BLOCK + 1] = singular
+    with pytest.raises(SingularStatsError):
+        denoise_patches(patches, 32, 25.0)
+
+
+def test_denoise_patches_allocates_blocks_not_stack_sized_temporaries():
+    patches = np.random.default_rng(14).uniform(0.0, 255.0, (8192, 64))
+    tracemalloc.start()
+    try:
+        filtered, floored = denoise_patches(patches, 6, 400.0, CsimParams.defaults(64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two outputs and a fixed budget for one block's temporaries; a
+    # single pass over the stack peaks at about 11.5 MiB
+    assert peak < filtered.nbytes + floored.nbytes + 2 * 2**20
 
 
 def test_positive_definite_test_agrees_with_lapack_cholesky():

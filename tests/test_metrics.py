@@ -68,6 +68,19 @@ def test_image_ssim_has_the_bits_of_a_per_tile_loop():
         assert image_ssim(a, b, side) == float(np.mean(tiles))
 
 
+@pytest.mark.parametrize("shape", [(8 * 70, 8 * 9), (16, 8 * 600)], ids=["bands", "wide"])
+def test_image_ssim_in_bands_has_the_bits_of_one_call_on_all_tiles(shape):
+    rng = np.random.default_rng(shape[1])
+    a = rng.uniform(0, 255, size=shape)
+    b = np.clip(a + rng.normal(0, 20, size=shape), 0, 255)
+    rows, cols = shape[0] // 8, shape[1] // 8
+
+    def tiles(image):
+        return image.reshape(rows, 8, cols, 8).transpose(0, 2, 1, 3).reshape(-1, 64)
+
+    assert image_ssim(a, b) == float(np.mean(ssim_global(tiles(a), tiles(b))))
+
+
 def test_psnr_identical_is_infinite():
     x = np.arange(8.0)
     assert mse(x, x) == 0.0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from csim.dictionaries import dct_dictionary
 from csim.signals import (
     PatchGrid,
     SamplingMask,
+    _patch_indices,
     apply_mask,
     extract_patches,
     random_mask,
@@ -201,3 +204,53 @@ def test_patch_grid_matches_a_per_patch_loop_bit_for_bit(stride):
         acc[r : r + 8, c : c + 8] += patch.reshape(8, 8)
         count[r : r + 8, c : c + 8] += 1.0
     assert reassemble(patches, grid).tobytes() == (acc / count).tobytes()
+
+
+def _indexed_patches(image, grid):
+    """The index gather, as clamped and overlapping grids run it."""
+    return image.reshape(-1)[_patch_indices(grid)]
+
+
+def _indexed_reassembly(patches, grid):
+    """The index scatter-average, as clamped and overlapping grids run it."""
+    index = _patch_indices(grid).reshape(-1)
+    pixels = grid.height * grid.width
+    acc = np.bincount(index, weights=patches.reshape(-1), minlength=pixels)
+    acc /= np.bincount(index, minlength=pixels)
+    return acc.reshape(grid.height, grid.width)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (512, 512), (16, 40)])
+def test_exact_tilings_have_the_bits_of_the_index_path(shape):
+    rng = np.random.default_rng(shape[1])
+    image = rng.uniform(0.0, 255.0, shape)
+    grid = PatchGrid(*shape, side=8, stride=8)
+    patches = extract_patches(image, grid)
+    assert patches.tobytes() == _indexed_patches(image, grid).tobytes()
+    filtered = 100.0 * rng.standard_normal(patches.shape)
+    filtered[1, [0, 9, 63]] = -0.0  # a sum from +0.0 returns these as +0.0
+    image_out = reassemble(filtered, grid)
+    assert image_out.tobytes() == _indexed_reassembly(filtered, grid).tobytes()
+    assert not np.signbit(image_out[image_out == 0.0]).any()
+    assert (image_out == 0.0).sum() == 3
+
+
+def test_exact_tiling_rejects_a_stack_of_the_wrong_shape():
+    grid = PatchGrid(16, 40, side=8, stride=8)
+    with pytest.raises(ValueError, match="does not match"):
+        reassemble(np.zeros((9, 64)), grid)
+    with pytest.raises(ValueError, match="does not match"):
+        reassemble(np.zeros((10, 63)), grid)
+
+
+def test_extracting_an_exact_tiling_builds_no_index():
+    image = np.random.default_rng(6).uniform(0.0, 255.0, (512, 512))
+    grid = PatchGrid(512, 512, side=8, stride=8)
+    tracemalloc.start()
+    try:
+        patches = extract_patches(image, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output alone; an int64 index of the same shape would double it
+    assert peak < 1.5 * patches.nbytes
