@@ -36,7 +36,6 @@ from .solver import (
     _check_threshold,
     _observed_rows,
     _per_row,
-    _sum,
     soft_threshold,
 )
 
@@ -106,8 +105,8 @@ def _operator(atoms, observed):
 
 def _results(atoms, s, history, elapsed, iterates) -> list[RecoveryResult]:
     """One result per row from the final coefficients, the per-iteration
-    (residual norm, objective) pairs of every row and the batch clock."""
-    history = np.reshape(history, (len(history), 2, -1))
+    residual norms of every row and the batch clock."""
+    history = np.reshape(history, (len(history), -1))
     S = np.reshape(s, (-1, s.shape[-1]))
     X = _synthesize(atoms, S)
     clock = np.asarray(elapsed)
@@ -118,9 +117,8 @@ def _results(atoms, s, history, elapsed, iterates) -> list[RecoveryResult]:
             x_hat=X[j],
             s_hat=S[j],
             iterations=len(history),
-            primal_residuals=history[:, 0, j].copy(),
+            primal_residuals=history[:, j].copy(),
             slack_residuals=None,
-            objectives=history[:, 1, j].copy(),
             elapsed_ms=clock,
             iterates=None if iterates is None else list(iterates[:, j]),
             stop_reason="budget",
@@ -142,12 +140,11 @@ def fista_solve_batch(Y, masks, D: Dictionary, config: FistaConfig | None = None
     set, its own weight.  A row whose new iterate s+ moved against its
     momentum, (p - s+) . (s+ - s) > 0 at momentum point p, restarts: its
     momentum weight goes back to 1, so its next step is a plain proximal
-    step from s+, which cannot raise its objective.  Other steps may
-    raise it: the recorded objectives are not monotone in general.  A p
-    is carried by linearity from the products of the last two iterates,
-    so an iteration forms one product with A and one with A.T.  A row's
-    result has the bits of its one-row solve, apart from ``elapsed_ms``,
-    the batch's clock.
+    step from s+, which cannot raise its objective.  A p is carried by
+    linearity from the products of the last two iterates, so an iteration
+    forms one product with A and one with A.T.  A row's result has the
+    bits of its one-row solve, apart from ``elapsed_ms``, the batch's
+    clock.
     """
     if config is None:
         config = FistaConfig()
@@ -185,7 +182,6 @@ def fista_solve_batch(Y, masks, D: Dictionary, config: FistaConfig | None = None
         )
         candidate_product = forward(candidate)
         r = candidate_product - Y
-        rr = _dot(r, r)
         change = candidate - s
         # Gradient restart: a row whose step runs against its momentum
         # (p - s+) . (s+ - s) > 0 drops the momentum.
@@ -204,7 +200,7 @@ def fista_solve_batch(Y, masks, D: Dictionary, config: FistaConfig | None = None
 
         if not _all(np.isfinite(s)):
             raise NonFiniteError("non-finite FISTA iterate")
-        history.append((sqrt(rr), 0.5 * rr + w * _sum(np.abs(s))))
+        history.append(sqrt(_dot(r, r)))
         elapsed.append((time.perf_counter() - start) * 1e3)
         if iterates is not None:
             iterates.append(s)
@@ -253,8 +249,7 @@ def iht_adaptive_solve_batch(Y, masks, D: Dictionary, config: IhtConfig | None =
         if not _all(np.isfinite(s)):
             raise NonFiniteError("non-finite IHT iterate")
         r = Y - forward(s)
-        rr = _dot(r, r)
-        history.append((np.sqrt(rr), 0.5 * rr))
+        history.append(np.sqrt(_dot(r, r)))
         elapsed.append((time.perf_counter() - start) * 1e3)
         if iterates is not None:
             iterates.append(s)

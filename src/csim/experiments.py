@@ -45,6 +45,7 @@ from .signals import (
     synth_sparse_signal,
 )
 from .solver import RecoveryResult, SolverConfig, effective_config, solve, solve_batch
+from .solver import _L1_DECAY, _L1_INIT_SCALE, _L1_WEIGHT_MIN, _MAJORIZER_SCALE, _RELAXATION, _SLACK_RIDGE
 
 __all__ = [
     "ExperimentSpec",
@@ -173,12 +174,21 @@ def run_solver(name: str, y, mask, D: Dictionary, **settings) -> RecoveryResult:
 
 def solver_settings(name: str, D: Dictionary, sr: float, seed: int, **settings) -> dict:
     """Settings ``recover_patches`` hands to solver ``name``, for a run
-    log: every effective csim-alm hyperparameter (as resolved for the
-    first patch), or a baseline's name and iteration budget."""
+    log: the effective csim-alm hyperparameters (as resolved for the
+    first patch) that its regime reads, with the solver constants it
+    uses, or a baseline's name and iteration budget.  The protocol
+    (``l1_weight`` None) projects, so it reads neither rho2 nor the index
+    weights (see ``SolverConfig``), and those are left out."""
     config, _, _ = _solver(name, **settings)
     if isinstance(config, SolverConfig):
-        resolved = effective_config(config, observation_mask(D.n, sr, seed, 0))
-        return {**asdict(resolved), "gram_norm": D.spectral_norm_sq}
+        resolved = asdict(effective_config(config, observation_mask(D.n, sr, seed, 0)))
+        if config.l1_weight is None:
+            for unread in ("rho2", "mean_weight", "var_weight"):
+                del resolved[unread]
+            constants = dict(l1_init_scale=_L1_INIT_SCALE, l1_decay=_L1_DECAY, l1_weight_min=_L1_WEIGHT_MIN)
+        else:
+            constants = dict(relaxation=_RELAXATION, slack_ridge=_SLACK_RIDGE)
+        return {**resolved, **constants, "majorizer_scale": _MAJORIZER_SCALE, "gram_norm": D.spectral_norm_sq}
     return {"solver": name, "max_iter": config.max_iter}
 
 

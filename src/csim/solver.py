@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import DEFAULT_RATIO, CsimParams, _index, apply_kernel
+from .core import DEFAULT_RATIO, CsimParams, apply_kernel
 from .dictionaries import Dictionary, _analyze, _dot, _synthesize
 from .signals import SamplingMask
 
@@ -95,15 +95,14 @@ class SolverConfig:
     an l1 weight that starts at 0.1 max|D.T y| and decays by 0.95 per
     iteration to a floor of 1e-4, with the known samples re-imposed on x
     each iteration (projection).  The observed samples of x then equal y
-    after every x step, so the slack z = M x - y, its dual, the slack
-    residual and the index and ridge terms of the objective are exactly
-    +0.0 in every iteration; the loop never forms them.  ``rho2``,
-    ``mean_weight`` and ``var_weight`` are still validated, but they
-    cannot change a projected run's output: the CSIM term shapes the
-    solution only in the other regime.  A row stops only once the weight
-    it used is at the floor; when the duals are smaller than the
-    tolerance, the stationarity gap ||dual_x - M.T dual_z|| (all of
-    ||dual_x|| here) can still keep a share of ||dual_x||.
+    after every x step, so the slack z = M x - y, its dual and the slack
+    residual are exactly +0.0 in every iteration; the loop never forms
+    them.  ``rho2``, ``mean_weight`` and ``var_weight`` are still
+    validated, but they cannot change a projected run's output: the CSIM
+    term shapes the solution only in the other regime.  A row stops only
+    once the weight it used is at the floor; when the duals are smaller
+    than the tolerance, the stationarity gap ||dual_x - M.T dual_z|| (all
+    of ||dual_x|| here) can still keep a share of ||dual_x||.
 
     Set to a number (see ``analysis``), it runs the ADMM with that fixed
     weight and no projection: the regime with the convergence guarantee,
@@ -181,19 +180,16 @@ class RecoveryResult:
     """Solve outcome with per-iteration diagnostics.
 
     ``primal_residuals[t]`` is ||x - D s|| and ``slack_residuals[t]`` is
-    ||z - M x + y|| after iteration t; ``objectives[t]`` is the problem
-    objective csim(z) + l1_weight ||s||_1 + ||z||^2 at the
-    iterate (with the l1 weight current at that iteration).
-    ``elapsed_ms`` is cumulative wall time (of the whole batch, for a
-    batched solve).  ``stop_reason`` is "converged" when both
-    feasibility residuals of the last iteration and the norm of its
-    dual residual rho1 (D s - D s_prev) + M.T rho2 (z - z_prev) are below
+    ||z - M x + y|| after iteration t.  ``elapsed_ms`` is cumulative wall
+    time (of the whole batch, for a batched solve).  ``stop_reason`` is
+    "converged" when both feasibility residuals of the last iteration and
+    the norm of its dual residual
+    rho1 (D s - D s_prev) + M.T rho2 (z - z_prev) are below
     ``feasibility_tol`` (and, under the protocol, the l1 weight of that
-    iteration is at its floor), and "budget" otherwise (``max_iter``
-    ran out, whichever test failed); a non-finite iterate raises
-    instead.  Baseline solvers reuse this type
-    with ``slack_residuals`` and the final duals set to None, and always
-    stop on their budget.
+    iteration is at its floor), and "budget" otherwise (``max_iter`` ran
+    out, whichever test failed); a non-finite iterate raises instead.
+    Baseline solvers reuse this type with ``slack_residuals`` and the
+    final duals set to None, and always stop on their budget.
     """
 
     x_hat: np.ndarray
@@ -201,7 +197,6 @@ class RecoveryResult:
     iterations: int
     primal_residuals: np.ndarray
     slack_residuals: np.ndarray | None
-    objectives: np.ndarray
     elapsed_ms: np.ndarray
     iterates: list[np.ndarray] | None = None
     final_slack: np.ndarray | None = None
@@ -339,7 +334,7 @@ def s_update_backtracking(
     l1_weight,
     majorizer,
     synthesized=None,
-) -> tuple[np.ndarray, np.ndarray | float, int, np.ndarray, np.ndarray | float]:
+) -> tuple[np.ndarray, np.ndarray | float, int, np.ndarray]:
     """One majorize-minimize step on the s subproblem of each row.
 
     With r = x + dual_x / rho1 - D s, the step is the soft threshold of
@@ -351,9 +346,8 @@ def s_update_backtracking(
     subproblem objective.  rho1, l1_weight (nonnegative) and majorizer
     are per-row values; ``synthesized`` is D s when the caller holds it
     (it is formed here otherwise).  Returns (new s, ``majorizer``, 0, D
-    times the new s, ||new s||_1 as a per-row value): the constant and a
-    retry count of 0 keep the result's shape, which the benchmark's
-    tracer reads.
+    times the new s): the constant and a retry count of 0 keep the
+    result's shape, which the benchmark's tracer reads.
     """
     atoms = D.atoms
     if synthesized is None:
@@ -367,7 +361,7 @@ def s_update_backtracking(
     v = s + _analyze(atoms, residual) / majorizer
     magnitude = np.maximum(np.abs(v) - l1_weight / rho1 / majorizer, 0.0)
     candidate = np.copysign(magnitude, v)
-    return candidate, majorizer, 0, _synthesize(atoms, candidate), _sum(magnitude)
+    return candidate, majorizer, 0, _synthesize(atoms, candidate)
 
 
 def _slack_solver(params: CsimParams, rho2, slack_ridge: float, scale=1.0):
@@ -395,14 +389,6 @@ def z_update(
 ) -> np.ndarray:
     """Solve (rho2 I + 2 (W + slack_ridge I)) z = c for each row of c in O(n)."""
     return _slack_solver(params, rho2, slack_ridge)(np.asarray(c, dtype=float))
-
-
-def _slack_terms(held, mean_coef: float, dev_coef: float) -> tuple[np.ndarray, np.ndarray]:
-    """The index and ||z||^2 of every z in ``held`` (a list of 1-D rows or
-    of equal row stacks), one value per row and held array, each with the
-    bits of its own call."""
-    Z = np.array(held)
-    return _index(Z, mean_coef, dev_coef), np.vecdot(Z, Z)
 
 
 def multipliers_update(
@@ -438,14 +424,12 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     ``feasibility_tol`` (under the protocol, only once the l1 weight it
     used is at its floor), and then leaves the working set
     (``stop_reason`` says which).  The dual residual is formed only on
-    iterations where some row meets both feasibility tests.  Values fixed
-    while the working set is (the x-step weights, the slack solve and
-    the index weights) are formed when it changes, not every iteration.
-    Under the protocol, the slack block is exactly +0.0 (see
-    ``SolverConfig``) and is never formed: z and its dual keep their zero
-    start, the slack residual is 0.0, and the objective is the l1 term.
-    Otherwise the index and ridge terms of the objective are formed for
-    up to 64 iterations at a time, from the z they held.
+    iterations where some row meets both feasibility tests.  Under the
+    protocol, the slack block is exactly +0.0 (see ``SolverConfig``) and
+    is never formed: z and its dual keep their zero start, and the slack
+    residual is 0.0.  Otherwise the values fixed while the working set is
+    (the x-step weights and the slack solve) are formed when it changes,
+    not every iteration.
     A row's result has the bits of its one-row solve, apart from
     ``elapsed_ms``, which is the batch's clock.  A non-finite value in
     any row raises.
@@ -464,8 +448,6 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     cfg = configs[masks[0].m]
     B = len(masks)
 
-    params = CsimParams(cfg.mean_weight, cfg.var_weight, n)
-    mean_coef, dev_coef = params.mean_weight, params.diag_coef
     rho1 = _per_row([configs[mask.m].rho1 for mask in masks])
     rho2 = _per_row([configs[mask.m].rho2 for mask in masks])
     majorizer = _MAJORIZER_SCALE * D.spectral_norm_sq
@@ -478,6 +460,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         l1_weight = _per_row(np.maximum(_L1_INIT_SCALE * peak, _L1_WEIGHT_MIN))
     else:
         l1_weight = cfg.l1_weight
+        params = CsimParams(cfg.mean_weight, cfg.var_weight, n)
 
     s = np.zeros(Y.shape[:-1] + (p,))
     z = np.zeros_like(Y)
@@ -489,15 +472,10 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
 
     rows = np.arange(B)  # input row of each working row
     results: list[RecoveryResult | None] = [None] * B
-    # Residuals and l1 terms (and iterates) of the working rows since the
-    # working set last changed; split into per-row pieces when it does.
+    # Residuals (and iterates) of the working rows since the working set
+    # last changed; split into per-row pieces when it does.
     segment: list[tuple] = []
     segment_s: list[np.ndarray] = []
-    # Without projection, the index and ridge terms of the objective are
-    # formed from the held z of up to 64 iterations (at most 2**16 floats)
-    # at once, in one stacked call.
-    held_z: list[np.ndarray] = []
-    slack_terms: list[tuple[np.ndarray, np.ndarray]] = []
     pieces: list[list[np.ndarray]] = [[] for _ in range(B)]
     iterates: list[list[np.ndarray]] | None = (
         [[] for _ in range(B)] if cfg.record_iterates else None
@@ -506,18 +484,19 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     tol = cfg.feasibility_tol
     # One row has Python-float residual norms (the bits of np.sqrt's).
     sqrt, isfinite = (math.sqrt, math.isfinite) if Y.ndim == 1 else (np.sqrt, np.isfinite)
-    slack_solve = x_weight = no_slack = chunk = None
+    refresh = True  # form the values fixed while the working set is
 
     start = time.perf_counter()
     for iteration in range(1, cfg.max_iter + 1):
-        if slack_solve is None:
-            # Fixed while the working set is: formed again when rows leave.
-            # The x system's solution is D s - u at the unobserved samples
-            # and this weighted mean of it with z + y + v at the observed ones.
-            x_weight = rho2 * observed / _x_divisor(observed, rho1, rho2)
-            slack_solve = _slack_solver(params, rho2, _SLACK_RIDGE, scale=rho2)
-            no_slack = 0.0 if Y.ndim == 1 else np.zeros((len(rows), 1))
-            chunk = max(1, min(64, 2**16 // Y.size))
+        if refresh:  # at the start and whenever rows leave
+            refresh = False
+            if projected:
+                no_slack = 0.0 if Y.ndim == 1 else np.zeros((len(rows), 1))
+            else:
+                # The x system's solution is D s - u at the unobserved samples
+                # and this weighted mean of it with z + y + v at the observed ones.
+                x_weight = rho2 * observed / _x_divisor(observed, rho1, rho2)
+                slack_solve = _slack_solver(params, rho2, _SLACK_RIDGE, scale=rho2)
         previous_synthesized, previous_z = synthesized, z
         if projected:
             # z and v stay +0.0 (see SolverConfig), so the x system's slack
@@ -528,13 +507,13 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
             x = x + x_weight * (z + Y + v - x)
             x_relaxed = alpha * x + (1.0 - alpha) * previous_synthesized
         # The s step's target is x + u: rho1 is 1 and the weight l1_weight / rho1.
-        s, _, _, synthesized, s_l1 = s_update_backtracking(
+        s, _, _, synthesized = s_update_backtracking(
             s, x_relaxed, u, D, 1.0, l1_weight / rho1, majorizer, synthesized
         )
         coupling_residual = x_relaxed - synthesized
         u = u + coupling_residual
 
-        if projected:  # the slack block is zero: its residual and terms too
+        if projected:  # the slack block is zero: its residual too
             r1, r2 = sqrt(_dot(coupling_residual, coupling_residual)), no_slack
         else:
             # Products with the 0/1 indicator stand in for masked
@@ -547,11 +526,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
             coupling_residual, slack_residual = x - synthesized, z - offset
             r1 = sqrt(_dot(coupling_residual, coupling_residual))
             r2 = sqrt(_dot(slack_residual, slack_residual))
-            held_z.append(z)
-            if len(held_z) == chunk:
-                slack_terms.append(_slack_terms(held_z, mean_coef, dev_coef))
-                held_z = []
-        segment.append((r1, r2, l1_weight * s_l1))
+        segment.append((r1, r2))
         elapsed.append((time.perf_counter() - start) * 1e3)
         if iterates is not None:
             segment_s.append(s)
@@ -577,13 +552,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
 
         # Hand the segment to the working rows, then retire those that stop.
         width = len(rows)
-        block = np.reshape(segment, (len(segment), 3, width))
-        if not projected:  # the objective is index + l1 term + ridge ||z||^2
-            if held_z:
-                slack_terms.append(_slack_terms(held_z, mean_coef, dev_coef))
-            index, squares = (np.reshape(np.concatenate(t), (-1, width)) for t in zip(*slack_terms))
-            block[:, 2] = index + block[:, 2] + _SLACK_RIDGE * squares
-            held_z, slack_terms = [], []
+        block = np.reshape(segment, (len(segment), 2, width))
         for j, row in enumerate(rows):
             pieces[row].append(block[:, :, j])
         if iterates is not None:
@@ -604,7 +573,6 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
                 iterations=iteration,
                 primal_residuals=history[0],
                 slack_residuals=history[1],
-                objectives=history[2],
                 elapsed_ms=clock,
                 iterates=None if iterates is None else iterates[row],
                 final_slack=_row(z, j),
@@ -620,7 +588,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
             a[keep] for a in (rows, Y, observed, s, z, u, v, synthesized)
         )
         rho1, rho2, l1_weight = (_keep(value, keep) for value in (rho1, rho2, l1_weight))
-        slack_solve = None
+        refresh = True
     return results
 
 

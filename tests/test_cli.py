@@ -71,18 +71,19 @@ def test_recover_vector_full_observation(tmp_path):
     assert log_lines[0]["event"] == "config"
     for key in (
         "rho1",
-        "rho2",
         "max_iter",
-        "mean_weight",
-        "var_weight",
         "feasibility_tol",
         "l1_weight",
         "gram_norm",
+        "l1_init_scale",
+        "l1_decay",
+        "l1_weight_min",
+        "majorizer_scale",
     ):
         assert key in log_lines[0]
-    for key in ("slack_ridge", "majorizer0", "l1_decay", "l1_init_scale", "l1_weight_min"):
-        assert key not in log_lines[0]  # protocol constants, not settings
-    for key in ("continuation", "project_observed"):
+    for key in ("rho2", "mean_weight", "var_weight", "slack_ridge", "relaxation"):
+        assert key not in log_lines[0]  # the protocol's projection never reads them
+    for key in ("continuation", "project_observed", "majorizer0"):
         assert key not in log_lines[0]  # the regime follows from l1_weight
     iteration_events = [l for l in log_lines if l["event"] == "iteration"]
     assert len(iteration_events) >= 1

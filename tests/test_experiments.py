@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import csim.experiments
+import csim.solver
 from csim.experiments import (
     SWEEP_ITERS_HEADER,
     SWEEP_SR_HEADER,
@@ -133,15 +134,15 @@ def test_run_solver_batch_rows_equal_run_solver(solver):
         assert result.s_hat.tobytes() == single.s_hat.tobytes()
         assert result.iterations == single.iterations
         assert result.primal_residuals.tobytes() == single.primal_residuals.tobytes()
-        assert result.objectives.tobytes() == single.objectives.tobytes()
         if single.slack_residuals is not None:
             assert result.slack_residuals.tobytes() == single.slack_residuals.tobytes()
 
 
 def test_solver_settings_echo_every_config_field_and_the_gram_norm():
+    # the fixed-weight regime reads every field, and these solver constants
     D = build_dictionary("dct", 64, 64)
-    settings = solver_settings("csim-alm", D, 0.8, 0)
-    assert set(settings) == {f.name for f in fields(SolverConfig)} | {"gram_norm"}
+    settings = solver_settings("csim-alm", D, 0.8, 0, l1_weight=0.01)
+    assert {f.name for f in fields(SolverConfig)} < set(settings)
     gram_norm = settings.pop("gram_norm")
     assert gram_norm == D.spectral_norm_sq == pytest.approx(1.0, rel=1e-12)
     assert settings == {
@@ -151,10 +152,32 @@ def test_solver_settings_echo_every_config_field_and_the_gram_norm():
         "mean_weight": 15.75,
         "var_weight": 63.0,
         "feasibility_tol": 1e-6,
-        "l1_weight": None,
+        "l1_weight": 0.01,
         "record_iterates": False,
+        "relaxation": csim.solver._RELAXATION,
+        "majorizer_scale": csim.solver._MAJORIZER_SCALE,
+        "slack_ridge": csim.solver._SLACK_RIDGE,
     }
     assert type(settings["max_iter"]) is int
+
+
+def test_protocol_settings_leave_out_what_projection_never_reads():
+    # The protocol projects, so rho2 and the index weights cannot change
+    # its output; the log names the weight schedule's constants instead.
+    D = build_dictionary("dct", 64, 64)
+    settings = solver_settings("csim-alm", D, 0.8, 0, rho2=5.0, mean_weight=2.0)
+    assert settings == {
+        "rho1": 0.4 * 51 / 64,
+        "max_iter": 50,
+        "feasibility_tol": 1e-6,
+        "l1_weight": None,
+        "record_iterates": False,
+        "l1_init_scale": csim.solver._L1_INIT_SCALE,
+        "l1_decay": csim.solver._L1_DECAY,
+        "l1_weight_min": csim.solver._L1_WEIGHT_MIN,
+        "majorizer_scale": csim.solver._MAJORIZER_SCALE,
+        "gram_norm": D.spectral_norm_sq,
+    }
 
 
 @pytest.mark.parametrize("solver", ["csim-alm", "fista", "iht"])
