@@ -3,7 +3,7 @@
 Both baselines work on the masked synthesis operator A = M D and the
 objective 0.5 ||A s - y||^2 plus a sparsity term: FISTA with an l1
 penalty and the gradient restart of O'Donoghue & Candes (2015), and an
-iterative hard-thresholding solver with an exponentially decaying
+iterative hard-thresholding solver with a fixed, exponentially decaying
 threshold schedule.  Like the ADMM solver, both read a row only at its
 observed positions (through `solver._observed_rows`), and a non-finite
 observed sample raises `NonFiniteError`; a config setting that is not
@@ -35,6 +35,7 @@ from .solver import (
     _check_finite,
     _check_threshold,
     _observed_rows,
+    _peak_weight,
     _per_row,
     soft_threshold,
 )
@@ -49,6 +50,13 @@ __all__ = [
     "iht_adaptive_solve_batch",
 ]
 
+# FISTA's default l1 weight and IHT's threshold schedule (see the
+# configs), the scales over max|A.T y| of each row.
+_FISTA_WEIGHT_SCALE = 0.01
+_IHT_START_SCALE = 0.5
+_IHT_DECAY = 0.2
+_IHT_FLOOR = 1e-3
+
 
 @dataclass(frozen=True)
 class FistaConfig:
@@ -62,15 +70,10 @@ class FistaConfig:
 
 @dataclass(frozen=True)
 class IhtConfig:
-    """Threshold schedule tau_t = max(tau0 * exp(-decay * t), tau_min).
+    """Iteration budget and whether to keep per-iteration coefficients.
+    The threshold schedule is fixed, tau_t = max(0.5 max|A.T y|
+    exp(-0.2 t), 1e-3) per row, and the gradient step is 1/||A||^2."""
 
-    Defaults seed tau0 at 0.5 * max|A.T y| with decay 0.2 and floor
-    1e-3; the gradient step is 1/||A||^2.
-    """
-
-    tau0: float | None = None
-    decay: float = 0.2
-    tau_min: float = 1e-3
     max_iter: int = 50
     record_iterates: bool = False
 
@@ -83,14 +86,20 @@ def hard_threshold(v, tau) -> np.ndarray:
     return np.where(np.abs(v) >= tau, v, 0.0)
 
 
-def _row_stack(Y, masks: list[SamplingMask], D: Dictionary):
-    """The working arrays of ``_observed_rows`` (one row on 1-D arrays)
-    and the per-row ||A_b||^2 of a batch."""
+def _row_stack(Y, masks: list[SamplingMask], D: Dictionary, config):
+    """Both baselines' front end for a nonempty batch: check ``config``,
+    then return the observations of ``_observed_rows`` (one row on 1-D
+    arrays), the (forward, adjoint) pair of the masked operators and the
+    per-row gradient step 1/||A_b||^2."""
+    _check_finite(config)
+    if config.max_iter < 1:
+        raise ValueError("max_iter must be positive")
     Y, observed = _observed_rows(Y, masks, D.n)
     lipschitz = spectral_norm_sq(D.atoms, observed=np.reshape(observed, (-1, D.n)))
     if np.count_nonzero(~(lipschitz > 0)):
         raise ValueError("degenerate masked operator")
-    return Y, observed, lipschitz
+    forward, adjoint = _operator(D.atoms, observed)
+    return Y, forward, adjoint, _per_row(1.0 / lipschitz)
 
 
 def _operator(atoms, observed):
@@ -148,19 +157,13 @@ def fista_solve_batch(Y, masks, D: Dictionary, config: FistaConfig | None = None
     """
     if config is None:
         config = FistaConfig()
-    _check_finite(config)
-    if config.max_iter < 1:
-        raise ValueError("max_iter must be positive")
     masks = list(masks)
     if not masks:
         return []
-    atoms = D.atoms
-    Y, observed, lipschitz = _row_stack(Y, masks, D)
-    forward, adjoint = _operator(atoms, observed)
-    step = _per_row(1.0 / lipschitz)
+    Y, forward, adjoint, step = _row_stack(Y, masks, D, config)
     w = config.l1_weight
     if w is None:
-        w = _per_row(0.01 * np.abs(adjoint(Y)).max(axis=-1))
+        w = _peak_weight(_FISTA_WEIGHT_SCALE, adjoint(Y))
     elif w < 0:
         raise ValueError("l1_weight must be nonnegative")
     threshold = w * step
@@ -204,7 +207,7 @@ def fista_solve_batch(Y, masks, D: Dictionary, config: FistaConfig | None = None
         elapsed.append((time.perf_counter() - start) * 1e3)
         if iterates is not None:
             iterates.append(s)
-    return _results(atoms, s, history, elapsed, iterates)
+    return _results(D.atoms, s, history, elapsed, iterates)
 
 
 def iht_adaptive_solve(y, mask: SamplingMask, D: Dictionary, config: IhtConfig | None = None) -> RecoveryResult:
@@ -215,27 +218,16 @@ def iht_adaptive_solve(y, mask: SamplingMask, D: Dictionary, config: IhtConfig |
 def iht_adaptive_solve_batch(Y, masks, D: Dictionary, config: IhtConfig | None = None) -> list[RecoveryResult]:
     """Gradient step then hard threshold with a decaying threshold, on
     every row of ``Y`` (row i observed through ``masks[i]``), each row
-    with its own step 1/||A_b||^2 and, unless ``tau0`` is set, its own
-    starting threshold.  A row's result has the bits of its one-row
-    solve, apart from ``elapsed_ms``, the batch's clock."""
+    with its own step 1/||A_b||^2 and its own starting threshold (see
+    ``IhtConfig``).  A row's result has the bits of its one-row solve,
+    apart from ``elapsed_ms``, the batch's clock."""
     if config is None:
         config = IhtConfig()
-    _check_finite(config)
-    if config.max_iter < 1:
-        raise ValueError("max_iter must be positive")
     masks = list(masks)
     if not masks:
         return []
-    Y, observed, lipschitz = _row_stack(Y, masks, D)
-    forward, adjoint = _operator(D.atoms, observed)
-    step = _per_row(1.0 / lipschitz)
-    tau0 = config.tau0
-    if tau0 is None:
-        tau0 = _per_row(0.5 * np.abs(adjoint(Y)).max(axis=-1))
-    for name in ("tau0", "tau_min", "decay"):
-        value = getattr(config, name)
-        if value is not None and value < 0:
-            raise ValueError(f"{name} must be nonnegative")
+    Y, forward, adjoint, step = _row_stack(Y, masks, D, config)
+    tau0 = _peak_weight(_IHT_START_SCALE, adjoint(Y))
 
     s = np.zeros(Y.shape[:-1] + (D.p,))
     r = Y - forward(s)
@@ -243,8 +235,8 @@ def iht_adaptive_solve_batch(Y, masks, D: Dictionary, config: IhtConfig | None =
     iterates: list[np.ndarray] | None = [] if config.record_iterates else None
     start = time.perf_counter()
     for t in range(config.max_iter):
-        tau = tau0 * math.exp(-config.decay * t)
-        tau = max(tau, config.tau_min) if isinstance(tau, float) else np.maximum(tau, config.tau_min)
+        tau = tau0 * math.exp(-_IHT_DECAY * t)
+        tau = max(tau, _IHT_FLOOR) if isinstance(tau, float) else np.maximum(tau, _IHT_FLOOR)
         s = hard_threshold(s + step * adjoint(r), tau)
         if not _all(np.isfinite(s)):
             raise NonFiniteError("non-finite IHT iterate")

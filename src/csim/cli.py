@@ -22,6 +22,7 @@ from .core import CsimParams, sensitivity_ratio
 from .denoise import PATCH_SIDE, denoise_patches
 from .dictionaries import Dictionary
 from .experiments import (
+    DICTIONARY_KINDS,
     SOLVER_NAMES,
     ExperimentSpec,
     build_dictionary,
@@ -118,7 +119,7 @@ def _solver_options(args) -> dict:
 
 
 def _add_dict_args(parser):
-    parser.add_argument("--dict", choices=("dct", "haar-wp"), default="dct")
+    parser.add_argument("--dict", choices=DICTIONARY_KINDS, default="dct")
     parser.add_argument("--n", type=int, default=64)
     parser.add_argument("--p", type=int, default=None)
 
@@ -245,7 +246,7 @@ def _cmd_denoise(args) -> int:
     if clean is not None and clean.shape != image.shape:
         raise ValueError(f"--reference has shape {clean.shape}, --input has shape {image.shape}")
     params = CsimParams.defaults(PATCH_SIDE**2) if args.method == "csim" else None
-    grid = PatchGrid(*image.shape, side=PATCH_SIDE, stride=PATCH_SIDE)
+    grid = PatchGrid(*image.shape, side=PATCH_SIDE)
     filtered, floored = denoise_patches(
         extract_patches(image, grid), args.m_taps, args.sigma_n**2, params
     )

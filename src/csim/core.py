@@ -118,17 +118,10 @@ def csim_stats(e, params: CsimParams):
     e = np.asarray(e, dtype=float)
     if e.ndim == 0 or e.shape[-1] != params.n:
         raise ValueError(f"expected residuals of length {params.n}")
-    value = _index(e, params.mean_weight, params.diag_coef)
-    return float(value) if e.ndim == 1 else value
-
-
-def _index(e, mean_coef: float, dev_coef: float):
-    """``csim_stats`` of checked float residuals with their weights
-    given, for loops that hold the weights: a numpy scalar for one
-    residual, one value per row for a stack."""
     mu = np.add.reduce(e, axis=-1) / e.shape[-1]  # e.mean(), bit for bit
     dev = e - (mu if e.ndim == 1 else mu[..., None])
-    return mean_coef * mu * mu + dev_coef * np.vecdot(dev, dev)
+    value = params.mean_weight * mu * mu + params.diag_coef * np.vecdot(dev, dev)
+    return float(value) if e.ndim == 1 else value
 
 
 def csim_pair(x, y, params: CsimParams) -> float:

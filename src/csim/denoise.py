@@ -264,7 +264,7 @@ def denoise_image(
     image = np.asarray(image, dtype=float)
     if image.ndim != 2 or image.size == 0:
         raise ValueError("expected a non-empty 2-D image")
-    grid = PatchGrid(*image.shape, side=PATCH_SIDE, stride=PATCH_SIDE)
+    grid = PatchGrid(*image.shape, side=PATCH_SIDE)
     filtered, _ = denoise_patches(
         extract_patches(image, grid), m, sigma_n_sq, params if method == "csim" else None
     )

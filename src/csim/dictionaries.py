@@ -54,7 +54,10 @@ def _dot(a, b):
     return np.vecdot(a, b, keepdims=True)
 
 
-def spectral_norm_sq(A, max_iter: int = 100_000, *, observed=None):
+_POWER_ITERATIONS = 100_000  # the cap of spectral_norm_sq's power iteration
+
+
+def spectral_norm_sq(A, *, observed=None):
     """Largest eigenvalue of A.T @ A by power iteration.
 
     Iterates v <- A.T @ (A @ v) from a fixed pseudorandom start until the
@@ -64,7 +67,7 @@ def spectral_norm_sq(A, max_iter: int = 100_000, *, observed=None):
     v <- A.T (o_b * (A v)) on all rows at once without forming those
     matrices; each row stops on its own test and has the bits of a
     single-matrix call on its masked matrix.  Raises ``RuntimeError``
-    if any row has not converged after ``max_iter`` iterations.
+    if any row has not converged after 100,000 iterations.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -85,7 +88,7 @@ def spectral_norm_sq(A, max_iter: int = 100_000, *, observed=None):
     else:
         V = np.tile(v, (len(rows), 1))
     previous = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_ITERATIONS):
         W = _analyze(A, rows * _synthesize(A, V))
         value = _dot(V, W)
         norm = np.sqrt(_dot(W, W))
@@ -107,7 +110,7 @@ def spectral_norm_sq(A, max_iter: int = 100_000, *, observed=None):
             break
         active, V, rows, previous = (a[keep] for a in (active, V, rows, previous))
     else:
-        raise RuntimeError(f"power iteration did not converge in {max_iter} iterations")
+        raise RuntimeError(f"power iteration did not converge in {_POWER_ITERATIONS} iterations")
     return values if observed is not None else float(values[0])
 
 

@@ -79,7 +79,13 @@ def _solver_table() -> dict:
     }
 
 
+def _dictionary_table() -> dict:
+    """Dictionary kind -> (n, p) builder, built per call as above."""
+    return {"dct": dct_dictionary, "haar-wp": haar_wp_dictionary}
+
+
 SOLVER_NAMES = tuple(_solver_table())
+DICTIONARY_KINDS = tuple(_dictionary_table())
 SWEEP_SR_HEADER = "trial,seed,solver,sr,n,p,dict,iters,psnr_db,ssim,relerr,runtime_ms"
 SWEEP_ITERS_HEADER = "solver,sr,trial,seed,iter,relerr,elapsed_ms"
 
@@ -121,7 +127,7 @@ class ExperimentSpec:
         for solver in self.solvers:
             if solver not in SOLVER_NAMES:
                 raise ValueError(f"unknown solver {solver!r}")
-        if self.dict_kind not in ("dct", "haar-wp"):
+        if self.dict_kind not in DICTIONARY_KINDS:
             raise ValueError(f"unknown dictionary kind {self.dict_kind!r}")
         if self.corpus:
             side = math.isqrt(self.n)
@@ -130,11 +136,10 @@ class ExperimentSpec:
 
 
 def build_dictionary(kind: str, n: int, p: int) -> Dictionary:
-    if kind == "dct":
-        return dct_dictionary(n, p)
-    if kind == "haar-wp":
-        return haar_wp_dictionary(n, p)
-    raise ValueError(f"unknown dictionary kind {kind!r}")
+    builder = _dictionary_table().get(kind)
+    if builder is None:
+        raise ValueError(f"unknown dictionary kind {kind!r}")
+    return builder(n, p)
 
 
 def observation_mask(n: int, sr: float, seed: int, index: int) -> SamplingMask:
@@ -218,7 +223,7 @@ def recover_image(
     if side * side != D.n:
         raise ValueError("image recovery needs a square patch length")
     height, width = np.shape(image)
-    grid = PatchGrid(height, width, side=side, stride=side)
+    grid = PatchGrid(height, width, side=side)
     results = recover_patches(extract_patches(image, grid), sr, seed, solver, D, **settings)
     return reassemble(np.stack([r.x_hat for r in results]), grid), results
 

@@ -108,34 +108,33 @@ def apply_mask(x, mask: SamplingMask) -> np.ndarray:
 class PatchGrid:
     """Placement of square patches over an image.
 
-    Patches are vectorized in raster-scan (row-major) order.  When the
-    stride does not divide the image exactly, the last row/column of
-    patches is clamped to the border, so every pixel is covered at least
-    once and overlaps are averaged on reassembly.
+    Patches step by their side and are vectorized in raster-scan
+    (row-major) order.  When the side does not divide an image side, the
+    last row/column of patches is clamped to the border, so every pixel
+    is covered at least once and overlaps are averaged on reassembly.
     """
 
     height: int
     width: int
     side: int = 8
-    stride: int = 8
 
     def __post_init__(self):
         if self.height < self.side or self.width < self.side:
             raise ValueError("image smaller than one patch")
-        if self.side < 1 or self.stride < 1:
-            raise ValueError("side and stride must be positive")
+        if self.side < 1:
+            raise ValueError("side must be positive")
 
     @staticmethod
-    def _starts(extent: int, side: int, stride: int) -> list[int]:
-        starts = list(range(0, extent - side + 1, stride))
+    def _starts(extent: int, side: int) -> list[int]:
+        starts = list(range(0, extent - side + 1, side))
         if starts[-1] != extent - side:
             starts.append(extent - side)
         return starts
 
     @property
     def positions(self) -> list[tuple[int, int]]:
-        rows = self._starts(self.height, self.side, self.stride)
-        cols = self._starts(self.width, self.side, self.stride)
+        rows = self._starts(self.height, self.side)
+        cols = self._starts(self.width, self.side)
         return [(r, c) for r in rows for c in cols]
 
 
@@ -144,18 +143,17 @@ def _patch_indices(grid: PatchGrid) -> np.ndarray:
     i holds the pixels of patch i in raster order."""
     side = grid.side
     offsets = (np.arange(side)[:, None] * grid.width + np.arange(side)).reshape(-1)
-    rows = np.array(grid._starts(grid.height, side, grid.stride))
-    cols = np.array(grid._starts(grid.width, side, grid.stride))
+    rows = np.array(grid._starts(grid.height, side))
+    cols = np.array(grid._starts(grid.width, side))
     origins = (rows[:, None] * grid.width + cols).reshape(-1)
     return origins[:, None] + offsets
 
 
 def _tiles(grid: PatchGrid) -> tuple[int, int] | None:
     """(patch rows, patch columns) when the patches tile the image
-    exactly, each pixel in one patch; None for clamped or overlapping
-    grids."""
+    exactly, each pixel in one patch; None for clamped grids."""
     side = grid.side
-    if grid.stride != side or grid.height % side or grid.width % side:
+    if grid.height % side or grid.width % side:
         return None
     return grid.height // side, grid.width // side
 

@@ -263,6 +263,13 @@ def _per_row(values):
     return values[:, None]
 
 
+def _peak_weight(scale: float, correlations, floor: float = 0.0):
+    """max(scale max|c|, floor) per row of c = D.T y (or A.T y, the same
+    peak) on zero-filled observations: every solver's relative l1 weight
+    or threshold, as a per-row value."""
+    return _per_row(np.maximum(scale * np.abs(correlations).max(axis=-1), floor))
+
+
 def _keep(value, keep):
     """The kept rows of a per-row value; a scalar stays shared."""
     return value[keep] if np.ndim(value) else value
@@ -456,8 +463,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     projected = cfg.l1_weight is None
     alpha = _RELAXATION
     if projected:
-        peak = np.abs(_analyze(atoms, Y)).max(axis=-1)
-        l1_weight = _per_row(np.maximum(_L1_INIT_SCALE * peak, _L1_WEIGHT_MIN))
+        l1_weight = _peak_weight(_L1_INIT_SCALE, _analyze(atoms, Y), _L1_WEIGHT_MIN)
     else:
         l1_weight = cfg.l1_weight
         params = CsimParams(cfg.mean_weight, cfg.var_weight, n)

@@ -16,9 +16,9 @@ from csim.baselines import (
     iht_adaptive_solve,
     iht_adaptive_solve_batch,
 )
-from csim.dictionaries import Dictionary, dct_dictionary, haar_wp_dictionary, spectral_norm_sq
+from csim.dictionaries import Dictionary, _analyze, dct_dictionary, haar_wp_dictionary, spectral_norm_sq
 from csim.signals import SamplingMask, apply_mask, random_mask, substream, synth_sparse_signal
-from csim.solver import NonFiniteError, SolverConfig, solve, solve_batch
+from csim.solver import NonFiniteError, SolverConfig, _observed_rows, _peak_weight, solve, solve_batch
 
 
 def _masked(mask, atoms):
@@ -156,9 +156,6 @@ def test_baselines_reject_a_non_finite_setting_by_name(solve_batch_fn, config, n
     "solve_batch_fn, config, name",
     [
         (fista_solve_batch, FistaConfig, "l1_weight"),
-        (iht_adaptive_solve_batch, IhtConfig, "tau0"),
-        (iht_adaptive_solve_batch, IhtConfig, "tau_min"),
-        (iht_adaptive_solve_batch, IhtConfig, "decay"),
     ],
 )
 def test_baselines_reject_a_negative_setting_by_name(solve_batch_fn, config, name):
@@ -168,16 +165,65 @@ def test_baselines_reject_a_negative_setting_by_name(solve_batch_fn, config, nam
         solve_batch_fn(np.ones((2, 8)), masks, D, config(**{name: -0.5}))
 
 
-def test_iht_all_above_threshold_schedule_returns_zero():
+_PEAK_DICTIONARIES = [
+    (dct_dictionary, 64, 64),
+    (dct_dictionary, 64, 96),
+    (dct_dictionary, 16, 32),
+    (haar_wp_dictionary, 64, 128),
+]
+
+
+@pytest.mark.parametrize("rows", [1, 6])
+@pytest.mark.parametrize("build, n, p", _PEAK_DICTIONARIES)
+def test_the_masked_adjoint_peak_is_the_dictionary_peak_bit_for_bit(build, n, p, rows):
+    # The baselines scale max|A_b.T y| through their operator's adjoint;
+    # the ADMM solver scales max|D.T y| of the zero-filled rows.  Both
+    # must give every row the same per-row weight, to the bit.
+    D = build(n, p)
+    for trial, (sr, scale) in enumerate([(0.3, 1.0), (0.6, 255.0), (0.9, 1.0)]):
+        masks = [random_mask(n, max(1, round(sr * n)), 100 * trial + i) for i in range(rows)]
+        Y = scale * substream(n, p, trial).uniform(0.0, 1.0, (rows, n))
+        Y, observed = _observed_rows(Y, masks, n)
+        _, adjoint = csim.baselines._operator(D.atoms, observed)
+        for factor in (0.1, 0.01, 0.5):
+            via_operator = np.asarray(_peak_weight(factor, adjoint(Y)))
+            via_dictionary = np.asarray(_peak_weight(factor, _analyze(D.atoms, Y)))
+            assert via_operator.tobytes() == via_dictionary.tobytes()
+
+
+def _iht_oracle(A, y, iters):
+    """Per-signal IHT with the schedule max(0.5 max|A.T y| e^(-0.2 t), 1e-3)."""
+    step = 1.0 / spectral_norm_sq(A)
+    tau0 = 0.5 * float(np.abs(A.T @ y).max())
+    s = np.zeros(A.shape[1])
+    for t in range(iters):
+        tau = max(tau0 * math.exp(-0.2 * t), 1e-3)
+        u = s + step * (A.T @ (y - A @ s))
+        s = np.where(np.abs(u) >= tau, u, 0.0)
+    return s
+
+
+@pytest.mark.parametrize("build", [dct_dictionary, haar_wp_dictionary])
+def test_iht_follows_its_fixed_threshold_schedule(build):
+    D = build(32, 64)
+    masks = [random_mask(32, 20 + 3 * i, 40 + i) for i in range(4)]
+    signals = [synth_sparse_signal(D, 3, 60 + i).x for i in range(4)]
+    Y = np.stack([apply_mask(x, mask) for x, mask in zip(signals, masks)])
+    results = iht_adaptive_solve_batch(Y, masks, D, IhtConfig(max_iter=40))
+    for y, mask, result in zip(Y, masks, results):
+        oracle = _iht_oracle(_masked(mask, D.atoms), y, 40)
+        np.testing.assert_allclose(result.s_hat, oracle, rtol=1e-9, atol=1e-12)
+
+
+def test_iht_all_above_threshold_schedule_returns_zero(monkeypatch):
+    # A schedule held at 100 max|A.T y|: no coefficient ever reaches it.
+    monkeypatch.setattr(csim.baselines, "_IHT_START_SCALE", 100.0)
+    monkeypatch.setattr(csim.baselines, "_IHT_DECAY", 0.0)
     D = dct_dictionary(32, 32)
     sig = synth_sparse_signal(D, 3, 10)
     mask = random_mask(32, 26, 11)
     y = apply_mask(sig.x, mask)
-    A = _masked(mask, D.atoms)
-    tau0 = 100.0 * float(np.abs(A.T @ y).max())
-    result = iht_adaptive_solve(
-        y, mask, D, IhtConfig(tau0=tau0, decay=0.0, tau_min=tau0, max_iter=60)
-    )
+    result = iht_adaptive_solve(y, mask, D, IhtConfig(max_iter=60))
     np.testing.assert_allclose(result.s_hat, np.zeros(32), atol=1e-15)
 
 

@@ -146,14 +146,15 @@ def test_row_stack_spectral_norm_rejects_an_all_zero_row():
         spectral_norm_sq(atoms, observed=np.ones((2, 5)))
 
 
-def test_spectral_norm_raises_when_the_power_iteration_runs_out():
+def test_spectral_norm_raises_when_the_power_iteration_runs_out(monkeypatch):
+    monkeypatch.setattr(csim.dictionaries, "_POWER_ITERATIONS", 1)
     D = dct_dictionary(16, 40)
     with pytest.raises(RuntimeError, match="did not converge in 1 iterations"):
-        spectral_norm_sq(D.atoms, max_iter=1)
+        spectral_norm_sq(D.atoms)
     observed = np.ones((3, 16))
     observed[1, ::2] = 0.0
     with pytest.raises(RuntimeError, match="did not converge"):
-        spectral_norm_sq(D.atoms, max_iter=1, observed=observed)
+        spectral_norm_sq(D.atoms, observed=observed)
 
 
 def test_normalize_columns_behaviour():

@@ -8,7 +8,9 @@ import pytest
 
 import csim.experiments
 import csim.solver
+from csim.cli import build_parser
 from csim.experiments import (
+    DICTIONARY_KINDS,
     SWEEP_ITERS_HEADER,
     SWEEP_SR_HEADER,
     ExperimentSpec,
@@ -198,7 +200,8 @@ def test_every_entry_point_hands_its_settings_to_the_solver_config(solver):
 
 
 @pytest.mark.parametrize(
-    "solver, setting", [("csim-alm", "tau0"), ("fista", "feasibility_tol"), ("iht", "l1_weight")]
+    "solver, setting",
+    [("csim-alm", "tau0"), ("fista", "feasibility_tol"), ("iht", "l1_weight"), ("iht", "tau0")],
 )
 def test_a_setting_the_solver_config_lacks_raises_type_error(solver, setting):
     D = build_dictionary("dct", 16, 16)
@@ -402,3 +405,21 @@ def test_unknown_solver_names_raise_naming_the_solver():
     for call in calls:
         with pytest.raises(ValueError, match="unknown solver 'bogus'"):
             call()
+
+
+@pytest.mark.parametrize("kind", DICTIONARY_KINDS)
+def test_every_dictionary_kind_is_built_accepted_and_offered(kind):
+    D = build_dictionary(kind, 16, 32)
+    assert (D.n, D.p) == (16, 32)
+    assert ExperimentSpec(dict_kind=kind).dict_kind == kind
+    assert build_parser().parse_args(["dict-info", "--dict", kind]).dict == kind
+
+
+def test_an_unknown_dictionary_kind_is_refused_everywhere(capsys):
+    with pytest.raises(ValueError, match="^unknown dictionary kind 'dct2'$"):
+        build_dictionary("dct2", 16, 16)
+    with pytest.raises(ValueError, match="^unknown dictionary kind 'dct2'$"):
+        ExperimentSpec(dict_kind="dct2")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["dict-info", "--dict", "dct2"])
+    assert "invalid choice: 'dct2'" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from csim.signals import (
     PatchGrid,
     SamplingMask,
     _patch_indices,
+    _tiles,
     apply_mask,
     extract_patches,
     random_mask,
@@ -108,26 +109,26 @@ def test_single_index_mask_keeps_one_sample():
 def test_patch_round_trip_disjoint_tiling():
     rng = np.random.default_rng(4)
     image = rng.uniform(0, 255, size=(24, 16))
-    grid = PatchGrid(24, 16, side=8, stride=8)
+    grid = PatchGrid(24, 16, side=8)
     np.testing.assert_allclose(reassemble(extract_patches(image, grid), grid), image)
 
 
 def test_patch_raster_order():
     image = np.arange(64, dtype=float).reshape(8, 8)
-    grid = PatchGrid(8, 8, side=8, stride=8)
+    grid = PatchGrid(8, 8, side=8)
     np.testing.assert_allclose(extract_patches(image, grid)[0], np.arange(64.0))
 
 
 def test_constant_image_survives_overlap_averaging():
     image = np.full((20, 20), 7.0)
-    grid = PatchGrid(20, 20, side=8, stride=4)
+    grid = PatchGrid(20, 20, side=8)
     np.testing.assert_allclose(reassemble(extract_patches(image, grid), grid), image)
 
 
 def test_overlap_average_matches_per_pixel_recount():
     rng = np.random.default_rng(5)
     image = rng.standard_normal((16, 12))
-    grid = PatchGrid(16, 12, side=8, stride=4)
+    grid = PatchGrid(16, 12, side=8)
     patches = extract_patches(image, grid)
     out = reassemble(patches, grid)
     # oracle: per-pixel mean over every covering patch
@@ -141,7 +142,7 @@ def test_overlap_average_matches_per_pixel_recount():
 
 
 def test_clamped_edges_cover_non_divisible_images():
-    grid = PatchGrid(13, 11, side=8, stride=8)
+    grid = PatchGrid(13, 11, side=8)
     cover = np.zeros((13, 11))
     for r, c in grid.positions:
         cover[r : r + 8, c : c + 8] += 1
@@ -150,7 +151,7 @@ def test_clamped_edges_cover_non_divisible_images():
 
 def test_grid_rejects_small_images():
     with pytest.raises(ValueError):
-        PatchGrid(4, 20, side=8, stride=8)
+        PatchGrid(4, 20, side=8)
 
 
 def test_synth_sparse_signal_support_and_determinism():
@@ -190,16 +191,17 @@ def test_substream_independence():
     np.testing.assert_allclose(a, substream(5, 1).standard_normal(4))
 
 
-@pytest.mark.parametrize("stride", [8, 5, 3])
-def test_patch_grid_matches_a_per_patch_loop_bit_for_bit(stride):
-    rng = np.random.default_rng(stride)
-    image = rng.uniform(0.0, 255.0, (37, 29))
-    grid = PatchGrid(37, 29, side=8, stride=stride)
+@pytest.mark.parametrize("shape", [(37, 29), (29, 37), (9, 17)])
+def test_patch_grid_matches_a_per_patch_loop_bit_for_bit(shape):
+    # Clamped grids: the last patch row and column overlap their neighbours.
+    rng = np.random.default_rng(shape[1])
+    image = rng.uniform(0.0, 255.0, shape)
+    grid = PatchGrid(*shape, side=8)
     looped = np.stack([image[r : r + 8, c : c + 8].reshape(-1) for r, c in grid.positions])
     assert extract_patches(image, grid).tobytes() == looped.tobytes()
     patches = 100.0 * rng.standard_normal(looped.shape)
-    acc = np.zeros((37, 29))
-    count = np.zeros((37, 29))
+    acc = np.zeros(shape)
+    count = np.zeros(shape)
     for patch, (r, c) in zip(patches, grid.positions):
         acc[r : r + 8, c : c + 8] += patch.reshape(8, 8)
         count[r : r + 8, c : c + 8] += 1.0
@@ -224,7 +226,7 @@ def _indexed_reassembly(patches, grid):
 def test_exact_tilings_have_the_bits_of_the_index_path(shape):
     rng = np.random.default_rng(shape[1])
     image = rng.uniform(0.0, 255.0, shape)
-    grid = PatchGrid(*shape, side=8, stride=8)
+    grid = PatchGrid(*shape, side=8)
     patches = extract_patches(image, grid)
     assert patches.tobytes() == _indexed_patches(image, grid).tobytes()
     filtered = 100.0 * rng.standard_normal(patches.shape)
@@ -236,7 +238,7 @@ def test_exact_tilings_have_the_bits_of_the_index_path(shape):
 
 
 def test_exact_tiling_rejects_a_stack_of_the_wrong_shape():
-    grid = PatchGrid(16, 40, side=8, stride=8)
+    grid = PatchGrid(16, 40, side=8)
     with pytest.raises(ValueError, match="does not match"):
         reassemble(np.zeros((9, 64)), grid)
     with pytest.raises(ValueError, match="does not match"):
@@ -245,7 +247,7 @@ def test_exact_tiling_rejects_a_stack_of_the_wrong_shape():
 
 def test_extracting_an_exact_tiling_builds_no_index():
     image = np.random.default_rng(6).uniform(0.0, 255.0, (512, 512))
-    grid = PatchGrid(512, 512, side=8, stride=8)
+    grid = PatchGrid(512, 512, side=8)
     tracemalloc.start()
     try:
         patches = extract_patches(image, grid)
@@ -254,3 +256,18 @@ def test_extracting_an_exact_tiling_builds_no_index():
         tracemalloc.stop()
     # the output alone; an int64 index of the same shape would double it
     assert peak < 1.5 * patches.nbytes
+
+
+@pytest.mark.parametrize(
+    "shape, rows, cols",
+    [
+        ((16, 24), [0, 8], [0, 8, 16]),
+        ((20, 20), [0, 8, 12], [0, 8, 12]),
+        ((9, 17), [0, 1], [0, 8, 9]),
+    ],
+)
+def test_patch_grid_steps_by_its_side_and_clamps_the_last_patch(shape, rows, cols):
+    grid = PatchGrid(*shape, side=8)
+    assert grid.positions == [(r, c) for r in rows for c in cols]
+    exact = shape[0] % 8 == 0 and shape[1] % 8 == 0
+    assert _tiles(grid) == ((shape[0] // 8, shape[1] // 8) if exact else None)
