@@ -115,7 +115,7 @@ def _operator(atoms, observed):
 def _results(atoms, s, history, elapsed, iterates) -> list[RecoveryResult]:
     """One result per row from the final coefficients, the per-iteration
     residual norms of every row and the batch clock."""
-    history = np.reshape(history, (len(history), -1))
+    history = np.reshape(history, (len(history), -1)).T.copy()  # one row per signal
     S = np.reshape(s, (-1, s.shape[-1]))
     X = _synthesize(atoms, S)
     clock = np.asarray(elapsed)
@@ -125,8 +125,8 @@ def _results(atoms, s, history, elapsed, iterates) -> list[RecoveryResult]:
         RecoveryResult(
             x_hat=X[j],
             s_hat=S[j],
-            iterations=len(history),
-            primal_residuals=history[:, j].copy(),
+            iterations=history.shape[1],
+            primal_residuals=history[j],
             slack_residuals=None,
             elapsed_ms=clock,
             iterates=None if iterates is None else list(iterates[:, j]),

@@ -149,10 +149,10 @@ class Dictionary:
         shapes this value lies within 1.2e-14 relative of
         ``np.linalg.norm(atoms, 2)**2``."""
         short = self.atoms if self.n <= self.p else self.atoms.T
-        # One matrix-vector product per row: a matrix product would touch
-        # the BLAS matrix-product buffers, which a one-row solve never does
-        # (about 0.25 MiB of peak memory with OpenBLAS).
-        gram = np.array([row @ short.T for row in short])
+        # A stacked product, one matrix-vector product per row: a matrix
+        # product would touch BLAS's matrix-product buffers, which a one-row
+        # solve never does (about 0.25 MiB of peak memory with OpenBLAS).
+        gram = _analyze(short.T, short)
         return float(np.linalg.eigvalsh(gram)[-1])
 
     @property

@@ -32,17 +32,17 @@ from .baselines import (
     iht_adaptive_solve,
     iht_adaptive_solve_batch,
 )
-from .dictionaries import Dictionary, dct_dictionary, haar_wp_dictionary
+from .dictionaries import Dictionary, _synthesize, dct_dictionary, haar_wp_dictionary
 from .fileio import load_pgm
 from .metrics import PSNR_CSV_CAP, image_ssim, psnr, relative_error, ssim_global
 from .signals import (
     PatchGrid,
     SamplingMask,
+    _draw_code,
     extract_patches,
     random_mask,
     reassemble,
     substream,
-    synth_sparse_signal,
 )
 from .solver import RecoveryResult, SolverConfig, effective_config, solve, solve_batch
 from .solver import _L1_DECAY, _L1_INIT_SCALE, _L1_WEIGHT_MIN, _MAJORIZER_SCALE, _RELAXATION, _SLACK_RIDGE
@@ -265,12 +265,13 @@ def _truth(spec: ExperimentSpec, D: Dictionary, images=None):
     """(true sparse codes or None, clean signals) of every trial, one row
     per trial.  Neither depends on the sampling ratio."""
     if images is None:
+        # Each trial's code is drawn as ``synth_sparse_signal`` draws it,
+        # and one stacked product gives every row the bits of its D s.
         k = max(1, math.ceil(0.1 * D.p))
-        signals = [
-            synth_sparse_signal(D, k, substream(spec.seed, trial, _TAG_SIGNAL))
-            for trial in range(spec.trials)
-        ]
-        return np.stack([sig.s for sig in signals]), np.stack([sig.x for sig in signals])
+        codes = np.zeros((spec.trials, D.p))
+        for trial, code in enumerate(codes):
+            _draw_code(code, k, substream(spec.seed, trial, _TAG_SIGNAL))
+        return codes, _synthesize(D.atoms, codes)
     side = math.isqrt(D.n)
     patches = [
         _corpus_patch(images, side, substream(spec.seed, trial, _TAG_SIGNAL))

@@ -12,11 +12,11 @@ def save_pgm(path, image) -> None:
     values = np.asarray(image, dtype=float)
     if values.ndim != 2 or values.size == 0:
         raise ValueError("expected a non-empty 2-D image")
-    if np.any(~np.isfinite(values)) or np.any(values < 0) or np.any(values > 255):
+    if not (values.min() >= 0 and values.max() <= 255):  # a nan fails both
         raise ValueError("pixel values must lie in [0, 255]")
-    if np.any(values != np.round(values)):
-        raise ValueError("pixel values must be integers")
     pixels = values.astype(np.uint8)
+    if (pixels != values).any():  # the cast truncated a fraction
+        raise ValueError("pixel values must be integers")
     h, w = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))

@@ -213,18 +213,22 @@ class SyntheticSparseSignal:
     k: int
 
 
+def _draw_code(code: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw a k-sparse code into the zero row ``code`` (uniform support and
+    standard normal values, from ``rng``) and return its support."""
+    if not 1 <= k <= code.size:
+        raise ValueError("k must lie in [1, p]")
+    support = np.sort(rng.choice(code.size, size=k, replace=False))
+    code[support] = rng.standard_normal(k)
+    return support
+
+
 def synth_sparse_signal(D: Dictionary, k: int, seed) -> SyntheticSparseSignal:
     """k-sparse coefficient vector with uniform support and standard
     normal values, synthesized through the dictionary."""
-    p = D.p
     k = int(k)
-    if not 1 <= k <= p:
-        raise ValueError("k must lie in [1, p]")
-    rng = _as_generator(seed)
-    support = np.sort(rng.choice(p, size=k, replace=False))
-    values = rng.standard_normal(k)
-    s = np.zeros(p)
-    s[support] = values
+    s = np.zeros(D.p)
+    support = _draw_code(s, k, _as_generator(seed))
     x = D.atoms @ s
     for arr in (s, x, support):
         arr.flags.writeable = False

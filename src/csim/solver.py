@@ -275,14 +275,6 @@ def _keep(value, keep):
     return value[keep] if np.ndim(value) else value
 
 
-def _row_value(value, j: int):
-    return value[j, 0] if np.ndim(value) else value
-
-
-def _row(stack, j: int) -> np.ndarray:
-    return np.reshape(stack, (-1, stack.shape[-1]))[j]
-
-
 def _indicator(mask):
     """0/1 indicator of the observed positions: a mask's, or a stack of
     indicators (one row per signal) as given."""
@@ -303,8 +295,9 @@ def _observed_rows(Y, masks, n: int) -> tuple[np.ndarray, np.ndarray]:
     if Y.shape != (len(masks), n):
         raise ValueError(f"expected one length-{n} row of observations per mask")
     observed = np.zeros(Y.shape)
-    for row, mask in enumerate(masks):
-        observed[row, mask.observed] = 1.0
+    indices = [mask.observed for mask in masks]
+    rows = np.repeat(np.arange(len(masks)), [index.size for index in indices])
+    observed[rows, np.concatenate(indices)] = 1.0
     Y = np.where(observed, Y, 0.0)
     if not _all(np.isfinite(Y)):
         raise NonFiniteError("observed samples contain non-finite values")
@@ -448,15 +441,16 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         return []
     atoms, n, p = D.atoms, D.n, D.p
     Y, observed = _observed_rows(Y, masks, n)
+    sizes = [mask.m for mask in masks]
     configs: dict[int, SolverConfig] = {}
-    for mask in masks:
-        if mask.m not in configs:
-            configs[mask.m] = effective_config(config, mask)
-    cfg = configs[masks[0].m]
+    for m, mask in zip(sizes, masks):
+        if m not in configs:
+            configs[m] = effective_config(config, mask)
+    cfg = configs[sizes[0]]
     B = len(masks)
 
-    rho1 = _per_row([configs[mask.m].rho1 for mask in masks])
-    rho2 = _per_row([configs[mask.m].rho2 for mask in masks])
+    rho1 = _per_row([configs[m].rho1 for m in sizes])
+    rho2 = _per_row([configs[m].rho2 for m in sizes])
     majorizer = _MAJORIZER_SCALE * D.spectral_norm_sq
     # The protocol (a decaying weight, projection) or the fixed-weight,
     # over-relaxed regime; see SolverConfig.
@@ -476,16 +470,14 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     v = np.zeros_like(Y)
     synthesized = np.zeros_like(Y)  # D s at s = 0
 
-    rows = np.arange(B)  # input row of each working row
+    rows = np.arange(B)  # input row of each working row, in increasing order
     results: list[RecoveryResult | None] = [None] * B
     # Residuals (and iterates) of the working rows since the working set
-    # last changed; split into per-row pieces when it does.
+    # last changed, closed into one block per working set when it does.
     segment: list[tuple] = []
     segment_s: list[np.ndarray] = []
-    pieces: list[list[np.ndarray]] = [[] for _ in range(B)]
-    iterates: list[list[np.ndarray]] | None = (
-        [[] for _ in range(B)] if cfg.record_iterates else None
-    )
+    blocks: list[tuple] = []  # (working rows, their residuals)
+    blocks_s: list[np.ndarray] = []  # their iterates
     elapsed: list[float] = []
     tol = cfg.feasibility_tol
     # One row has Python-float residual norms (the bits of np.sqrt's).
@@ -534,7 +526,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
             r2 = sqrt(_dot(slack_residual, slack_residual))
         segment.append((r1, r2))
         elapsed.append((time.perf_counter() - start) * 1e3)
-        if iterates is not None:
+        if cfg.record_iterates:
             segment_s.append(s)
 
         # Non-finite entries of x, s or z make r1 or r2 non-finite: every
@@ -556,35 +548,38 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         if iteration < cfg.max_iter and not any_done:
             continue
 
-        # Hand the segment to the working rows, then retire those that stop.
+        # Close the segment, then retire the stopping rows as stacks: every
+        # block holds them where searchsorted finds them, since the working
+        # rows stay in input order.
         width = len(rows)
-        block = np.reshape(segment, (len(segment), 2, width))
-        for j, row in enumerate(rows):
-            pieces[row].append(block[:, :, j])
-        if iterates is not None:
-            block_s = np.reshape(segment_s, (len(segment_s), width, p))
-            for j, row in enumerate(rows):
-                iterates[row].extend(block_s[:, j])
+        blocks.append((rows, np.reshape(segment, (len(segment), 2, width))))
+        if cfg.record_iterates:
+            blocks_s.append(np.reshape(segment_s, (len(segment_s), width, p)))
         segment, segment_s = [], []
         done = np.reshape(done, -1)
         stopping = done if iteration < cfg.max_iter else np.ones(width, dtype=bool)
+        retiring = np.flatnonzero(stopping)
+        places = [np.searchsorted(block_rows, rows[retiring]) for block_rows, _ in blocks]
+        # (retiring row, primal or slack, iteration)
+        history = np.concatenate([b[:, :, at].T for at, (_, b) in zip(places, blocks)], axis=-1)
+        if cfg.record_iterates:  # (iteration, retiring row, p)
+            iterates = np.concatenate([b[:, at] for at, b in zip(places, blocks_s)])
         clock = np.array(elapsed)
-        dual_x, dual_z = rho1 * u, rho2 * v
-        for j in np.flatnonzero(stopping):
-            row = rows[j]
-            history = np.concatenate(pieces[row]).T.copy()
-            results[row] = RecoveryResult(
-                x_hat=_row(x, j),
-                s_hat=_row(s, j),
+        X, S, Z, dual_x, dual_z = (a.reshape(width, -1) for a in (x, s, z, rho1 * u, rho2 * v))
+        weights = np.full((width, 1), l1_weight).ravel().tolist()
+        for i, j in enumerate(retiring.tolist()):
+            results[rows[j]] = RecoveryResult(
+                x_hat=X[j],
+                s_hat=S[j],
                 iterations=iteration,
-                primal_residuals=history[0],
-                slack_residuals=history[1],
+                primal_residuals=history[i, 0],
+                slack_residuals=history[i, 1],
                 elapsed_ms=clock,
-                iterates=None if iterates is None else iterates[row],
-                final_slack=_row(z, j),
-                final_dual_x=_row(dual_x, j),
-                final_dual_z=_row(dual_z, j),
-                l1_weight_final=float(_row_value(l1_weight, j)),
+                iterates=list(iterates[:, i]) if cfg.record_iterates else None,
+                final_slack=Z[j],
+                final_dual_x=dual_x[j],
+                final_dual_z=dual_z[j],
+                l1_weight_final=weights[j],
                 stop_reason="converged" if done[j] else "budget",
             )
         keep = ~stopping

@@ -214,6 +214,25 @@ _PRODUCT_DICTIONARIES = {
 }
 
 
+@pytest.mark.parametrize(
+    "D",
+    [
+        dct_dictionary(64, 64),
+        dct_dictionary(64, 96),
+        dct_dictionary(16, 32),
+        haar_wp_dictionary(64, 128),
+        haar_wp_dictionary(16, 16),
+        normalize_columns(np.random.default_rng(5).standard_normal((20, 8))),  # n > p
+    ],
+    ids=["dct64", "dct64x96", "dct16x32", "haar64x128", "haar16", "tall20x8"],
+)
+def test_spectral_norm_sq_reads_the_gram_of_a_per_row_loop_bit_for_bit(D):
+    short = D.atoms if D.n <= D.p else D.atoms.T
+    loop = np.array([row @ short.T for row in short])
+    assert _analyze(short.T, short).tobytes() == loop.tobytes()
+    assert D.spectral_norm_sq == float(np.linalg.eigvalsh(loop)[-1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(sorted(_PRODUCT_DICTIONARIES)),

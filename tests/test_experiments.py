@@ -106,7 +106,9 @@ def _one_row_sweep(spec):
 
 
 def test_sweep_sr_builds_trial_data_once_and_keeps_the_one_row_csv(monkeypatch):
-    calls = {"synth_sparse_signal": 0, "observation_mask": 0}
+    # every signal is drawn through the draw helper ``synth_sparse_signal``
+    # shares; the sweep synthesizes all of them in one product
+    calls = {"_draw_code": 0, "observation_mask": 0}
     for name in calls:
         real = getattr(csim.experiments, name)
 
@@ -119,7 +121,7 @@ def test_sweep_sr_builds_trial_data_once_and_keeps_the_one_row_csv(monkeypatch):
     text = sweep_sr(spec)
     # signals do not depend on the ratio; masks are drawn once per
     # (ratio, trial) and shared by both solvers
-    assert calls == {"synth_sparse_signal": 6, "observation_mask": 2 * 6}
+    assert calls == {"_draw_code": 6, "observation_mask": 2 * 6}
     monkeypatch.undo()
     assert text == _one_row_sweep(spec)
 

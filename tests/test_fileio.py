@@ -62,6 +62,20 @@ def test_save_pgm_rejects_out_of_range_values(tmp_path):
         save_pgm(tmp_path / "x.pgm", np.array([[0.5, 1.0]]))
     with pytest.raises(ValueError):
         save_pgm(tmp_path / "x.pgm", np.array([[-1, 0]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 255\]"):
+            save_pgm(tmp_path / "x.pgm", np.array([[1.0, bad], [2.0, 3.0]]))
+    with pytest.raises(ValueError, match="must be integers"):
+        save_pgm(tmp_path / "x.pgm", np.array([[254.5, 1.0]]))
+
+
+def test_save_pgm_writes_negative_zero_and_integral_floats_as_their_bytes(tmp_path):
+    values = [[-0.0, 0.0, 1.0], [17.0, 254.0, 255.0]]
+    save_pgm(tmp_path / "float.pgm", np.array(values))
+    save_pgm(tmp_path / "uint8.pgm", np.array(values, dtype=np.uint8))
+    written = (tmp_path / "float.pgm").read_bytes()
+    assert written == b"P5\n3 2\n255\n" + bytes([0, 0, 1, 17, 254, 255])
+    assert written == (tmp_path / "uint8.pgm").read_bytes()
 
 
 def test_csv_vector_round_trip_full_precision(tmp_path):
