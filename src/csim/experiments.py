@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +44,7 @@ from .signals import (
     reassemble,
     substream,
 )
-from .solver import RecoveryResult, SolverConfig, effective_config, solve, solve_batch
-from .solver import _L1_DECAY, _L1_INIT_SCALE, _L1_WEIGHT_MIN, _MAJORIZER_SCALE, _RELAXATION, _SLACK_RIDGE
+from .solver import RecoveryResult, SolverConfig, _echo_settings, solve, solve_batch
 
 __all__ = [
     "ExperimentSpec",
@@ -179,21 +178,11 @@ def run_solver(name: str, y, mask, D: Dictionary, **settings) -> RecoveryResult:
 
 def solver_settings(name: str, D: Dictionary, sr: float, seed: int, **settings) -> dict:
     """Settings ``recover_patches`` hands to solver ``name``, for a run
-    log: the effective csim-alm hyperparameters (as resolved for the
-    first patch) that its regime reads, with the solver constants it
-    uses, or a baseline's name and iteration budget.  The protocol
-    (``l1_weight`` None) projects, so it reads neither rho2 nor the index
-    weights (see ``SolverConfig``), and those are left out."""
+    log: what csim-alm's regime reads, with the penalties of the first
+    patch (see ``solver``), or a baseline's name and iteration budget."""
     config, _, _ = _solver(name, **settings)
     if isinstance(config, SolverConfig):
-        resolved = asdict(effective_config(config, observation_mask(D.n, sr, seed, 0)))
-        if config.l1_weight is None:
-            for unread in ("rho2", "mean_weight", "var_weight"):
-                del resolved[unread]
-            constants = dict(l1_init_scale=_L1_INIT_SCALE, l1_decay=_L1_DECAY, l1_weight_min=_L1_WEIGHT_MIN)
-        else:
-            constants = dict(relaxation=_RELAXATION, slack_ridge=_SLACK_RIDGE)
-        return {**resolved, **constants, "majorizer_scale": _MAJORIZER_SCALE, "gram_norm": D.spectral_norm_sq}
+        return _echo_settings(config, observation_mask(D.n, sr, seed, 0), D)
     return {"solver": name, "max_iter": config.max_iter}
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -53,7 +53,6 @@ __all__ = [
     "s_update_backtracking",
     "z_update",
     "multipliers_update",
-    "alpha_schedule",
     "solve",
     "solve_batch",
     "kkt_residuals",
@@ -61,9 +60,12 @@ __all__ = [
 
 # Over-relaxation factor of the fixed-weight regime.
 _RELAXATION = 1.8
-# The reference protocol's constants (see SolverConfig): the s step's
-# surrogate constant over ||D||^2, the slack ridge weight, and the start
-# (over max|D.T y|), decay and floor of the l1 weight it decays.
+# The reference protocol's constants (see SolverConfig): the penalties
+# rho1 and rho2 over the sampling ratio m/n, the s step's surrogate
+# constant over ||D||^2, the slack ridge weight, and the start (over
+# max|D.T y|), decay and floor of the l1 weight it decays.
+_RHO1_SCALE = 0.4
+_RHO2_SCALE = 2.0
 _MAJORIZER_SCALE = 1.05
 _SLACK_RIDGE = 1.0
 _L1_INIT_SCALE = 0.1
@@ -85,11 +87,13 @@ class NonFiniteError(RuntimeError):
 class SolverConfig:
     """Hyperparameters; ``None`` fields are derived at solve time.
 
-    Derivations follow the reference experiment protocol: with sampling
-    ratio m/n, rho1 = 0.4 m/n and rho2 = 2 m/n; var_weight = n - 1 with
-    mean_weight = var_weight / DEFAULT_RATIO.  The protocol also fixes
-    what no field sets: the s step's surrogate constant 1.05
-    ``D.spectral_norm_sq`` and the slack ridge weight 1.
+    Derivations follow the reference experiment protocol: var_weight =
+    n - 1 with mean_weight = var_weight / DEFAULT_RATIO.  The protocol
+    also fixes what no field sets: with sampling ratio m/n, each row's
+    ADMM penalties rho1 = 0.4 m/n and rho2 = 2 m/n (any positive
+    penalties share the fixed point; Boyd et al. 2011, section 3.2), the
+    s step's surrogate constant 1.05 ``D.spectral_norm_sq`` and the slack
+    ridge weight 1.
 
     ``l1_weight`` picks the regime.  Left at None, it runs the protocol:
     an l1 weight that starts at 0.1 max|D.T y| and decays by 0.95 per
@@ -97,9 +101,9 @@ class SolverConfig:
     each iteration (projection).  The observed samples of x then equal y
     after every x step, so the slack z = M x - y, its dual and the slack
     residual are exactly +0.0 in every iteration; the loop never forms
-    them.  ``rho2``, ``mean_weight`` and ``var_weight`` are still
-    validated, but they cannot change a projected run's output: the CSIM
-    term shapes the solution only in the other regime.  A row stops only
+    them.  ``mean_weight`` and ``var_weight`` are still validated, but
+    they cannot change a projected run's output: the CSIM term shapes
+    the solution only in the other regime.  A row stops only
     once the weight it used is at the floor; when the duals are smaller
     than the tolerance, the stationarity gap ||dual_x - M.T dual_z|| (all
     of ||dual_x|| here) can still keep a share of ||dual_x||.
@@ -119,8 +123,6 @@ class SolverConfig:
     stationarity system.
     """
 
-    rho1: float | None = None
-    rho2: float | None = None
     max_iter: int = 50
     mean_weight: float | None = None
     var_weight: float | None = None
@@ -145,26 +147,20 @@ def _check_finite(config) -> None:
 
 
 def effective_config(config: SolverConfig, mask: SamplingMask) -> SolverConfig:
-    """``config`` with every ``None`` hyperparameter (but ``l1_weight``,
-    which ``None`` sets per signal) resolved for a given problem.  A
-    setting out of its range, or a float setting that is not finite,
-    raises ``ValueError`` naming the field."""
+    """``config`` with its ``None`` index weights resolved for signals
+    of length ``mask.n`` (``l1_weight`` stays: ``None`` sets it per
+    signal).  Nothing it resolves depends on the mask's sample count, so
+    a solve calls it once.  A setting out of its range, or a float
+    setting that is not finite, raises ``ValueError`` naming the field."""
     _check_finite(config)  # the derived values are finite when these are
-    ratio = mask.m / mask.n
     var_weight = config.var_weight if config.var_weight is not None else float(mask.n - 1)
     resolved = replace(
         config,
-        rho1=config.rho1 if config.rho1 is not None else 0.4 * ratio,
-        rho2=config.rho2 if config.rho2 is not None else 2.0 * ratio,
         mean_weight=(
             config.mean_weight if config.mean_weight is not None else var_weight / DEFAULT_RATIO
         ),
         var_weight=var_weight,
     )
-    if not resolved.rho1 > 0:
-        raise ValueError("rho1 must be positive")
-    if not resolved.rho2 > 0:
-        raise ValueError("rho2 must be positive")
     if resolved.l1_weight is not None and not resolved.l1_weight >= 0:
         raise ValueError("l1_weight must be nonnegative")
     if resolved.max_iter < 1:
@@ -173,6 +169,24 @@ def effective_config(config: SolverConfig, mask: SamplingMask) -> SolverConfig:
         raise ValueError("feasibility_tol must be nonnegative")
     CsimParams(resolved.mean_weight, resolved.var_weight, mask.n)  # checks the index weights
     return resolved
+
+
+def _echo_settings(config: SolverConfig, mask: SamplingMask, D: Dictionary) -> dict:
+    """What a solve of ``config`` reads, for a run log: the effective
+    config, the penalties of a row observed through ``mask`` and the
+    constants of its regime.  The protocol projects, so it reads neither
+    rho2 nor the index weights (see ``SolverConfig``), and those are left
+    out."""
+    settings = asdict(effective_config(config, mask))
+    ratio = mask.m / mask.n
+    settings["rho1"] = _RHO1_SCALE * ratio
+    if config.l1_weight is None:
+        del settings["mean_weight"], settings["var_weight"]
+        constants = dict(l1_init_scale=_L1_INIT_SCALE, l1_decay=_L1_DECAY, l1_weight_min=_L1_WEIGHT_MIN)
+    else:
+        settings["rho2"] = _RHO2_SCALE * ratio
+        constants = dict(relaxation=_RELAXATION, slack_ridge=_SLACK_RIDGE)
+    return {**settings, **constants, "majorizer_scale": _MAJORIZER_SCALE, "gram_norm": D.spectral_norm_sq}
 
 
 @dataclass
@@ -306,18 +320,12 @@ def _observed_rows(Y, masks, n: int) -> tuple[np.ndarray, np.ndarray]:
     return Y, observed
 
 
-def _x_divisor(observed, rho1, rho2):
-    """Diagonal of the x system rho1 I + rho2 M.T M for each row of the
-    0/1 indicator ``observed``."""
-    return rho1 + rho2 * observed
-
-
 def x_update(b, mask, rho1, rho2) -> np.ndarray:
     """Solve (rho1 I + rho2 M.T M) x = b for each row of b; the system is
     diagonal, so observed entries divide by rho1 + rho2 and the rest by
     rho1.  ``mask`` is a SamplingMask or a 0/1 indicator shaped like b.
     """
-    return np.asarray(b, dtype=float) / _x_divisor(_indicator(mask), rho1, rho2)
+    return np.asarray(b, dtype=float) / (rho1 + rho2 * _indicator(mask))
 
 
 def projection(x, y, mask) -> np.ndarray:
@@ -403,11 +411,6 @@ def multipliers_update(
     return dual_x + rho1 * coupling_residual, dual_z + rho2 * slack_residual
 
 
-def alpha_schedule(l1_weight, decay: float, floor: float):
-    """Geometric decay of the l1 weight, floored."""
-    return np.maximum(decay * l1_weight, floor)
-
-
 def solve(y, mask: SamplingMask, D: Dictionary, config: SolverConfig | None = None) -> RecoveryResult:
     """Recover one signal: ``solve_batch`` with a single row."""
     return solve_batch(np.asarray(y, dtype=float)[None], [mask], D, config)[0]
@@ -417,8 +420,10 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     """Run the full iteration on every row of ``Y`` from zero initial iterates.
 
     Row i of the (B, n) array ``Y`` is observed through ``masks[i]`` and
-    read only at its observed positions.  Every row keeps its own
-    penalties (from its sample count), l1 weight and stop iteration: it
+    read only at its observed positions.  ``config`` is resolved once
+    (``effective_config``), for signals of length ``D.n``.  Every row
+    keeps its own penalties (the protocol's 0.4 m/n and 2 m/n, from its
+    sample count m), l1 weight and stop iteration: it
     stops at ``max_iter`` or as soon as both of its feasibility
     residuals and its dual residual drop below
     ``feasibility_tol`` (under the protocol, only once the l1 weight it
@@ -441,16 +446,12 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         return []
     atoms, n, p = D.atoms, D.n, D.p
     Y, observed = _observed_rows(Y, masks, n)
-    sizes = [mask.m for mask in masks]
-    configs: dict[int, SolverConfig] = {}
-    for m, mask in zip(sizes, masks):
-        if m not in configs:
-            configs[m] = effective_config(config, mask)
-    cfg = configs[sizes[0]]
+    cfg = effective_config(config, masks[0])
     B = len(masks)
 
-    rho1 = _per_row([configs[m].rho1 for m in sizes])
-    rho2 = _per_row([configs[m].rho2 for m in sizes])
+    ratios = np.array([mask.m for mask in masks]) / n
+    rho1 = _per_row(_RHO1_SCALE * ratios)
+    rho2 = _per_row(_RHO2_SCALE * ratios)
     majorizer = _MAJORIZER_SCALE * D.spectral_norm_sq
     # The protocol (a decaying weight, projection) or the fixed-weight,
     # over-relaxed regime; see SolverConfig.
@@ -493,7 +494,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
             else:
                 # The x system's solution is D s - u at the unobserved samples
                 # and this weighted mean of it with z + y + v at the observed ones.
-                x_weight = rho2 * observed / _x_divisor(observed, rho1, rho2)
+                x_weight = observed * (rho2 / (rho1 + rho2))
                 slack_solve = _slack_solver(params, rho2, _SLACK_RIDGE, scale=rho2)
         previous_synthesized, previous_z = synthesized, z
         if projected:
@@ -544,7 +545,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
             done = done & (sqrt(_dot(dual_residual, dual_residual)) < tol)
             any_done = _any(done)
         if projected:
-            l1_weight = alpha_schedule(l1_weight, _L1_DECAY, _L1_WEIGHT_MIN)
+            l1_weight = np.maximum(_L1_DECAY * l1_weight, _L1_WEIGHT_MIN)
         if iteration < cfg.max_iter and not any_done:
             continue
 

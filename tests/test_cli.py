@@ -179,8 +179,6 @@ def test_config_file_and_flag_override(tmp_path):
 
 def test_config_file_accepts_every_solver_field(tmp_path):
     values = {
-        "rho1": "0.5",
-        "rho2": "1.5",
         "max_iter": "7",
         "mean_weight": "10",
         "var_weight": "30",
@@ -298,6 +296,8 @@ def test_config_file_rejects_the_retired_majorizer_growth_key(tmp_path, capsys):
         "l1_weight_min = 0.001",
         "continuation = no",
         "project_observed = no",
+        "rho1 = 0.5",
+        "rho2 = 1.5",
     ],
 )
 def test_config_file_key_of_a_protocol_constant_is_unknown(tmp_path, capsys, line):
@@ -316,7 +316,7 @@ def test_config_file_key_of_a_protocol_constant_is_unknown(tmp_path, capsys, lin
 
 
 @pytest.mark.parametrize(
-    "text, where", [("rho1 = abc\n", 1), ("rho1 = 7\nmax_iter = 7.5\n", 2)]
+    "text, where", [("l1_weight = abc\n", 1), ("l1_weight = 7\nmax_iter = 7.5\n", 2)]
 )
 def test_config_file_bad_value_is_a_bad_argument(tmp_path, capsys, text, where):
     src = tmp_path / "x.csv"
@@ -331,7 +331,7 @@ def test_config_file_bad_value_is_a_bad_argument(tmp_path, capsys, text, where):
 
 
 @pytest.mark.parametrize(
-    "text, key", [("max_iter = 0\n", "max_iter"), ("rho1 = -1\n", "rho1"), ("mean_weight = -2\n", "mean_weight")]
+    "text, key", [("max_iter = 0\n", "max_iter"), ("mean_weight = 1\nvar_weight = -1\n", "var_weight"), ("mean_weight = -2\n", "mean_weight")]
 )
 def test_config_file_values_the_solver_rejects_exit_two_and_leave_no_log(tmp_path, capsys, text, key):
     src = tmp_path / "x.csv"

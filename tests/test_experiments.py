@@ -169,7 +169,7 @@ def test_protocol_settings_leave_out_what_projection_never_reads():
     # The protocol projects, so rho2 and the index weights cannot change
     # its output; the log names the weight schedule's constants instead.
     D = build_dictionary("dct", 64, 64)
-    settings = solver_settings("csim-alm", D, 0.8, 0, rho2=5.0, mean_weight=2.0)
+    settings = solver_settings("csim-alm", D, 0.8, 0, mean_weight=2.0, var_weight=5.0)
     assert settings == {
         "rho1": 0.4 * 51 / 64,
         "max_iter": 50,
@@ -203,7 +203,13 @@ def test_every_entry_point_hands_its_settings_to_the_solver_config(solver):
 
 @pytest.mark.parametrize(
     "solver, setting",
-    [("csim-alm", "tau0"), ("fista", "feasibility_tol"), ("iht", "l1_weight"), ("iht", "tau0")],
+    [
+        ("csim-alm", "tau0"),
+        ("csim-alm", "rho1"),
+        ("fista", "feasibility_tol"),
+        ("iht", "l1_weight"),
+        ("iht", "tau0"),
+    ],
 )
 def test_a_setting_the_solver_config_lacks_raises_type_error(solver, setting):
     D = build_dictionary("dct", 16, 16)

@@ -15,7 +15,6 @@ from csim.signals import SamplingMask, apply_mask, random_mask, synth_sparse_sig
 from csim.solver import (
     NonFiniteError,
     SolverConfig,
-    alpha_schedule,
     effective_config,
     kkt_residuals,
     multipliers_update,
@@ -292,12 +291,6 @@ def test_multipliers_increment_is_scaled_residual():
     np.testing.assert_allclose(out_z, 1.7 * r2)
 
 
-def test_alpha_schedule_decay_and_floor():
-    assert alpha_schedule(1.0, 0.95, 1e-4) == pytest.approx(0.95)
-    assert alpha_schedule(1e-4, 0.95, 1e-4) == pytest.approx(1e-4)
-    assert alpha_schedule(0.0, 0.95, 1e-4) == pytest.approx(1e-4)
-
-
 # --- full solve ---------------------------------------------------------------
 
 
@@ -351,16 +344,14 @@ def test_solve_rejects_non_finite_input():
 
 def test_effective_config_validation():
     mask = random_mask(8, 6, 18)
-    with pytest.raises(ValueError, match="^rho1 must be positive"):
-        effective_config(SolverConfig(rho1=-1.0), mask)
+    with pytest.raises(ValueError, match="^max_iter must be positive$"):
+        effective_config(SolverConfig(max_iter=0), mask)
     with pytest.raises(ValueError, match="^feasibility_tol must be nonnegative$"):
         effective_config(SolverConfig(feasibility_tol=-1e-12), mask)
     # 0 turns the stop off: even an all-zero row runs its budget
     result = solve(np.zeros(8), mask, dct_dictionary(8, 8), SolverConfig(feasibility_tol=0.0, max_iter=5))
     assert (result.iterations, result.stop_reason) == (5, "budget")
     values = effective_config(SolverConfig(), mask)
-    assert values.rho1 == pytest.approx(0.4 * 6 / 8)
-    assert values.rho2 == pytest.approx(2.0 * 6 / 8)
     assert values.var_weight == pytest.approx(7.0)
     assert values.mean_weight == pytest.approx(0.25 * 7.0)
 
@@ -400,26 +391,27 @@ def test_effective_config_rejects_a_non_finite_float_setting_by_name(name, value
 def test_no_setting_or_result_field_is_left_from_backtracking_or_the_protocol_constants():
     result = solve(np.zeros(8), random_mask(8, 6, 18), dct_dictionary(8, 8))
     names = {f.name for f in fields(SolverConfig)} | set(vars(result))
-    assert len(fields(SolverConfig)) == 8
+    assert len(fields(SolverConfig)) == 6
     removed = {"majorizer_growth", "majorizer_final", "s_retries"}
     removed |= {"majorizer0", "slack_ridge", "l1_init_scale", "l1_decay"}
     removed |= {"continuation", "project_observed", "l1_weight_min"}
+    removed |= {"rho1", "rho2"}
     assert not names & removed
 
 
 def test_effective_config_is_the_config_with_its_none_fields_resolved():
     mask = random_mask(8, 6, 18)
-    cfg = SolverConfig(rho2=3.0, max_iter=9, l1_weight=0.5)
+    cfg = SolverConfig(mean_weight=3.0, max_iter=9, l1_weight=0.5)
     resolved = effective_config(cfg, mask)
     assert isinstance(resolved, SolverConfig)
     assert resolved == SolverConfig(
-        rho1=0.4 * 6 / 8,
-        rho2=3.0,
         max_iter=9,
-        mean_weight=0.25 * 7.0,
+        mean_weight=3.0,
         var_weight=7.0,
         l1_weight=0.5,
     )
+    # only the signal length resolves anything, not the sample count
+    assert effective_config(cfg, random_mask(8, 2, 18)) == resolved
 
 
 def test_analysis_mode_reaches_feasibility_and_kkt():
@@ -684,9 +676,10 @@ def test_solve_batch_validates_shapes():
 def _oracle_solve(y, mask, D, config, majorizer_scale=1.05):
     """One signal's iteration written out in plain Python from the public
     steps, with nothing formed ahead of the iteration that needs it, and
-    with the protocol's constants: the s step's constant majorizer_scale
-    ||D||^2, the slack ridge weight 1, and an l1 weight that starts at
-    0.1 max|D.T y| and decays by 0.95.  It
+    with the protocol's constants: the penalties rho1 = 0.4 m/n and
+    rho2 = 2 m/n, the s step's constant majorizer_scale ||D||^2, the
+    slack ridge weight 1, and an l1 weight that starts at 0.1 max|D.T y|
+    and decays by 0.95.  It
     carries the scaled duals u = dual_x / rho1 and v = dual_z / rho2 and
     writes out the slack solve (rho2 I + 2 (W + ridge I)) z = rho2 w.
     Under the protocol (no l1_weight set) it projects, decays the weight
@@ -697,7 +690,8 @@ def _oracle_solve(y, mask, D, config, majorizer_scale=1.05):
     params = CsimParams(cfg.mean_weight, cfg.var_weight, D.n)
     observed = mask.indicator()
     y = np.where(observed != 0, y, 0.0)
-    rho1, rho2, ridge = cfg.rho1, cfg.rho2, 1.0
+    ratio = mask.m / D.n
+    rho1, rho2, ridge = 0.4 * ratio, 2.0 * ratio, 1.0
     protocol = cfg.l1_weight is None
     if protocol:
         peak = float(np.abs(y @ D.atoms).max())
@@ -734,7 +728,7 @@ def _oracle_solve(y, mask, D, config, majorizer_scale=1.05):
         slack.append(math.sqrt(slack_residual @ slack_residual))
         weight = l1_weight
         if protocol:
-            l1_weight = alpha_schedule(l1_weight, 0.95, 1e-4)
+            l1_weight = max(0.95 * l1_weight, 1e-4)
         iterates.append(s)
         assert math.isfinite(primal[-1]) and math.isfinite(slack[-1])
         converged = primal[-1] < cfg.feasibility_tol and slack[-1] < cfg.feasibility_tol
@@ -839,6 +833,39 @@ def test_an_s_step_at_the_squared_norm_runs_the_written_out_iteration(dictionary
         _assert_matches_oracle(result, want)
 
 
+@pytest.mark.parametrize("iteration", [2, 3, 11, 40])
+@pytest.mark.parametrize("dictionary", ["dct16", "haar64x128"])
+def test_the_loop_x_and_z_steps_solve_their_dense_systems(dictionary, iteration):
+    # The fixed-weight regime, from the state k - 1 iterations leave:
+    # x_k solves (rho1 I + rho2 M.T M) x = rho1 (D s - u) + rho2 M.T (z + y + v)
+    # and z_k solves (rho2 I + 2 (W + I)) z = rho2 (1.8 (M x_k - y) - 0.8 z - v),
+    # with u = dual_x / rho1 and v = dual_z / rho2.
+    D = dct_dictionary(16, 16) if dictionary == "dct16" else haar_wp_dictionary(64, 128)
+    n = D.n
+    Y, masks = _problem_rows(D, 45, 3, sparsity=3)
+    cfg = SolverConfig.analysis(l1_weight=1e-3, feasibility_tol=0.0)
+    before = solve_batch(Y, masks, D, replace(cfg, max_iter=iteration - 1))
+    after = solve_batch(Y, masks, D, replace(cfg, max_iter=iteration))
+    # the index's default weights: var_weight n - 1, mean_weight (n - 1) / 4
+    centering = np.eye(n) - np.ones((n, n)) / n
+    W = (n - 1) / 4 * np.ones((n, n)) / n**2 + centering.T @ centering
+    for y, mask, prev, result in zip(Y, masks, before, after, strict=True):
+        assert result.iterations == iteration
+        rho1, rho2 = 0.4 * mask.m / n, 2.0 * mask.m / n
+        M = np.diag(mask.indicator())
+        u, v = prev.final_dual_x / rho1, prev.final_dual_z / rho2
+        z = prev.final_slack
+        x_system = rho1 * np.eye(n) + rho2 * M.T @ M
+        x_rhs = rho1 * (D.atoms @ prev.s_hat - u) + rho2 * M.T @ (z + y + v)
+        want_x = np.linalg.solve(x_system, x_rhs)
+        x = result.x_hat
+        assert np.linalg.norm(x - want_x) <= 1e-10 * np.linalg.norm(want_x)
+        z_system = rho2 * np.eye(n) + 2.0 * (W + np.eye(n))
+        z_rhs = rho2 * (1.8 * (M @ x - y) - 0.8 * z - v)
+        want_z = np.linalg.solve(z_system, z_rhs)
+        assert np.linalg.norm(result.final_slack - want_z) <= 1e-10 * np.linalg.norm(want_z)
+
+
 def test_a_row_stops_once_its_dual_residual_is_below_the_tolerance():
     # Row 0 of seed 112 meets both feasibility tests at iteration 50 but
     # the dual test only at 54.
@@ -846,14 +873,14 @@ def test_a_row_stops_once_its_dual_residual_is_below_the_tolerance():
     Y, masks = _problem_rows(D, 112, 1)
     y, mask = Y[0], masks[0]
     cfg = SolverConfig.analysis(l1_weight=1e-3, max_iter=2000, feasibility_tol=1e-8)
-    values = effective_config(cfg, mask)
+    rho1, rho2 = 0.4 * (mask.m / D.n), 2.0 * (mask.m / D.n)
 
     def run(max_iter):
         return solve(y, mask, D, replace(cfg, max_iter=max_iter))
 
     def dual_residual(before, after):
-        change = values.rho1 * (D.atoms @ after.s_hat - D.atoms @ before.s_hat)
-        change += mask.indicator() * (values.rho2 * (after.final_slack - before.final_slack))
+        change = rho1 * (D.atoms @ after.s_hat - D.atoms @ before.s_hat)
+        change += mask.indicator() * (rho2 * (after.final_slack - before.final_slack))
         return float(np.linalg.norm(change))
 
     result = run(cfg.max_iter)
@@ -892,13 +919,13 @@ def test_projection_reproduces_the_observed_samples(seed, rows, max_iter, overco
     rows=st.integers(min_value=1, max_value=6),
     dictionary=st.sampled_from(sorted(_ORACLE_DICTIONARIES)),
     max_iter=st.integers(min_value=1, max_value=60),
-    rho2=st.floats(min_value=1e-3, max_value=1e3),
+    rho2_scale=st.floats(min_value=1e-3, max_value=1e3),
     slack_ridge=st.floats(min_value=0.0, max_value=1e3),
     mean_weight=st.floats(min_value=1e-2, max_value=1e3),
     var_weight=st.floats(min_value=1e-2, max_value=1e3),
 )
 def test_projection_holds_the_slack_block_at_zero(
-    seed, rows, dictionary, max_iter, rho2, slack_ridge, mean_weight, var_weight
+    seed, rows, dictionary, max_iter, rho2_scale, slack_ridge, mean_weight, var_weight
 ):
     D = _ORACLE_DICTIONARIES[dictionary]()
     Y, masks = _problem_rows(D, seed, rows, sparsity=4)
@@ -911,8 +938,11 @@ def test_projection_holds_the_slack_block_at_zero(
             values = getattr(result, name)
             assert not np.count_nonzero(values) and not np.signbit(values).any(), name
     # so the slack penalty, the ridge and the index weights cannot change the result
-    changed = replace(cfg, rho2=rho2, mean_weight=mean_weight, var_weight=var_weight)
-    with mock.patch.object(csim.solver, "_SLACK_RIDGE", slack_ridge):
+    changed = replace(cfg, mean_weight=mean_weight, var_weight=var_weight)
+    with (
+        mock.patch.object(csim.solver, "_RHO2_SCALE", rho2_scale),
+        mock.patch.object(csim.solver, "_SLACK_RIDGE", slack_ridge),
+    ):
         others = solve_batch(Y, masks, D, changed)
     for other, result in zip(others, batch, strict=True):
         _assert_same_bits(other, result)
@@ -1002,7 +1032,6 @@ def test_continuation_stops_only_once_the_weight_is_at_its_floor(monkeypatch):
     y = apply_mask(sig.x, mask)
     cfg = SolverConfig(max_iter=2000)
     tol = cfg.feasibility_tol
-    values = effective_config(cfg, mask)
 
     def run(max_iter):
         return solve(y, mask, D, replace(cfg, max_iter=max_iter))
@@ -1017,5 +1046,5 @@ def test_continuation_stops_only_once_the_weight_is_at_its_floor(monkeypatch):
     assert before.l1_weight_final > floor
     assert short.stop_reason == "budget"  # every residual test passes at 352
     # the slack block is zero under projection: the dual residual is the s change
-    change = values.rho1 * (D.atoms @ short.s_hat - D.atoms @ before.s_hat)
+    change = 0.4 * (mask.m / D.n) * (D.atoms @ short.s_hat - D.atoms @ before.s_hat)
     assert np.linalg.norm(change) < tol
