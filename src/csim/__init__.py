@@ -1,6 +1,6 @@
 """Convex similarity index, ADMM missing-sample recovery, FIR denoising."""
 
-from .baselines import FistaConfig, IhtConfig, fista_solve, hard_threshold, iht_adaptive_solve
+from .baselines import BaselineConfig, fista_solve, hard_threshold, iht_adaptive_solve
 from .core import (
     CsimParams,
     apply_kernel,

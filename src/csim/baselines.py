@@ -2,12 +2,12 @@
 
 Both baselines work on the masked synthesis operator A = M D and the
 objective 0.5 ||A s - y||^2 plus a sparsity term: FISTA with an l1
-penalty and the gradient restart of O'Donoghue & Candes (2015), and an
-iterative hard-thresholding solver with a fixed, exponentially decaying
-threshold schedule.  Like the ADMM solver, both read a row only at its
-observed positions (through `solver._observed_rows`), and a non-finite
-observed sample raises `NonFiniteError`; a config setting that is not
-finite raises `ValueError` naming its field, as in the ADMM solver.
+penalty of weight 0.01 max|A.T y| and the gradient restart of
+O'Donoghue & Candes (2015), and an iterative hard-thresholding solver
+with a fixed, exponentially decaying threshold schedule.  They share one
+config type, `BaselineConfig`.  Like the ADMM solver, both read a row
+only at its observed positions (through `solver._observed_rows`), and a
+non-finite observed sample raises `NonFiniteError`.
 
 Each iteration is separable per signal, so one loop per method
 (`fista_solve_batch`, `iht_adaptive_solve_batch`) runs it on a stack of
@@ -32,7 +32,7 @@ from .solver import (
     NonFiniteError,
     RecoveryResult,
     _all,
-    _check_finite,
+    _check_settings,
     _check_threshold,
     _observed_rows,
     _peak_weight,
@@ -41,8 +41,7 @@ from .solver import (
 )
 
 __all__ = [
-    "FistaConfig",
-    "IhtConfig",
+    "BaselineConfig",
     "hard_threshold",
     "fista_solve",
     "fista_solve_batch",
@@ -50,8 +49,8 @@ __all__ = [
     "iht_adaptive_solve_batch",
 ]
 
-# FISTA's default l1 weight and IHT's threshold schedule (see the
-# configs), the scales over max|A.T y| of each row.
+# FISTA's l1 weight and IHT's threshold schedule (see BaselineConfig),
+# the scales over max|A.T y| of each row.
 _FISTA_WEIGHT_SCALE = 0.01
 _IHT_START_SCALE = 0.5
 _IHT_DECAY = 0.2
@@ -59,23 +58,17 @@ _IHT_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
-class FistaConfig:
-    """l1 weight (None: 0.01 * max|A.T y|), iteration budget, and
-    whether to keep per-iteration coefficients; the step is 1/||A||^2."""
-
-    l1_weight: float | None = None
-    max_iter: int = 50
-    record_iterates: bool = False
-
-
-@dataclass(frozen=True)
-class IhtConfig:
-    """Iteration budget and whether to keep per-iteration coefficients.
-    The threshold schedule is fixed, tau_t = max(0.5 max|A.T y|
-    exp(-0.2 t), 1e-3) per row, and the gradient step is 1/||A||^2."""
+class BaselineConfig:
+    """Iteration budget and whether to keep per-iteration coefficients,
+    checked as ``SolverConfig`` checks them.  The rest is fixed per row:
+    the step 1/||A||^2, FISTA's l1 weight 0.01 max|A.T y| and IHT's
+    thresholds tau_t = max(0.5 max|A.T y| exp(-0.2 t), 1e-3)."""
 
     max_iter: int = 50
     record_iterates: bool = False
+
+    def __post_init__(self):
+        _check_settings(self)
 
 
 def hard_threshold(v, tau) -> np.ndarray:
@@ -86,14 +79,11 @@ def hard_threshold(v, tau) -> np.ndarray:
     return np.where(np.abs(v) >= tau, v, 0.0)
 
 
-def _row_stack(Y, masks: list[SamplingMask], D: Dictionary, config):
-    """Both baselines' front end for a nonempty batch: check ``config``,
-    then return the observations of ``_observed_rows`` (one row on 1-D
-    arrays), the (forward, adjoint) pair of the masked operators and the
-    per-row gradient step 1/||A_b||^2."""
-    _check_finite(config)
-    if config.max_iter < 1:
-        raise ValueError("max_iter must be positive")
+def _row_stack(Y, masks: list[SamplingMask], D: Dictionary):
+    """Both baselines' front end for a nonempty batch: the observations
+    of ``_observed_rows`` (one row on 1-D arrays), the (forward, adjoint)
+    pair of the masked operators and the per-row gradient step
+    1/||A_b||^2."""
     Y, observed = _observed_rows(Y, masks, D.n)
     lipschitz = spectral_norm_sq(D.atoms, observed=np.reshape(observed, (-1, D.n)))
     if np.count_nonzero(~(lipschitz > 0)):
@@ -136,17 +126,17 @@ def _results(atoms, s, history, elapsed, iterates) -> list[RecoveryResult]:
     ]
 
 
-def fista_solve(y, mask: SamplingMask, D: Dictionary, config: FistaConfig | None = None) -> RecoveryResult:
+def fista_solve(y, mask: SamplingMask, D: Dictionary, config: BaselineConfig | None = None) -> RecoveryResult:
     """Recover one signal: ``fista_solve_batch`` with a single row."""
     return fista_solve_batch(np.asarray(y, dtype=float)[None], [mask], D, config)[0]
 
 
-def fista_solve_batch(Y, masks, D: Dictionary, config: FistaConfig | None = None) -> list[RecoveryResult]:
+def fista_solve_batch(Y, masks, D: Dictionary, config: BaselineConfig | None = None) -> list[RecoveryResult]:
     """Accelerated proximal gradient on 0.5||A s - y||^2 + w ||s||_1 for
     every row of ``Y``, row i observed through ``masks[i]``.
 
-    Each row has its own step 1/||A_b||^2 and, unless ``l1_weight`` is
-    set, its own weight.  A row whose new iterate s+ moved against its
+    Each row has its own step 1/||A_b||^2 and its own weight
+    w = 0.01 max|A_b.T y_b|.  A row whose new iterate s+ moved against its
     momentum, (p - s+) . (s+ - s) > 0 at momentum point p, restarts: its
     momentum weight goes back to 1, so its next step is a plain proximal
     step from s+, which cannot raise its objective.  A p is carried by
@@ -156,17 +146,12 @@ def fista_solve_batch(Y, masks, D: Dictionary, config: FistaConfig | None = None
     clock.
     """
     if config is None:
-        config = FistaConfig()
+        config = BaselineConfig()
     masks = list(masks)
     if not masks:
         return []
-    Y, forward, adjoint, step = _row_stack(Y, masks, D, config)
-    w = config.l1_weight
-    if w is None:
-        w = _peak_weight(_FISTA_WEIGHT_SCALE, adjoint(Y))
-    elif w < 0:
-        raise ValueError("l1_weight must be nonnegative")
-    threshold = w * step
+    Y, forward, adjoint, step = _row_stack(Y, masks, D)
+    threshold = _peak_weight(_FISTA_WEIGHT_SCALE, adjoint(Y)) * step
 
     s = np.zeros(Y.shape[:-1] + (D.p,))
     product = np.zeros_like(Y)  # A s at s = 0
@@ -210,23 +195,23 @@ def fista_solve_batch(Y, masks, D: Dictionary, config: FistaConfig | None = None
     return _results(D.atoms, s, history, elapsed, iterates)
 
 
-def iht_adaptive_solve(y, mask: SamplingMask, D: Dictionary, config: IhtConfig | None = None) -> RecoveryResult:
+def iht_adaptive_solve(y, mask: SamplingMask, D: Dictionary, config: BaselineConfig | None = None) -> RecoveryResult:
     """Recover one signal: ``iht_adaptive_solve_batch`` with a single row."""
     return iht_adaptive_solve_batch(np.asarray(y, dtype=float)[None], [mask], D, config)[0]
 
 
-def iht_adaptive_solve_batch(Y, masks, D: Dictionary, config: IhtConfig | None = None) -> list[RecoveryResult]:
+def iht_adaptive_solve_batch(Y, masks, D: Dictionary, config: BaselineConfig | None = None) -> list[RecoveryResult]:
     """Gradient step then hard threshold with a decaying threshold, on
     every row of ``Y`` (row i observed through ``masks[i]``), each row
     with its own step 1/||A_b||^2 and its own starting threshold (see
-    ``IhtConfig``).  A row's result has the bits of its one-row solve,
+    ``BaselineConfig``).  A row's result has the bits of its one-row solve,
     apart from ``elapsed_ms``, the batch's clock."""
     if config is None:
-        config = IhtConfig()
+        config = BaselineConfig()
     masks = list(masks)
     if not masks:
         return []
-    Y, forward, adjoint, step = _row_stack(Y, masks, D, config)
+    Y, forward, adjoint, step = _row_stack(Y, masks, D)
     tau0 = _peak_weight(_IHT_START_SCALE, adjoint(Y))
 
     s = np.zeros(Y.shape[:-1] + (D.p,))

@@ -25,8 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import (
-    FistaConfig,
-    IhtConfig,
+    BaselineConfig,
     fista_solve,
     fista_solve_batch,
     iht_adaptive_solve,
@@ -73,8 +72,8 @@ def _solver_table() -> dict:
     what the module's names are bound to then (a timing wrapper, say)."""
     return {
         "csim-alm": (SolverConfig, solve_batch, solve),
-        "fista": (FistaConfig, fista_solve_batch, fista_solve),
-        "iht": (IhtConfig, iht_adaptive_solve_batch, iht_adaptive_solve),
+        "fista": (BaselineConfig, fista_solve_batch, fista_solve),
+        "iht": (BaselineConfig, iht_adaptive_solve_batch, iht_adaptive_solve),
     }
 
 
@@ -161,8 +160,8 @@ def _solver(name: str, **settings):
 def run_solver_batch(name: str, Y, masks, D: Dictionary, **settings) -> list[RecoveryResult]:
     """Run solver ``name`` on every row of ``Y``, row i observed through
     ``masks[i]``, in one batched solve; one result per row.  Settings
-    are fields of the solver's config (``SolverConfig``, ``FistaConfig``,
-    ``IhtConfig``), with that type's defaults."""
+    are fields of the solver's config (``SolverConfig`` for csim-alm,
+    ``BaselineConfig`` for fista and iht), with that type's defaults."""
     config, batch, _ = _solver(name, **settings)
     return batch(Y, masks, D, config)
 

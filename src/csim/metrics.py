@@ -21,7 +21,8 @@ PSNR_CSV_CAP = 99.0
 
 DEFAULT_PEAK = 255.0
 
-# Tiles per pass of ``image_ssim``.
+# ``image_ssim``'s tile side, and its tiles per pass.
+_TILE_SIDE = 8
 _BLOCK_TILES = 512
 
 
@@ -103,15 +104,16 @@ def ssim_global(
     return float(score) if x.ndim == 1 else score
 
 
-def image_ssim(a, b, side: int = 8) -> float:
-    """Mean 8-bit single-window SSIM over non-overlapping square tiles;
-    the rows and columns past the last whole tile are left out.  Tiles
+def image_ssim(a, b) -> float:
+    """Mean 8-bit single-window SSIM over non-overlapping 8x8 tiles; the
+    rows and columns past the last whole tile are left out.  Tiles
     are scored a band of tile rows at a time (about ``_BLOCK_TILES``
     tiles), so no image-sized copy is made."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 2:
         raise ValueError("need two equal-shape images")
+    side = _TILE_SIDE
     rows, cols = a.shape[0] // side, a.shape[1] // side
     band = max(1, _BLOCK_TILES // max(cols, 1))
 

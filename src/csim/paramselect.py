@@ -33,6 +33,8 @@ __all__ = [
 
 # Singular values below this fraction of the largest are treated as zero.
 _RANK_RTOL = 1e-12
+# Most column subsets ``verify_rip_bruteforce`` enumerates.
+_RIP_SUBSET_BUDGET = 100_000
 
 DEFAULT_KAPPA_MAX = 4.0
 DEFAULT_DELTA = 0.4
@@ -280,13 +282,13 @@ def select_ratio(
     )
 
 
-def verify_rip_bruteforce(D, params: CsimParams, two_k: int, budget: int = 100_000) -> float:
+def verify_rip_bruteforce(D, params: CsimParams, two_k: int) -> float:
     """Exact isometry constant of the transformed dictionary.
 
     Forms the square-root-weighted atoms, then for every set of two_k
     columns measures how far the Gram submatrix spectrum strays from 1;
     the maximum of max(1 - lambda_min, lambda_max - 1) over all subsets
-    is returned.  Refuses to enumerate more than ``budget`` subsets.
+    is returned.  Refuses to enumerate more than 100,000 subsets.
     """
     atoms = _unit_atoms(D)
     n, p = atoms.shape
@@ -296,8 +298,8 @@ def verify_rip_bruteforce(D, params: CsimParams, two_k: int, budget: int = 100_0
     if not 1 <= two_k <= p:
         raise ValueError("two_k must lie in [1, p]")
     count = math.comb(p, two_k)
-    if count > budget:
-        raise ValueError(f"{count} subsets exceed the enumeration budget {budget}")
+    if count > _RIP_SUBSET_BUDGET:
+        raise ValueError(f"{count} subsets exceed the enumeration budget {_RIP_SUBSET_BUDGET}")
 
     col_sums = atoms.sum(axis=0)
     weighted = params.sqrt_diag_coef * atoms + params.sqrt_ones_coef * col_sums

@@ -33,8 +33,9 @@ gets rho1 u and rho2 v.
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -121,6 +122,11 @@ class SolverConfig:
     cover it exactly; acceptance criterion 6 (``tests/test_acceptance.py``)
     is the evidence that the relaxed iteration still reaches the
     stationarity system.
+
+    Built with a non-finite float, a ``max_iter`` that is not a positive
+    integer, or a negative ``l1_weight`` or ``feasibility_tol``, a config
+    raises ``ValueError`` naming the field; ``effective_config`` checks
+    the index weights, whose range depends on n.
     """
 
     max_iter: int = 50
@@ -130,6 +136,13 @@ class SolverConfig:
     l1_weight: float | None = None
     record_iterates: bool = False
 
+    def __post_init__(self):
+        _check_settings(self)
+        if self.l1_weight is not None and self.l1_weight < 0:
+            raise ValueError("l1_weight must be nonnegative")
+        if self.feasibility_tol < 0:
+            raise ValueError("feasibility_tol must be nonnegative")
+
     @classmethod
     def analysis(cls, l1_weight: float, **kwargs) -> "SolverConfig":
         """Fixed-l1-weight configuration (the regime in which the
@@ -137,22 +150,25 @@ class SolverConfig:
         return cls(l1_weight=float(l1_weight), **kwargs)
 
 
-def _check_finite(config) -> None:
+def _check_settings(config) -> None:
     """Raise ``ValueError`` naming the first float field of the config
-    dataclass ``config`` that is not finite."""
-    for field in fields(config):
-        value = getattr(config, field.name)
+    dataclass ``config`` that is not finite, else its ``max_iter`` unless
+    that is a positive integer."""
+    for name, value in vars(config).items():
         if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{field.name} must be finite, got {value}")
+            raise ValueError(f"{name} must be finite, got {value}")
+    if not isinstance(config.max_iter, numbers.Integral):
+        raise ValueError("max_iter must be an integer")
+    if config.max_iter < 1:
+        raise ValueError("max_iter must be positive")
 
 
 def effective_config(config: SolverConfig, mask: SamplingMask) -> SolverConfig:
     """``config`` with its ``None`` index weights resolved for signals
     of length ``mask.n`` (``l1_weight`` stays: ``None`` sets it per
     signal).  Nothing it resolves depends on the mask's sample count, so
-    a solve calls it once.  A setting out of its range, or a float
-    setting that is not finite, raises ``ValueError`` naming the field."""
-    _check_finite(config)  # the derived values are finite when these are
+    a solve calls it once.  Index weights out of their range for that n
+    raise ``ValueError`` (``CsimParams``)."""
     var_weight = config.var_weight if config.var_weight is not None else float(mask.n - 1)
     resolved = replace(
         config,
@@ -161,12 +177,6 @@ def effective_config(config: SolverConfig, mask: SamplingMask) -> SolverConfig:
         ),
         var_weight=var_weight,
     )
-    if resolved.l1_weight is not None and not resolved.l1_weight >= 0:
-        raise ValueError("l1_weight must be nonnegative")
-    if resolved.max_iter < 1:
-        raise ValueError("max_iter must be positive")
-    if not resolved.feasibility_tol >= 0:
-        raise ValueError("feasibility_tol must be nonnegative")
     CsimParams(resolved.mean_weight, resolved.var_weight, mask.n)  # checks the index weights
     return resolved
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 import csim.baselines
 from csim.baselines import (
-    FistaConfig,
-    IhtConfig,
+    BaselineConfig,
     fista_solve,
     fista_solve_batch,
     hard_threshold,
@@ -50,23 +49,24 @@ def test_hard_threshold_semantics():
         hard_threshold(v, -1.0)
 
 
-def test_fista_huge_weight_returns_zero():
+def test_fista_huge_weight_returns_zero(monkeypatch):
+    # A weight of 2 max|A.T y|: every coefficient stays thresholded to 0.
+    monkeypatch.setattr(csim.baselines, "_FISTA_WEIGHT_SCALE", 2.0)
     D = dct_dictionary(32, 32)
     sig = synth_sparse_signal(D, 3, 0)
     mask = random_mask(32, 26, 1)
     y = apply_mask(sig.x, mask)
-    A = _masked(mask, D.atoms)
-    w = 2.0 * float(np.abs(A.T @ y).max())
-    result = fista_solve(y, mask, D, FistaConfig(l1_weight=w, max_iter=100))
+    result = fista_solve(y, mask, D, BaselineConfig(max_iter=100))
     np.testing.assert_allclose(result.s_hat, np.zeros(32), atol=1e-12)
 
 
-def test_fista_zero_weight_full_mask_gives_analysis_coefficients():
+def test_fista_zero_weight_full_mask_gives_analysis_coefficients(monkeypatch):
+    monkeypatch.setattr(csim.baselines, "_FISTA_WEIGHT_SCALE", 0.0)
     D = dct_dictionary(16, 16)
     rng = np.random.default_rng(2)
     y = rng.standard_normal(16)
     mask = SamplingMask(16, np.arange(16))
-    result = fista_solve(y, mask, D, FistaConfig(l1_weight=0.0, max_iter=300))
+    result = fista_solve(y, mask, D, BaselineConfig(max_iter=300))
     np.testing.assert_allclose(result.s_hat, D.atoms.T @ y, atol=1e-8)
 
 
@@ -81,7 +81,7 @@ def test_fista_matches_long_run_ista_oracle():
     w = 0.01 * float(np.abs(A.T @ y).max())
     oracle = _ista_oracle(A, y, w, step, 100_000)
     f_star = _objective(A, y, w, oracle)
-    result = fista_solve(y, mask, D, FistaConfig(l1_weight=w, max_iter=2000))
+    result = fista_solve(y, mask, D, BaselineConfig(max_iter=2000))
     f_fista = _objective(A, y, w, result.s_hat)
     assert abs(f_fista - f_star) <= 1e-6 * (1.0 + abs(f_star))
 
@@ -95,7 +95,7 @@ def test_fista_objective_does_not_rise_on_the_step_after_a_restart():
     mask = random_mask(64, 38, 7)
     y = apply_mask(sig.x, mask)
     A = _masked(mask, D.atoms)
-    result = fista_solve(y, mask, D, FistaConfig(max_iter=120, record_iterates=True))
+    result = fista_solve(y, mask, D, BaselineConfig(max_iter=120, record_iterates=True))
     _, residuals, restarts = _serial_fista(A, y, 120)
     assert result.primal_residuals.tobytes() == np.array(residuals).tobytes()
     w = 0.01 * float(np.abs(A.T @ y).max())
@@ -120,49 +120,37 @@ def test_fista_no_worse_than_ista_on_most_instances():
         A = _masked(mask, D.atoms)
         lip = spectral_norm_sq(A)  # FISTA's step is 1 / ||A||^2 from this estimate
         w = 0.01 * float(np.abs(A.T @ y).max())
-        result = fista_solve(y, mask, D, FistaConfig(l1_weight=w, max_iter=T))
+        result = fista_solve(y, mask, D, BaselineConfig(max_iter=T))
         ista = _ista_oracle(A, y, w, 1.0 / lip, T)
         if _objective(A, y, w, result.s_hat) <= _objective(A, y, w, ista) + 1e-12:
             wins += 1
     assert wins >= 90
 
 
-@pytest.mark.parametrize("solve, config", [(fista_solve, FistaConfig), (iht_adaptive_solve, IhtConfig)])
-def test_baselines_reject_an_empty_iteration_budget(solve, config):
-    D = dct_dictionary(8, 8)
-    mask = random_mask(8, 6, 9)
-    with pytest.raises(ValueError, match="max_iter"):
-        solve(np.zeros(8), mask, D, config(max_iter=0))
-
-
-_FLOAT_SETTINGS = [
-    (batch, config, f.name)
-    for batch, config in ((fista_solve_batch, FistaConfig), (iht_adaptive_solve_batch, IhtConfig))
-    for f in fields(config)
-    if f.type.startswith("float")
-]
-
-
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize("solve_batch_fn, config, name", _FLOAT_SETTINGS)
-def test_baselines_reject_a_non_finite_setting_by_name(solve_batch_fn, config, name, value):
-    D = dct_dictionary(8, 8)
-    masks = [random_mask(8, 6, 9), random_mask(8, 5, 10)]
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        solve_batch_fn(np.ones((2, 8)), masks, D, config(**{name: value}))
+def _out_of_range(config):
+    """(config type, field, value, message) for every numeric field of
+    ``config``: each non-finite float, then each value its rules reject."""
+    cases = []
+    for field in fields(config):
+        if field.name == "record_iterates":
+            continue
+        for value in (math.inf, -math.inf, math.nan):
+            cases.append((config, field.name, value, f"{field.name} must be finite, got {value}"))
+        if field.name == "max_iter":
+            cases += [(config, "max_iter", bad, "max_iter must be positive") for bad in (0, -3)]
+            cases.append((config, "max_iter", 5.0, "max_iter must be an integer"))
+        elif field.name in ("l1_weight", "feasibility_tol"):
+            cases.append((config, field.name, -0.5, f"{field.name} must be nonnegative"))
+    return cases
 
 
 @pytest.mark.parametrize(
-    "solve_batch_fn, config, name",
-    [
-        (fista_solve_batch, FistaConfig, "l1_weight"),
-    ],
+    "config, name, value, message", _out_of_range(SolverConfig) + _out_of_range(BaselineConfig)
 )
-def test_baselines_reject_a_negative_setting_by_name(solve_batch_fn, config, name):
-    D = dct_dictionary(8, 8)
-    masks = [random_mask(8, 6, 9), random_mask(8, 5, 10)]
-    with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
-        solve_batch_fn(np.ones((2, 8)), masks, D, config(**{name: -0.5}))
+def test_a_config_out_of_range_raises_naming_the_field_when_built(config, name, value, message):
+    with pytest.raises(ValueError) as raised:
+        config(**{name: value})
+    assert str(raised.value) == message
 
 
 _PEAK_DICTIONARIES = [
@@ -209,7 +197,7 @@ def test_iht_follows_its_fixed_threshold_schedule(build):
     masks = [random_mask(32, 20 + 3 * i, 40 + i) for i in range(4)]
     signals = [synth_sparse_signal(D, 3, 60 + i).x for i in range(4)]
     Y = np.stack([apply_mask(x, mask) for x, mask in zip(signals, masks)])
-    results = iht_adaptive_solve_batch(Y, masks, D, IhtConfig(max_iter=40))
+    results = iht_adaptive_solve_batch(Y, masks, D, BaselineConfig(max_iter=40))
     for y, mask, result in zip(Y, masks, results):
         oracle = _iht_oracle(_masked(mask, D.atoms), y, 40)
         np.testing.assert_allclose(result.s_hat, oracle, rtol=1e-9, atol=1e-12)
@@ -223,7 +211,7 @@ def test_iht_all_above_threshold_schedule_returns_zero(monkeypatch):
     sig = synth_sparse_signal(D, 3, 10)
     mask = random_mask(32, 26, 11)
     y = apply_mask(sig.x, mask)
-    result = iht_adaptive_solve(y, mask, D, IhtConfig(max_iter=60))
+    result = iht_adaptive_solve(y, mask, D, BaselineConfig(max_iter=60))
     np.testing.assert_allclose(result.s_hat, np.zeros(32), atol=1e-15)
 
 
@@ -235,7 +223,7 @@ def test_iht_recovers_support_on_most_seeds():
         sig = synth_sparse_signal(D, 6, (12, trial, 1))
         mask = random_mask(64, 58, (12, trial, 2))  # sampling ratio 0.9
         y = apply_mask(sig.x, mask)
-        result = iht_adaptive_solve(y, mask, D, IhtConfig(max_iter=50))
+        result = iht_adaptive_solve(y, mask, D, BaselineConfig(max_iter=50))
         support = set(np.nonzero(result.s_hat)[0])
         if support == set(sig.support.tolist()):
             hits += 1
@@ -262,22 +250,19 @@ def test_baseline_histories_lengths():
     sig = synth_sparse_signal(D, 2, 15)
     mask = random_mask(16, 12, 16)
     y = apply_mask(sig.x, mask)
-    result = fista_solve(y, mask, D, FistaConfig(max_iter=23, record_iterates=True))
+    result = fista_solve(y, mask, D, BaselineConfig(max_iter=23, record_iterates=True))
     assert result.iterations == 23
     assert len(result.primal_residuals) == 23
     assert len(result.iterates) == 23
     assert result.slack_residuals is None
 
 
-@pytest.mark.parametrize(
-    "solve_batch_fn, config",
-    [(fista_solve_batch, FistaConfig(max_iter=17)), (iht_adaptive_solve_batch, IhtConfig(max_iter=17))],
-)
-def test_baselines_stop_on_their_budget(solve_batch_fn, config):
+@pytest.mark.parametrize("solve_batch_fn", [fista_solve_batch, iht_adaptive_solve_batch])
+def test_baselines_stop_on_their_budget(solve_batch_fn):
     D = dct_dictionary(16, 16)
     masks = [random_mask(16, 12, (16, i)) for i in range(3)]
     Y = np.array([apply_mask(synth_sparse_signal(D, 2, (15, i)).x, m) for i, m in enumerate(masks)])
-    for result in solve_batch_fn(Y, masks, D, config):
+    for result in solve_batch_fn(Y, masks, D, BaselineConfig(max_iter=17)):
         assert (result.iterations, result.stop_reason) == (17, "budget")
 
 
@@ -296,8 +281,8 @@ def test_thresholds_take_per_row_values_and_reject_any_negative_entry():
 _DICTIONARIES = {"dct": dct_dictionary(64, 64), "haar": haar_wp_dictionary(64, 128)}
 _HISTORIES = ("s_hat", "x_hat", "primal_residuals")
 _BATCHED = {
-    "fista": (fista_solve_batch, fista_solve, FistaConfig(max_iter=30, record_iterates=True)),
-    "iht": (iht_adaptive_solve_batch, iht_adaptive_solve, IhtConfig(max_iter=30, record_iterates=True)),
+    "fista": (fista_solve_batch, fista_solve, BaselineConfig(max_iter=30, record_iterates=True)),
+    "iht": (iht_adaptive_solve_batch, iht_adaptive_solve, BaselineConfig(max_iter=30, record_iterates=True)),
 }
 
 
@@ -399,8 +384,8 @@ def _serial_iht(A, y, iters, decay=0.2, tau_min=1e-3):
 def test_batched_baselines_keep_the_bits_of_the_plain_serial_loops(dictionary):
     D = _DICTIONARIES[dictionary]
     Y, masks = _problem_rows(D, 17, 6, sparsity=13)
-    fista = fista_solve_batch(Y, masks, D, FistaConfig(max_iter=40))
-    iht = iht_adaptive_solve_batch(Y, masks, D, IhtConfig(max_iter=40))
+    fista = fista_solve_batch(Y, masks, D, BaselineConfig(max_iter=40))
+    iht = iht_adaptive_solve_batch(Y, masks, D, BaselineConfig(max_iter=40))
     for y, mask, f, h in zip(Y, masks, fista, iht):
         A = _masked(mask, D.atoms)
         s, residuals, _ = _serial_fista(A, y, 40)
@@ -414,7 +399,7 @@ def test_fista_batch_keeps_the_one_row_bits_when_only_some_rows_restart():
     # weights from the first restart on; each row must still follow its
     # own one-row solve.
     D = _DICTIONARIES["haar"]
-    config = FistaConfig(max_iter=60, record_iterates=True)
+    config = BaselineConfig(max_iter=60, record_iterates=True)
     Y, masks = _problem_rows(D, 11, 8, sparsity=13)
     oracles = [_serial_fista(_masked(mask, D.atoms), y, config.max_iter) for y, mask in zip(Y, masks)]
     restarted = [bool(restarts) for _, _, restarts in oracles]
@@ -426,8 +411,8 @@ def test_fista_batch_keeps_the_one_row_bits_when_only_some_rows_restart():
         assert result.primal_residuals.tobytes() == np.array(residuals).tobytes()
 
 
-@pytest.mark.parametrize("l1_weight", [None, 0.05])
-def test_fista_batch_forms_one_product_each_way_per_iteration(monkeypatch, l1_weight):
+@pytest.mark.parametrize("weight_scale", [None, 0.05])
+def test_fista_batch_forms_one_product_each_way_per_iteration(monkeypatch, weight_scale):
     counts = {"synthesize": 0, "analyze": 0}
     synthesize, analyze = csim.baselines._synthesize, csim.baselines._analyze
 
@@ -441,13 +426,14 @@ def test_fista_batch_forms_one_product_each_way_per_iteration(monkeypatch, l1_we
 
     monkeypatch.setattr(csim.baselines, "_synthesize", counting_synthesize)
     monkeypatch.setattr(csim.baselines, "_analyze", counting_analyze)
+    if weight_scale is not None:
+        monkeypatch.setattr(csim.baselines, "_FISTA_WEIGHT_SCALE", weight_scale)
     D = _DICTIONARIES["haar"]
     Y, masks = _problem_rows(D, 11, 8, sparsity=13)
-    config = FistaConfig(l1_weight=l1_weight, max_iter=60)
+    config = BaselineConfig(max_iter=60)
     fista_solve_batch(Y, masks, D, config)
-    # Setup: the default weight reads A.T y; the results form D s once.
-    setup = 1 if l1_weight is None else 0
-    assert counts == {"synthesize": config.max_iter + 1, "analyze": config.max_iter + setup}
+    # Setup: the weight reads A.T y; the results form D s once.
+    assert counts == {"synthesize": config.max_iter + 1, "analyze": config.max_iter + 1}
 
 
 @pytest.mark.parametrize("solve", [fista_solve_batch, iht_adaptive_solve_batch])
@@ -467,8 +453,8 @@ def test_batched_baselines_reject_a_row_with_an_all_zero_operator(solve):
 
 _SOLVERS = {
     "csim-alm": (solve_batch, solve, SolverConfig(record_iterates=True)),
-    "fista": (fista_solve_batch, fista_solve, FistaConfig(record_iterates=True)),
-    "iht": (iht_adaptive_solve_batch, iht_adaptive_solve, IhtConfig(record_iterates=True)),
+    "fista": (fista_solve_batch, fista_solve, BaselineConfig(record_iterates=True)),
+    "iht": (iht_adaptive_solve_batch, iht_adaptive_solve, BaselineConfig(record_iterates=True)),
 }
 
 

@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import csim.baselines
 import csim.experiments
 import csim.solver
 from csim.cli import build_parser
@@ -207,6 +208,7 @@ def test_every_entry_point_hands_its_settings_to_the_solver_config(solver):
         ("csim-alm", "tau0"),
         ("csim-alm", "rho1"),
         ("fista", "feasibility_tol"),
+        ("fista", "l1_weight"),
         ("iht", "l1_weight"),
         ("iht", "tau0"),
     ],
@@ -231,18 +233,20 @@ def test_sweep_sr_caps_finite_psnr_at_csv_cap():
     assert all(float(row["psnr_db"]) <= PSNR_CSV_CAP for row in parse(sweep_sr(spec)))
 
 
-def test_sweep_sr_full_observation_recovers_exactly_sparse():
+def test_sweep_sr_full_observation_recovers_exactly_sparse(monkeypatch):
     # noiseless full observation: every solver pinned to the exact-recovery
     # operating point reports tiny coefficient error
     spec = ExperimentSpec(srs=(1.0,), trials=5, solvers=("csim-alm", "iht"), seed=3, max_iter=250)
     for row in parse(sweep_sr(spec)):
         assert float(row["relerr"]) <= 1e-3
-    # fista needs a small l1 weight there; its trials are the sweep's
+    # fista needs a small l1 weight there, 1e-4 max|A.T y| in place of
+    # 0.01; its trials are the sweep's
+    monkeypatch.setattr(csim.baselines, "_FISTA_WEIGHT_SCALE", 1e-4)
     D = build_dictionary("dct", 64, 64)
     signals = [synth_sparse_signal(D, 7, substream(3, trial, 1)) for trial in range(5)]
     masks = [observation_mask(64, 1.0, 3, trial) for trial in range(5)]
     X = np.array([signal.x for signal in signals])
-    results = run_solver_batch("fista", X, masks, D, max_iter=250, l1_weight=1e-4)
+    results = run_solver_batch("fista", X, masks, D, max_iter=250)
     for signal, result in zip(signals, results, strict=True):
         assert relative_error(result.s_hat, signal.s) <= 1e-3
 

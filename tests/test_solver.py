@@ -344,10 +344,9 @@ def test_solve_rejects_non_finite_input():
 
 def test_effective_config_validation():
     mask = random_mask(8, 6, 18)
-    with pytest.raises(ValueError, match="^max_iter must be positive$"):
-        effective_config(SolverConfig(max_iter=0), mask)
-    with pytest.raises(ValueError, match="^feasibility_tol must be nonnegative$"):
-        effective_config(SolverConfig(feasibility_tol=-1e-12), mask)
+    # the config checks its other fields when built; the index weights wait for n
+    with pytest.raises(ValueError, match="^mean_weight must be positive and finite$"):
+        effective_config(SolverConfig(mean_weight=-1.0), mask)
     # 0 turns the stop off: even an all-zero row runs its budget
     result = solve(np.zeros(8), mask, dct_dictionary(8, 8), SolverConfig(feasibility_tol=0.0, max_iter=5))
     assert (result.iterations, result.stop_reason) == (5, "budget")
@@ -375,17 +374,6 @@ def test_the_s_step_constant_is_1_05_times_the_squared_norm(monkeypatch, cfg):
     solve(np.arange(64.0), mask, D, cfg)
     assert seen == [1.05 * D.spectral_norm_sq] * 3
     assert seen[0] >= np.linalg.norm(D.atoms, 2) ** 2
-
-
-_FLOAT_SETTINGS = [f.name for f in fields(SolverConfig) if f.type.startswith("float")]
-
-
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-@pytest.mark.parametrize("name", _FLOAT_SETTINGS)
-def test_effective_config_rejects_a_non_finite_float_setting_by_name(name, value):
-    mask = random_mask(8, 6, 18)
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        effective_config(SolverConfig(**{name: value}), mask)
 
 
 def test_no_setting_or_result_field_is_left_from_backtracking_or_the_protocol_constants():
