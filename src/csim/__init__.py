@@ -48,6 +48,7 @@ from .signals import (
     random_mask,
     reassemble,
     substream,
+    substreams,
     synth_sparse_signal,
 )
 from .solver import (

@@ -200,7 +200,7 @@ def _cmd_recover(args) -> int:
         x = load_csv_vector(args.input)
         D = _dictionary_from_args(args, x.size, f"{x.size} samples in --input")
     try:
-        settings = solver_settings(args.solver, D, args.sr, args.seed, **options)
+        settings = solver_settings(args.solver, D, args.sr, **options)
     except ValueError as exc:
         source = f"--config {args.config}: " if args.config else ""
         raise _ArgumentError(f"{source}{exc}") from None

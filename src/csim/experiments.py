@@ -2,7 +2,8 @@
 
 Every trial derives its signal and mask from substreams keyed by
 (master seed, trial index, tag), so a row does not depend on which other
-jobs share its sweep.  A sweep builds each ratio's trial data once for
+jobs share its sweep; a batch's substreams are seeded in one pass
+(``substreams``).  A sweep builds each ratio's trial data once for
 all solvers, solves the trials of each (solver, sampling ratio) group in
 one ``run_solver_batch`` call, scores the group as a row stack and
 writes rows in (solver, ratio, trial) order.  Image recovery solves all
@@ -42,6 +43,7 @@ from .signals import (
     random_mask,
     reassemble,
     substream,
+    substreams,
 )
 from .solver import RecoveryResult, SolverConfig, _echo_settings, solve, solve_batch
 
@@ -140,11 +142,16 @@ def build_dictionary(kind: str, n: int, p: int) -> Dictionary:
     return builder(n, p)
 
 
+def _sample_count(n: int, sr: float) -> int:
+    """round(sr * n) samples, clamped to 1..n."""
+    return min(max(int(round(sr * n)), 1), n)
+
+
 def observation_mask(n: int, sr: float, seed: int, index: int) -> SamplingMask:
     """Mask of job ``index``: round(sr * n) samples, clamped to 1..n,
     drawn from substream (seed, index, mask tag, sample count)."""
-    m = min(max(int(round(sr * n)), 1), n)
-    return random_mask(n, m, substream(seed, index, _TAG_MASK, m))
+    (mask,) = _observe(np.array([index]), n, sr, seed)
+    return mask
 
 
 def _solver(name: str, **settings):
@@ -175,13 +182,14 @@ def run_solver(name: str, y, mask, D: Dictionary, **settings) -> RecoveryResult:
     return single(y, mask, D, config)
 
 
-def solver_settings(name: str, D: Dictionary, sr: float, seed: int, **settings) -> dict:
+def solver_settings(name: str, D: Dictionary, sr: float, **settings) -> dict:
     """Settings ``recover_patches`` hands to solver ``name``, for a run
-    log: what csim-alm's regime reads, with the penalties of the first
-    patch (see ``solver``), or a baseline's name and iteration budget."""
+    log: what csim-alm's regime reads, with the penalties of every
+    patch's sample count (see ``solver``), or a baseline's name and
+    iteration budget."""
     config, _, _ = _solver(name, **settings)
     if isinstance(config, SolverConfig):
-        return _echo_settings(config, observation_mask(D.n, sr, seed, 0), D)
+        return _echo_settings(config, _sample_count(D.n, sr), D)
     return {"solver": name, "max_iter": config.max_iter}
 
 
@@ -194,7 +202,7 @@ def recover_patches(
     a single vector recovered as row 0 sees the mask of an image's first
     patch.  ``settings`` are config fields, as in ``run_solver``.
     """
-    masks = _observe(len(patches), D.n, sr, seed)
+    masks = _observe(np.arange(len(patches)), D.n, sr, seed)
     return run_solver_batch(solver, patches, masks, D, **settings)
 
 
@@ -251,26 +259,26 @@ def _corpus_patch(images, side: int, rng) -> np.ndarray:
 
 def _truth(spec: ExperimentSpec, D: Dictionary, images=None):
     """(true sparse codes or None, clean signals) of every trial, one row
-    per trial.  Neither depends on the sampling ratio."""
+    per trial, each drawn from substream (seed, trial, signal tag); all
+    are seeded in one pass.  Neither depends on the sampling ratio."""
+    rngs = substreams(spec.seed, np.arange(spec.trials), _TAG_SIGNAL)
     if images is None:
         # Each trial's code is drawn as ``synth_sparse_signal`` draws it,
         # and one stacked product gives every row the bits of its D s.
         k = max(1, math.ceil(0.1 * D.p))
         codes = np.zeros((spec.trials, D.p))
-        for trial, code in enumerate(codes):
-            _draw_code(code, k, substream(spec.seed, trial, _TAG_SIGNAL))
+        for code, rng in zip(codes, rngs):
+            _draw_code(code, k, rng)
         return codes, _synthesize(D.atoms, codes)
     side = math.isqrt(D.n)
-    patches = [
-        _corpus_patch(images, side, substream(spec.seed, trial, _TAG_SIGNAL))
-        for trial in range(spec.trials)
-    ]
-    return None, np.stack(patches)
+    return None, np.stack([_corpus_patch(images, side, rng) for rng in rngs])
 
 
-def _observe(count: int, n: int, sr: float, seed: int) -> list[SamplingMask]:
-    """Masks of jobs 0 to ``count`` - 1 at sampling ratio ``sr``."""
-    return [observation_mask(n, sr, seed, i) for i in range(count)]
+def _observe(jobs, n: int, sr: float, seed: int) -> list[SamplingMask]:
+    """Masks of the jobs numbered by the integer array ``jobs`` at
+    sampling ratio ``sr`` (see ``observation_mask``), seeded in one pass."""
+    m = _sample_count(n, sr)
+    return [random_mask(n, m, rng) for rng in substreams(seed, jobs, _TAG_MASK, m)]
 
 
 def _fmt(value: float) -> str:
@@ -300,7 +308,7 @@ def sweep_sr(spec: ExperimentSpec) -> str:
     D = build_dictionary(spec.dict_kind, spec.n, spec.p)
     images = load_corpus(spec.corpus) if spec.corpus else None
     S_true, X_true = _truth(spec, D, images)
-    masks = {sr: _observe(spec.trials, D.n, sr, spec.seed) for sr in spec.srs}
+    masks = {sr: _observe(np.arange(spec.trials), D.n, sr, spec.seed) for sr in spec.srs}
     if S_true is None:
         peak = 255.0
         c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
@@ -345,7 +353,7 @@ def sweep_iters(spec: ExperimentSpec) -> str:
         raise ValueError("iteration traces need ground-truth synthetic signals")
     D = build_dictionary(spec.dict_kind, spec.n, spec.p)
     S_true, X_true = _truth(spec, D)
-    masks = {sr: _observe(spec.trials, D.n, sr, spec.seed) for sr in spec.srs}
+    masks = {sr: _observe(np.arange(spec.trials), D.n, sr, spec.seed) for sr in spec.srs}
 
     lines = []
     for solver, sr in itertools.product(spec.solvers, spec.srs):

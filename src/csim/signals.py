@@ -1,11 +1,15 @@
 """Sampling masks, patch gridding, and synthetic sparse signals.
 
-All randomness flows through numpy's SeedSequence so any consumer can
-derive independent, reproducible substreams from (master seed, tags).
+All randomness flows through substreams keyed by tuples of integers
+(master seed, tags): each is the PCG64 stream that numpy's
+``SeedSequence`` of those keys seeds, so any consumer can derive
+independent, reproducible substreams.  ``substreams`` seeds a whole
+batch of key tuples in one vectorized pass.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -18,6 +22,7 @@ __all__ = [
     "PatchGrid",
     "SyntheticSparseSignal",
     "substream",
+    "substreams",
     "random_mask",
     "apply_mask",
     "extract_patches",
@@ -26,9 +31,173 @@ __all__ = [
 ]
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): its pool size,
+# the hash constants of its entropy mixing (A) and of generate_state (B),
+# and the multipliers and shift of its mix and hash functions.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L = np.array(0xCA01F9DD, dtype=np.uint32)
+_MIX_R = np.array(0x4973F715, dtype=np.uint32)
+_SHIFT = np.array(16, dtype=np.uint32)
+_MASK32 = 0xFFFFFFFF
+
+
+@functools.cache
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The hash constant before each of ``calls`` hashes and after the
+    last, init * mult**i mod 2**32, as read-only uint32."""
+    values = [init]
+    for _ in range(calls):
+        values.append(values[-1] * mult & _MASK32)
+    out = np.array(values, dtype=np.uint32)
+    out.flags.writeable = False
+    return out
+
+
+def _operands(constants: np.ndarray, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiplier) operands of ``count`` successive hash calls from
+    call number ``first``."""
+    return constants[first : first + count], constants[first + 1 : first + count + 1]
+
+
+# Operands of the 16 hash calls that fill and mix the pool: calls 4 + 3 src
+# to 6 + 3 src hash pool word src into the three others in order (src's
+# own slot gets zeros, and its result is dropped).  Then those of the 8
+# calls of generate_state(4, np.uint64), whose word i is pool word i % 4.
+_FILL = _operands(_hash_constants(_INIT_A, _MULT_A, 16), 0, _POOL_SIZE)
+_SPREAD = tuple(
+    tuple(np.insert(op, src, 0) for op in _operands(_hash_constants(_INIT_A, _MULT_A, 16), _POOL_SIZE + 3 * src, 3))
+    for src in range(_POOL_SIZE)
+)
+_OUTPUT = tuple(op.reshape(2, _POOL_SIZE) for op in _operands(_hash_constants(_INIT_B, _MULT_B, 8), 0, 8))
+
+
+def _hash(values, xor, mult) -> np.ndarray:
+    """SeedSequence's hashmix, one call per pair of operands."""
+    hashed = (values ^ xor) * mult
+    hashed ^= hashed >> _SHIFT
+    return hashed
+
+
+def _mix(x, y) -> np.ndarray:
+    mixed = _MIX_L * x - _MIX_R * y
+    mixed ^= mixed >> _SHIFT
+    return mixed
+
+
+def _entropy(keys) -> tuple[np.ndarray, np.ndarray]:
+    """The uint32 words SeedSequence mixes for each row of ``keys`` (see
+    ``substreams``), zero-padded on the right to at least the pool size,
+    and each row's word count.  A key is split as SeedSequence splits an
+    integer: low word first, and 0 is one word."""
+    columns, present, lengths = [], [], set()
+    for key in keys:
+        if isinstance(key, np.ndarray) and key.ndim:
+            if key.ndim > 1 or key.dtype.kind not in "iuO":
+                raise TypeError(f"a key must be an integer or a 1-D integer array, got {key.dtype} {key.shape}")
+            lengths.add(len(key))
+            if np.any(key < 0):
+                raise ValueError("expected non-negative integer")
+            rest, need = key, True
+            while True:  # word w is there while key >> 32 w is nonzero
+                columns.append(rest & _MASK32)
+                present.append(need)
+                rest = rest >> 32
+                need = rest != 0
+                if not need.any():
+                    break
+                need = True if need.all() else need
+        else:
+            rest = operator.index(key)
+            if rest < 0:
+                raise ValueError("expected non-negative integer")
+            columns.append(rest & _MASK32)
+            present.append(True)
+            while rest := rest >> 32:
+                columns.append(rest & _MASK32)
+                present.append(True)
+    if len(lengths) > 1:
+        raise ValueError(f"array keys differ in length: {sorted(lengths)}")
+    rows = lengths.pop() if lengths else 1
+    words = np.zeros((rows, max(len(columns), _POOL_SIZE)), dtype=np.uint32)
+    for j, column in enumerate(columns):
+        words[:, j] = column
+    if all(need is True for need in present):
+        return words, np.full(rows, len(columns))
+    # Rows whose keys split into different word counts: move each row's
+    # words to its front, in key order, and zero the rest.
+    has = np.ones((rows, len(columns)), dtype=bool)
+    for j, need in enumerate(present):
+        has[:, j] = need
+    order = np.argsort(~has, axis=1, kind="stable")
+    words[:, : len(columns)] = np.take_along_axis(np.where(has, words[:, : len(columns)], 0), order, axis=1)
+    return words, has.sum(axis=1)
+
+
+def _seed_states(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """(rows, 4) uint64: ``SeedSequence(entropy).generate_state(4,
+    np.uint64)`` of each row's first ``lengths`` words, computed for all
+    rows at once.  The hash constants do not depend on the data."""
+    # Fill the pool (past a row's words, hash 0, as the zero padding is),
+    pool = _hash(words[:, :_POOL_SIZE], *_FILL)
+    # mix each pool word into the three others,
+    for src, spread in enumerate(_SPREAD):
+        mixed = _mix(pool, _hash(pool[:, src, None], *spread))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    # then mix each further word into every pool word.
+    width = words.shape[1]
+    constants = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * width)
+    for i in range(_POOL_SIZE, width):
+        mixed = _mix(pool, _hash(words[:, i, None], *_operands(constants, _POOL_SIZE * i, _POOL_SIZE)))
+        pool = np.where((lengths > i)[:, None], mixed, pool)
+    state = _hash(pool[:, None, :], *_OUTPUT).reshape(len(pool), 8)
+    # Pairs of uint32 words as little-endian uint64, as generate_state reads them.
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _seed_state_type() -> type:
+    """The seed sequence type ``substreams`` hands PCG64, defined on first
+    use so that importing csim does not import ``numpy.random``."""
+
+    class SeedState(np.random.bit_generator.ISeedSequence):
+        """The ``generate_state(4, np.uint64)`` words of one row, which
+        are all that ``np.random.PCG64`` asks its seed sequence for."""
+
+        def __init__(self, state: np.ndarray):
+            self._state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a seeded row holds generate_state(4, np.uint64) only")
+            return self._state
+
+    return SeedState
+
+
+def substreams(*keys):
+    """Generators of a batch of key tuples, seeded in one pass.
+
+    Each key is an integer, shared by every row, or a 1-D integer array
+    with one entry per row; row b's keys are (k[b] for each array key k,
+    the integer keys as they are).  Row b's generator is
+    ``substream(*its keys)``: the PCG64 stream that
+    ``np.random.SeedSequence(its keys)`` seeds, bit for bit.  Keys must
+    be nonnegative (``ValueError``, as SeedSequence raises).  Returns an
+    iterator that makes each row's generator as it is taken, so a batch
+    never holds all of them at once.
+    """
+    states = _seed_states(*_entropy(keys))
+    seeded = _seed_state_type()
+    return (np.random.Generator(np.random.PCG64(seeded(state))) for state in states)
+
+
 def substream(*keys: int) -> np.random.Generator:
-    """Deterministic generator keyed by a tuple of integers."""
-    return np.random.default_rng(np.random.SeedSequence([int(k) for k in keys]))
+    """Deterministic generator keyed by a tuple of integers: the one-row
+    case of ``substreams``."""
+    return next(substreams(*keys))
 
 
 def _as_generator(seed) -> np.random.Generator:
@@ -59,7 +228,7 @@ class SamplingMask:
         observed = observed.astype(np.int64, copy=False)
         if np.count_nonzero(observed[1:] <= observed[:-1]):
             # Not strictly increasing: sort, and reject repeats.  Sorted
-            # input (every mask ``random_mask`` draws) skips the sort.
+            # input skips the sort.
             unique = np.unique(observed)
             if unique.size != observed.size:
                 raise ValueError("observed indices must be unique")
@@ -71,6 +240,17 @@ class SamplingMask:
         observed.flags.writeable = False
         object.__setattr__(self, "observed", observed)
         object.__setattr__(self, "n", n)
+
+    @classmethod
+    def _drawn(cls, n: int, observed: np.ndarray) -> SamplingMask:
+        """Mask of the int64 indices ``observed``, known sorted, unique
+        and in range, built without ``__post_init__``'s checks; it takes
+        ``observed`` as its own and makes it read-only."""
+        mask = object.__new__(cls)
+        observed.flags.writeable = False
+        object.__setattr__(mask, "n", n)
+        object.__setattr__(mask, "observed", observed)
+        return mask
 
     @property
     def m(self) -> int:
@@ -90,8 +270,7 @@ def random_mask(n: int, m: int, seed) -> SamplingMask:
     if not 1 <= m <= n:
         raise ValueError("m must lie in [1, n]")
     rng = _as_generator(seed)
-    observed = np.sort(rng.choice(n, size=m, replace=False))
-    return SamplingMask(n=n, observed=observed)
+    return SamplingMask._drawn(n, np.sort(rng.choice(n, size=m, replace=False)))
 
 
 def apply_mask(x, mask: SamplingMask) -> np.ndarray:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -163,32 +163,32 @@ def _check_settings(config) -> None:
         raise ValueError("max_iter must be positive")
 
 
-def effective_config(config: SolverConfig, mask: SamplingMask) -> SolverConfig:
+def effective_config(config: SolverConfig, n: int) -> tuple[SolverConfig, CsimParams]:
     """``config`` with its ``None`` index weights resolved for signals
-    of length ``mask.n`` (``l1_weight`` stays: ``None`` sets it per
-    signal).  Nothing it resolves depends on the mask's sample count, so
-    a solve calls it once.  Index weights out of their range for that n
-    raise ``ValueError`` (``CsimParams``)."""
-    var_weight = config.var_weight if config.var_weight is not None else float(mask.n - 1)
-    resolved = replace(
-        config,
-        mean_weight=(
-            config.mean_weight if config.mean_weight is not None else var_weight / DEFAULT_RATIO
-        ),
-        var_weight=var_weight,
-    )
-    CsimParams(resolved.mean_weight, resolved.var_weight, mask.n)  # checks the index weights
-    return resolved
+    of length ``n``, and the index those weights define (``l1_weight``
+    stays: ``None`` sets it per signal).  Nothing it resolves depends on
+    a mask's sample count, so a solve calls it once.  Index weights out
+    of their range for that n raise ``ValueError`` (``CsimParams``); the
+    other fields were checked when ``config`` was built and are not
+    checked again."""
+    var_weight = config.var_weight if config.var_weight is not None else float(n - 1)
+    mean_weight = config.mean_weight if config.mean_weight is not None else var_weight / DEFAULT_RATIO
+    params = CsimParams(mean_weight, var_weight, n)  # checks the index weights
+    if config.mean_weight is None or config.var_weight is None:
+        resolved = object.__new__(SolverConfig)
+        resolved.__dict__.update(vars(config), mean_weight=mean_weight, var_weight=var_weight)
+        config = resolved
+    return config, params
 
 
-def _echo_settings(config: SolverConfig, mask: SamplingMask, D: Dictionary) -> dict:
+def _echo_settings(config: SolverConfig, m: int, D: Dictionary) -> dict:
     """What a solve of ``config`` reads, for a run log: the effective
-    config, the penalties of a row observed through ``mask`` and the
+    config, the penalties of a row with ``m`` observed samples and the
     constants of its regime.  The protocol projects, so it reads neither
     rho2 nor the index weights (see ``SolverConfig``), and those are left
     out."""
-    settings = asdict(effective_config(config, mask))
-    ratio = mask.m / mask.n
+    settings = asdict(effective_config(config, D.n)[0])
+    ratio = m / D.n
     settings["rho1"] = _RHO1_SCALE * ratio
     if config.l1_weight is None:
         del settings["mean_weight"], settings["var_weight"]
@@ -456,7 +456,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         return []
     atoms, n, p = D.atoms, D.n, D.p
     Y, observed = _observed_rows(Y, masks, n)
-    cfg = effective_config(config, masks[0])
+    cfg, params = effective_config(config, n)
     B = len(masks)
 
     ratios = np.array([mask.m for mask in masks]) / n
@@ -471,7 +471,6 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         l1_weight = _peak_weight(_L1_INIT_SCALE, _analyze(atoms, Y), _L1_WEIGHT_MIN)
     else:
         l1_weight = cfg.l1_weight
-        params = CsimParams(cfg.mean_weight, cfg.var_weight, n)
 
     s = np.zeros(Y.shape[:-1] + (p,))
     z = np.zeros_like(Y)

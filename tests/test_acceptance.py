@@ -243,8 +243,7 @@ def test_criterion_6_solver_convergence_fixed_weight():
             (result.primal_residuals < 1e-6) & (result.slack_residuals < 1e-6)
         ):
             feasible += 1
-        values = effective_config(cfg, mask)
-        params = CsimParams(values.mean_weight, values.var_weight, 64)
+        _, params = effective_config(cfg, 64)
         r_z, r_mu = kkt_residuals(result, mask, params)
         if r_z <= 1e-6 * (
             1.0 + float(np.linalg.norm(result.final_dual_z))

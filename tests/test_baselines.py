@@ -411,8 +411,7 @@ def test_fista_batch_keeps_the_one_row_bits_when_only_some_rows_restart():
         assert result.primal_residuals.tobytes() == np.array(residuals).tobytes()
 
 
-@pytest.mark.parametrize("weight_scale", [None, 0.05])
-def test_fista_batch_forms_one_product_each_way_per_iteration(monkeypatch, weight_scale):
+def test_fista_batch_forms_one_product_each_way_per_iteration(monkeypatch):
     counts = {"synthesize": 0, "analyze": 0}
     synthesize, analyze = csim.baselines._synthesize, csim.baselines._analyze
 
@@ -426,8 +425,6 @@ def test_fista_batch_forms_one_product_each_way_per_iteration(monkeypatch, weigh
 
     monkeypatch.setattr(csim.baselines, "_synthesize", counting_synthesize)
     monkeypatch.setattr(csim.baselines, "_analyze", counting_analyze)
-    if weight_scale is not None:
-        monkeypatch.setattr(csim.baselines, "_FISTA_WEIGHT_SCALE", weight_scale)
     D = _DICTIONARIES["haar"]
     Y, masks = _problem_rows(D, 11, 8, sparsity=13)
     config = BaselineConfig(max_iter=60)

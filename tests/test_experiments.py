@@ -68,16 +68,50 @@ def test_sweep_sr_rows_do_not_depend_on_how_jobs_are_split():
     assert whole == split
 
 
-def test_sweep_sr_rows_do_not_depend_on_batch_size():
-    # each (solver, ratio) group is one batch of `trials` rows
+@pytest.mark.parametrize("seed", [21, 2**40])
+def test_sweep_sr_rows_do_not_depend_on_batch_size(seed):
+    # each (solver, ratio) group is one batch of `trials` rows, and its
+    # trials are seeded in one pass
     def rows(trials):
         spec = ExperimentSpec(
-            srs=(0.5, 0.8), trials=trials, solvers=("csim-alm", "fista", "iht"), seed=21, max_iter=50
+            srs=(0.5, 0.8), trials=trials, solvers=("csim-alm", "fista", "iht"), seed=seed, max_iter=50
         )
         return sweep_sr(spec).splitlines()[1:]
 
     first_seven = [line for line in rows(40) if int(line.split(",", 1)[0]) < 7]
     assert rows(7) == first_seven
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40])
+def test_masks_and_trial_codes_are_numpy_draws_from_their_keys(seed):
+    # The oracle uses numpy alone: SeedSequence of the keys, then the
+    # draws of random_mask and synth_sparse_signal.
+    def rng(*keys):
+        return np.random.default_rng(np.random.SeedSequence(list(keys)))
+
+    n, sr, m, trials = 64, 0.6, 38, 12  # round(0.6 * 64) = 38
+    for index in (0, 5, 2**33):
+        observed = np.sort(rng(seed, index, 2, m).choice(n, size=m, replace=False))
+        assert observation_mask(n, sr, seed, index).observed.tobytes() == observed.tobytes()
+    masks = csim.experiments._observe(np.arange(trials), n, sr, seed)
+    D = build_dictionary("dct", 64, 64)
+    codes, _ = csim.experiments._truth(ExperimentSpec(trials=trials, seed=seed), D)
+    for trial in range(trials):
+        observed = np.sort(rng(seed, trial, 2, m).choice(n, size=m, replace=False))
+        assert masks[trial].observed.tobytes() == observed.tobytes()
+        draw = rng(seed, trial, 1)
+        support = np.sort(draw.choice(64, size=7, replace=False))  # k = ceil(0.1 p)
+        code = np.zeros(64)
+        code[support] = draw.standard_normal(7)
+        assert codes[trial].tobytes() == code.tobytes()
+    # corpus patches: an image, then a corner, from the same keys
+    images = [synthetic_image(20, 24, seed=1).astype(float), synthetic_image(9, 30, seed=2).astype(float)]
+    _, patches = csim.experiments._truth(ExperimentSpec(trials=trials, seed=seed), D, images)
+    for trial in range(trials):
+        draw = rng(seed, trial, 1)
+        image = images[int(draw.integers(2))]
+        r, c = int(draw.integers(image.shape[0] - 7)), int(draw.integers(image.shape[1] - 7))
+        assert patches[trial].tobytes() == image[r : r + 8, c : c + 8].reshape(-1).tobytes()
 
 
 def _one_row_sweep(spec):
@@ -109,7 +143,7 @@ def _one_row_sweep(spec):
 def test_sweep_sr_builds_trial_data_once_and_keeps_the_one_row_csv(monkeypatch):
     # every signal is drawn through the draw helper ``synth_sparse_signal``
     # shares; the sweep synthesizes all of them in one product
-    calls = {"_draw_code": 0, "observation_mask": 0}
+    calls = {"_draw_code": 0, "random_mask": 0, "substreams": 0}
     for name in calls:
         real = getattr(csim.experiments, name)
 
@@ -121,8 +155,9 @@ def test_sweep_sr_builds_trial_data_once_and_keeps_the_one_row_csv(monkeypatch):
     spec = ExperimentSpec(srs=(0.5, 0.8), trials=6, solvers=("csim-alm", "fista"), seed=17, max_iter=20)
     text = sweep_sr(spec)
     # signals do not depend on the ratio; masks are drawn once per
-    # (ratio, trial) and shared by both solvers
-    assert calls == {"_draw_code": 6, "observation_mask": 2 * 6}
+    # (ratio, trial) and shared by both solvers; one seeding pass covers
+    # the signals, and one each ratio's masks
+    assert calls == {"_draw_code": 6, "random_mask": 2 * 6, "substreams": 1 + 2}
     monkeypatch.undo()
     assert text == _one_row_sweep(spec)
 
@@ -146,7 +181,7 @@ def test_run_solver_batch_rows_equal_run_solver(solver):
 def test_solver_settings_echo_every_config_field_and_the_gram_norm():
     # the fixed-weight regime reads every field, and these solver constants
     D = build_dictionary("dct", 64, 64)
-    settings = solver_settings("csim-alm", D, 0.8, 0, l1_weight=0.01)
+    settings = solver_settings("csim-alm", D, 0.8, l1_weight=0.01)
     assert {f.name for f in fields(SolverConfig)} < set(settings)
     gram_norm = settings.pop("gram_norm")
     assert gram_norm == D.spectral_norm_sq == pytest.approx(1.0, rel=1e-12)
@@ -170,7 +205,7 @@ def test_protocol_settings_leave_out_what_projection_never_reads():
     # The protocol projects, so rho2 and the index weights cannot change
     # its output; the log names the weight schedule's constants instead.
     D = build_dictionary("dct", 64, 64)
-    settings = solver_settings("csim-alm", D, 0.8, 0, mean_weight=2.0, var_weight=5.0)
+    settings = solver_settings("csim-alm", D, 0.8, mean_weight=2.0, var_weight=5.0)
     assert settings == {
         "rho1": 0.4 * 51 / 64,
         "max_iter": 50,
@@ -199,7 +234,7 @@ def test_every_entry_point_hands_its_settings_to_the_solver_config(solver):
     ]
     assert len(results) == 8  # one, one, two and four rows
     assert all(result.iterations == 7 for result in results)
-    assert solver_settings(solver, D, 0.6, 2, max_iter=7)["max_iter"] == 7
+    assert solver_settings(solver, D, 0.6, max_iter=7)["max_iter"] == 7
 
 
 @pytest.mark.parametrize(
@@ -220,7 +255,7 @@ def test_a_setting_the_solver_config_lacks_raises_type_error(solver, setting):
     calls = (
         lambda: run_solver(solver, y, mask, D, **{setting: 0.1}),
         lambda: run_solver_batch(solver, y[None], [mask], D, **{setting: 0.1}),
-        lambda: solver_settings(solver, D, 0.6, 2, **{setting: 0.1}),
+        lambda: solver_settings(solver, D, 0.6, **{setting: 0.1}),
     )
     for call in calls:
         with pytest.raises(TypeError, match=setting):
@@ -412,7 +447,7 @@ def test_unknown_solver_names_raise_naming_the_solver():
     calls = (
         lambda: run_solver("bogus", y, mask, D),
         lambda: run_solver_batch("bogus", y[None], [mask], D),
-        lambda: solver_settings("bogus", D, 0.5, 0),
+        lambda: solver_settings("bogus", D, 0.5),
     )
     for call in calls:
         with pytest.raises(ValueError, match="unknown solver 'bogus'"):

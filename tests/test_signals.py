@@ -14,6 +14,7 @@ from csim.signals import (
     random_mask,
     reassemble,
     substream,
+    substreams,
     synth_sparse_signal,
 )
 
@@ -189,6 +190,86 @@ def test_substream_independence():
     b = substream(5, 2).standard_normal(4)
     assert not np.allclose(a, b)
     np.testing.assert_allclose(a, substream(5, 1).standard_normal(4))
+
+
+# Keys whose entropy spans one, two and three uint32 words.
+WIDE_KEYS = (0, 1, 2**32 - 1, 2**32, 2**40, 2**63, 2**64 + 3)
+
+
+def _numpy_stream(keys) -> np.random.Generator:
+    """The oracle: numpy's own seeding of the key tuple ``keys``."""
+    return np.random.default_rng(np.random.SeedSequence([int(k) for k in keys]))
+
+
+def _same_stream(rng, keys) -> bool:
+    return rng.bit_generator.state == _numpy_stream(keys).bit_generator.state
+
+
+@pytest.mark.parametrize("count", range(1, 7))
+def test_substream_is_numpys_seed_sequence_stream_bit_for_bit(count):
+    rng = np.random.default_rng(count)
+    for _ in range(60):
+        keys = [
+            WIDE_KEYS[rng.integers(len(WIDE_KEYS))] if rng.random() < 0.5 else int(rng.integers(2**31))
+            for _ in range(count)
+        ]
+        assert _same_stream(substream(*keys), keys), keys
+        # the draws too, not just the seeded state
+        assert substream(*keys).random(3).tobytes() == _numpy_stream(keys).random(3).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, object])
+def test_a_batch_seeds_every_row_as_numpy_seeds_it(dtype):
+    # Array keys whose rows split into different numbers of words, among
+    # integer keys shared by every row, at every position and width.
+    wide = WIDE_KEYS if dtype is object else tuple(k for k in WIDE_KEYS if k <= np.iinfo(dtype).max)
+    column = np.array(wide + (5, 0, 2**32 + 7), dtype=dtype)
+    for seed in (0, 7, 2**40, 2**64 + 3):
+        for keys in [
+            (seed, column),
+            (column, seed, 2),
+            (seed, column, 2, np.arange(len(column))[::-1]),
+            (seed, 1, 2, column, 2**33, 6),
+        ]:
+            rngs = list(substreams(*keys))
+            assert len(rngs) == len(column)
+            for row, rng in enumerate(rngs):
+                row_keys = [k[row] if isinstance(k, np.ndarray) else k for k in keys]
+                assert _same_stream(rng, row_keys), row_keys
+                assert _same_stream(substream(*row_keys), row_keys)
+
+
+def test_negative_keys_raise_value_error_as_numpy_does():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        np.random.SeedSequence([3, -1])
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        substream(3, -1)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        substreams(3, np.array([0, -1]))
+    with pytest.raises(TypeError):
+        substreams(3, np.array([0.5, 1.0]))
+    with pytest.raises(ValueError, match="differ in length"):
+        substreams(np.arange(2), np.arange(3))
+
+
+def test_a_seeded_row_hands_pcg64_its_state_only():
+    (rng,) = substreams(1, np.array([2]))
+    assert rng.bit_generator.seed_seq.generate_state(4, np.uint64).dtype == np.uint64
+    with pytest.raises(ValueError):
+        rng.bit_generator.seed_seq.generate_state(8)
+
+
+def test_random_mask_is_read_only_and_equals_the_checked_mask():
+    for n, m, seed in ((64, 38, 3), (16, 16, 1), (9, 1, (4, 5))):
+        mask = random_mask(n, m, seed)
+        checked = SamplingMask(n, mask.observed)
+        assert mask.n == checked.n == n
+        assert mask.m == m
+        assert mask.observed.dtype == checked.observed.dtype == np.int64
+        assert mask.observed.tobytes() == checked.observed.tobytes()
+        assert not mask.observed.flags.writeable
+        with pytest.raises(ValueError):
+            mask.observed[0] = 1
 
 
 @pytest.mark.parametrize("shape", [(37, 29), (29, 37), (9, 17)])

@@ -346,13 +346,13 @@ def test_effective_config_validation():
     mask = random_mask(8, 6, 18)
     # the config checks its other fields when built; the index weights wait for n
     with pytest.raises(ValueError, match="^mean_weight must be positive and finite$"):
-        effective_config(SolverConfig(mean_weight=-1.0), mask)
+        effective_config(SolverConfig(mean_weight=-1.0), mask.n)
     # 0 turns the stop off: even an all-zero row runs its budget
     result = solve(np.zeros(8), mask, dct_dictionary(8, 8), SolverConfig(feasibility_tol=0.0, max_iter=5))
     assert (result.iterations, result.stop_reason) == (5, "budget")
-    values = effective_config(SolverConfig(), mask)
-    assert values.var_weight == pytest.approx(7.0)
-    assert values.mean_weight == pytest.approx(0.25 * 7.0)
+    values, params = effective_config(SolverConfig(), mask.n)
+    assert values.var_weight == params.var_weight == pytest.approx(7.0)
+    assert values.mean_weight == params.mean_weight == pytest.approx(0.25 * 7.0)
 
 
 @pytest.mark.parametrize(
@@ -388,18 +388,18 @@ def test_no_setting_or_result_field_is_left_from_backtracking_or_the_protocol_co
 
 
 def test_effective_config_is_the_config_with_its_none_fields_resolved():
-    mask = random_mask(8, 6, 18)
     cfg = SolverConfig(mean_weight=3.0, max_iter=9, l1_weight=0.5)
-    resolved = effective_config(cfg, mask)
-    assert isinstance(resolved, SolverConfig)
+    resolved, params = effective_config(cfg, 8)
+    assert type(resolved) is SolverConfig
     assert resolved == SolverConfig(
         max_iter=9,
         mean_weight=3.0,
         var_weight=7.0,
         l1_weight=0.5,
     )
-    # only the signal length resolves anything, not the sample count
-    assert effective_config(cfg, random_mask(8, 2, 18)) == resolved
+    assert params == CsimParams(3.0, 7.0, 8)
+    # a config with both weights set is already resolved
+    assert effective_config(resolved, 8)[0] is resolved
 
 
 def test_analysis_mode_reaches_feasibility_and_kkt():
@@ -412,8 +412,7 @@ def test_analysis_mode_reaches_feasibility_and_kkt():
     assert result.iterations < 2000
     assert result.primal_residuals[-1] < 1e-6
     assert result.slack_residuals[-1] < 1e-6
-    values = effective_config(cfg, mask)
-    params = CsimParams(values.mean_weight, values.var_weight, 64)
+    _, params = effective_config(cfg, 64)
     r_z, r_mu = kkt_residuals(result, mask, params)
     assert r_z <= 1e-6 * (1.0 + float(np.linalg.norm(result.final_dual_z)))
     assert r_mu <= 1e-6 * (1.0 + float(np.linalg.norm(result.final_dual_x)))
@@ -674,8 +673,7 @@ def _oracle_solve(y, mask, D, config, majorizer_scale=1.05):
     to its floor 1e-4 and forms no relaxed value: it is the plain
     iteration.  It forms the slack block under projection too, so it is
     the check that the loop may skip that block there."""
-    cfg = effective_config(config, mask)
-    params = CsimParams(cfg.mean_weight, cfg.var_weight, D.n)
+    cfg, params = effective_config(config, D.n)
     observed = mask.indicator()
     y = np.where(observed != 0, y, 0.0)
     ratio = mask.m / D.n
@@ -978,8 +976,7 @@ def test_stop_reason_is_the_test_that_retires_the_row():
 
 
 def _relative_stationarity_gap(result, mask, D, cfg):
-    values = effective_config(cfg, mask)
-    params = CsimParams(values.mean_weight, values.var_weight, D.n)
+    _, params = effective_config(cfg, D.n)
     r_z, r_mu = kkt_residuals(result, mask, params)
     assert r_z <= 1e-12  # the z step solves its stationarity condition exactly
     return r_mu / float(np.linalg.norm(result.final_dual_x))
