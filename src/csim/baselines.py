@@ -32,6 +32,7 @@ from .solver import (
     NonFiniteError,
     RecoveryResult,
     _all,
+    _at_least,
     _check_settings,
     _check_threshold,
     _observed_rows,
@@ -75,7 +76,12 @@ def hard_threshold(v, tau) -> np.ndarray:
     """Zero entries with |v_i| < tau, keep the rest exactly; ``tau`` is
     a scalar or a per-row value."""
     _check_threshold(tau)
-    v = np.asarray(v, dtype=float)
+    return _hard_threshold(np.asarray(v, dtype=float), tau)
+
+
+def _hard_threshold(v, tau) -> np.ndarray:
+    """``hard_threshold``'s arithmetic on a float array, for IHT, whose
+    schedule is checked once per call."""
     return np.where(np.abs(v) >= tau, v, 0.0)
 
 
@@ -95,11 +101,26 @@ def _row_stack(Y, masks: list[SamplingMask], D: Dictionary):
 def _operator(atoms, observed):
     """(s -> A s, r -> A.T r) for the masked operators A_b = diag(o_b) D
     of the rows of ``observed``.  One row forms its n x p matrix once; a
-    stack applies D and the 0/1 rows, never one matrix per row."""
+    stack applies D and the 0/1 rows, never one matrix per row.
+
+    The stacked adjoint applies D.T alone: both baselines hand it
+    residuals that are already exactly +0 or -0 off the observed samples
+    (IHT's Y - A s, FISTA's A p - Y, with Y zero-filled there), and
+    0 * (+-0) keeps that sign, so the mask would change no bit."""
     if observed.ndim == 1:
         A = np.where(observed[:, None] != 0, atoms, 0.0)
         return A.__matmul__, A.T.__matmul__
-    return (lambda s: observed * _synthesize(atoms, s)), (lambda r: _analyze(atoms, observed * r))
+    return (lambda s: observed * _synthesize(atoms, s)), (lambda r: _analyze(atoms, r))
+
+
+def _check_iterate(s, solver: str) -> None:
+    """Raise ``NonFiniteError`` if s is not finite.  The loops call it
+    only when the residual norm of s is not finite: one non-finite
+    coefficient makes every sample of A s non-finite (inf * 0 is nan),
+    so a finite norm clears s, and a finite s whose squared residual
+    overflows goes on."""
+    if not _all(np.isfinite(s)):
+        raise NonFiniteError(f"non-finite {solver} iterate")
 
 
 def _results(atoms, s, history, elapsed, iterates) -> list[RecoveryResult]:
@@ -159,7 +180,7 @@ def fista_solve_batch(Y, masks, D: Dictionary, config: BaselineConfig | None = N
     t_k = 1.0
     # One row keeps t_k a Python float: a Python-float sqrt and a scalar
     # restart flag, with the bits of the array forms.
-    sqrt = math.sqrt if s.ndim == 1 else np.sqrt
+    sqrt, isfinite = (math.sqrt, math.isfinite) if s.ndim == 1 else (np.sqrt, np.isfinite)
 
     history, elapsed = [], []
     iterates: list[np.ndarray] | None = [] if config.record_iterates else None
@@ -186,9 +207,10 @@ def fista_solve_batch(Y, masks, D: Dictionary, config: BaselineConfig | None = N
         momentum_product = candidate_product + beta * (candidate_product - product)
         s, product, t_k = candidate, candidate_product, t_next
 
-        if not _all(np.isfinite(s)):
-            raise NonFiniteError("non-finite FISTA iterate")
-        history.append(sqrt(_dot(r, r)))
+        norm = sqrt(_dot(r, r))
+        if not _all(isfinite(norm)):
+            _check_iterate(s, "FISTA")
+        history.append(norm)
         elapsed.append((time.perf_counter() - start) * 1e3)
         if iterates is not None:
             iterates.append(s)
@@ -213,20 +235,24 @@ def iht_adaptive_solve_batch(Y, masks, D: Dictionary, config: BaselineConfig | N
         return []
     Y, forward, adjoint, step = _row_stack(Y, masks, D)
     tau0 = _peak_weight(_IHT_START_SCALE, adjoint(Y))
+    # The thresholds max(tau0 e^(-0.2 t), 1e-3) are all at least 1e-3 unless
+    # tau0 is nan, which the first one shows: checking it checks them all.
+    _check_threshold(_at_least(tau0, _IHT_FLOOR))
 
     s = np.zeros(Y.shape[:-1] + (D.p,))
     r = Y - forward(s)
+    sqrt, isfinite = (math.sqrt, math.isfinite) if s.ndim == 1 else (np.sqrt, np.isfinite)
     history, elapsed = [], []
     iterates: list[np.ndarray] | None = [] if config.record_iterates else None
     start = time.perf_counter()
     for t in range(config.max_iter):
-        tau = tau0 * math.exp(-_IHT_DECAY * t)
-        tau = max(tau, _IHT_FLOOR) if isinstance(tau, float) else np.maximum(tau, _IHT_FLOOR)
-        s = hard_threshold(s + step * adjoint(r), tau)
-        if not _all(np.isfinite(s)):
-            raise NonFiniteError("non-finite IHT iterate")
+        tau = _at_least(tau0 * math.exp(-_IHT_DECAY * t), _IHT_FLOOR)
+        s = _hard_threshold(s + step * adjoint(r), tau)
         r = Y - forward(s)
-        history.append(np.sqrt(_dot(r, r)))
+        norm = sqrt(_dot(r, r))
+        if not _all(isfinite(norm)):
+            _check_iterate(s, "IHT")
+        history.append(norm)
         elapsed.append((time.perf_counter() - start) * 1e3)
         if iterates is not None:
             iterates.append(s)

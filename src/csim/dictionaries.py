@@ -57,13 +57,25 @@ def _dot(a, b):
 _POWER_ITERATIONS = 100_000  # the cap of spectral_norm_sq's power iteration
 
 
+@functools.cache
+def _power_start(p: int) -> np.ndarray:
+    """spectral_norm_sq's fixed start for length ``p``: a
+    ``default_rng(0)`` normal draw over its norm, drawn once per length
+    and read-only."""
+    v = np.random.default_rng(0).standard_normal(p)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
+
+
 def spectral_norm_sq(A, *, observed=None):
     """Largest eigenvalue of A.T @ A by power iteration.
 
-    Iterates v <- A.T @ (A @ v) from a fixed pseudorandom start until the
-    Rayleigh quotient is stable to a relative 1e-10.  With
-    ``observed``, a (B, n) stack of 0/1 rows, it returns as a length-B
-    array the value of every masked matrix diag(o_b) A, iterating
+    Iterates v <- A.T @ (A @ v) from a fixed pseudorandom start (one
+    per length p, drawn on first use) until the Rayleigh quotient is
+    stable to a relative 1e-10.  With ``observed``, a (B, n) stack of
+    0/1 rows, it returns as a length-B array the value of every masked
+    matrix diag(o_b) A, iterating
     v <- A.T (o_b * (A v)) on all rows at once without forming those
     matrices; each row stops on its own test and has the bits of a
     single-matrix call on its masked matrix.  Raises ``RuntimeError``
@@ -80,8 +92,7 @@ def spectral_norm_sq(A, *, observed=None):
     p = A.shape[1]
     values = np.zeros(len(rows))
     active = np.arange(len(rows))  # input row of each working row
-    v = np.random.default_rng(0).standard_normal(p)
-    v /= np.linalg.norm(v)
+    v = _power_start(p)
     if len(rows) == 1:
         # A single row runs on 1-D arrays, as in the solvers; the bits are the same.
         V, rows = v, rows[0]

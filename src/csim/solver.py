@@ -241,7 +241,12 @@ def soft_threshold(v, tau) -> np.ndarray:
     """Componentwise sign(v) * max(|v| - tau, 0); ``tau`` is a scalar or
     a per-row value."""
     _check_threshold(tau)
-    v = np.asarray(v, dtype=float)
+    return _soft_threshold(np.asarray(v, dtype=float), tau)
+
+
+def _soft_threshold(v, tau) -> np.ndarray:
+    """``soft_threshold``'s arithmetic on a float array, unchecked: the
+    s step's threshold is nonnegative by construction."""
     return np.copysign(np.maximum(np.abs(v) - tau, 0.0), v)
 
 
@@ -292,6 +297,15 @@ def _peak_weight(scale: float, correlations, floor: float = 0.0):
     peak) on zero-filled observations: every solver's relative l1 weight
     or threshold, as a per-row value."""
     return _per_row(np.maximum(scale * np.abs(correlations).max(axis=-1), floor))
+
+
+def _at_least(value, floor: float):
+    """max(value, floor) of a per-row value.  A Python float stays one
+    (``np.maximum`` would make it a NumPy scalar, dearer in every later
+    scalar operation), with the same bits."""
+    if isinstance(value, float):
+        return max(value, floor)
+    return np.maximum(value, floor)
 
 
 def _keep(value, keep):
@@ -377,8 +391,7 @@ def s_update_backtracking(
         dual_x = np.divide(dual_x, rho1)
     residual = np.add(x, dual_x) - synthesized
     v = s + _analyze(atoms, residual) / majorizer
-    magnitude = np.maximum(np.abs(v) - l1_weight / rho1 / majorizer, 0.0)
-    candidate = np.copysign(magnitude, v)
+    candidate = _soft_threshold(v, l1_weight / rho1 / majorizer)
     return candidate, majorizer, 0, _synthesize(atoms, candidate)
 
 
@@ -540,8 +553,9 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
             segment_s.append(s)
 
         # Non-finite entries of x, s or z make r1 or r2 non-finite: every
-        # atom has a nonzero entry, and inf * 0 is nan.
-        if not (_all(isfinite(r1)) and _all(isfinite(r2))):
+        # atom has a nonzero entry, and inf * 0 is nan.  The protocol's
+        # slack residual is the constant 0.0.
+        if not (_all(isfinite(r1)) and (projected or _all(isfinite(r2)))):
             raise NonFiniteError(f"non-finite iterate at iteration {iteration}")
         done = (r1 < tol) & (r2 < tol)
         any_done = _any(done)
@@ -554,7 +568,7 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
             done = done & (sqrt(_dot(dual_residual, dual_residual)) < tol)
             any_done = _any(done)
         if projected:
-            l1_weight = np.maximum(_L1_DECAY * l1_weight, _L1_WEIGHT_MIN)
+            l1_weight = _at_least(_L1_DECAY * l1_weight, _L1_WEIGHT_MIN)
         if iteration < cfg.max_iter and not any_done:
             continue
 

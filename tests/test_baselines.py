@@ -411,7 +411,13 @@ def test_fista_batch_keeps_the_one_row_bits_when_only_some_rows_restart():
         assert result.primal_residuals.tobytes() == np.array(residuals).tobytes()
 
 
-def test_fista_batch_forms_one_product_each_way_per_iteration(monkeypatch):
+@pytest.mark.parametrize(
+    "solve, setup_synthesize",
+    # Setup: the weight reads A.T y, the results form D s once, and IHT
+    # forms its first residual y - A 0.
+    [(fista_solve_batch, 1), (iht_adaptive_solve_batch, 2)],
+)
+def test_batched_baselines_form_one_product_each_way_per_iteration(monkeypatch, solve, setup_synthesize):
     counts = {"synthesize": 0, "analyze": 0}
     synthesize, analyze = csim.baselines._synthesize, csim.baselines._analyze
 
@@ -428,9 +434,65 @@ def test_fista_batch_forms_one_product_each_way_per_iteration(monkeypatch):
     D = _DICTIONARIES["haar"]
     Y, masks = _problem_rows(D, 11, 8, sparsity=13)
     config = BaselineConfig(max_iter=60)
-    fista_solve_batch(Y, masks, D, config)
-    # Setup: the weight reads A.T y; the results form D s once.
-    assert counts == {"synthesize": config.max_iter + 1, "analyze": config.max_iter + 1}
+    solve(Y, masks, D, config)
+    assert counts == {"synthesize": config.max_iter + setup_synthesize, "analyze": config.max_iter + 1}
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("solver, threshold", [("fista", "soft_threshold"), ("iht", "_hard_threshold")])
+def test_a_non_finite_baseline_iterate_raises_at_its_iteration(monkeypatch, solver, threshold, rows, bad):
+    # The loops scan s only when its residual norm is not finite; an
+    # iterate that turns non-finite in its threshold step must still stop
+    # the loop at that iteration.  The messages carry no iteration number,
+    # so the count of threshold steps tells it.
+    D = _DICTIONARIES["haar"]
+    Y, masks = _problem_rows(D, 9, rows)
+    step = getattr(csim.baselines, threshold)
+    calls = []
+
+    def spoiled_step(v, tau):
+        out = step(v, tau)
+        calls.append(1)
+        if len(calls) == 4:
+            out = out.copy()
+            out[..., -1] = bad  # the last coefficient of the last row
+        return out
+
+    monkeypatch.setattr(csim.baselines, threshold, spoiled_step)
+    solve_batch_fn, _, _ = _BATCHED[solver]
+    # An inf coefficient meets the zero samples of A: inf * 0 warns.
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match=f"non-finite {solver.upper()}"):
+        solve_batch_fn(Y, masks, D, BaselineConfig(max_iter=30))
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("solver", sorted(_BATCHED))
+def test_a_finite_baseline_run_whose_squared_residual_overflows_does_not_raise(solver, rows):
+    D = _DICTIONARIES["dct"]
+    Y, masks = _problem_rows(D, 12, rows)
+    solve_batch_fn, _, _ = _BATCHED[solver]
+    # The squares overflow to inf (FISTA's restart test then meets inf - inf).
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = solve_batch_fn(1e200 * Y, masks, D, BaselineConfig(max_iter=10))
+    for result in results:
+        assert result.iterations == 10
+        assert np.all(np.isfinite(result.s_hat))
+        assert np.isinf(result.primal_residuals).any()
+
+
+def test_iht_checks_its_threshold_schedule_once_before_iterating(monkeypatch):
+    # A nan start makes every threshold nan; it fails before any step.
+    calls = []
+    monkeypatch.setattr(csim.baselines, "_IHT_START_SCALE", np.nan)
+    monkeypatch.setattr(csim.baselines, "_hard_threshold", lambda v, tau: calls.append(1))
+    D = _DICTIONARIES["dct"]
+    Y, masks = _problem_rows(D, 13, 3)
+    for rows in (slice(0, 1), slice(0, 3)):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            iht_adaptive_solve_batch(Y[rows], masks[rows], D)
+    assert calls == []
 
 
 @pytest.mark.parametrize("solve", [fista_solve_batch, iht_adaptive_solve_batch])

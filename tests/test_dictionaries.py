@@ -157,6 +157,17 @@ def test_spectral_norm_raises_when_the_power_iteration_runs_out(monkeypatch):
         spectral_norm_sq(D.atoms, observed=observed)
 
 
+@pytest.mark.parametrize("p", [3, 64, 128])
+def test_the_power_iteration_start_is_drawn_once_per_length_and_read_only(p):
+    draw = np.random.default_rng(0).standard_normal(p)
+    start = csim.dictionaries._power_start(p)
+    assert start.tobytes() == (draw / np.linalg.norm(draw)).tobytes()
+    assert csim.dictionaries._power_start(p) is start
+    assert not start.flags.writeable
+    with pytest.raises(ValueError):
+        start[0] = 0.0
+
+
 def test_normalize_columns_behaviour():
     rng = np.random.default_rng(5)
     already = dct_dictionary(8, 8).atoms
