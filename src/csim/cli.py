@@ -331,12 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
         p_sw.add_argument("--solver", action="append", choices=SOLVER_NAMES, default=None)
         p_sw.add_argument("--max-iter", dest="max_iter", type=_positive_int, default=ExperimentSpec.max_iter)
         p_sw.add_argument("--out", required=True)
+        p_sw.add_argument(
+            "--timing",
+            action="store_true",
+            help="include wall-clock times (breaks byte reproducibility)",
+        )
         if mode == "sweep-sr":
-            p_sw.add_argument(
-                "--timing",
-                action="store_true",
-                help="include wall-clock runtimes (breaks byte reproducibility)",
-            )
             p_sw.add_argument(
                 "--corpus",
                 action="append",
@@ -344,15 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="PGM file or directory to draw patches from (repeatable); "
                 "default is synthetic exactly-sparse signals",
             )
-            p_sw.set_defaults(func=lambda a: _run_sweep(a, "sweep-sr"))
-        else:
-            p_sw.add_argument(
-                "--no-timing",
-                dest="timing",
-                action="store_false",
-                help="zero the elapsed column for byte reproducibility",
-            )
-            p_sw.set_defaults(timing=True, func=lambda a: _run_sweep(a, "sweep-iters"))
+        p_sw.set_defaults(func=functools.partial(_run_sweep, mode=mode))
 
     p_par = sub.add_parser("params", help="report weight-ratio bounds")
     _add_dict_args(p_par)

@@ -150,8 +150,8 @@ def _sample_count(n: int, sr: float) -> int:
 def observation_mask(n: int, sr: float, seed: int, index: int) -> SamplingMask:
     """Mask of job ``index``: round(sr * n) samples, clamped to 1..n,
     drawn from substream (seed, index, mask tag, sample count)."""
-    (mask,) = _observe(np.array([index]), n, sr, seed)
-    return mask
+    m = _sample_count(n, sr)
+    return random_mask(n, m, substream(seed, index, _TAG_MASK, m))
 
 
 def _solver(name: str, **settings):
@@ -346,8 +346,8 @@ def sweep_iters(spec: ExperimentSpec) -> str:
 
     Ground-truth synthetic signals only.  Solvers run their full
     iteration budget (no early stop) so the iteration column spans
-    1..max_iter for every trace.  The elapsed column is the solver's
-    clock, that of the whole (solver, ratio) batch.
+    1..max_iter for every trace.  With timing, the elapsed column is
+    the solver's clock, that of the whole (solver, ratio) batch.
     """
     if spec.corpus:
         raise ValueError("iteration traces need ground-truth synthetic signals")

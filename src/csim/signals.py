@@ -86,60 +86,40 @@ def _mix(x, y) -> np.ndarray:
     return mixed
 
 
-def _entropy(keys) -> tuple[np.ndarray, np.ndarray]:
+def _entropy(keys) -> np.ndarray:
     """The uint32 words SeedSequence mixes for each row of ``keys`` (see
-    ``substreams``), zero-padded on the right to at least the pool size,
-    and each row's word count.  A key is split as SeedSequence splits an
-    integer: low word first, and 0 is one word."""
-    columns, present, lengths = [], [], set()
+    ``substreams``), zero-padded on the right to at least the pool size.
+    An integer key is split as SeedSequence splits it: low word first,
+    and 0 is one word.  An array key is one word per row."""
+    columns, lengths = [], set()
     for key in keys:
         if isinstance(key, np.ndarray) and key.ndim:
-            if key.ndim > 1 or key.dtype.kind not in "iuO":
+            if key.ndim > 1 or key.dtype.kind not in "iu":
                 raise TypeError(f"a key must be an integer or a 1-D integer array, got {key.dtype} {key.shape}")
             lengths.add(len(key))
-            if np.any(key < 0):
-                raise ValueError("expected non-negative integer")
-            rest, need = key, True
-            while True:  # word w is there while key >> 32 w is nonzero
-                columns.append(rest & _MASK32)
-                present.append(need)
-                rest = rest >> 32
-                need = rest != 0
-                if not need.any():
-                    break
-                need = True if need.all() else need
+            if key.size and (key.min() < 0 or key.max() > _MASK32):
+                raise ValueError("expected non-negative integer row keys below 2**32")
+            columns.append(key)
         else:
             rest = operator.index(key)
             if rest < 0:
                 raise ValueError("expected non-negative integer")
             columns.append(rest & _MASK32)
-            present.append(True)
             while rest := rest >> 32:
                 columns.append(rest & _MASK32)
-                present.append(True)
     if len(lengths) > 1:
         raise ValueError(f"array keys differ in length: {sorted(lengths)}")
-    rows = lengths.pop() if lengths else 1
-    words = np.zeros((rows, max(len(columns), _POOL_SIZE)), dtype=np.uint32)
+    words = np.zeros((lengths.pop() if lengths else 1, max(len(columns), _POOL_SIZE)), dtype=np.uint32)
     for j, column in enumerate(columns):
         words[:, j] = column
-    if all(need is True for need in present):
-        return words, np.full(rows, len(columns))
-    # Rows whose keys split into different word counts: move each row's
-    # words to its front, in key order, and zero the rest.
-    has = np.ones((rows, len(columns)), dtype=bool)
-    for j, need in enumerate(present):
-        has[:, j] = need
-    order = np.argsort(~has, axis=1, kind="stable")
-    words[:, : len(columns)] = np.take_along_axis(np.where(has, words[:, : len(columns)], 0), order, axis=1)
-    return words, has.sum(axis=1)
+    return words
 
 
-def _seed_states(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _seed_states(words: np.ndarray) -> np.ndarray:
     """(rows, 4) uint64: ``SeedSequence(entropy).generate_state(4,
-    np.uint64)`` of each row's first ``lengths`` words, computed for all
-    rows at once.  The hash constants do not depend on the data."""
-    # Fill the pool (past a row's words, hash 0, as the zero padding is),
+    np.uint64)`` of each row of ``words``, computed for all rows at once.
+    The hash constants do not depend on the data."""
+    # Fill the pool (past the words, hash 0, as the zero padding is),
     pool = _hash(words[:, :_POOL_SIZE], *_FILL)
     # mix each pool word into the three others,
     for src, spread in enumerate(_SPREAD):
@@ -150,8 +130,7 @@ def _seed_states(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     width = words.shape[1]
     constants = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * width)
     for i in range(_POOL_SIZE, width):
-        mixed = _mix(pool, _hash(words[:, i, None], *_operands(constants, _POOL_SIZE * i, _POOL_SIZE)))
-        pool = np.where((lengths > i)[:, None], mixed, pool)
+        pool = _mix(pool, _hash(words[:, i, None], *_operands(constants, _POOL_SIZE * i, _POOL_SIZE)))
     state = _hash(pool[:, None, :], *_OUTPUT).reshape(len(pool), 8)
     # Pairs of uint32 words as little-endian uint64, as generate_state reads them.
     return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
@@ -180,16 +159,18 @@ def _seed_state_type() -> type:
 def substreams(*keys):
     """Generators of a batch of key tuples, seeded in one pass.
 
-    Each key is an integer, shared by every row, or a 1-D integer array
-    with one entry per row; row b's keys are (k[b] for each array key k,
-    the integer keys as they are).  Row b's generator is
-    ``substream(*its keys)``: the PCG64 stream that
-    ``np.random.SeedSequence(its keys)`` seeds, bit for bit.  Keys must
-    be nonnegative (``ValueError``, as SeedSequence raises).  Returns an
-    iterator that makes each row's generator as it is taken, so a batch
-    never holds all of them at once.
+    Each key is a nonnegative integer of any size, shared by every row,
+    or a 1-D integer array with one entry per row, each in [0, 2**32);
+    row b's keys are (k[b] for each array key k, the integer keys as
+    they are).  Row b's generator is ``substream(*its keys)``: the PCG64
+    stream that ``np.random.SeedSequence(its keys)`` seeds, bit for bit.
+    A negative key or a row key of 2**32 or more raises ``ValueError``
+    (as SeedSequence raises for a negative key), and an array of another
+    dtype or shape ``TypeError``; an empty array key gives no rows.
+    Returns an iterator that makes each row's generator as it is taken,
+    so a batch never holds all of them at once.
     """
-    states = _seed_states(*_entropy(keys))
+    states = _seed_states(_entropy(keys))
     seeded = _seed_state_type()
     return (np.random.Generator(np.random.PCG64(seeded(state))) for state in states)
 

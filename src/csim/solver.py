@@ -184,10 +184,12 @@ def effective_config(config: SolverConfig, n: int) -> tuple[SolverConfig, CsimPa
 def _echo_settings(config: SolverConfig, m: int, D: Dictionary) -> dict:
     """What a solve of ``config`` reads, for a run log: the effective
     config, the penalties of a row with ``m`` observed samples and the
-    constants of its regime.  The protocol projects, so it reads neither
-    rho2 nor the index weights (see ``SolverConfig``), and those are left
-    out."""
+    constants of its regime.  It leaves out ``record_iterates``, which
+    asks for a result rather than setting the solve, and under the
+    protocol, which projects, rho2 and the index weights (see
+    ``SolverConfig``)."""
     settings = asdict(effective_config(config, D.n)[0])
+    del settings["record_iterates"]
     ratio = m / D.n
     settings["rho1"] = _RHO1_SCALE * ratio
     if config.l1_weight is None:

@@ -668,13 +668,31 @@ def test_sweep_iters_cli_no_timing_deterministic(tmp_path):
         "6",
         "--solver",
         "csim-alm",
-        "--no-timing",
     ]
     out1 = tmp_path / "c.csv"
     out2 = tmp_path / "d.csv"
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_sweep_iters_takes_timing_only_as_an_opt_in(tmp_path):
+    out = tmp_path / "t.csv"
+    args = ["sweep-iters", "--n", "16", "--trials", "2", "--max-iter", "5", "--sr", "0.5", "--sr", "0.8"]
+    with pytest.raises(SystemExit) as err:
+        main(args + ["--no-timing", "--out", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()
+    for solver in ("csim-alm", "fista", "iht"):
+        assert main(args + ["--solver", solver, "--timing", "--out", str(out)]) == 0
+        traces = {}
+        for row in out.read_text().splitlines()[1:]:
+            solver_name, sr, trial, _, _, _, elapsed = row.split(",")
+            traces.setdefault((solver_name, sr, trial), []).append(float(elapsed))
+        assert len(traces) == 4
+        for elapsed in traces.values():
+            assert len(elapsed) == 5
+            assert 0.0 < elapsed[0] and all(a < b for a, b in zip(elapsed, elapsed[1:])), elapsed
 
 
 def test_bad_arguments_exit_two():

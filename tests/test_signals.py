@@ -218,14 +218,14 @@ def test_substream_is_numpys_seed_sequence_stream_bit_for_bit(count):
         assert substream(*keys).random(3).tobytes() == _numpy_stream(keys).random(3).tobytes()
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.uint64, object])
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.uint32])
 def test_a_batch_seeds_every_row_as_numpy_seeds_it(dtype):
-    # Array keys whose rows split into different numbers of words, among
-    # integer keys shared by every row, at every position and width.
-    wide = WIDE_KEYS if dtype is object else tuple(k for k in WIDE_KEYS if k <= np.iinfo(dtype).max)
-    column = np.array(wide + (5, 0, 2**32 + 7), dtype=dtype)
+    # One-word array keys at every position, among integer keys shared by
+    # every row that span one, two and three words.
+    column = np.array([0, 1, 5, 2**31 - 1, 2**31, 2**32 - 1, 7], dtype=dtype)
     for seed in (0, 7, 2**40, 2**64 + 3):
         for keys in [
+            (column, seed),
             (seed, column),
             (column, seed, 2),
             (seed, column, 2, np.arange(len(column))[::-1]),
@@ -237,6 +237,18 @@ def test_a_batch_seeds_every_row_as_numpy_seeds_it(dtype):
                 row_keys = [k[row] if isinstance(k, np.ndarray) else k for k in keys]
                 assert _same_stream(rng, row_keys), row_keys
                 assert _same_stream(substream(*row_keys), row_keys)
+
+
+def test_row_keys_are_one_word_of_an_integer_array():
+    for column in (np.array([0, 2**32]), np.array([2**64 - 1], dtype=np.uint64)):
+        with pytest.raises(ValueError, match=r"below 2\*\*32"):
+            substreams(3, column)
+    for column in (np.array([1, 2], dtype=object), np.array([True])):
+        with pytest.raises(TypeError):
+            substreams(3, column)
+    with pytest.raises(TypeError):
+        substreams(3, np.zeros((2, 2), dtype=np.int64))
+    assert list(substreams(3, np.array([], dtype=np.int64), 2**40)) == []
 
 
 def test_negative_keys_raise_value_error_as_numpy_does():

@@ -11,7 +11,16 @@ import csim.solver
 from csim.core import CsimParams
 from csim.baselines import hard_threshold
 from csim.dictionaries import _synthesize, dct_dictionary, haar_wp_dictionary
-from csim.signals import SamplingMask, apply_mask, random_mask, synth_sparse_signal
+from csim.experiments import observation_mask, synthetic_image
+from csim.signals import (
+    PatchGrid,
+    SamplingMask,
+    apply_mask,
+    extract_patches,
+    random_mask,
+    substream,
+    synth_sparse_signal,
+)
 from csim.solver import (
     NonFiniteError,
     SolverConfig,
@@ -1033,3 +1042,73 @@ def test_continuation_stops_only_once_the_weight_is_at_its_floor(monkeypatch):
     # the slack block is zero under projection: the dual residual is the s change
     change = 0.4 * (mask.m / D.n) * (D.atoms @ short.s_hat - D.atoms @ before.s_hat)
     assert np.linalg.norm(change) < tol
+
+
+# --- the fixed-weight regime minimizes its objective --------------------------
+
+
+def _objective(S, A, Y, G, l1_weight):
+    """F(s) = (A s - y)' G (A s - y) + l1_weight ||s||_1 of every row."""
+    R = np.einsum("bij,bj->bi", A, S) - Y
+    return np.einsum("bi,ij,bj->b", R, G, R) + l1_weight * np.abs(S).sum(axis=1)
+
+
+def _fista_minimizer(A, Y, G, l1_weight, iterations):
+    """FISTA on F with gradient restart (O'Donoghue and Candes), every
+    row with its own step 1 / (2 lambda_max(G) ||A_b||^2)."""
+    step = 1.0 / (2.0 * np.linalg.eigvalsh(G)[-1] * np.linalg.norm(A, 2, axis=(1, 2)) ** 2)[:, None]
+    s = v = np.zeros((len(A), A.shape[2]))
+    t = np.ones(len(A))
+    for _ in range(iterations):
+        R = np.einsum("bij,bj->bi", A, v) - Y
+        u = v - step * 2.0 * np.einsum("bji,bj->bi", A, R @ G)
+        new = np.sign(u) * np.maximum(np.abs(u) - l1_weight * step, 0.0)
+        t = np.where(np.einsum("bi,bi->b", v - new, new - s) > 0.0, 1.0, t)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        v = new + ((t - 1.0) / t_next)[:, None] * (new - s)
+        s, t = new, t_next
+    return s
+
+
+def _image_rows():
+    image = synthetic_image(64, 64, 0).astype(float)
+    patches = extract_patches(image, PatchGrid(64, 64, side=8))
+    return patches, [observation_mask(64, 0.7, 0, i) for i in range(len(patches))]
+
+
+def _criterion_6_rows():
+    D = dct_dictionary(64, 64)
+    signals = [synth_sparse_signal(D, 6, substream(606, t, 1)).x for t in range(20)]
+    return np.array(signals), [random_mask(64, 51, substream(606, t, 2, 51)) for t in range(20)]
+
+
+@pytest.mark.parametrize(
+    "p, rows, config",
+    [
+        (64, _image_rows, SolverConfig.analysis(0.3, max_iter=2000)),
+        (96, _image_rows, SolverConfig.analysis(0.3, max_iter=2000)),
+        (64, _criterion_6_rows, SolverConfig.analysis(1e-3, max_iter=2000, feasibility_tol=1e-8)),
+    ],
+    ids=["dct64-image", "dct64x96-image", "criterion-6"],
+)
+def test_a_converged_fixed_weight_row_reaches_the_minimum_of_its_objective(p, rows, config):
+    # Eliminating x = D s and z = M x - y leaves the CSIM-weighted lasso
+    # F(s) = (o D s - y)' (W + I) (o D s - y) + l1_weight ||s||_1, with W
+    # the index matrix and I the slack ridge.  Every row that stops as
+    # "converged" sits at min F, as a restarted FISTA run on F finds it.
+    D = dct_dictionary(64, p)
+    Y, masks = rows()
+    results = solve_batch(Y, masks, D, config)
+    _, params = effective_config(config, D.n)
+    n = D.n
+    ones = np.ones((n, n))
+    G = params.mean_weight * ones / n**2 + params.var_weight / (n - 1) * (np.eye(n) - ones / n) + np.eye(n)
+    observed = np.array([mask.indicator() for mask in masks])
+    A = observed[:, :, None] * D.atoms
+    Y = observed * Y
+    reference = _objective(_fista_minimizer(A, Y, G, config.l1_weight, 2000), A, Y, G, config.l1_weight)
+    reached = _objective(np.array([r.s_hat for r in results]), A, Y, G, config.l1_weight)
+    converged = np.array([r.stop_reason == "converged" for r in results])
+    assert converged.sum() >= len(results) // 2
+    gap = np.abs(reached - reference) / reference
+    assert gap[converged].max() <= 1e-10, gap[converged].max()
