@@ -7,8 +7,13 @@ Wiener-Hopf solution of the least-squares problem, and the similarity-
 index-optimal filter, whose system matrix replaces the full mean outer
 product by a mean_weight/var_weight fraction of it.  At equal weights
 the two coincide exactly.  ``denoise_patches`` runs the patches of a
-stack in row-stacked passes over fixed blocks of rows; the one-patch
-functions are its single-row case.
+stack in passes over fixed blocks of rows.  In each pass the statistics
+are row-major; the filter solves and the filtering run along the patch
+axis, one length-B lane operation per step: one Cholesky factorization
+of each system matrix, which is also its definiteness test, then
+forward and back substitution, then the FIR on the transposed block.
+Every lane sums in a fixed order, so a row's bits do not depend on the
+block.  The one-patch functions are its single-row case.
 """
 
 from __future__ import annotations
@@ -35,14 +40,15 @@ __all__ = [
 
 _RIDGE_SCALE = 1e-10
 
-# Side of the square, non-overlapping patches ``denoise_image`` filters.
+# Side of the square patches ``denoise_image`` filters.
 PATCH_SIDE = 8
 
 # Rows per pass of ``denoise_patches``: its temporaries are this many
 # rows, not the whole stack, so a large image allocates no stack-sized
 # scratch array beyond the output.  On the 4096 patches of a 512x512
-# image, 1024 and 2048 ran fastest of 256 to 8192 (one pass).
-_BLOCK_ROWS = 1024
+# image at m = 6, 512 ran fastest, against 256 (1.2x slower) and 1024
+# (1.2x slower), on 2 vCPUs with numpy 2.4.6.
+_BLOCK_ROWS = 512
 
 
 class SingularStatsError(np.linalg.LinAlgError):
@@ -120,58 +126,79 @@ def _stack_stats(Y, m: int, sigma_n_sq: float):
     return mu, autocov, cov, cross, sigma_n_sq > autocov[:, 0]
 
 
-def _positive_definite(A) -> np.ndarray:
-    """Which matrices of a (B, m, m) stack have a Cholesky factor: the
-    column-by-column recurrence run on all of them, a matrix failing at
-    its first pivot that is zero or negative.  A nan pivot does not
-    fail: non-finite statistics give non-finite taps, which raise."""
-    L = np.zeros_like(A)
-    ok = np.ones(A.shape[0], dtype=bool)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(A.shape[-1]):
-            column = A[:, j:, j] - np.vecdot(L[:, j:, :j], L[:, j, None, :j])
-            ok &= ~(column[:, 0] <= 0)
-            L[:, j:, j] = column / np.sqrt(np.where(ok, column[:, 0], 1.0))[:, None]
-    return ok
+def _cholesky(M) -> np.ndarray:
+    """Cholesky factorization of every lane of an (m, m, B) stack, in
+    place: column by column, each step one length-B operation per entry,
+    so a lane's sums run in a fixed sequential order whatever B is.  On
+    return the lower triangle holds the factor.  Returns which lanes had
+    only positive pivots; a nan pivot does not fail (non-finite
+    statistics give non-finite taps, which raise), and a failed lane's
+    factor is garbage.  Call it under ``np.errstate`` that ignores the
+    invalid, divide and overflow flags of the failed lanes."""
+    failed = np.zeros(M.shape[-1], dtype=bool)
+    for j in range(M.shape[0]):
+        failed |= M[j, j] <= 0
+        np.sqrt(M[j, j], out=M[j, j])
+        M[j + 1 :, j] /= M[j, j]
+        M[j + 1 :, j + 1 :] -= M[j + 1 :, None, j] * M[j + 1 :, j]
+    return ~failed
+
+
+def _substitute(L, b) -> np.ndarray:
+    """Solve L L' x = b in place for every lane of an (m, B) right-hand
+    side, by forward then back substitution on the factor that
+    ``_cholesky`` leaves in the lower triangle of L."""
+    m = b.shape[0]
+    for j in range(m):
+        b[j] /= L[j, j]
+        b[j + 1 :] -= L[j + 1 :, j] * b[j]
+    for j in reversed(range(m)):
+        b[j] /= L[j, j]
+        b[:j] -= L[j, :j] * b[j]
+    return b
 
 
 def _stack_taps(mu, cov, cross, mean_over_var: float) -> np.ndarray:
-    """Taps of every row, (B, m): the closed form
-    (cov + r mu^2 J)^-1 (cross + r mu^2 ones), J the all-ones matrix and
-    r = mean_over_var, in one solve per row.
+    """Taps of every row as an (m, B) array, lane b the taps of row b:
+    the closed form (cov + r mu^2 J)^-1 (cross + r mu^2 ones), J the
+    all-ones matrix and r = mean_over_var.  Each row's system matrix M
+    is factored once along the patch axis (``_cholesky``), and its
+    pivots are the definiteness test; forward and back substitution
+    then give the taps.
 
-    A row whose cov is not positive definite gets a 1e-10 diagonal floor
-    on cov, scaled by the full system trace (or by 1 where that trace is
-    0, as for an all-zero patch); a row still not positive definite
-    after it raises ``SingularStatsError``.
+    A row whose M is not positive definite gets a 1e-10 diagonal floor
+    on M, scaled by trace(cov) + m mu^2 (or by 1 where that is 0, as for
+    an all-zero patch), and is factored again; a row still not positive
+    definite after it raises ``SingularStatsError``.
     """
     m = cross.shape[-1]
     mu_sq = mu * mu
     weight = mean_over_var * mu_sq
-    base = cov
-    bad = ~_positive_definite(cov)
-    if bad.any():
-        scale = np.trace(cov[bad], axis1=1, axis2=2) + m * mu_sq[bad]
-        scale[scale == 0.0] = 1.0  # an all-zero patch: its taps come out 0
-        base = cov.copy()
-        base[bad] += (_RIDGE_SCALE * scale)[:, None, None] * np.eye(m)
-        if not _positive_definite(base[bad]).all():
-            raise SingularStatsError("patch statistics singular even after the diagonal floor")
-    rhs = cross + weight[:, None]
-    taps = np.linalg.solve(base + weight[:, None, None], rhs[..., None])[..., 0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        factor = np.add(cov.transpose(1, 2, 0), weight, order="C")  # M, lane by lane
+        bad = ~_cholesky(factor)
+        if bad.any():
+            scale = np.trace(cov[bad], axis1=1, axis2=2) + m * mu_sq[bad]
+            scale[scale == 0.0] = 1.0  # an all-zero patch: its taps come out 0
+            floored = np.add(cov[bad].transpose(1, 2, 0), weight[bad], order="C")
+            floored += _RIDGE_SCALE * scale * np.eye(m)[:, :, None]
+            if not _cholesky(floored).all():
+                raise SingularStatsError("patch statistics singular even after the diagonal floor")
+            factor[:, :, bad] = floored
+        taps = _substitute(factor, np.add(cross.T, weight, order="C"))
     if not np.all(np.isfinite(taps)):
         raise ValueError("taps must be finite")
     return taps
 
 
-def _stack_fir(Y, taps, out=None) -> np.ndarray:
-    """Causal filtering of every row of Y by its own taps, with zero
-    history: m shifted multiply-adds over the whole stack, into ``out``
-    when given."""
-    n = Y.shape[1]
-    out = np.multiply(taps[:, :1], Y, out=out)
-    for k in range(1, min(taps.shape[1], n)):
-        out[:, k:] += taps[:, k : k + 1] * Y[:, : n - k]
+def _stack_fir(Y, taps) -> np.ndarray:
+    """Causal filtering of every lane of an (n, B) stack, sample-major,
+    by its own taps (m, B), with zero history: m shifted multiply-adds,
+    each over whole rows of B lanes."""
+    n = Y.shape[0]
+    out = taps[0] * Y
+    for k in range(1, min(taps.shape[0], n)):
+        out[k:] += taps[k] * Y[: n - k]
     return out
 
 
@@ -197,7 +224,7 @@ def empirical_stats(y_patch, m: int, sigma_n_sq: float) -> PatchStats:
 
 def _filter(stats: PatchStats, mean_over_var: float) -> FirFilter:
     mu, cov, cross = np.array([stats.mu_y]), np.asarray(stats.cov), np.asarray(stats.cross)
-    return FirFilter(_stack_taps(mu, cov[None], cross[None], mean_over_var)[0])
+    return FirFilter(_stack_taps(mu, cov[None], cross[None], mean_over_var)[:, 0])
 
 
 def mse_filter(stats: PatchStats) -> FirFilter:
@@ -216,15 +243,17 @@ def csim_filter(stats: PatchStats, params: CsimParams) -> FirFilter:
 
 def apply_fir(y, fir: FirFilter) -> np.ndarray:
     """Causal convolution with zero padding before the first sample."""
-    y = np.asarray(y, dtype=float).reshape(1, -1)
-    return _stack_fir(y, fir.taps[None])[0]
+    y = np.asarray(y, dtype=float).reshape(-1, 1)
+    return _stack_fir(y, fir.taps[:, None])[:, 0]
 
 
 def denoise_patches(patches, m: int, sigma_n_sq: float, params: CsimParams | None = None):
     """Filter every row of a (B, n) patch stack by the taps estimated
-    from its own statistics, in row-stacked passes over blocks of
-    ``_BLOCK_ROWS`` rows: Wiener-Hopf taps without ``params``,
-    similarity-optimal taps with them.
+    from its own statistics, in passes over blocks of ``_BLOCK_ROWS``
+    rows: Wiener-Hopf taps without ``params``, similarity-optimal taps
+    with them.  A pass takes the block's statistics row by row, its taps
+    from one factor-and-solve along the patch axis (``_stack_taps``),
+    and filters the transposed (n, B) block by them.
 
     Returns the filtered stack and the (B,) ``floored`` flags of the
     rows' statistics.  Row i has the bits of ``apply_fir`` on patch i
@@ -240,8 +269,10 @@ def denoise_patches(patches, m: int, sigma_n_sq: float, params: CsimParams | Non
     # An empty stack still runs one (empty) pass, which checks m and sigma_n_sq.
     for start in range(0, max(patches.shape[0], 1), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        mu, _, cov, cross, floored[rows] = _stack_stats(patches[rows], m, sigma_n_sq)
-        _stack_fir(patches[rows], _stack_taps(mu, cov, cross, mean_over_var), out[rows])
+        block = patches[rows]
+        mu, _, cov, cross, floored[rows] = _stack_stats(block, m, sigma_n_sq)
+        taps = _stack_taps(mu, cov, cross, mean_over_var)
+        out[rows] = _stack_fir(np.ascontiguousarray(block.T), taps).T
     return out, floored
 
 
@@ -255,7 +286,10 @@ def denoise_image(
     """Per-patch filter estimation and filtering, reassembled by averaging.
 
     ``method`` selects "mse" or "csim"; the latter needs ``params``.
-    Patches are non-overlapping squares of side ``PATCH_SIDE``.
+    Patches are squares of side ``PATCH_SIDE`` on the image's
+    ``PatchGrid``.  Where the side does not divide an image side, the
+    last row or column of patches is clamped to the border and overlaps
+    its neighbours, and reassembly averages the overlap.
     """
     if method not in ("mse", "csim"):
         raise ValueError(f"unknown method {method!r}")

@@ -177,8 +177,9 @@ def substreams(*keys):
 
 def substream(*keys: int) -> np.random.Generator:
     """Deterministic generator keyed by a tuple of integers: the one-row
-    case of ``substreams``."""
-    return next(substreams(*keys))
+    case of ``substreams``, seeded by numpy's own ``SeedSequence``, which
+    is faster than the vectorized pass on one row."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(keys)))
 
 
 def _as_generator(seed) -> np.random.Generator:

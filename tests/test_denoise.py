@@ -20,6 +20,7 @@ from csim.denoise import (
 )
 from csim.experiments import add_noise_snr, image_ssim, synthetic_image
 from csim.metrics import psnr
+from csim.signals import PatchGrid, extract_patches, reassemble
 
 
 def manual_stats(rng, m, mu_scale=5.0):
@@ -248,27 +249,79 @@ def test_stacked_rows_have_the_bits_of_one_patch_filters(
         assert floored.tolist() == [flag for _, flag in want]
 
 
+def _close(taps, exact, rel=1e-12) -> bool:
+    return float(np.linalg.norm(taps - exact)) <= rel * float(np.linalg.norm(exact))
+
+
 def test_only_rows_that_are_not_positive_definite_get_the_floor():
     rng = np.random.default_rng(11)
     patches = np.round(100.0 + 20.0 * rng.standard_normal((6, 64)))
-    patches[[1, 4]] = [[7.0], [200.0]]  # constant rows: zero covariance
+    patches[[1, 4]] = [[7.0], [200.0]]  # constant rows: a rank-one system
     mu, _, cov, cross, _ = csim.denoise._stack_stats(patches, 6, 25.0)
     taps = csim.denoise._stack_taps(mu, cov, cross, 0.25)
     for i in range(6):
         weight = 0.25 * (mu[i] * mu[i])
-        base = cov[i]
+        system, rhs = cov[i] + weight, cross[i] + weight
         if i in (1, 4):
             scale = np.trace(cov[i]) + 6 * (mu[i] * mu[i])
-            base = cov[i] + 1e-10 * scale * np.eye(6)
-        exact = np.linalg.solve(base + weight, cross[i] + weight)
-        assert taps[i].tobytes() == exact.tobytes()
+            system += 1e-10 * scale * np.eye(6)
+            # rank one plus the floor, condition number about 2.5e9: two
+            # solvers agree to about 1e-8 in the taps, but each leaves a
+            # residual at rounding level, which the floor moves by 4e-10
+            residual = np.linalg.norm(system @ taps[:, i] - rhs)
+            assert residual <= 1e-12 * np.linalg.norm(system, 2) * np.linalg.norm(taps[:, i]), i
+        else:
+            assert _close(taps[:, i], np.linalg.solve(system, rhs)), i
+
+
+def test_a_row_with_an_indefinite_cov_but_a_definite_system_is_not_floored():
+    # cov has eigenvalue -0.2 along the ones vector, which the mean term
+    # lifts: cov + J has eigenvalues 1.8 and 2.2
+    cov = np.array([[[1.0, -1.2], [-1.2, 1.0]], [[2.0, 0.5], [0.5, 2.0]]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov[0])
+    mu, cross = np.array([2.0, 3.0]), np.array([[0.5, -0.25], [1.0, 0.5]])
+    taps = csim.denoise._stack_taps(mu, cov, cross, 0.25)
+    weight = 0.25 * mu * mu
+    for i in range(2):
+        assert _close(taps[:, i], np.linalg.solve(cov[i] + weight[i], cross[i] + weight[i])), i
+    # the floor would move the taps by about 1e-10 relative
+    floored = cov[0] + weight[0] + 1e-10 * (np.trace(cov[0]) + 2 * mu[0] ** 2) * np.eye(2)
+    assert not _close(taps[:, 0], np.linalg.solve(floored, cross[0] + weight[0]))
+
+
+@st.composite
+def _definite_systems(draw):
+    """A Toeplitz cov from a nonnegative cosine spectrum plus a nugget
+    (so its eigenvalues lie in [nugget, nugget + m * power]), with mean
+    term and cross vector."""
+    m = draw(st.integers(min_value=1, max_value=32))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    power = rng.uniform(0.0, 1.0, 4)
+    lags = np.arange(m)
+    autocov = power @ np.cos(np.outer(rng.uniform(0.0, np.pi, 4), lags))
+    autocov[0] += rng.uniform(0.5, 2.0) * power.sum() + 0.1
+    cov = autocov[np.abs(lags[:, None] - lags)]
+    mu = rng.uniform(-3.0, 3.0)
+    return mu, cov, rng.standard_normal(m), draw(st.sampled_from([0.25, 1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=_definite_systems())
+def test_taps_match_a_dense_solve_on_definite_systems(system):
+    mu, cov, cross, mean_over_var = system
+    taps = csim.denoise._stack_taps(np.array([mu]), cov[None], cross[None], mean_over_var)
+    weight = mean_over_var * mu * mu
+    assert _close(taps[:, 0], np.linalg.solve(cov + weight, cross + weight))
 
 
 def test_a_row_still_singular_after_the_floor_fails_the_whole_stack():
     rng = np.random.default_rng(12)
     patches = np.round(100.0 + 20.0 * rng.standard_normal((5, 64)))
-    # at order 32 the unbiased autocovariance of row 4 is indefinite, and
-    # the floor does not make it definite
+    # at order 32 the unbiased autocovariance of row 4 is indefinite; with
+    # zero mean the system is cov alone, and the floor does not make it
+    # definite
+    patches[4] -= patches[4].mean()
     with pytest.raises(SingularStatsError):
         denoise_patches(patches, 32, 25.0)
     cov = np.stack([np.eye(4)] * 3)
@@ -329,7 +382,8 @@ def test_an_empty_stack_gives_empty_outputs_and_still_checks_its_arguments():
 
 def test_a_row_singular_in_a_later_block_fails_the_whole_stack():
     rng = np.random.default_rng(12)
-    singular = np.round(100.0 + 20.0 * rng.standard_normal((5, 64)))[4]  # see the test above
+    singular = np.round(100.0 + 20.0 * rng.standard_normal((5, 64)))[4]
+    singular -= singular.mean()  # see the test above
     patches = np.zeros((2 * BLOCK + 3, 64))  # all-zero rows: floored, then definite
     denoise_patches(patches, 32, 25.0)
     patches[2 * BLOCK + 1] = singular
@@ -364,7 +418,9 @@ def test_positive_definite_test_agrees_with_lapack_cholesky():
             expected.append(True)
         except np.linalg.LinAlgError:
             expected.append(False)
-    assert csim.denoise._positive_definite(A).tolist() == expected
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ok = csim.denoise._cholesky(np.ascontiguousarray(A.transpose(1, 2, 0)))
+    assert ok.tolist() == expected
 
 
 # --- convolution and image pipeline --------------------------------------------
@@ -402,6 +458,37 @@ def test_denoise_improves_psnr_at_low_snr():
     base = psnr(noisy, image)
     assert psnr(out_mse, image) > base
     assert psnr(out_csim, image) > base
+
+
+def _dense_solve_denoise(image, m, sigma_n_sq, mean_over_var):
+    """``denoise_image`` one patch at a time, with LAPACK's Cholesky test
+    and dense solve of each system and ``np.convolve`` for the filter."""
+    grid = PatchGrid(*image.shape, side=8)
+    filtered = []
+    for patch in extract_patches(image, grid):
+        stats = empirical_stats(patch, m, sigma_n_sq)
+        weight = mean_over_var * stats.mu_y**2
+        system = stats.cov + weight
+        try:
+            np.linalg.cholesky(system)
+        except np.linalg.LinAlgError:
+            scale = np.trace(stats.cov) + m * stats.mu_y**2
+            system = system + 1e-10 * (scale or 1.0) * np.eye(m)
+        taps = np.linalg.solve(system, stats.cross + weight)
+        filtered.append(np.convolve(patch, taps)[: patch.size])
+    return reassemble(np.array(filtered), grid)
+
+
+@pytest.mark.parametrize("m", [1, 6, 12])
+@pytest.mark.parametrize("shape", [(64, 64), (60, 68)], ids=["tiled", "clamped"])
+def test_denoised_pixels_equal_a_per_patch_dense_solve_pipeline(shape, m):
+    clean = synthetic_image(*shape, seed=shape[1]).astype(float)
+    noisy = np.clip(np.round(clean + 10.0 * np.random.default_rng(m).standard_normal(shape)), 0, 255)
+    params = CsimParams.defaults(64)
+    for method, mean_over_var in (("mse", 1.0), ("csim", params.mean_weight / params.var_weight)):
+        got = denoise_image(noisy, m, 100.0, params, method)
+        want = _dense_solve_denoise(noisy, m, 100.0, mean_over_var)
+        assert np.array_equal(np.round(got), np.round(want)), method
 
 
 def test_denoise_validates_arguments():

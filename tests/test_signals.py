@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csim
 from csim.dictionaries import dct_dictionary
 from csim.signals import (
     PatchGrid,
@@ -214,8 +219,12 @@ def test_substream_is_numpys_seed_sequence_stream_bit_for_bit(count):
             for _ in range(count)
         ]
         assert _same_stream(substream(*keys), keys), keys
+        # the vectorized pass on one row, as substreams seeds it
+        (row,) = substreams(*keys)
+        assert _same_stream(row, keys), keys
         # the draws too, not just the seeded state
         assert substream(*keys).random(3).tobytes() == _numpy_stream(keys).random(3).tobytes()
+        assert row.random(3).tobytes() == _numpy_stream(keys).random(3).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.uint32])
@@ -262,6 +271,12 @@ def test_negative_keys_raise_value_error_as_numpy_does():
         substreams(3, np.array([0.5, 1.0]))
     with pytest.raises(ValueError, match="differ in length"):
         substreams(np.arange(2), np.arange(3))
+
+
+def test_importing_csim_does_not_import_numpy_random():
+    code = "import sys, csim, csim.cli; sys.exit('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(csim.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
 
 
 def test_a_seeded_row_hands_pcg64_its_state_only():
