@@ -7,11 +7,11 @@ Wiener-Hopf solution of the least-squares problem, and the similarity-
 index-optimal filter, whose system matrix replaces the full mean outer
 product by a mean_weight/var_weight fraction of it.  At equal weights
 the two coincide exactly.  ``denoise_patches`` runs the patches of a
-stack in passes over fixed blocks of rows.  In each pass the statistics
-are row-major; the filter solves and the filtering run along the patch
-axis, one length-B lane operation per step: one Cholesky factorization
-of each system matrix, which is also its definiteness test, then
-forward and back substitution, then the FIR on the transposed block.
+stack in passes over fixed blocks of rows.  Each pass runs along the
+patch axis, one length-B lane operation per step: the statistics, one
+Cholesky factorization of each system matrix, which is also its
+definiteness test, forward and back substitution, and the FIR on the
+transposed block.
 Every lane sums in a fixed order, so a row's bits do not depend on the
 block.  The one-patch functions are its single-row case.
 """
@@ -102,8 +102,8 @@ class FirFilter:
 
 def _stack_stats(Y, m: int, sigma_n_sq: float):
     """Statistics of every row of a (B, n) patch stack, as the fields of
-    ``PatchStats``: mu_y (B,), autocov (B, m), cov (B, m, m), cross
-    (B, m) and floored (B,)."""
+    ``PatchStats`` with row b in lane b: mu_y (B,), autocov (m, B), cov
+    (m, m, B), cross (m, B) and floored (B,)."""
     m = int(m)
     if m < 1:
         raise ValueError("filter order must be positive")
@@ -116,14 +116,14 @@ def _stack_stats(Y, m: int, sigma_n_sq: float):
 
     mu = Y.mean(axis=1)
     dev = Y - mu[:, None]
-    autocov = np.empty((Y.shape[0], m))
+    autocov = np.empty((m, Y.shape[0]))
     for lag in range(m):
-        autocov[:, lag] = np.vecdot(dev[:, : n - lag], dev[:, lag:]) / (n - lag - 1)
+        autocov[lag] = np.vecdot(dev[:, : n - lag], dev[:, lag:]) / (n - lag - 1)
     idx = np.arange(m)
-    cov = autocov[:, np.abs(idx[:, None] - idx)]
+    cov = autocov[np.abs(idx[:, None] - idx)]
     cross = autocov.copy()
-    cross[:, 0] = np.maximum(autocov[:, 0] - sigma_n_sq, 0.0)
-    return mu, autocov, cov, cross, sigma_n_sq > autocov[:, 0]
+    cross[0] = np.maximum(autocov[0] - sigma_n_sq, 0.0)
+    return mu, autocov, cov, cross, sigma_n_sq > autocov[0]
 
 
 def _cholesky(M) -> np.ndarray:
@@ -159,33 +159,36 @@ def _substitute(L, b) -> np.ndarray:
 
 
 def _stack_taps(mu, cov, cross, mean_over_var: float) -> np.ndarray:
-    """Taps of every row as an (m, B) array, lane b the taps of row b:
-    the closed form (cov + r mu^2 J)^-1 (cross + r mu^2 ones), J the
-    all-ones matrix and r = mean_over_var.  Each row's system matrix M
-    is factored once along the patch axis (``_cholesky``), and its
-    pivots are the definiteness test; forward and back substitution
-    then give the taps.
+    """Taps of every lane of ``_stack_stats``'s (m, m, B) cov and (m, B)
+    cross, as an (m, B) array: the closed form (cov + r mu^2 J)^-1
+    (cross + r mu^2 ones), J the all-ones matrix and r = mean_over_var.
+    Each row's system matrix M is factored once along the patch axis
+    (``_cholesky``), and its pivots are the definiteness test; forward
+    and back substitution then give the taps.
 
     A row whose M is not positive definite gets a 1e-10 diagonal floor
     on M, scaled by trace(cov) + m mu^2 (or by 1 where that is 0, as for
     an all-zero patch), and is factored again; a row still not positive
     definite after it raises ``SingularStatsError``.
     """
-    m = cross.shape[-1]
+    m = cross.shape[0]
     mu_sq = mu * mu
     weight = mean_over_var * mu_sq
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        factor = np.add(cov.transpose(1, 2, 0), weight, order="C")  # M, lane by lane
+        factor = cov + weight  # M, lane by lane
         bad = ~_cholesky(factor)
         if bad.any():
-            scale = np.trace(cov[bad], axis1=1, axis2=2) + m * mu_sq[bad]
+            floored = cov[:, :, bad]
+            # trace(cov), summed along a contiguous copy of the diagonal: a lane's
+            # sum then does not depend on how many lanes are floored
+            scale = np.diagonal(floored).copy().sum(axis=-1) + m * mu_sq[bad]
             scale[scale == 0.0] = 1.0  # an all-zero patch: its taps come out 0
-            floored = np.add(cov[bad].transpose(1, 2, 0), weight[bad], order="C")
+            floored += weight[bad]
             floored += _RIDGE_SCALE * scale * np.eye(m)[:, :, None]
             if not _cholesky(floored).all():
                 raise SingularStatsError("patch statistics singular even after the diagonal floor")
             factor[:, :, bad] = floored
-        taps = _substitute(factor, np.add(cross.T, weight, order="C"))
+        taps = _substitute(factor, cross + weight)
     if not np.all(np.isfinite(taps)):
         raise ValueError("taps must be finite")
     return taps
@@ -210,7 +213,7 @@ def empirical_stats(y_patch, m: int, sigma_n_sq: float) -> PatchStats:
     are floored at zero and the outcome flagged.
     """
     y = np.asarray(y_patch, dtype=float).reshape(1, -1)
-    mu, autocov, cov, cross, floored = (row[0] for row in _stack_stats(y, m, sigma_n_sq))
+    mu, autocov, cov, cross, floored = (lane[..., 0] for lane in _stack_stats(y, m, sigma_n_sq))
     return PatchStats(
         mu_y=float(mu),
         autocov=autocov,
@@ -224,7 +227,7 @@ def empirical_stats(y_patch, m: int, sigma_n_sq: float) -> PatchStats:
 
 def _filter(stats: PatchStats, mean_over_var: float) -> FirFilter:
     mu, cov, cross = np.array([stats.mu_y]), np.asarray(stats.cov), np.asarray(stats.cross)
-    return FirFilter(_stack_taps(mu, cov[None], cross[None], mean_over_var)[:, 0])
+    return FirFilter(_stack_taps(mu, cov[..., None], cross[:, None], mean_over_var)[:, 0])
 
 
 def mse_filter(stats: PatchStats) -> FirFilter:
@@ -251,8 +254,8 @@ def denoise_patches(patches, m: int, sigma_n_sq: float, params: CsimParams | Non
     """Filter every row of a (B, n) patch stack by the taps estimated
     from its own statistics, in passes over blocks of ``_BLOCK_ROWS``
     rows: Wiener-Hopf taps without ``params``, similarity-optimal taps
-    with them.  A pass takes the block's statistics row by row, its taps
-    from one factor-and-solve along the patch axis (``_stack_taps``),
+    with them.  A pass takes the block's statistics and its taps from
+    one factor-and-solve (``_stack_taps``), both along the patch axis,
     and filters the transposed (n, B) block by them.
 
     Returns the filtered stack and the (B,) ``floored`` flags of the

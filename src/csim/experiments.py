@@ -212,8 +212,10 @@ def recover_image(
     """Recover an image tile by tile; returns the restored float image
     and the per-patch results.
 
-    Tiles are square with D.n pixels and do not overlap; the last row
-    and column of tiles are clamped to the border (see ``PatchGrid``).
+    Tiles are squares of D.n pixels on the image's ``PatchGrid``.  Where
+    their side does not divide an image side, the last row or column of
+    tiles is clamped to the border and overlaps its neighbours, and
+    reassembly averages the overlap.
     """
     side = math.isqrt(D.n)
     if side * side != D.n:

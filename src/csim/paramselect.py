@@ -31,7 +31,8 @@ __all__ = [
     "verify_rip_bruteforce",
 ]
 
-# Singular values below this fraction of the largest are treated as zero.
+# Singular values below this fraction of the largest are treated as zero,
+# and so is a kappa-bound gap within this fraction of 1/kappa^2.
 _RANK_RTOL = 1e-12
 # Most column subsets ``verify_rip_bruteforce`` enumerates.
 _RIP_SUBSET_BUDGET = 100_000
@@ -169,7 +170,10 @@ def kappa_ratio_bound(D, kappa_max: float = DEFAULT_KAPPA_MAX) -> KappaBound:
         # ones @ D @ D.T @ ones is the squared norm of the atom row sums.
         rowsum_energy = float(np.sum(atoms.sum(axis=0) ** 2))
         normalized_rowsum = rowsum_energy / (n * smax * smax)
-        ratio_coef = kappa * (n / (n - 1)) * (1.0 / (kappa * kappa) - normalized_rowsum)
+        gap = 1.0 / (kappa * kappa) - normalized_rowsum
+        if abs(gap) <= _RANK_RTOL / (kappa * kappa):
+            gap = 0.0  # orthonormal atoms: exactly 0, up to rounding
+        ratio_coef = kappa * (n / (n - 1)) * gap
         constant = kappa * normalized_rowsum
         if ratio_coef <= 0.0:
             reason = "ratio coefficient is not positive (bound is vacuous)"

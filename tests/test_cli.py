@@ -15,16 +15,25 @@ from csim.signals import substream, synth_sparse_signal
 from csim.solver import SolverConfig, solve
 
 
-def test_params_complete_dct(capsys):
-    assert main(["params", "--dict", "dct", "--n", "64"]) == 0
+# an orthonormal dictionary's kappa bound is vacuous, however its gap
+# rounds; DCT 2 has no RIP bound either, so it takes the default
+@pytest.mark.parametrize(
+    "n, rip, selected",
+    [
+        (64, "rip bound: ratio <=", "1.02213 [rip-limited]"),
+        (2, "rip bound: skipped (support size out of range)", "4 [default-fallback]"),
+    ],
+)
+def test_params_complete_dct(n, rip, selected, capsys):
+    assert main(["params", "--dict", "dct", "--n", str(n)]) == 0
     out = capsys.readouterr().out
     coherence = float(
         next(l for l in out.splitlines() if l.startswith("coherence:")).split(":")[1]
     )
     assert coherence < 1e-10
-    assert "rip bound: ratio <=" in out
     assert "kappa bound: infeasible" in out
-    assert "selected ratio" in out
+    assert rip in out
+    assert f"selected ratio var_weight/mean_weight: {selected}" in out
 
 
 def test_params_overcomplete_haar_falls_back(capsys):

@@ -261,9 +261,9 @@ def test_only_rows_that_are_not_positive_definite_get_the_floor():
     taps = csim.denoise._stack_taps(mu, cov, cross, 0.25)
     for i in range(6):
         weight = 0.25 * (mu[i] * mu[i])
-        system, rhs = cov[i] + weight, cross[i] + weight
+        system, rhs = cov[:, :, i] + weight, cross[:, i] + weight
         if i in (1, 4):
-            scale = np.trace(cov[i]) + 6 * (mu[i] * mu[i])
+            scale = np.trace(cov[:, :, i]) + 6 * (mu[i] * mu[i])
             system += 1e-10 * scale * np.eye(6)
             # rank one plus the floor, condition number about 2.5e9: two
             # solvers agree to about 1e-8 in the taps, but each leaves a
@@ -281,7 +281,7 @@ def test_a_row_with_an_indefinite_cov_but_a_definite_system_is_not_floored():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(cov[0])
     mu, cross = np.array([2.0, 3.0]), np.array([[0.5, -0.25], [1.0, 0.5]])
-    taps = csim.denoise._stack_taps(mu, cov, cross, 0.25)
+    taps = csim.denoise._stack_taps(mu, cov.transpose(1, 2, 0), cross.T, 0.25)
     weight = 0.25 * mu * mu
     for i in range(2):
         assert _close(taps[:, i], np.linalg.solve(cov[i] + weight[i], cross[i] + weight[i])), i
@@ -310,7 +310,7 @@ def _definite_systems(draw):
 @given(system=_definite_systems())
 def test_taps_match_a_dense_solve_on_definite_systems(system):
     mu, cov, cross, mean_over_var = system
-    taps = csim.denoise._stack_taps(np.array([mu]), cov[None], cross[None], mean_over_var)
+    taps = csim.denoise._stack_taps(np.array([mu]), cov[..., None], cross[:, None], mean_over_var)
     weight = mean_over_var * mu * mu
     assert _close(taps[:, 0], np.linalg.solve(cov + weight, cross + weight))
 
@@ -324,10 +324,10 @@ def test_a_row_still_singular_after_the_floor_fails_the_whole_stack():
     patches[4] -= patches[4].mean()
     with pytest.raises(SingularStatsError):
         denoise_patches(patches, 32, 25.0)
-    cov = np.stack([np.eye(4)] * 3)
-    cov[1] = -np.eye(4)  # negative definite; a negative floor keeps it so
+    cov = np.stack([np.eye(4)] * 3, axis=-1)
+    cov[:, :, 1] = -np.eye(4)  # negative definite; a negative floor keeps it so
     with pytest.raises(SingularStatsError):
-        csim.denoise._stack_taps(np.zeros(3), cov, np.ones((3, 4)), 1.0)
+        csim.denoise._stack_taps(np.zeros(3), cov, np.ones((4, 3)), 1.0)
 
 
 def test_an_all_zero_row_gets_zero_taps_and_the_others_keep_their_bits():

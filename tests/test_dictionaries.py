@@ -157,6 +157,36 @@ def test_spectral_norm_raises_when_the_power_iteration_runs_out(monkeypatch):
         spectral_norm_sq(D.atoms, observed=observed)
 
 
+def test_a_start_in_the_null_space_restarts_and_keeps_each_rows_bits(monkeypatch):
+    # with the start e1 and a zero first column, A v0 is exactly 0 under
+    # any summation order, so the first step lands in the null space
+    p = 8
+    e1 = np.zeros(p)
+    e1[0] = 1.0
+    monkeypatch.setattr(csim.dictionaries, "_power_start", lambda _: e1)
+    rng = np.random.default_rng(21)
+    U = np.linalg.qr(rng.standard_normal((10, p - 1)))[0]
+    V = np.linalg.qr(rng.standard_normal((p - 1, p - 1)))[0]
+    # a dominant singular value, so the stop on a 1e-10 relative change
+    # leaves the value within 1e-12 of the 2-norm's square
+    A = np.zeros((10, p))
+    A[:, 1:] = U @ np.diag([4.0, 1.0, 0.8, 0.6, 0.4, 0.2, 0.1]) @ V.T
+    assert not np.any(A @ e1)
+    assert spectral_norm_sq(A) == pytest.approx(np.linalg.norm(A, 2) ** 2, rel=1e-12, abs=0.0)
+    # a first column seen only at samples 0 to 2: row 1 does not observe
+    # them and restarts, rows 0 and 2 do not
+    A[:3, 0] = rng.standard_normal(3)
+    observed = np.ones((3, 10))
+    observed[1, :3] = 0.0
+    observed[2, ::2] = 0.0
+    assert [bool(np.any(row * A[:, 0])) for row in observed] == [True, False, True]
+    stacked = spectral_norm_sq(A, observed=observed)
+    for row, value in zip(observed, stacked):
+        masked = np.where(row[:, None] != 0, A, 0.0)
+        assert value.tobytes() == np.float64(spectral_norm_sq(masked)).tobytes()
+        assert value == pytest.approx(np.linalg.norm(masked, 2) ** 2, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("p", [3, 64, 128])
 def test_the_power_iteration_start_is_drawn_once_per_length_and_read_only(p):
     draw = np.random.default_rng(0).standard_normal(p)

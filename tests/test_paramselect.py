@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from csim.core import CsimParams
-from csim.dictionaries import dct_dictionary
+from csim.dictionaries import dct_dictionary, haar_wp_dictionary
 from csim.paramselect import (
     KappaBound,
     RipBound,
@@ -114,13 +114,17 @@ def test_feasibility_is_whether_a_bound_gives_a_ratio(ratio_upper):
 
 
 def test_kappa_bound_orthonormal_square_is_infeasible():
-    D = dct_dictionary(8, 8)
-    bound = kappa_ratio_bound(D, 4.0)
-    assert not bound.feasible
-    assert bound.ratio_upper is None
-    assert "not positive" in bound.reason
-    assert bound.ratio_coef == pytest.approx(0.0, abs=1e-10)
-    assert bound.constant == pytest.approx(1.0, abs=1e-10)
+    # the bound's gap is exactly 0 here; rounding leaves it at about
+    # +2e-16 on DCT 2, which must not read as a positive coefficient
+    cases = [(dct_dictionary, n) for n in range(2, 129)]
+    cases += [(haar_wp_dictionary, 2**k) for k in range(1, 8)]
+    for build, n in cases:
+        bound = kappa_ratio_bound(build(n, n), 4.0)
+        assert not bound.feasible, (build.__name__, n)
+        assert bound.ratio_upper is None
+        assert "not positive" in bound.reason
+        assert bound.ratio_coef == 0.0
+        assert bound.constant == pytest.approx(1.0, abs=1e-10)
 
 
 def test_kappa_bound_matches_independent_evaluation():
