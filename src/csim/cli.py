@@ -1,10 +1,15 @@
 """Command-line driver.
 
 Subcommands: recover, denoise, sweep-sr, sweep-iters, params, dict-info.
-Exit codes: 0 success, 2 bad arguments, 3 runtime failure.  A flat
-key=value config file can preset csim-alm options; explicit flags win.
-The work happens in library calls; this module parses arguments, loads
-inputs, writes outputs and the JSON-lines run logs.
+A flat key=value config file can preset csim-alm options; explicit flags
+win.  The work happens in library calls; this module parses arguments,
+loads inputs, writes outputs and the JSON-lines run logs.
+
+Exit codes: 0 success, 2 bad arguments, 3 runtime failure.  A flag's
+argparse ``type``, made by ``_checked``, checks the value it holds; a
+check that needs another flag, a file or an input's shape raises
+``_ArgumentError`` in its command before anything is written.  ``main``
+only dispatches: it exits 2 on ``_ArgumentError``, 3 on any other error.
 """
 
 from __future__ import annotations
@@ -40,10 +45,6 @@ from .paramselect import DEFAULT_DELTA, DEFAULT_KAPPA_MAX, select_ratio
 from .signals import PatchGrid, extract_patches, reassemble
 from .solver import SolverConfig
 
-# A filter of m taps needs 2m samples of its patch.
-_DENOISE_MAX_TAPS = PATCH_SIDE**2 // 2
-
-
 # Every SolverConfig field but record_iterates, which asks for a result
 # rather than setting the solve; each value parses as its default's type.
 _SOLVER_KEYS = {
@@ -53,39 +54,33 @@ _SOLVER_KEYS = {
 }
 
 
-def _positive_int(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return number
+def _checked(convert, accept, expected):
+    """An argparse ``type``: ``convert`` the text, then reject a value
+    ``accept`` refuses; argparse's message names the flag."""
+
+    def check(value: str):
+        number = convert(value)
+        if not accept(number):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {value}")
+        return number
+
+    check.__name__ = convert.__name__  # argparse's "invalid int value"
+    return check
 
 
-def _nonnegative_int(value: str) -> int:
-    number = int(value)
-    if number < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
-    return number
-
-
-def _positive_finite(value: str) -> float:
-    number = float(value)
-    if not (math.isfinite(number) and number > 0):
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {value}")
-    return number
-
-
-def _ratio(value: str) -> float:
-    number = float(value)
-    if not 0.0 < number <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a ratio in (0, 1], got {value}")
-    return number
-
-
-def _delta(value: str) -> float:
-    number = float(value)
-    if not 0.0 < number < 1.0:
-        raise argparse.ArgumentTypeError(f"expected an isometry constant in (0, 1), got {value}")
-    return number
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
+_positive_finite = _checked(float, lambda v: math.isfinite(v) and v > 0, "a positive finite number")
+_ratio = _checked(float, lambda v: 0.0 < v <= 1.0, "a ratio in (0, 1]")
+_delta = _checked(float, lambda v: 0.0 < v < 1.0, "an isometry constant in (0, 1)")
+_noise_level = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite noise level of at least 0")
+# A filter of m taps needs 2m samples of its patch.
+_DENOISE_MAX_TAPS = PATCH_SIDE**2 // 2
+_taps = _checked(
+    int,
+    lambda v: 1 <= v <= _DENOISE_MAX_TAPS,
+    f"1 to {_DENOISE_MAX_TAPS} taps for {PATCH_SIDE}x{PATCH_SIDE} patches",
+)
 
 
 def _load_config_file(path) -> dict:
@@ -107,15 +102,6 @@ def _load_config_file(path) -> dict:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return out
-
-
-def _solver_options(args) -> dict:
-    options = {}
-    if args.config:
-        options.update(_load_config_file(args.config))
-    if args.max_iter is not None:
-        options["max_iter"] = args.max_iter
-    return options
 
 
 def _add_dict_args(parser):
@@ -191,8 +177,21 @@ def _write_run(out: str, save, data, events) -> None:
 
 
 def _cmd_recover(args) -> int:
-    options = args.solver_options
     is_image = args.input.endswith(".pgm")
+    if args.config and args.solver != SOLVER_NAMES[0]:
+        raise _ArgumentError(
+            f"--config keys are csim-alm settings; --solver {args.solver} does not read them"
+        )
+    if is_image and not (args.n >= 4 and math.isqrt(args.n) ** 2 == args.n):
+        raise _ArgumentError(f"--n {args.n}: PGM input needs a square patch length of at least 4")
+    try:
+        options = _load_config_file(args.config) if args.config else {}
+    except OSError as exc:
+        raise _ArgumentError(f"--config {args.config}: {exc}") from None
+    except ValueError as exc:  # its message names the file and line
+        raise _ArgumentError(str(exc)) from None
+    if args.max_iter is not None:
+        options["max_iter"] = args.max_iter
     if is_image:
         image = load_pgm(args.input).astype(float)
         D = _dictionary_from_args(args)  # patches of side sqrt(--n)
@@ -316,9 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_den = sub.add_parser("denoise", help="FIR-denoise a PGM image")
     p_den.add_argument("--input", required=True)
     p_den.add_argument("--out", required=True)
-    p_den.add_argument("--sigma-n", dest="sigma_n", type=float, required=True)
+    p_den.add_argument("--sigma-n", dest="sigma_n", type=_noise_level, required=True)
     p_den.add_argument("--method", choices=("mse", "csim"), default="csim")
-    p_den.add_argument("--m-taps", dest="m_taps", type=int, default=6)
+    p_den.add_argument("--m-taps", dest="m_taps", type=_taps, default=6)
     p_den.add_argument("--reference", default=None, help="clean image for scoring")
     p_den.set_defaults(func=_cmd_denoise)
 
@@ -372,25 +371,6 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.command == "recover":
-        if args.config and args.solver != SOLVER_NAMES[0]:
-            parser.error(
-                f"--config keys are csim-alm settings; --solver {args.solver} does not read them"
-            )
-        if args.input.endswith(".pgm") and not (args.n >= 4 and math.isqrt(args.n) ** 2 == args.n):
-            parser.error(f"--n {args.n}: PGM input needs a square patch length of at least 4")
-        try:
-            args.solver_options = _solver_options(args)
-        except (OSError, ValueError) as exc:
-            parser.error(str(exc))
-    if args.command == "denoise":
-        if not (math.isfinite(args.sigma_n) and args.sigma_n >= 0):
-            parser.error(f"--sigma-n {args.sigma_n}: expected a nonnegative noise level")
-        if not 1 <= args.m_taps <= _DENOISE_MAX_TAPS:
-            parser.error(
-                f"--m-taps {args.m_taps}: a {PATCH_SIDE}x{PATCH_SIDE} patch allows"
-                f" 1 to {_DENOISE_MAX_TAPS} taps"
-            )
     try:
         return args.func(args)
     except _ArgumentError as exc:

@@ -95,10 +95,6 @@ class FirFilter:
         taps.flags.writeable = False
         object.__setattr__(self, "taps", taps)
 
-    @property
-    def m(self) -> int:
-        return int(self.taps.size)
-
 
 def _stack_stats(Y, m: int, sigma_n_sq: float):
     """Statistics of every row of a (B, n) patch stack, as the fields of

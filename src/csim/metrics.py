@@ -115,7 +115,9 @@ def image_ssim(a, b) -> float:
         raise ValueError("need two equal-shape images")
     side = _TILE_SIDE
     rows, cols = a.shape[0] // side, a.shape[1] // side
-    band = max(1, _BLOCK_TILES // max(cols, 1))
+    if rows == 0 or cols == 0:
+        raise ValueError(f"need an image of at least one whole {side}x{side} tile, got {a.shape}")
+    band = max(1, _BLOCK_TILES // cols)
 
     def tiles(image, r0, r1):
         cropped = image[r0 * side : r1 * side, : cols * side].reshape(r1 - r0, side, cols, side)

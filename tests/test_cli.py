@@ -325,17 +325,25 @@ def test_config_file_key_of_a_protocol_constant_is_unknown(tmp_path, capsys, lin
 
 
 @pytest.mark.parametrize(
-    "text, where", [("l1_weight = abc\n", 1), ("l1_weight = 7\nmax_iter = 7.5\n", 2)]
+    "text, where",
+    [
+        ("l1_weight = abc\n", 1),
+        ("l1_weight = 7\nmax_iter = 7.5\n", 2),
+        # a file that cannot be opened: the message names the flag
+        pytest.param(None, "[Errno 2] No such file or directory", id="missing-file"),
+    ],
 )
 def test_config_file_bad_value_is_a_bad_argument(tmp_path, capsys, text, where):
     src = tmp_path / "x.csv"
     save_csv_vector(src, substream(6, 7).standard_normal(16))
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(text)
+    if text is not None:
+        cfg.write_text(text)
     with pytest.raises(SystemExit) as err:
         main(["recover", "--input", str(src), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)])
     assert err.value.code == 2
-    assert f"{cfg}:{where}: bad value" in capsys.readouterr().err
+    message = f"{cfg}:{where}: bad value" if isinstance(where, int) else f"--config {cfg}: {where}"
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -721,6 +729,8 @@ def test_bad_arguments_exit_two():
         (["recover", "--sr", "0"], "--sr"),
         (["recover", "--sr", "1.7"], "--sr"),
         (["denoise", "--sigma-n", "-1"], "--sigma-n"),
+        (["denoise", "--sigma-n", "nan"], "--sigma-n"),
+        (["denoise", "--sigma-n", "inf"], "--sigma-n"),
         (["denoise", "--sigma-n", "10", "--m-taps", "0"], "--m-taps"),
         (["denoise", "--sigma-n", "10", "--m-taps", "40"], "--m-taps"),
         (["sweep-sr", "--trials", "0"], "--trials"),
@@ -741,6 +751,8 @@ def test_bad_arguments_exit_two():
         "recover-sr-0",
         "recover-sr-above-1",
         "denoise-sigma-negative",
+        "denoise-sigma-nan",
+        "denoise-sigma-inf",
         "denoise-m-taps-0",
         "denoise-m-taps-40",
         "sweep-trials-0",

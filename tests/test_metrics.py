@@ -81,6 +81,13 @@ def test_image_ssim_in_bands_has_the_bits_of_one_call_on_all_tiles(shape):
     assert image_ssim(a, b) == float(np.mean(ssim_global(tiles(a), tiles(b))))
 
 
+@pytest.mark.parametrize("shape", [(7, 9), (8, 7), (0, 16)])
+def test_image_ssim_rejects_an_image_without_a_whole_tile(shape):
+    a = np.zeros(shape)
+    with pytest.raises(ValueError, match="8x8 tile"):
+        image_ssim(a, a)
+
+
 def test_psnr_identical_is_infinite():
     x = np.arange(8.0)
     assert mse(x, x) == 0.0
