@@ -24,7 +24,7 @@ from dataclasses import fields
 import numpy as np
 
 from .core import CsimParams, sensitivity_ratio
-from .denoise import PATCH_SIDE, denoise_patches
+from .denoise import PATCH_SIDE, _denoise_image
 from .dictionaries import Dictionary
 from .experiments import (
     DICTIONARY_KINDS,
@@ -42,7 +42,6 @@ from .experiments import (
 from .fileio import load_csv_vector, load_pgm, save_csv_vector, save_pgm
 from .metrics import PSNR_CSV_CAP, image_ssim, psnr, relative_error
 from .paramselect import DEFAULT_DELTA, DEFAULT_KAPPA_MAX, select_ratio
-from .signals import PatchGrid, extract_patches, reassemble
 from .solver import SolverConfig
 
 # Every SolverConfig field but record_iterates, which asks for a result
@@ -87,7 +86,7 @@ def _load_config_file(path) -> dict:
     """Flat key = value lines; '#' starts a comment.  Errors name the
     file and line."""
     out = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -186,7 +185,7 @@ def _cmd_recover(args) -> int:
         raise _ArgumentError(f"--n {args.n}: PGM input needs a square patch length of at least 4")
     try:
         options = _load_config_file(args.config) if args.config else {}
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _ArgumentError(f"--config {args.config}: {exc}") from None
     except ValueError as exc:  # its message names the file and line
         raise _ArgumentError(str(exc)) from None
@@ -244,20 +243,19 @@ def _cmd_denoise(args) -> int:
     clean = load_pgm(args.reference).astype(float) if args.reference else None
     if clean is not None and clean.shape != image.shape:
         raise ValueError(f"--reference has shape {clean.shape}, --input has shape {image.shape}")
+    result = {}
+    if clean is not None:
+        # scored first: its temporary is freed before the patch stack is made
+        result["input_psnr_db"] = min(psnr(image, clean), PSNR_CSV_CAP)
     params = CsimParams.defaults(PATCH_SIDE**2) if args.method == "csim" else None
-    grid = PatchGrid(*image.shape, side=PATCH_SIDE)
-    filtered, floored = denoise_patches(
-        extract_patches(image, grid), args.m_taps, args.sigma_n**2, params
-    )
-    out = reassemble(filtered, grid)
+    out, floored = _denoise_image(image, args.m_taps, args.sigma_n**2, params, args.method)
     config = {"method": args.method, "m_taps": args.m_taps, "sigma_n": args.sigma_n}
     if params is not None:  # mse reads no index weights
         config.update(mean_weight=params.mean_weight, var_weight=params.var_weight)
-    result = {"floored_patches": int(np.count_nonzero(floored))}
+    result["floored_patches"] = int(np.count_nonzero(floored))
     if clean is not None:
         result["psnr_db"] = min(psnr(out, clean), PSNR_CSV_CAP)
         result["ssim"] = image_ssim(out, clean)
-        result["input_psnr_db"] = min(psnr(image, clean), PSNR_CSV_CAP)
     events = [dict(event="config", side=PATCH_SIDE, **config), dict(event="result", **result)]
     np.clip(np.round(out, out=out), 0, 255, out=out)
     _write_run(args.out, save_pgm, out, events)

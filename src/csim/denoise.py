@@ -14,6 +14,9 @@ definiteness test, forward and back substitution, and the FIR on the
 transposed block.
 Every lane sums in a fixed order, so a row's bits do not depend on the
 block.  The one-patch functions are its single-row case.
+``denoise_patches`` writes a new stack; ``denoise_image`` runs the same
+passes over its own patch stack in place, then reassembles it, and
+``csim denoise`` is that call plus its scores.
 """
 
 from __future__ import annotations
@@ -246,24 +249,14 @@ def apply_fir(y, fir: FirFilter) -> np.ndarray:
     return _stack_fir(y, fir.taps[:, None])[:, 0]
 
 
-def denoise_patches(patches, m: int, sigma_n_sq: float, params: CsimParams | None = None):
-    """Filter every row of a (B, n) patch stack by the taps estimated
-    from its own statistics, in passes over blocks of ``_BLOCK_ROWS``
-    rows: Wiener-Hopf taps without ``params``, similarity-optimal taps
-    with them.  A pass takes the block's statistics and its taps from
-    one factor-and-solve (``_stack_taps``), both along the patch axis,
-    and filters the transposed (n, B) block by them.
-
-    Returns the filtered stack and the (B,) ``floored`` flags of the
-    rows' statistics.  Row i has the bits of ``apply_fir`` on patch i
-    with the taps of its one-patch filter.  A row whose statistics stay
-    singular fails the whole stack.
-    """
-    patches = np.asarray(patches, dtype=float)
-    if patches.ndim != 2:
-        raise ValueError("expected a (B, n) stack of patches")
-    mean_over_var = 1.0 if params is None else params.mean_weight / params.var_weight
-    out = np.empty_like(patches)
+def _filter_rows(patches, out, m: int, sigma_n_sq: float, mean_over_var: float) -> np.ndarray:
+    """Filter every row of a (B, n) stack into the same row of ``out``,
+    which may be ``patches`` itself, in passes over blocks of
+    ``_BLOCK_ROWS`` rows.  A pass takes the block's statistics and its
+    taps from one factor-and-solve (``_stack_taps``), both along the
+    patch axis, and filters the transposed (n, B) block by them, a copy
+    that is read in full before the block's rows are written.  Returns
+    the (B,) ``floored`` flags."""
     floored = np.empty(patches.shape[0], dtype=bool)
     # An empty stack still runs one (empty) pass, which checks m and sigma_n_sq.
     for start in range(0, max(patches.shape[0], 1), _BLOCK_ROWS):
@@ -272,7 +265,45 @@ def denoise_patches(patches, m: int, sigma_n_sq: float, params: CsimParams | Non
         mu, _, cov, cross, floored[rows] = _stack_stats(block, m, sigma_n_sq)
         taps = _stack_taps(mu, cov, cross, mean_over_var)
         out[rows] = _stack_fir(np.ascontiguousarray(block.T), taps).T
-    return out, floored
+    return floored
+
+
+def denoise_patches(patches, m: int, sigma_n_sq: float, params: CsimParams | None = None):
+    """Filter every row of a (B, n) patch stack by the taps estimated
+    from its own statistics, in passes over blocks of ``_BLOCK_ROWS``
+    rows (``_filter_rows``): Wiener-Hopf taps without ``params``,
+    similarity-optimal taps with them.
+
+    Returns a new filtered stack, leaving ``patches`` as it was, and the
+    (B,) ``floored`` flags of the rows' statistics.  Row i has the bits
+    of ``apply_fir`` on patch i with the taps of its one-patch filter.
+    A row whose statistics stay singular fails the whole stack.
+    """
+    patches = np.asarray(patches, dtype=float)
+    if patches.ndim != 2:
+        raise ValueError("expected a (B, n) stack of patches")
+    mean_over_var = 1.0 if params is None else params.mean_weight / params.var_weight
+    out = np.empty_like(patches)
+    return out, _filter_rows(patches, out, m, sigma_n_sq, mean_over_var)
+
+
+def _denoise_image(image, m: int, sigma_n_sq: float, params: CsimParams | None, method: str):
+    """``denoise_image``, returning the image and the (patches,)
+    ``floored`` flags of the patches' statistics."""
+    if method not in ("mse", "csim"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "csim" and params is None:
+        raise ValueError("csim method needs index weights")
+    image = np.asarray(image, dtype=float)
+    if image.ndim != 2 or image.size == 0:
+        raise ValueError("expected a non-empty 2-D image")
+    grid = PatchGrid(*image.shape, side=PATCH_SIDE)
+    patches = extract_patches(image, grid)
+    if np.may_share_memory(patches, image):  # one patch wide: the stack is a reshape
+        patches = patches.copy()
+    mean_over_var = 1.0 if method == "mse" else params.mean_weight / params.var_weight
+    floored = _filter_rows(patches, patches, m, sigma_n_sq, mean_over_var)
+    return reassemble(patches, grid), floored
 
 
 def denoise_image(
@@ -288,17 +319,9 @@ def denoise_image(
     Patches are squares of side ``PATCH_SIDE`` on the image's
     ``PatchGrid``.  Where the side does not divide an image side, the
     last row or column of patches is clamped to the border and overlaps
-    its neighbours, and reassembly averages the overlap.
+    its neighbours, and reassembly averages the overlap.  The patch
+    stack is filtered in place, so beside ``image`` the call holds only
+    the stack, one block's temporaries and the output; ``image`` is
+    left as it was.  ``csim denoise`` is this call plus its scores.
     """
-    if method not in ("mse", "csim"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "csim" and params is None:
-        raise ValueError("csim method needs index weights")
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 2 or image.size == 0:
-        raise ValueError("expected a non-empty 2-D image")
-    grid = PatchGrid(*image.shape, side=PATCH_SIDE)
-    filtered, _ = denoise_patches(
-        extract_patches(image, grid), m, sigma_n_sq, params if method == "csim" else None
-    )
-    return reassemble(filtered, grid)
+    return _denoise_image(image, m, sigma_n_sq, params, method)[0]

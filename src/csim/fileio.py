@@ -89,15 +89,20 @@ def save_csv_vector(path, x) -> None:
 
 
 def load_csv_vector(path) -> np.ndarray:
-    """One finite value per line; a bad one raises naming its line."""
+    """One finite value per line of UTF-8 text; a bad one raises naming
+    its line, and bytes that are not UTF-8 raise naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    values.append(float(line))
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: malformed CSV vector") from None
-                if not np.isfinite(values[-1]):
-                    raise ValueError(f"{path}:{lineno}: non-finite value {line.strip()}")
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed CSV vector") from None
+            if not np.isfinite(values[-1]):
+                raise ValueError(f"{path}:{lineno}: non-finite value {line.strip()}")
     return np.array(values)

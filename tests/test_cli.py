@@ -7,11 +7,14 @@ import pytest
 import csim.cli
 import csim.solver
 from csim.cli import build_parser, main
+from csim.core import CsimParams
+from csim.denoise import denoise_image, denoise_patches
 from csim.dictionaries import dct_dictionary
 from csim.experiments import ExperimentSpec, add_noise_snr, observation_mask, synthetic_image
 from csim.fileio import load_csv_vector, load_pgm, save_csv_vector, save_pgm
+from csim.metrics import PSNR_CSV_CAP, image_ssim, psnr
 from csim.paramselect import DEFAULT_DELTA, DEFAULT_KAPPA_MAX
-from csim.signals import substream, synth_sparse_signal
+from csim.signals import PatchGrid, extract_patches, substream, synth_sparse_signal
 from csim.solver import SolverConfig, solve
 
 
@@ -329,8 +332,9 @@ def test_config_file_key_of_a_protocol_constant_is_unknown(tmp_path, capsys, lin
     [
         ("l1_weight = abc\n", 1),
         ("l1_weight = 7\nmax_iter = 7.5\n", 2),
-        # a file that cannot be opened: the message names the flag
+        # a file that cannot be opened or is not UTF-8: the message names the flag
         pytest.param(None, "[Errno 2] No such file or directory", id="missing-file"),
+        pytest.param("max_iter = 7\n\xff\n", "'utf-8' codec can't decode byte 0xff", id="not-utf-8"),
     ],
 )
 def test_config_file_bad_value_is_a_bad_argument(tmp_path, capsys, text, where):
@@ -338,7 +342,7 @@ def test_config_file_bad_value_is_a_bad_argument(tmp_path, capsys, text, where):
     save_csv_vector(src, substream(6, 7).standard_normal(16))
     cfg = tmp_path / "bad.cfg"
     if text is not None:
-        cfg.write_text(text)
+        cfg.write_text(text, encoding="latin-1")  # one byte per character
     with pytest.raises(SystemExit) as err:
         main(["recover", "--input", str(src), "--out", str(tmp_path / "o.csv"), "--config", str(cfg)])
     assert err.value.code == 2
@@ -506,6 +510,30 @@ def test_denoise_an_all_black_image_writes_zeros(tmp_path, method):
     assert result == {"event": "result", "floored_patches": 4}
 
 
+@pytest.mark.parametrize("method", ["csim", "mse"])
+@pytest.mark.parametrize("shape", [(64, 64), (60, 68)], ids=["tiled", "clamped"])
+def test_denoise_cli_is_the_library_call_plus_its_scores(tmp_path, shape, method):
+    clean = synthetic_image(*shape, seed=5).astype(float)
+    noisy = np.clip(np.round(clean + 10.0 * np.random.default_rng(5).standard_normal(shape)), 0, 255)
+    save_pgm(tmp_path / "clean.pgm", clean)
+    save_pgm(tmp_path / "noisy.pgm", noisy)
+    out = tmp_path / "den.pgm"
+    argv = ["denoise", "--input", str(tmp_path / "noisy.pgm"), "--out", str(out), "--sigma-n", "10"]
+    assert main(argv + ["--method", method, "--reference", str(tmp_path / "clean.pgm")]) == 0
+    params = CsimParams.defaults(64) if method == "csim" else None
+    want = denoise_image(noisy, 6, 100.0, params, method)
+    assert np.array_equal(load_pgm(out), np.clip(np.round(want), 0, 255))
+    _, floored = denoise_patches(extract_patches(noisy, PatchGrid(*shape)), 6, 100.0, params)
+    result = json.loads((tmp_path / "den.pgm.log.jsonl").read_text().splitlines()[-1])
+    assert result == {
+        "event": "result",
+        "floored_patches": int(floored.sum()),
+        "psnr_db": min(psnr(want, clean), PSNR_CSV_CAP),
+        "ssim": image_ssim(want, clean),
+        "input_psnr_db": min(psnr(noisy, clean), PSNR_CSV_CAP),
+    }
+
+
 def test_cli_defaults_are_the_library_defaults(tmp_path):
     parser = build_parser()
     params = parser.parse_args(["params"])
@@ -547,7 +575,7 @@ def test_denoise_with_a_bad_reference_exits_three_and_leaves_no_file(
     def no_filtering(*args, **kwargs):
         raise AssertionError("the reference is checked before any filtering")
 
-    monkeypatch.setattr(csim.cli, "denoise_patches", no_filtering)
+    monkeypatch.setattr(csim.cli, "_denoise_image", no_filtering)
     argv = ["denoise", "--input", str(tmp_path / "img.pgm"), "--out", str(tmp_path / "o.pgm")]
     assert main(argv + ["--sigma-n", "5", "--reference", str(tmp_path / reference)]) == 3
     assert message in capsys.readouterr().err
@@ -826,3 +854,11 @@ def test_a_non_finite_csv_value_exits_three_and_leaves_no_log(tmp_path, capsys, 
     assert f"{src}:{index + 1}: non-finite value nan" in capsys.readouterr().err
     assert not dst.exists()
     assert not (tmp_path / "xhat.csv.log.jsonl").exists()
+
+
+def test_a_csv_vector_that_is_not_utf8_exits_three_naming_the_file(tmp_path, capsys):
+    src = tmp_path / "x.csv"
+    src.write_bytes(b"1.0\n\xff\n")
+    assert main(["recover", "--input", str(src), "--out", str(tmp_path / "xhat.csv")]) == 3
+    assert f"error: {src}: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [src]

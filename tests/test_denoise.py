@@ -404,6 +404,51 @@ def test_denoise_patches_allocates_blocks_not_stack_sized_temporaries():
     assert peak < filtered.nbytes + floored.nbytes + 2 * 2**20
 
 
+def test_denoise_patches_leaves_its_input_stack_as_it_was():
+    patches = _mixed_patches(BLOCK + 9, 15)
+    before = patches.copy()
+    for params in (None, CsimParams.defaults(64)):
+        filtered, _ = denoise_patches(patches, 6, 400.0, params)
+        assert not np.shares_memory(filtered, patches)
+        assert patches.tobytes() == before.tobytes()
+
+
+# (8, 8) and (16, 8) are one patch wide, so their stack is a reshape of the image
+@pytest.mark.parametrize(
+    "shape, view",
+    [((8, 8), True), ((16, 8), True), ((8, 16), False), ((64, 64), False), ((60, 68), False)],
+    ids=["8x8", "16x8", "8x16", "64x64", "60x68"],
+)
+def test_denoise_image_leaves_the_image_as_it_was_and_has_the_bits_of_denoise_patches(shape, view):
+    rng = np.random.default_rng(shape[1])
+    image = np.round(synthetic_image(*shape, seed=shape[0]) + 10.0 * rng.standard_normal(shape))
+    before = image.copy()
+    grid = PatchGrid(*shape, side=8)
+    assert np.shares_memory(extract_patches(image, grid), image) == view
+    params = CsimParams.defaults(64)
+    for method in ("mse", "csim"):
+        out = denoise_image(image, 6, 100.0, params, method)
+        assert image.tobytes() == before.tobytes(), method
+        stack = extract_patches(image, grid)
+        filtered, _ = denoise_patches(stack, 6, 100.0, params if method == "csim" else None)
+        assert out.tobytes() == reassemble(filtered, grid).tobytes(), method
+
+
+def test_denoise_image_filters_its_stack_in_place():
+    image = np.random.default_rng(15).uniform(0.0, 255.0, (512, 512))
+    tracemalloc.start()
+    try:
+        out = denoise_image(image, 6, 400.0, CsimParams.defaults(64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The stack, then the stack and the output: one block's temporaries
+    # (at most 2 MiB, the budget above) come and go beside the stack
+    # alone.  Filtering into a second stack peaks at about 5 MiB.
+    assert peak < max(image.nbytes + 2 * 2**20, 2 * image.nbytes) + 2**18
+    assert out.shape == image.shape
+
+
 def test_positive_definite_test_agrees_with_lapack_cholesky():
     rng = np.random.default_rng(13)
     Q = rng.standard_normal((300, 5, 5))
