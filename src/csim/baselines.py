@@ -15,7 +15,8 @@ signals at once, with the solver's row-stack conventions: every step
 acts on the last axis, and a per-row value (step, l1 weight, threshold,
 momentum weight) is a scalar when the rows share it and a (B, 1) column
 otherwise.  `fista_solve` and `iht_adaptive_solve` are the one-signal
-cases.
+cases.  Both record their iterations as the ADMM loop does and make
+their results with its `_extend` and `_results`.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ from .solver import (
     _at_least,
     _check_settings,
     _check_threshold,
+    _extend,
     _observed_rows,
     _peak_weight,
     _per_row,
+    _results,
     soft_threshold,
 )
 
@@ -123,30 +126,6 @@ def _check_iterate(s, solver: str) -> None:
         raise NonFiniteError(f"non-finite {solver} iterate")
 
 
-def _results(atoms, s, history, elapsed, iterates) -> list[RecoveryResult]:
-    """One result per row from the final coefficients, the per-iteration
-    residual norms of every row and the batch clock."""
-    history = np.reshape(history, (len(history), -1)).T.copy()  # one row per signal
-    S = np.reshape(s, (-1, s.shape[-1]))
-    X = _synthesize(atoms, S)
-    clock = np.asarray(elapsed)
-    if iterates is not None:
-        iterates = np.reshape(iterates, (len(iterates),) + S.shape)
-    return [
-        RecoveryResult(
-            x_hat=X[j],
-            s_hat=S[j],
-            iterations=history.shape[1],
-            primal_residuals=history[j],
-            slack_residuals=None,
-            elapsed_ms=clock,
-            iterates=None if iterates is None else list(iterates[:, j]),
-            stop_reason="budget",
-        )
-        for j in range(len(S))
-    ]
-
-
 def fista_solve(y, mask: SamplingMask, D: Dictionary, config: BaselineConfig | None = None) -> RecoveryResult:
     """Recover one signal: ``fista_solve_batch`` with a single row."""
     return fista_solve_batch(np.asarray(y, dtype=float)[None], [mask], D, config)[0]
@@ -182,8 +161,7 @@ def fista_solve_batch(Y, masks, D: Dictionary, config: BaselineConfig | None = N
     # restart flag, with the bits of the array forms.
     sqrt, isfinite = (math.sqrt, math.isfinite) if s.ndim == 1 else (np.sqrt, np.isfinite)
 
-    history, elapsed = [], []
-    iterates: list[np.ndarray] | None = [] if config.record_iterates else None
+    segment, segment_s, elapsed = [], [], []
     start = time.perf_counter()
     for _ in range(config.max_iter):
         candidate = soft_threshold(
@@ -210,11 +188,13 @@ def fista_solve_batch(Y, masks, D: Dictionary, config: BaselineConfig | None = N
         norm = sqrt(_dot(r, r))
         if not _all(isfinite(norm)):
             _check_iterate(s, "FISTA")
-        history.append(norm)
+        segment.append(norm)
         elapsed.append((time.perf_counter() - start) * 1e3)
-        if iterates is not None:
-            iterates.append(s)
-    return _results(D.atoms, s, history, elapsed, iterates)
+        if config.record_iterates:
+            segment_s.append(s)
+    S = np.reshape(s, (-1, D.p))
+    history, iterates = _extend(np.zeros((len(S), 1, 0)), np.zeros((len(S), 0, D.p)), segment, segment_s)
+    return _results(history, iterates, elapsed, [False] * len(S), _synthesize(D.atoms, S), S)
 
 
 def iht_adaptive_solve(y, mask: SamplingMask, D: Dictionary, config: BaselineConfig | None = None) -> RecoveryResult:
@@ -242,8 +222,7 @@ def iht_adaptive_solve_batch(Y, masks, D: Dictionary, config: BaselineConfig | N
     s = np.zeros(Y.shape[:-1] + (D.p,))
     r = Y - forward(s)
     sqrt, isfinite = (math.sqrt, math.isfinite) if s.ndim == 1 else (np.sqrt, np.isfinite)
-    history, elapsed = [], []
-    iterates: list[np.ndarray] | None = [] if config.record_iterates else None
+    segment, segment_s, elapsed = [], [], []
     start = time.perf_counter()
     for t in range(config.max_iter):
         tau = _at_least(tau0 * math.exp(-_IHT_DECAY * t), _IHT_FLOOR)
@@ -252,8 +231,10 @@ def iht_adaptive_solve_batch(Y, masks, D: Dictionary, config: BaselineConfig | N
         norm = sqrt(_dot(r, r))
         if not _all(isfinite(norm)):
             _check_iterate(s, "IHT")
-        history.append(norm)
+        segment.append(norm)
         elapsed.append((time.perf_counter() - start) * 1e3)
-        if iterates is not None:
-            iterates.append(s)
-    return _results(D.atoms, s, history, elapsed, iterates)
+        if config.record_iterates:
+            segment_s.append(s)
+    S = np.reshape(s, (-1, D.p))
+    history, iterates = _extend(np.zeros((len(S), 1, 0)), np.zeros((len(S), 0, D.p)), segment, segment_s)
+    return _results(history, iterates, elapsed, [False] * len(S), _synthesize(D.atoms, S), S)

@@ -6,10 +6,15 @@ win.  The work happens in library calls; this module parses arguments,
 loads inputs, writes outputs and the JSON-lines run logs.
 
 Exit codes: 0 success, 2 bad arguments, 3 runtime failure.  A flag's
-argparse ``type``, made by ``_checked``, checks the value it holds; a
-check that needs another flag, a file or an input's shape raises
-``_ArgumentError`` in its command before anything is written.  ``main``
-only dispatches: it exits 2 on ``_ArgumentError``, 3 on any other error.
+argparse ``type``, made by ``_checked``, checks the value it holds.  A
+command raises ``_ArgumentError``, before anything is written, for the
+checks that a type cannot make: a flag against another flag or against
+the kind of ``--input`` (a PGM needs a square ``--n``), the ``--config``
+file and its keys, the ``--corpus`` paths, and the dictionary shape that
+the flags (or a CSV input's length) give.
+``main`` only dispatches: it exits 2 on ``_ArgumentError`` and 3 on any
+other error, such as an ``--input`` or ``--reference`` file that cannot
+be read or a ``--reference`` whose shape differs from the input's.
 """
 
 from __future__ import annotations
@@ -72,7 +77,10 @@ _nonnegative_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 _positive_finite = _checked(float, lambda v: math.isfinite(v) and v > 0, "a positive finite number")
 _ratio = _checked(float, lambda v: 0.0 < v <= 1.0, "a ratio in (0, 1]")
 _delta = _checked(float, lambda v: 0.0 < v < 1.0, "an isometry constant in (0, 1)")
-_noise_level = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite noise level of at least 0")
+# The command squares the level: a level whose square overflows is no level.
+_noise_level = _checked(
+    float, lambda v: v >= 0 and math.isfinite(v * v), "a noise level of at least 0 with a finite square"
+)
 # A filter of m taps needs 2m samples of its patch.
 _DENOISE_MAX_TAPS = PATCH_SIDE**2 // 2
 _taps = _checked(

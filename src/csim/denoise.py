@@ -110,8 +110,8 @@ def _stack_stats(Y, m: int, sigma_n_sq: float):
     if n < 2 * m:
         raise ValueError(f"patch too short: need at least {2 * m} samples")
     sigma_n_sq = float(sigma_n_sq)
-    if sigma_n_sq < 0:
-        raise ValueError("noise variance must be nonnegative")
+    if not 0.0 <= sigma_n_sq < np.inf:  # nan fails too
+        raise ValueError(f"noise variance must be finite and nonnegative, got {sigma_n_sq}")
 
     mu = Y.mean(axis=1)
     dev = Y - mu[:, None]
@@ -207,7 +207,8 @@ def _stack_fir(Y, taps) -> np.ndarray:
 def empirical_stats(y_patch, m: int, sigma_n_sq: float) -> PatchStats:
     """Estimate the statistics of one patch for an order-m filter.
 
-    Requires at least 2m samples.  When the supplied noise variance
+    Requires at least 2m samples and a finite noise variance of at
+    least 0.  When the supplied noise variance
     exceeds the measured lag-0 covariance the derived clean statistics
     are floored at zero and the outcome flagged.
     """

@@ -459,7 +459,9 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
     is never formed: z and its dual keep their zero start, and the slack
     residual is 0.0.  Otherwise the values fixed while the working set is
     (the x-step weights and the slack solve) are formed when it changes,
-    not every iteration.
+    not every iteration.  A working row's residual history and iterates
+    are its rows of the working set's record (``_extend``), compacted with
+    it, so a stopping row reads its own row.
     A row's result has the bits of its one-row solve, apart from
     ``elapsed_ms``, which is the batch's clock.  A non-finite value in
     any row raises.
@@ -497,13 +499,9 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
 
     rows = np.arange(B)  # input row of each working row, in increasing order
     results: list[RecoveryResult | None] = [None] * B
-    # Residuals (and iterates) of the working rows since the working set
-    # last changed, closed into one block per working set when it does.
-    segment: list[tuple] = []
-    segment_s: list[np.ndarray] = []
-    blocks: list[tuple] = []  # (working rows, their residuals)
-    blocks_s: list[np.ndarray] = []  # their iterates
-    elapsed: list[float] = []
+    # The working rows' record (see _extend) and the iterations not yet in it.
+    history, iterates = np.zeros((B, 2, 0)), np.zeros((B, 0, p))
+    segment, segment_s, elapsed = [], [], []
     tol = cfg.feasibility_tol
     # One row has Python-float residual norms (the bits of np.sqrt's).
     sqrt, isfinite = (math.sqrt, math.isfinite) if Y.ndim == 1 else (np.sqrt, np.isfinite)
@@ -574,49 +572,65 @@ def solve_batch(Y, masks, D: Dictionary, config: SolverConfig | None = None) -> 
         if iteration < cfg.max_iter and not any_done:
             continue
 
-        # Close the segment, then retire the stopping rows as stacks: every
-        # block holds them where searchsorted finds them, since the working
-        # rows stay in input order.
-        width = len(rows)
-        blocks.append((rows, np.reshape(segment, (len(segment), 2, width))))
-        if cfg.record_iterates:
-            blocks_s.append(np.reshape(segment_s, (len(segment_s), width, p)))
+        # Extend the record, retire the stopping rows, then compact the rest.
+        history, iterates = _extend(history, iterates, segment, segment_s)
         segment, segment_s = [], []
+        width = len(rows)
         done = np.reshape(done, -1)
-        stopping = done if iteration < cfg.max_iter else np.ones(width, dtype=bool)
-        retiring = np.flatnonzero(stopping)
-        places = [np.searchsorted(block_rows, rows[retiring]) for block_rows, _ in blocks]
-        # (retiring row, primal or slack, iteration)
-        history = np.concatenate([b[:, :, at].T for at, (_, b) in zip(places, blocks)], axis=-1)
-        if cfg.record_iterates:  # (iteration, retiring row, p)
-            iterates = np.concatenate([b[:, at] for at, b in zip(places, blocks_s)])
-        clock = np.array(elapsed)
-        X, S, Z, dual_x, dual_z = (a.reshape(width, -1) for a in (x, s, z, rho1 * u, rho2 * v))
-        weights = np.full((width, 1), l1_weight).ravel().tolist()
-        for i, j in enumerate(retiring.tolist()):
-            results[rows[j]] = RecoveryResult(
-                x_hat=X[j],
-                s_hat=S[j],
-                iterations=iteration,
-                primal_residuals=history[i, 0],
-                slack_residuals=history[i, 1],
-                elapsed_ms=clock,
-                iterates=list(iterates[:, i]) if cfg.record_iterates else None,
-                final_slack=Z[j],
-                final_dual_x=dual_x[j],
-                final_dual_z=dual_z[j],
-                l1_weight_final=weights[j],
-                stop_reason="converged" if done[j] else "budget",
-            )
-        keep = ~stopping
-        if not np.count_nonzero(keep):
+        # The budget retires every row: a slice, which indexes without copying.
+        last = iteration == cfg.max_iter
+        retiring = slice(None) if last else np.flatnonzero(done)
+        X, S, *finals = (np.reshape(a, (width, -1))[retiring] for a in (x, s, z, rho1 * u, rho2 * v))
+        finals.append(np.full((width, 1), l1_weight)[retiring, 0].tolist())
+        retired = _results(
+            history[retiring], iterates[retiring], elapsed, done[retiring].tolist(), X, S, finals
+        )
+        for row, result in zip(rows[retiring].tolist(), retired):
+            results[row] = result
+        keep = ~done
+        if last or not np.count_nonzero(keep):
             break
-        rows, Y, observed, s, z, u, v, synthesized = (
-            a[keep] for a in (rows, Y, observed, s, z, u, v, synthesized)
+        rows, Y, observed, s, z, u, v, synthesized, history, iterates = (
+            a[keep] for a in (rows, Y, observed, s, z, u, v, synthesized, history, iterates)
         )
         rho1, rho2, l1_weight = (_keep(value, keep) for value in (rho1, rho2, l1_weight))
         refresh = True
     return results
+
+
+def _extend(history, iterates, segment, segment_s):
+    """The record of the working rows, ``history`` and ``iterates``, with
+    the iterations of ``segment`` (each one's k per-row norms, a k-tuple
+    when k > 1) and ``segment_s`` (each one's coefficients, or none)
+    appended.  ``history`` (rows, k, t) holds the norms, the ADMM's primal
+    and slack or a baseline's one; ``iterates`` (rows, t, p) holds the
+    coefficients, empty along t when none are recorded.  Both keep the
+    rows on their first axis, so the ``a[keep]`` that compacts the
+    working set compacts them too."""
+    width, p = len(history), iterates.shape[-1]
+    added = np.array(segment).reshape(len(segment), -1, width).T
+    added_s = np.array(segment_s).reshape(len(segment_s), width, p).swapaxes(0, 1)
+    return np.concatenate((history, added), axis=-1), np.concatenate((iterates, added_s), axis=1)
+
+
+def _results(history, iterates, elapsed, converged, X, S, finals=()) -> list[RecoveryResult]:
+    """One result per row of a record (see ``_extend``) and of the final
+    x and s stacks ``X`` and ``S``, with the clock ``elapsed`` and whether
+    the row converged.  ``finals``, the ADMM's final slack, duals and l1
+    weights (one stack each), fill the fields after ``iterates``.  A
+    baseline passes none, and its history, one norm per iteration, gives
+    no slack residuals."""
+    n, t = history.shape[0], history.shape[-1]
+    slack = history[:, 1] if history.shape[1] == 2 else [None] * n
+    clock, recorded = np.array(elapsed), iterates.shape[1] > 0
+    # RecoveryResult's fields in order, positionally: keywords cost more per row.
+    return [
+        RecoveryResult(
+            X[i], S[i], t, history[i, 0], slack[i], clock, list(iterates[i]) if recorded else None,
+            *final, stop_reason="converged" if stop else "budget",
+        )
+        for i, (stop, final) in enumerate(zip(converged, zip(*finals) if finals else [()] * n))
+    ]
 
 
 def kkt_residuals(

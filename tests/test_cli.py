@@ -759,6 +759,8 @@ def test_bad_arguments_exit_two():
         (["denoise", "--sigma-n", "-1"], "--sigma-n"),
         (["denoise", "--sigma-n", "nan"], "--sigma-n"),
         (["denoise", "--sigma-n", "inf"], "--sigma-n"),
+        # finite, but its square, the noise variance, overflows
+        (["denoise", "--sigma-n", "1e155"], "--sigma-n"),
         (["denoise", "--sigma-n", "10", "--m-taps", "0"], "--m-taps"),
         (["denoise", "--sigma-n", "10", "--m-taps", "40"], "--m-taps"),
         (["sweep-sr", "--trials", "0"], "--trials"),
@@ -781,6 +783,7 @@ def test_bad_arguments_exit_two():
         "denoise-sigma-negative",
         "denoise-sigma-nan",
         "denoise-sigma-inf",
+        "denoise-sigma-square-overflows",
         "denoise-m-taps-0",
         "denoise-m-taps-40",
         "sweep-trials-0",

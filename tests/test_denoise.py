@@ -210,6 +210,16 @@ def test_nan_stats_raise_on_the_taps():
         mse_filter(stats)
 
 
+@pytest.mark.parametrize("sigma_n_sq", [np.nan, np.inf])
+def test_a_noise_variance_that_is_not_finite_raises(sigma_n_sq):
+    # a `< 0` test alone passes nan, and an infinite variance would floor every patch
+    patch = np.random.default_rng(15).uniform(0.0, 255.0, 64)
+    with pytest.raises(ValueError, match="noise variance must be finite and nonnegative"):
+        empirical_stats(patch, 6, sigma_n_sq)
+    with pytest.raises(ValueError, match="noise variance must be finite and nonnegative"):
+        denoise_patches(patch[None], 6, sigma_n_sq)
+
+
 # --- row-stacked pass ----------------------------------------------------------
 
 

@@ -798,7 +798,9 @@ _ORACLE_CONFIGS = {
 def test_solve_and_solve_batch_match_the_written_out_iteration(rows, config, dictionary):
     if dictionary == "dct16":
         D = dct_dictionary(16, 16)
-        cfg = SolverConfig.analysis(l1_weight=1e-3, max_iter=60, feasibility_tol=1e-4)
+        cfg = SolverConfig.analysis(
+            l1_weight=1e-3, max_iter=60, feasibility_tol=1e-4, record_iterates=True
+        )
     else:
         D = _ORACLE_DICTIONARIES[dictionary]()
         cfg = _ORACLE_CONFIGS[config]
