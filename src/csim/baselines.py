@@ -9,18 +9,22 @@ config type, `BaselineConfig`.  Like the ADMM solver, both read a row
 only at its observed positions (through `solver._observed_rows`), and a
 non-finite observed sample raises `NonFiniteError`.
 
-Each iteration is separable per signal, so one loop per method
-(`fista_solve_batch`, `iht_adaptive_solve_batch`) runs it on a stack of
+Both are proximal-gradient methods, so each is a step rule, a generator
+(`_fista_steps`, `_iht_steps`) that yields each iteration's coefficients
+and residual and holds only its method's arithmetic, under one budget
+loop (`_budget_loop`) that owns the rest: the front end, the clock, the
+record (the ADMM's `_extend` and `_results`) and the non-finite check.
+Each iteration is separable per signal, so the loop runs a stack of
 signals at once, with the solver's row-stack conventions: every step
 acts on the last axis, and a per-row value (step, l1 weight, threshold,
 momentum weight) is a scalar when the rows share it and a (B, 1) column
 otherwise.  `fista_solve` and `iht_adaptive_solve` are the one-signal
-cases.  Both record their iterations as the ADMM loop does and make
-their results with its `_extend` and `_results`.
+cases.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -88,19 +92,6 @@ def _hard_threshold(v, tau) -> np.ndarray:
     return np.where(np.abs(v) >= tau, v, 0.0)
 
 
-def _row_stack(Y, masks: list[SamplingMask], D: Dictionary):
-    """Both baselines' front end for a nonempty batch: the observations
-    of ``_observed_rows`` (one row on 1-D arrays), the (forward, adjoint)
-    pair of the masked operators and the per-row gradient step
-    1/||A_b||^2."""
-    Y, observed = _observed_rows(Y, masks, D.n)
-    lipschitz = spectral_norm_sq(D.atoms, observed=np.reshape(observed, (-1, D.n)))
-    if np.count_nonzero(~(lipschitz > 0)):
-        raise ValueError("degenerate masked operator")
-    forward, adjoint = _operator(D.atoms, observed)
-    return Y, forward, adjoint, _per_row(1.0 / lipschitz)
-
-
 def _operator(atoms, observed):
     """(s -> A s, r -> A.T r) for the masked operators A_b = diag(o_b) D
     of the rows of ``observed``.  One row forms its n x p matrix once; a
@@ -114,16 +105,6 @@ def _operator(atoms, observed):
         A = np.where(observed[:, None] != 0, atoms, 0.0)
         return A.__matmul__, A.T.__matmul__
     return (lambda s: observed * _synthesize(atoms, s)), (lambda r: _analyze(atoms, r))
-
-
-def _check_iterate(s, solver: str) -> None:
-    """Raise ``NonFiniteError`` if s is not finite.  The loops call it
-    only when the residual norm of s is not finite: one non-finite
-    coefficient makes every sample of A s non-finite (inf * 0 is nan),
-    so a finite norm clears s, and a finite s whose squared residual
-    overflows goes on."""
-    if not _all(np.isfinite(s)):
-        raise NonFiniteError(f"non-finite {solver} iterate")
 
 
 def fista_solve(y, mask: SamplingMask, D: Dictionary, config: BaselineConfig | None = None) -> RecoveryResult:
@@ -145,56 +126,33 @@ def fista_solve_batch(Y, masks, D: Dictionary, config: BaselineConfig | None = N
     bits of its one-row solve, apart from ``elapsed_ms``, the batch's
     clock.
     """
-    if config is None:
-        config = BaselineConfig()
-    masks = list(masks)
-    if not masks:
-        return []
-    Y, forward, adjoint, step = _row_stack(Y, masks, D)
-    threshold = _peak_weight(_FISTA_WEIGHT_SCALE, adjoint(Y)) * step
+    return _budget_loop(_fista_steps, "FISTA", Y, masks, D, config)
 
-    s = np.zeros(Y.shape[:-1] + (D.p,))
+
+def _fista_steps(Y, forward, adjoint, step, sqrt):
+    """FISTA's step rule (see ``fista_solve_batch``)."""
+    correlations = adjoint(Y)
+    threshold = _peak_weight(_FISTA_WEIGHT_SCALE, correlations) * step
+    s = np.zeros_like(correlations)
     product = np.zeros_like(Y)  # A s at s = 0
     momentum_point, momentum_product = s, product
     t_k = 1.0
-    # One row keeps t_k a Python float: a Python-float sqrt and a scalar
-    # restart flag, with the bits of the array forms.
-    sqrt, isfinite = (math.sqrt, math.isfinite) if s.ndim == 1 else (np.sqrt, np.isfinite)
-
-    segment, segment_s, elapsed = [], [], []
-    start = time.perf_counter()
-    for _ in range(config.max_iter):
-        candidate = soft_threshold(
-            momentum_point - step * adjoint(momentum_product - Y), threshold
-        )
+    while True:
+        candidate = soft_threshold(momentum_point - step * adjoint(momentum_product - Y), threshold)
         candidate_product = forward(candidate)
         r = candidate_product - Y
         change = candidate - s
         # Gradient restart: a row whose step runs against its momentum
         # (p - s+) . (s+ - s) > 0 drops the momentum.
         restart = _dot(momentum_point - candidate, change) > 0
-        if s.ndim == 1:
-            if restart:
-                t_k = 1.0
-        else:
-            t_k = np.where(restart, 1.0, t_k)
+        t_k = (1.0 if restart else t_k) if s.ndim == 1 else np.where(restart, 1.0, t_k)
         t_next = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t_k * t_k))
         beta = (t_k - 1.0) / t_next
         momentum_point = candidate + beta * change
         # A p by linearity, from the products of s+ and s.
         momentum_product = candidate_product + beta * (candidate_product - product)
         s, product, t_k = candidate, candidate_product, t_next
-
-        norm = sqrt(_dot(r, r))
-        if not _all(isfinite(norm)):
-            _check_iterate(s, "FISTA")
-        segment.append(norm)
-        elapsed.append((time.perf_counter() - start) * 1e3)
-        if config.record_iterates:
-            segment_s.append(s)
-    S = np.reshape(s, (-1, D.p))
-    history, iterates = _extend(np.zeros((len(S), 1, 0)), np.zeros((len(S), 0, D.p)), segment, segment_s)
-    return _results(history, iterates, elapsed, [False] * len(S), _synthesize(D.atoms, S), S)
+        yield s, r
 
 
 def iht_adaptive_solve(y, mask: SamplingMask, D: Dictionary, config: BaselineConfig | None = None) -> RecoveryResult:
@@ -208,29 +166,55 @@ def iht_adaptive_solve_batch(Y, masks, D: Dictionary, config: BaselineConfig | N
     with its own step 1/||A_b||^2 and its own starting threshold (see
     ``BaselineConfig``).  A row's result has the bits of its one-row solve,
     apart from ``elapsed_ms``, the batch's clock."""
+    return _budget_loop(_iht_steps, "IHT", Y, masks, D, config)
+
+
+def _iht_steps(Y, forward, adjoint, step, sqrt):
+    """IHT's step rule (see ``iht_adaptive_solve_batch``)."""
+    correlations = adjoint(Y)
+    tau0 = _peak_weight(_IHT_START_SCALE, correlations)
+    # The thresholds max(tau0 e^(-0.2 t), 1e-3) are all at least 1e-3 unless
+    # tau0 is nan, which the first one shows: checking it checks them all.
+    _check_threshold(_at_least(tau0, _IHT_FLOOR))
+    s = np.zeros_like(correlations)
+    r = Y - forward(s)
+    for t in itertools.count():
+        tau = _at_least(tau0 * math.exp(-_IHT_DECAY * t), _IHT_FLOOR)
+        s = _hard_threshold(s + step * adjoint(r), tau)
+        r = Y - forward(s)
+        yield s, r
+
+
+def _budget_loop(steps, name: str, Y, masks, D: Dictionary, config: BaselineConfig | None) -> list[RecoveryResult]:
+    """The results of ``config.max_iter`` iterations of the step rule
+    ``steps(Y, forward, adjoint, step, sqrt)``, which yields each one's
+    (s, residual) for every row of ``Y``, row i observed through
+    ``masks[i]``; ``name`` names the method in errors.  The loop owns all
+    but the method's arithmetic (see the module docstring)."""
     if config is None:
         config = BaselineConfig()
     masks = list(masks)
     if not masks:
         return []
-    Y, forward, adjoint, step = _row_stack(Y, masks, D)
-    tau0 = _peak_weight(_IHT_START_SCALE, adjoint(Y))
-    # The thresholds max(tau0 e^(-0.2 t), 1e-3) are all at least 1e-3 unless
-    # tau0 is nan, which the first one shows: checking it checks them all.
-    _check_threshold(_at_least(tau0, _IHT_FLOOR))
-
-    s = np.zeros(Y.shape[:-1] + (D.p,))
-    r = Y - forward(s)
-    sqrt, isfinite = (math.sqrt, math.isfinite) if s.ndim == 1 else (np.sqrt, np.isfinite)
+    Y, observed = _observed_rows(Y, masks, D.n)
+    step = _per_row(1.0 / spectral_norm_sq(D.atoms, observed=np.reshape(observed, (-1, D.n))))
+    forward, adjoint = _operator(D.atoms, observed)
+    # One row takes Python-float square roots (FISTA's momentum weight
+    # too) and scalar flags, with the bits of the array forms.
+    sqrt, isfinite = (math.sqrt, math.isfinite) if Y.ndim == 1 else (np.sqrt, np.isfinite)
     segment, segment_s, elapsed = [], [], []
     start = time.perf_counter()
-    for t in range(config.max_iter):
-        tau = _at_least(tau0 * math.exp(-_IHT_DECAY * t), _IHT_FLOOR)
-        s = _hard_threshold(s + step * adjoint(r), tau)
-        r = Y - forward(s)
+    # range first, so zip pulls no step past the budget.
+    for _, (s, r) in zip(range(config.max_iter), steps(Y, forward, adjoint, step, sqrt)):
         norm = sqrt(_dot(r, r))
-        if not _all(isfinite(norm)):
-            _check_iterate(s, "IHT")
+        # Dropped here, r lives as long as in a plain loop: a batch holds no
+        # extra (B, n) array through the next step.
+        del r
+        # One non-finite coefficient makes every sample of A s non-finite
+        # (inf * 0 is nan), so a finite norm clears s, and a finite s whose
+        # squared residual overflows goes on.
+        if not _all(isfinite(norm)) and not _all(np.isfinite(s)):
+            raise NonFiniteError(f"non-finite {name} iterate")
         segment.append(norm)
         elapsed.append((time.perf_counter() - start) * 1e3)
         if config.record_iterates:

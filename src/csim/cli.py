@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kappa-max", dest="kappa_max", type=_positive_finite, default=DEFAULT_KAPPA_MAX
     )
     p_par.add_argument("--delta", type=_delta, default=DEFAULT_DELTA)
-    p_par.add_argument("--k", type=int, default=None)
+    p_par.add_argument("--k", type=_positive_int, default=None)
     p_par.set_defaults(func=_cmd_params)
 
     p_di = sub.add_parser("dict-info", help="describe a dictionary")

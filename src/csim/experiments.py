@@ -244,16 +244,21 @@ def corpus_files(paths) -> list[Path]:
     return files
 
 
-def load_corpus(paths) -> list[np.ndarray]:
-    """Float images from PGM files or directories of them."""
-    return [load_pgm(f).astype(float) for f in corpus_files(paths)]
+def load_corpus(paths, side: int) -> list[np.ndarray]:
+    """Float images from PGM files or directories of them.  An image
+    smaller than one side x side patch raises ``ValueError`` naming its
+    file, before any trial draws from the corpus."""
+    images = []
+    for f in corpus_files(paths):
+        images.append(load_pgm(f).astype(float))
+        if min(images[-1].shape) < side:
+            raise ValueError(f"corpus image smaller than one {side}x{side} patch: {f}")
+    return images
 
 
 def _corpus_patch(images, side: int, rng) -> np.ndarray:
     image = images[int(rng.integers(len(images)))]
     h, w = image.shape
-    if h < side or w < side:
-        raise ValueError("corpus image smaller than one patch")
     r = int(rng.integers(h - side + 1))
     c = int(rng.integers(w - side + 1))
     return image[r : r + side, c : c + side].reshape(-1)
@@ -308,7 +313,7 @@ def sweep_sr(spec: ExperimentSpec) -> str:
     is its group's solve time divided by the group's trial count.
     """
     D = build_dictionary(spec.dict_kind, spec.n, spec.p)
-    images = load_corpus(spec.corpus) if spec.corpus else None
+    images = load_corpus(spec.corpus, math.isqrt(D.n)) if spec.corpus else None
     S_true, X_true = _truth(spec, D, images)
     masks = {sr: _observe(np.arange(spec.trials), D.n, sr, spec.seed) for sr in spec.srs}
     if S_true is None:
@@ -365,8 +370,7 @@ def sweep_iters(spec: ExperimentSpec) -> str:
             spec, D, solver, masks[sr], X_true, record_iterates=True, **no_stop
         )
         for trial, (s_true, result) in enumerate(zip(S_true, results)):
-            iterates = np.array(result.iterates)
-            trace = relative_error(iterates, np.broadcast_to(s_true, iterates.shape), axis=-1)
+            trace = relative_error(result.iterates, np.broadcast_to(s_true, result.iterates.shape), axis=-1)
             for t, rel in enumerate(trace.tolist(), start=1):
                 ms = result.elapsed_ms[t - 1] if spec.timing else 0.0
                 lines.append(

@@ -206,11 +206,12 @@ class RecoveryResult:
     """Solve outcome with per-iteration diagnostics.
 
     ``primal_residuals[t]`` is ||x - D s|| and ``slack_residuals[t]`` is
-    ||z - M x + y|| after iteration t.  ``elapsed_ms`` is cumulative wall
-    time (of the whole batch, for a batched solve).  ``stop_reason`` is
-    "converged" when both feasibility residuals of the last iteration and
-    the norm of its dual residual
-    rho1 (D s - D s_prev) + M.T rho2 (z - z_prev) are below
+    ||z - M x + y|| after iteration t, and ``iterates[t]``, kept under
+    ``record_iterates`` in an (iterations, p) array, is s after it.
+    ``elapsed_ms`` is cumulative wall time (of the whole batch, for a
+    batched solve).  ``stop_reason`` is "converged" when both
+    feasibility residuals of the last iteration and the norm of its dual
+    residual rho1 (D s - D s_prev) + M.T rho2 (z - z_prev) are below
     ``feasibility_tol`` (and, under the protocol, the l1 weight of that
     iteration is at its floor), and "budget" otherwise (``max_iter`` ran
     out, whichever test failed); a non-finite iterate raises instead.
@@ -224,7 +225,7 @@ class RecoveryResult:
     primal_residuals: np.ndarray
     slack_residuals: np.ndarray | None
     elapsed_ms: np.ndarray
-    iterates: list[np.ndarray] | None = None
+    iterates: np.ndarray | None = None
     final_slack: np.ndarray | None = None
     final_dual_x: np.ndarray | None = None
     final_dual_z: np.ndarray | None = None
@@ -626,7 +627,7 @@ def _results(history, iterates, elapsed, converged, X, S, finals=()) -> list[Rec
     # RecoveryResult's fields in order, positionally: keywords cost more per row.
     return [
         RecoveryResult(
-            X[i], S[i], t, history[i, 0], slack[i], clock, list(iterates[i]) if recorded else None,
+            X[i], S[i], t, history[i, 0], slack[i], clock, iterates[i] if recorded else None,
             *final, stop_reason="converged" if stop else "budget",
         )
         for i, (stop, final) in enumerate(zip(converged, zip(*finals) if finals else [()] * n))

@@ -15,7 +15,7 @@ from csim.baselines import (
     iht_adaptive_solve,
     iht_adaptive_solve_batch,
 )
-from csim.dictionaries import Dictionary, _analyze, dct_dictionary, haar_wp_dictionary, spectral_norm_sq
+from csim.dictionaries import _analyze, dct_dictionary, haar_wp_dictionary, normalize_columns, spectral_norm_sq
 from csim.signals import SamplingMask, apply_mask, random_mask, substream, synth_sparse_signal
 from csim.solver import NonFiniteError, SolverConfig, _observed_rows, _peak_weight, solve, solve_batch
 
@@ -253,7 +253,7 @@ def test_baseline_histories_lengths():
     result = fista_solve(y, mask, D, BaselineConfig(max_iter=23, record_iterates=True))
     assert result.iterations == 23
     assert len(result.primal_residuals) == 23
-    assert len(result.iterates) == 23
+    assert isinstance(result.iterates, np.ndarray) and result.iterates.shape == (23, 16)
     assert result.slack_residuals is None
 
 
@@ -495,17 +495,20 @@ def test_iht_checks_its_threshold_schedule_once_before_iterating(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("solve", [fista_solve_batch, iht_adaptive_solve_batch])
-def test_batched_baselines_reject_a_row_with_an_all_zero_operator(solve):
+@pytest.mark.parametrize("solve", [fista_solve_batch, iht_adaptive_solve_batch, fista_solve, iht_adaptive_solve])
+def test_baselines_reject_a_row_with_an_all_zero_operator(solve):
     # Atom rows 4..7 of this dictionary are zero, so a row that observes
-    # only those samples sees an all-zero masked operator.
+    # only those samples sees an all-zero masked operator.  Batched or one
+    # row, spectral_norm_sq rejects it before any step 1/||A_b||^2 is formed.
     atoms = np.zeros((8, 4))
     atoms[:4] = dct_dictionary(4, 4).atoms
-    D = Dictionary(atoms)
+    D = normalize_columns(atoms)
     masks = [SamplingMask(8, [0, 5]), SamplingMask(8, [4, 6])]
-    with pytest.raises(ValueError, match="all-zero"):
-        solve(np.ones((2, 8)), masks, D)
-    assert solve(np.zeros((0, 8)), [], D) == []
+    one_row = solve in (fista_solve, iht_adaptive_solve)
+    with pytest.raises(ValueError, match="^spectral norm of an all-zero matrix is degenerate$"):
+        solve(np.ones(8), masks[1], D) if one_row else solve(np.ones((2, 8)), masks, D)
+    if not one_row:
+        assert solve(np.zeros((0, 8)), [], D) == []
 
 
 # --- the observation contract, shared with the ADMM solver -------------------

@@ -774,6 +774,8 @@ def test_bad_arguments_exit_two():
         (["params", "--kappa-max", "inf"], "--kappa-max"),
         (["params", "--kappa-max", "-5"], "--kappa-max"),
         (["params", "--kappa-max", "0"], "--kappa-max"),
+        (["params", "--k", "0"], "--k"),
+        (["params", "--k", "-5"], "--k"),
     ],
     ids=[
         "recover-fista-max-iter-0",
@@ -797,6 +799,8 @@ def test_bad_arguments_exit_two():
         "params-kappa-max-inf",
         "params-kappa-max-negative",
         "params-kappa-max-0",
+        "params-k-0",
+        "params-k-negative",
     ],
 )
 def test_bad_numeric_flags_exit_two(tmp_path, capsys, argv, flag):

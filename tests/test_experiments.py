@@ -401,6 +401,22 @@ def test_corpus_validation(tmp_path):
     assert str(err.value) == f"no such file or directory: {missing}"
 
 
+def test_a_corpus_image_smaller_than_one_patch_fails_for_every_seed(tmp_path):
+    # Whether a trial draws the small image depends on the seed; the
+    # corpus is checked whole before any draw.
+    from csim.fileio import save_pgm
+
+    save_pgm(tmp_path / "image.pgm", synthetic_image(32, 32, seed=3))
+    save_pgm(tmp_path / "tiny.pgm", synthetic_image(4, 4, seed=4))
+    corpus = (str(tmp_path / "image.pgm"), str(tmp_path / "tiny.pgm"))
+    for seed in range(4):
+        spec = ExperimentSpec(srs=(0.5,), trials=2, seed=seed, solvers=("fista",), corpus=corpus)
+        with pytest.raises(ValueError, match=r"smaller than one 8x8 patch: .*tiny\.pgm"):
+            sweep_sr(spec)
+    save_pgm(tmp_path / "tiny.pgm", synthetic_image(8, 8, seed=4))  # exactly one patch
+    assert len(parse(sweep_sr(spec))) == 2
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(trials=0)
